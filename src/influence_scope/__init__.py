@@ -11,7 +11,7 @@ from .series import CategorySeries, RealSeries
 from .measures import (
     BinLayout,
     DependencyScore,
-    MeasureKind,
+    Measure,
     MicSearchMode,
     MicSearchParams,
     discrete_mutual_information,
@@ -19,7 +19,6 @@ from .measures import (
     joint_distribution,
     linear_correlation,
     mic,
-    permutation_pvalue,
     quantile_bins,
     rank_correlation,
 )
@@ -41,7 +40,6 @@ from .detection import (
     DetectionStrategy,
     InfluenceEntry,
     InfluenceMatrix,
-    Measure,
     conditioned_influence,
     influence_matrix,
     joint_influence,

@@ -14,7 +14,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import logio
 from .camera import ScenarioError, run_scenario, scenario_from_dict
 from .detection import DetectionStrategy, Measure, influence_matrix
 from .logio import (
@@ -104,8 +103,6 @@ def _strategy_from_args(args: argparse.Namespace) -> DetectionStrategy:
         data["alpha"] = args.alpha
     if args.permutations is not None:
         data["permutations"] = args.permutations
-    if args.joint:
-        data["joint_pairs"] = True
     if args.seed is not None:
         data["seed"] = args.seed
     return strategy_from_dict(data)
@@ -223,11 +220,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_det = sub.add_parser("detect", help="compute the influence matrix from a log")
     p_det.add_argument("log", help="sample log JSON file")
     p_det.add_argument("--strategy", help="strategy JSON file")
-    p_det.add_argument("--measure", choices=[m.value for m in Measure])
+    p_det.add_argument(
+        "--measure", choices=[m.value for m in Measure if m is not Measure.ENTROPY]
+    )
     p_det.add_argument("--lags", help="comma-separated lags, e.g. 0,1,2")
     p_det.add_argument("--alpha", type=float)
     p_det.add_argument("--permutations", type=int)
-    p_det.add_argument("--joint", action="store_true")
     p_det.add_argument("--seed", type=int)
     p_det.add_argument("--threads", type=int, default=1)
     p_det.add_argument("--out", required=True, help="output matrix path (JSON; CSV written alongside)")

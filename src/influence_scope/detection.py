@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from enum import Enum
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,15 +24,14 @@ import scipy.stats
 from .errors import DegenerateSeriesError
 from .measures import (
     DependencyScore,
-    MeasureKind,
+    Measure,
     MicSearchParams,
     discrete_mutual_information,
     mic,
     linear_correlation,
     rank_correlation,
     quantile_bins,
-    _counts_from_codes,
-    _mi_bits_from_counts,
+    _equip_codes,
 )
 from .model import (
     AgentSchema,
@@ -46,13 +44,6 @@ from .model import (
 from .series import CategorySeries, RealSeries, Series, as_float_values
 
 PartRef = tuple[str, str]  # (agent_id, part name)
-
-
-class Measure(Enum):
-    MI = "mi"
-    MIC = "mic"
-    LINEAR = "linear"
-    RANK = "rank"
 
 
 @dataclass(frozen=True)
@@ -74,6 +65,8 @@ class DetectionStrategy:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.measure_kind is Measure.ENTROPY:
+            raise ValueError("entropy is not a dependency measure")
         if self.own_part_bins < 2:
             raise ValueError("own_part_bins must be >= 2")
         if self.min_partition_size < 4:
@@ -136,16 +129,6 @@ def _categorize(series: Series, bins: int) -> CategorySeries:
     return binned
 
 
-def _zero_score(measure: Measure, n: int) -> DependencyScore:
-    kind = {
-        Measure.MI: MeasureKind.MI,
-        Measure.MIC: MeasureKind.MIC,
-        Measure.LINEAR: MeasureKind.LINEAR,
-        Measure.RANK: MeasureKind.RANK,
-    }[measure]
-    return DependencyScore(0.0, kind, n, degenerate=True)
-
-
 def score_dependency(x: Series, y: Series, strategy: DetectionStrategy) -> DependencyScore:
     """Apply the strategy's measure to a pair of aligned columns.
 
@@ -168,10 +151,8 @@ def score_dependency(x: Series, y: Series, strategy: DetectionStrategy) -> Depen
         else:
             base = rank_correlation(xv, yv)
         return replace(base, value=abs(base.value))
-    except (DegenerateSeriesError, ValueError) as exc:
-        if isinstance(exc, DegenerateSeriesError):
-            return _zero_score(strategy.measure_kind, n)
-        raise
+    except DegenerateSeriesError:
+        return DependencyScore(0.0, strategy.measure_kind, n, degenerate=True)
 
 
 # --- raw and conditioned scoring -----------------------------------------
@@ -254,7 +235,7 @@ def _conditioned_at_lag(
                 _take(remote_series, idx), _take(perf_series, idx), strategy
             )
         else:
-            score = _zero_score(strategy.measure_kind, count)
+            score = DependencyScore(0.0, strategy.measure_kind, count, degenerate=True)
         per_partition.append(PartitionScore(label, count, score))
         if count >= strategy.min_partition_size:
             weighted_sum += count * score.value
@@ -404,8 +385,6 @@ def _perm_values_mic(
     pairs = params.admissible_pairs(n)
     x_cache: dict = {}
     y_cache: dict = {}
-    from .measures import _equip_codes
-
     best = np.zeros(perm_idx.shape[0])
     for nx, ny in pairs:
         xc, kx, _ = _equip_codes(xv, nx, x_cache)

@@ -16,17 +16,9 @@ import csv
 import io
 import json
 import re
-from typing import Iterable
 
-from .detection import (
-    ConditionedScore,
-    DetectionStrategy,
-    InfluenceEntry,
-    InfluenceMatrix,
-    Measure,
-    PartitionScore,
-)
-from .measures import BinLayout, DependencyScore, MeasureKind
+from .detection import ConditionedScore, DetectionStrategy, InfluenceMatrix
+from .measures import BinLayout, DependencyScore, Measure
 from .model import (
     AgentSchema,
     ConfigPartSchema,

@@ -2,8 +2,8 @@
 
 Implements plug-in mutual information and entropy for categorical data,
 equal-frequency binning of real data, the maximal information coefficient
-(normalized MI maximized over admissible binning grids), Pearson and
-Spearman correlations, and a seeded permutation significance test.
+(normalized MI maximized over admissible binning grids), and Pearson and
+Spearman correlations.
 
 All mutual-information values are reported in bits (base-2 logarithms).
 The MIC normalizer is a ratio of logarithms and therefore base-invariant;
@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.stats
@@ -29,7 +29,9 @@ from .series import CategorySeries, RealSeries, Series, as_float_values
 _NEGATIVE_MI_TOLERANCE = 1e-12
 
 
-class MeasureKind(Enum):
+class Measure(Enum):
+    """A dependency measure; detection scores with every member but ENTROPY."""
+
     MI = "mi"
     MIC = "mic"
     LINEAR = "linear"
@@ -58,14 +60,11 @@ class MicSearchParams:
     """
 
     b_exponent: float = 0.6
-    min_bins_per_axis: int = 2
     search_mode: MicSearchMode = MicSearchMode.EQUIPARTITION
 
     def __post_init__(self) -> None:
         if not 0.0 < self.b_exponent < 1.0:
             raise ValueError("b_exponent must lie in (0, 1)")
-        if self.min_bins_per_axis != 2:
-            raise ValueError("min_bins_per_axis is fixed at 2")
 
     def grid_limit(self, n: int) -> float:
         return max(float(n) ** self.b_exponent, 4.0 * (1.0 + 1e-9))
@@ -103,7 +102,7 @@ class DependencyScore:
     """
 
     value: float
-    measure_kind: MeasureKind
+    measure_kind: Measure
     sample_count: int
     bin_layout: Optional[BinLayout] = None
     p_value: Optional[float] = None
@@ -190,13 +189,13 @@ def discrete_mutual_information(
     """
     counts = contingency_table(x, y)
     value = _mi_bits_from_counts(counts)
-    return DependencyScore(value, MeasureKind.MI, len(x))
+    return DependencyScore(value, Measure.MI, len(x))
 
 
 def entropy(x: CategorySeries) -> DependencyScore:
     """Plug-in Shannon entropy in bits; zero for a constant series."""
     counts = np.bincount(x.values, minlength=x.n_categories)
-    return DependencyScore(_entropy_bits_from_counts(counts), MeasureKind.ENTROPY, len(x))
+    return DependencyScore(_entropy_bits_from_counts(counts), Measure.ENTROPY, len(x))
 
 
 def quantile_bins(
@@ -243,12 +242,6 @@ def quantile_bins(
 
 def _is_constant(values: np.ndarray) -> bool:
     return bool(np.all(values == values[0]))
-
-
-def _equipartition_cache(values: np.ndarray) -> dict[int, tuple[np.ndarray, int, tuple[float, ...]]]:
-    """Lazily filled cache of quantile binnings keyed by requested bin count."""
-    cache: dict[int, tuple[np.ndarray, int, tuple[float, ...]]] = {}
-    return cache
 
 
 def _equip_codes(
@@ -377,11 +370,11 @@ def mic(
             f"exhaustive search is permitted only for N <= {EXHAUSTIVE_MAX_SAMPLES}"
         )
     if _is_constant(xv) or _is_constant(yv):
-        return DependencyScore(0.0, MeasureKind.MIC, n, degenerate=True)
+        return DependencyScore(0.0, Measure.MIC, n, degenerate=True)
 
     pairs = params.admissible_pairs(n)
-    x_cache = _equipartition_cache(xv)
-    y_cache = _equipartition_cache(yv)
+    x_cache: dict = {}
+    y_cache: dict = {}
 
     best_value = 0.0
     best_layout: Optional[BinLayout] = None
@@ -430,7 +423,7 @@ def mic(
                     consider(mi_bits / norm, layout)
 
     value = min(max(best_value, 0.0), 1.0)
-    return DependencyScore(value, MeasureKind.MIC, n, bin_layout=best_layout)
+    return DependencyScore(value, Measure.MIC, n, bin_layout=best_layout)
 
 
 def _pearson(xv: np.ndarray, yv: np.ndarray) -> float:
@@ -452,7 +445,7 @@ def linear_correlation(x: RealSeries | np.ndarray, y: RealSeries | np.ndarray) -
         raise ValueError("series lengths differ")
     if len(xv) < 2:
         raise ValueError("correlation requires at least 2 samples")
-    return DependencyScore(_pearson(xv, yv), MeasureKind.LINEAR, len(xv))
+    return DependencyScore(_pearson(xv, yv), Measure.LINEAR, len(xv))
 
 
 def rank_correlation(x: RealSeries | np.ndarray, y: RealSeries | np.ndarray) -> DependencyScore:
@@ -465,46 +458,4 @@ def rank_correlation(x: RealSeries | np.ndarray, y: RealSeries | np.ndarray) -> 
         raise ValueError("correlation requires at least 2 samples")
     rx = scipy.stats.rankdata(xv, method="average")
     ry = scipy.stats.rankdata(yv, method="average")
-    return DependencyScore(_pearson(rx, ry), MeasureKind.RANK, len(xv))
-
-
-MeasureFn = Callable[[Series, Series], "DependencyScore | float"]
-
-
-def _score_value(result: "DependencyScore | float") -> float:
-    if isinstance(result, DependencyScore):
-        return result.value
-    return float(result)
-
-
-def _with_values(series, values: np.ndarray):
-    if isinstance(series, CategorySeries):
-        return CategorySeries(values, series.n_categories)
-    if isinstance(series, RealSeries):
-        return RealSeries(values)
-    return values
-
-
-def permutation_pvalue(
-    measure: MeasureFn,
-    x: Series,
-    y: Series,
-    repetitions: int,
-    seed: int,
-) -> float:
-    """Permutation p-value of ``measure(x, y)`` under shuffles of ``y``.
-
-    ``p = (1 + #{permuted score >= observed}) / (repetitions + 1)``,
-    deterministic for a given seed.
-    """
-    if repetitions < 20:
-        raise ValueError("repetitions must be >= 20")
-    observed = _score_value(measure(x, y))
-    rng = np.random.default_rng(seed)
-    y_values = np.asarray(y.values if isinstance(y, (CategorySeries, RealSeries)) else y)
-    exceed = 0
-    for _ in range(repetitions):
-        shuffled = y_values[rng.permutation(len(y_values))]
-        if _score_value(measure(x, _with_values(y, shuffled))) >= observed:
-            exceed += 1
-    return (1 + exceed) / (repetitions + 1)
+    return DependencyScore(_pearson(rx, ry), Measure.RANK, len(xv))

@@ -10,7 +10,7 @@ that deviates from the defaults carries a human-readable note.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Union
 

@@ -127,6 +127,23 @@ def test_detect_invalid_strategy_is_input_error(tmp_path):
     assert code == 2
 
 
+def test_detect_entropy_strategy_is_input_error(tmp_path):
+    log_path = write_log(tmp_path, coupled_log(200))
+    strategy_path = tmp_path / "strategy.json"
+    strategy_path.write_text(json.dumps({"measure": "entropy"}))
+    code = main(
+        [
+            "detect",
+            str(log_path),
+            "--strategy",
+            str(strategy_path),
+            "--out",
+            str(tmp_path / "m.json"),
+        ]
+    )
+    assert code == 2
+
+
 def test_detect_missing_log_is_io_error(tmp_path):
     assert main(["detect", str(tmp_path / "nope.json"), "--out", str(tmp_path / "m.json")]) == 3
 

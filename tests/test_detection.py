@@ -1,7 +1,10 @@
 """Influence detection: raw and conditioned scores, the matrix pipeline and
 its significance layer."""
 
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from influence_scope import (
     DetectionStrategy,
     Measure,
     Nominal,
+    Ordinal,
     RealInterval,
     SampleLog,
     SampleRecord,
@@ -21,16 +25,33 @@ from influence_scope import (
     influence_matrix,
     joint_influence,
     raw_influence,
+    run_scenario,
+    scenario_from_dict,
 )
+from influence_scope.logio import matrix_to_json
 from influence_scope.model import ConfigSelector
 
 from conftest import coupled_log, independent_log
 
 FAST = DetectionStrategy(permutations=99)
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def single_part_schema(agent_id, cats=("c1", "c2")):
     return AgentSchema(agent_id, (ConfigPartSchema("cfg", Nominal(cats)),))
+
+
+# --- strategy ---------------------------------------------------------------------
+
+
+def test_strategy_rejects_few_permutations():
+    with pytest.raises(ValueError):
+        DetectionStrategy(permutations=19)
+
+
+def test_strategy_rejects_entropy():
+    with pytest.raises(ValueError):
+        DetectionStrategy(measure_kind=Measure.ENTROPY)
 
 
 # --- raw influence ----------------------------------------------------------
@@ -352,3 +373,58 @@ def test_joint_score_null_stays_quiet():
 def test_joint_requires_enabled_strategy():
     with pytest.raises(ValueError):
         joint_influence(xor_log(200), "C", (("A", "cfg"), ("B", "cfg")), FAST)
+
+
+# --- golden matrix bytes ------------------------------------------------------------
+
+GOLDEN = DetectionStrategy(lag_set=(0, 1), permutations=49)
+
+
+def nominal_parts_log(n=600, seed=4):
+    """Two agents with two nominal parts and one ordinal part each; B's
+    performance rises one step after A's mode agrees with B's own mode."""
+    parts = (
+        ("mode", Nominal(("m0", "m1", "m2"))),
+        ("shape", Nominal(("s0", "s1"))),
+        ("level", Ordinal(("low", "mid", "high"))),
+    )
+    rng = np.random.default_rng(seed)
+    codes = {
+        (a, p): rng.integers(0, len(kind.categories), size=n)
+        for a in "AB"
+        for p, kind in parts
+    }
+    perf = {a: rng.uniform(size=n) for a in "AB"}
+    perf["B"][1:] += 0.5 * (codes[("A", "mode")] == codes[("B", "mode")])[:-1]
+    schemas = tuple(
+        AgentSchema(a, tuple(ConfigPartSchema(p, kind) for p, kind in parts))
+        for a in "AB"
+    )
+    records = tuple(
+        SampleRecord(
+            t,
+            {(a, p): kind.categories[codes[(a, p)][t]] for a in "AB" for p, kind in parts},
+            {a: float(perf[a][t]) for a in "AB"},
+        )
+        for t in range(n)
+    )
+    return SampleLog(schemas, records)
+
+
+def matrix_digest(log):
+    text = matrix_to_json(influence_matrix(log, GOLDEN))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_golden_matrix_real_parts():
+    spec = scenario_from_dict(json.loads((SCENARIOS / "overlap-pair.json").read_text()))
+    log = run_scenario(spec, steps=300, seed=11)
+    assert matrix_digest(log) == (
+        "7b24d214056f4470d6c47c7349b86bb1955f9b7c95a2c707eb3d718c13e61d6e"
+    )
+
+
+def test_golden_matrix_nominal_parts():
+    assert matrix_digest(nominal_parts_log()) == (
+        "e2d5d879dfc16740573727b8d18f1311f1e2ce118d247919b8bcab7eaa47df73"
+    )

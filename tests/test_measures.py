@@ -1,5 +1,4 @@
-"""Estimator-level tests: MI, entropy, binning, MIC, correlations and the
-permutation significance helper."""
+"""Estimator-level tests: MI, entropy, binning, MIC and correlations."""
 
 import math
 
@@ -19,7 +18,6 @@ from influence_scope import (
     entropy,
     linear_correlation,
     mic,
-    permutation_pvalue,
     quantile_bins,
     rank_correlation,
 )
@@ -287,58 +285,3 @@ def test_rank_correlation_null_distribution():
         if abs(rank_correlation(x, y).value) < 0.3:
             hits += 1
     assert hits >= 190
-
-
-# --- permutation p-values ------------------------------------------------------------
-
-
-def _mi_on_bins(x, y):
-    xb, _ = quantile_bins(x, 3)
-    yb, _ = quantile_bins(y, 3)
-    return discrete_mutual_information(xb, yb)
-
-
-def test_permutation_pvalue_perfect_dependence():
-    x = cat([0, 1] * 50)
-    p = permutation_pvalue(
-        lambda a, b: discrete_mutual_information(a, b), x, x, repetitions=99, seed=0
-    )
-    assert p == pytest.approx(0.01)
-
-
-def test_permutation_pvalue_constant_input():
-    x = cat([0] * 40, k=1)
-    y = cat([0, 1] * 20)
-    p = permutation_pvalue(
-        lambda a, b: discrete_mutual_information(a, b), x, y, repetitions=99, seed=1
-    )
-    assert p == 1.0
-
-
-def test_permutation_pvalue_rejects_few_repetitions():
-    x = cat([0, 1] * 20)
-    with pytest.raises(ValueError):
-        permutation_pvalue(
-            lambda a, b: discrete_mutual_information(a, b), x, x, repetitions=5, seed=0
-        )
-
-
-def test_permutation_pvalue_deterministic():
-    rng = np.random.default_rng(9)
-    x = rng.uniform(size=120)
-    y = rng.uniform(size=120)
-    first = permutation_pvalue(_mi_on_bins, x, y, repetitions=49, seed=7)
-    second = permutation_pvalue(_mi_on_bins, x, y, repetitions=49, seed=7)
-    assert first == second
-
-
-def test_permutation_pvalue_null_calibration():
-    hits = 0
-    seeds = 200
-    for seed in range(seeds):
-        rng = np.random.default_rng(seed)
-        x = rng.uniform(size=200)
-        y = rng.uniform(size=200)
-        if permutation_pvalue(_mi_on_bins, x, y, repetitions=99, seed=seed) <= 0.05:
-            hits += 1
-    assert hits / seeds == pytest.approx(0.05, abs=0.03)

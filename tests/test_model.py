@@ -1,6 +1,8 @@
 """Sample-log data model: schemas, validation, column extraction and the
 canonical serialization round trip."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from influence_scope import (
     extract_series,
     validate_log,
 )
+from influence_scope.model import Issue
 from influence_scope.logio import log_from_csv, log_from_json, log_to_csv, log_to_json
 
 from conftest import coupled_log, independent_log
@@ -42,6 +45,14 @@ def camera_like_log(n=5):
         for t in range(n)
     )
     return SampleLog(schemas=(schema,), records=records)
+
+
+def with_record(log, index, **changes):
+    """The log with one record's fields replaced."""
+    record = replace(log.records[index], **changes)
+    return SampleLog(
+        log.schemas, log.records[:index] + (record,) + log.records[index + 1 :]
+    )
 
 
 # --- schema invariants ---------------------------------------------------------
@@ -131,6 +142,59 @@ def test_validate_reports_non_finite_performance():
     assert [i.path for i in issues] == ["cam.perf"]
 
 
+def test_validate_reports_duplicate_agent_id():
+    log = camera_like_log()
+    twice = SampleLog(log.schemas * 2, log.records)
+    assert validate_log(twice) == [Issue(None, "cam", "duplicate agent id")]
+
+
+def test_validate_reports_negative_time():
+    log = with_record(camera_like_log(), 0, t=-1)
+    assert validate_log(log) == [Issue(0, "t", "negative time step -1")]
+
+
+def test_validate_reports_undeclared_part():
+    log = camera_like_log()
+    config = {**log.records[2].config, ("cam", "roll"): 0.1}
+    issues = validate_log(with_record(log, 2, config=config))
+    assert issues == [Issue(2, "cam.roll", "undeclared config part")]
+
+
+def test_validate_reports_non_numeric_real():
+    log = camera_like_log()
+    config = {**log.records[1].config, ("cam", "pan"): "wide"}
+    issues = validate_log(with_record(log, 1, config=config))
+    assert issues == [Issue(1, "cam.pan", "non-finite value 'wide'")]
+
+
+def test_validate_reports_missing_performance():
+    log = with_record(camera_like_log(), 3, performance={})
+    assert validate_log(log) == [Issue(3, "cam.perf", "missing performance")]
+
+
+def test_validate_reports_performance_for_unknown_agent():
+    log = with_record(camera_like_log(), 4, performance={"cam": 4.0, "ghost": 1.0})
+    issues = validate_log(log)
+    assert issues == [Issue(4, "ghost.perf", "performance for unknown agent")]
+
+
+def test_validate_orders_findings_within_a_record():
+    log = camera_like_log()
+    config = {("cam", "roll"): 0.1, ("cam", "mode"): "zoomed"}
+    broken = with_record(
+        log, 2, t=-2, config=config, performance={"ghost": 1.0}
+    )
+    assert validate_log(broken) == [
+        Issue(2, "t", "negative time step -2"),
+        Issue(2, "t", "time steps not strictly increasing (1 -> -2)"),
+        Issue(2, "cam.roll", "undeclared config part"),
+        Issue(2, "cam.pan", "missing config value"),
+        Issue(2, "cam.mode", "unknown category 'zoomed'"),
+        Issue(2, "cam.perf", "missing performance"),
+        Issue(2, "ghost.perf", "performance for unknown agent"),
+    ]
+
+
 # --- extract_series --------------------------------------------------------------
 
 
@@ -154,6 +218,12 @@ def test_extract_lag_trims_symmetrically():
 def test_extract_lag_beyond_records_rejected():
     with pytest.raises(ValueError):
         extract_series(coupled_log(10), ConfigSelector("A", "cfg"), lag=10)
+
+
+def test_extract_rejects_log_with_findings():
+    log = with_record(camera_like_log(), 1, performance={"cam": float("nan")})
+    with pytest.raises(ValueError):
+        extract_series(log, ConfigSelector("cam", "mode"))
 
 
 def delayed_copy_log(n=400, seed=1):
