@@ -54,7 +54,6 @@ from .camera import (
     ScenarioSpec,
     SceneState,
     UniformRandomPtz,
-    camera_performance,
     fov_footprint,
     initial_state,
     run_scenario,

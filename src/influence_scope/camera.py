@@ -9,11 +9,14 @@ targets are latched as detected and never score again.
 
 Per-step order of effects: spawn new targets, compute footprints, score
 cameras on currently undetected targets, latch observations, emit the
-sample record.
+sample record.  ``step`` carries every target with a detected mask;
+``run_scenario`` keeps only the live backlog.  Both score through one
+footprint test and an exact credit computed from per-m counts.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -30,6 +33,8 @@ from .model import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+log = logging.getLogger("influence_scope")
 
 
 class ScenarioError(ValueError):
@@ -118,30 +123,30 @@ def fov_footprint(pose: CameraPose, ptz: PtzConfig, base_half_angle: float) -> F
     return Footprint(cx, cy, radius)
 
 
-def observer_counts(
-    target_xy: np.ndarray,
-    target_detected: np.ndarray,
-    footprints: Sequence[Footprint],
-    detection_radius: float,
+def _observe(
+    x: np.ndarray, y: np.ndarray, footprints: Sequence[Footprint], radius: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-target observer count m and the (cameras, targets) coverage mask.
+    """Observer count m of each target and the (cameras, targets) hit mask."""
+    hit = np.empty((len(footprints), len(x)), dtype=bool)
+    for c, fp in enumerate(footprints):
+        hit[c] = (x - fp.cx) ** 2 + (y - fp.cy) ** 2 <= (fp.radius + radius) ** 2
+    return hit.sum(axis=0), hit
 
-    Already-detected targets are excluded: they contribute nothing new.
+
+def _credits(m: np.ndarray, hit: np.ndarray) -> list[Fraction]:
+    """Exact credit per camera, the sum of 1/m over the targets it hits.
+
+    With count_m of those targets seen by m cameras the credit is
+    sum_m count_m / m, summed in integers over L = lcm(1..#cameras).
     """
-    n = len(target_xy)
-    inside = np.zeros((len(footprints), n), dtype=bool)
-    m = np.zeros(n, dtype=np.int64)
-    live = np.nonzero(~target_detected)[0] if n else np.empty(0, dtype=np.int64)
-    if len(live):
-        lx = target_xy[live, 0]
-        ly = target_xy[live, 1]
-        hit = np.zeros((len(footprints), len(live)), dtype=bool)
-        for c, fp in enumerate(footprints):
-            d2 = (lx - fp.cx) ** 2 + (ly - fp.cy) ** 2
-            hit[c] = d2 <= (fp.radius + detection_radius) ** 2
-        inside[:, live] = hit
-        m[live] = hit.sum(axis=0)
-    return m, inside
+    lcm = math.lcm(*range(1, len(hit) + 1))
+    seen = np.flatnonzero(m)
+    m_seen = m[seen]
+    credits = []
+    for row in hit[:, seen]:
+        counts = np.bincount(m_seen[row]).tolist()  # counts[0] is 0: m >= 1
+        credits.append(Fraction(sum(n * (lcm // k) for k, n in enumerate(counts) if n), lcm))
+    return credits
 
 
 def exact_camera_credits(
@@ -151,24 +156,9 @@ def exact_camera_credits(
     detection_radius: float,
 ) -> list[Fraction]:
     """Exact per-camera credit: sum of 1/m over newly observed targets."""
-    m, inside = observer_counts(target_xy, target_detected, footprints, detection_radius)
-    credits = []
-    for c in range(len(footprints)):
-        total = Fraction(0)
-        for j in np.nonzero(inside[c])[0]:
-            total += Fraction(1, int(m[j]))
-        credits.append(total)
-    return credits
-
-
-def camera_performance(
-    state: SceneState, footprints: Sequence[Footprint], c: int
-) -> float:
-    """Performance of camera ``c`` for the current step's footprints."""
-    credits = exact_camera_credits(
-        state.target_xy, state.target_detected, footprints, state.detection_radius
-    )
-    return float(credits[c])
+    live = ~target_detected
+    m, hit = _observe(target_xy[live, 0], target_xy[live, 1], footprints, detection_radius)
+    return _credits(m, hit)
 
 
 def system_performance(per_camera: Sequence[float]) -> float:
@@ -176,51 +166,50 @@ def system_performance(per_camera: Sequence[float]) -> float:
     return float(math.fsum(per_camera))
 
 
+def _record(
+    t: int, cameras: Sequence[CameraSpec], configs: Sequence[PtzConfig], perfs: list[float]
+) -> SampleRecord:
+    config = {}
+    for cam, cfg in zip(cameras, configs):
+        config[(cam.camera_id, "pan")] = cfg.pan
+        config[(cam.camera_id, "tilt")] = cfg.tilt
+        config[(cam.camera_id, "zoom")] = cfg.zoom
+    performance = {cam.camera_id: p for cam, p in zip(cameras, perfs)}
+    return SampleRecord(t=t, config=config, performance=performance)
+
+
+def _advance(
+    scene: Union[SceneState, ScenarioSpec], configs: Sequence[PtzConfig], rng: np.random.Generator
+) -> tuple[np.ndarray, list[Footprint]]:
+    """Check the configs, draw the step's (n, 2) arrivals and project the
+    footprints."""
+    if len(configs) != len(scene.cameras):
+        raise ValueError("one PTZ config per camera required")
+    for cam, cfg in zip(scene.cameras, configs):
+        cam.validate_ptz(cfg)
+    n_new = int(rng.poisson(scene.arrival_rate))
+    new_xy = np.empty((0, 2))
+    if n_new:
+        new_xy = rng.uniform(low=[0.0, 0.0], high=[scene.width, scene.height], size=(n_new, 2))
+    return new_xy, [
+        fov_footprint(cam.pose, cfg, cam.base_half_angle)
+        for cam, cfg in zip(scene.cameras, configs)
+    ]
+
+
 def step(
     state: SceneState, configs: Sequence[PtzConfig], rng: np.random.Generator
 ) -> tuple[SceneState, list[float], SampleRecord]:
     """Advance one time step; returns (next state, per-camera perf, record)."""
-    if len(configs) != len(state.cameras):
-        raise ValueError("one PTZ config per camera required")
-    for cam, cfg in zip(state.cameras, configs):
-        cam.validate_ptz(cfg)
-
-    n_new = int(rng.poisson(state.arrival_rate))
-    if n_new:
-        new_xy = rng.uniform(
-            low=[0.0, 0.0], high=[state.width, state.height], size=(n_new, 2)
-        )
-        xy = np.vstack([state.target_xy, new_xy]) if len(state.target_xy) else new_xy
-        detected = np.concatenate([state.target_detected, np.zeros(n_new, dtype=bool)])
-    else:
-        xy = state.target_xy
-        detected = state.target_detected.copy()
-
-    footprints = [
-        fov_footprint(cam.pose, cfg, cam.base_half_angle)
-        for cam, cfg in zip(state.cameras, configs)
-    ]
-    m, inside = observer_counts(xy, detected, footprints, state.detection_radius)
-    perfs = []
-    for c in range(len(footprints)):
-        total = Fraction(0)
-        for j in np.nonzero(inside[c])[0]:
-            total += Fraction(1, int(m[j]))
-        perfs.append(float(total))
-    detected = detected | (m > 0)
-
-    config = {}
-    for cam, cfg in zip(state.cameras, configs):
-        config[(cam.camera_id, "pan")] = cfg.pan
-        config[(cam.camera_id, "tilt")] = cfg.tilt
-        config[(cam.camera_id, "zoom")] = cfg.zoom
-    record = SampleRecord(
-        t=state.t,
-        config=config,
-        performance={cam.camera_id: p for cam, p in zip(state.cameras, perfs)},
-    )
+    new_xy, footprints = _advance(state, configs, rng)
+    xy = np.vstack([state.target_xy, new_xy]) if len(state.target_xy) else new_xy
+    detected = np.concatenate([state.target_detected, np.zeros(len(new_xy), dtype=bool)])
+    live = np.flatnonzero(~detected)
+    m, hit = _observe(xy[live, 0], xy[live, 1], footprints, state.detection_radius)
+    perfs = [float(c) for c in _credits(m, hit)]
+    detected[live[m > 0]] = True
     next_state = replace(state, target_xy=xy, target_detected=detected, t=state.t + 1)
-    return next_state, perfs, record
+    return next_state, perfs, _record(state.t, state.cameras, configs, perfs)
 
 
 # --- scenarios and policies ------------------------------------------------
@@ -330,38 +319,47 @@ def run_scenario(
     if steps < 1:
         raise ValueError("steps must be >= 1")
     rng = np.random.default_rng(seed)
-    state = initial_state(spec)
+    cams = spec.cameras
+    # The backlog x, y holds only undetected targets that can still be seen.
     # A target can never enter camera c's footprint once it is farther from
-    # the camera base than the largest center offset plus the largest
-    # radius, so such targets (and detected ones) are dropped from the
-    # working state.  This leaves every record untouched and keeps long
-    # runs linear in the observable backlog.
+    # the base than the largest center offset plus the largest radius: each
+    # target is tested against that reach once, after the footprint test of
+    # the step it enters in, and hit targets are dropped after every step.
     reach = np.array(
         [
             cam.pose.z * math.tan(cam.tilt_max)
             + cam.pose.z * math.tan(cam.base_half_angle) / math.cos(cam.tilt_max)
             + spec.detection_radius
-            for cam in spec.cameras
+            for cam in cams
         ]
     )
-    base_x = np.array([cam.pose.x for cam in spec.cameras])
-    base_y = np.array([cam.pose.y for cam in spec.cameras])
+    base_x = np.array([cam.pose.x for cam in cams])
+    base_y = np.array([cam.pose.y for cam in cams])
+    x, y = np.array(spec.initial_targets, dtype=float).reshape(-1, 2).T
+    entered, unreachable, peak = len(x), 0, 0
     records = []
-    for _ in range(steps):
+    for t in range(steps):
         configs = _draw_configs(spec, policy, rng)
-        state, _, record = step(state, configs, rng)
-        records.append(record)
-        xy = state.target_xy
-        if len(xy):
-            d2 = (xy[:, 0, None] - base_x) ** 2 + (xy[:, 1, None] - base_y) ** 2
+        new_xy, footprints = _advance(spec, configs, rng)
+        x = np.concatenate([x, new_xy[:, 0]])
+        y = np.concatenate([y, new_xy[:, 1]])
+        fresh = len(x) if t == 0 else len(new_xy)  # initial targets enter at step 0
+        entered += len(new_xy)
+        m, hit = _observe(x, y, footprints, spec.detection_radius)
+        records.append(_record(t, cams, configs, [float(c) for c in _credits(m, hit)]))
+        keep = m == 0
+        if fresh:
+            d2 = (x[-fresh:, None] - base_x) ** 2 + (y[-fresh:, None] - base_y) ** 2
             reachable = (d2 <= reach**2).any(axis=1)
-            keep = reachable & ~state.target_detected
-            if not keep.all():
-                state = replace(
-                    state,
-                    target_xy=xy[keep],
-                    target_detected=state.target_detected[keep],
-                )
+            unreachable += int(np.count_nonzero(keep[-fresh:] & ~reachable))
+            keep[-fresh:] &= reachable
+        if not keep.all():
+            x, y = x[keep], y[keep]
+        peak = max(peak, len(x))
+    log.debug(
+        "simulated %d steps: %d targets entered, %d dropped as unreachable, live backlog"
+        " %d at the end, %d at peak", steps, entered, unreachable, len(x), peak
+    )
     return SampleLog(schemas=camera_schemas(spec), records=tuple(records))
 
 
@@ -377,11 +375,20 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
             raise ScenarioError(f"{path}{key}", "missing field")
         return obj[key]
 
+    def is_number(value) -> bool:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+
     def number(obj: dict, key: str, path: str) -> float:
         value = need(obj, key, path)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        if not is_number(value):
             raise ScenarioError(f"{path}{key}", f"expected a number, got {value!r}")
         return float(value)
+
+    def integer(key: str, default: int) -> int:
+        value = number(data, key, "") if key in data else default
+        if not float(value).is_integer():
+            raise ScenarioError(key, f"expected an integer, got {value!r}")
+        return int(value)
 
     if not isinstance(data, dict):
         raise ScenarioError("", "scenario must be a JSON object")
@@ -401,6 +408,8 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
             raise ScenarioError(f"cameras[{i}]", "expected an object")
         cam_id = need(cam, "id", path)
         pose_obj = need(cam, "pose", path)
+        if not isinstance(pose_obj, dict):
+            raise ScenarioError(path + "pose", "expected an object")
         pose = CameraPose(
             number(pose_obj, "x", path + "pose."),
             number(pose_obj, "y", path + "pose."),
@@ -423,17 +432,27 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
     if policy_name == "uniform_random":
         policy: Policy = UniformRandomPtz()
     elif isinstance(policy_name, dict) and "fixed" in policy_name:
-        configs = tuple(
-            PtzConfig(float(c["pan"]), float(c["tilt"]), float(c["zoom"]))
-            for c in policy_name["fixed"]
-        )
-        policy = FixedPtz(configs)
+        if not isinstance(policy_name["fixed"], list):
+            raise ScenarioError("policy.fixed", "expected a list")
+        configs = []
+        for i, cfg in enumerate(policy_name["fixed"]):
+            path = f"policy.fixed[{i}]"
+            if not isinstance(cfg, dict):
+                raise ScenarioError(path, "expected an object")
+            pan, tilt, zoom = (number(cfg, k, path + ".") for k in ("pan", "tilt", "zoom"))
+            configs.append(PtzConfig(pan, tilt, zoom))
+        policy = FixedPtz(tuple(configs))
     else:
         raise ScenarioError("policy", f"unknown policy {policy_name!r}")
 
-    initial = tuple(
-        (float(p[0]), float(p[1])) for p in data.get("initial_targets", [])
-    )
+    raw_targets = data.get("initial_targets", [])
+    if not isinstance(raw_targets, list):
+        raise ScenarioError("initial_targets", "expected a list")
+    initial = []
+    for i, point in enumerate(raw_targets):
+        if not (isinstance(point, list) and len(point) == 2 and all(map(is_number, point))):
+            raise ScenarioError(f"initial_targets[{i}]", f"expected two numbers, got {point!r}")
+        initial.append((float(point[0]), float(point[1])))
     try:
         return ScenarioSpec(
             width=width,
@@ -441,10 +460,10 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
             arrival_rate=number(data, "arrival_rate", ""),
             detection_radius=number(data, "detection_radius", ""),
             cameras=tuple(cameras),
-            initial_targets=initial,
+            initial_targets=tuple(initial),
             policy=policy,
-            steps=int(data.get("steps", 1000)),
-            seed=int(data.get("seed", 0)),
+            steps=integer("steps", 1000),
+            seed=integer("seed", 0),
         )
     except ScenarioError:
         raise

@@ -100,18 +100,20 @@ def log_from_dict(data: dict) -> SampleLog:
         for s in data["schemas"]
     )
     records = []
-    for r in data["records"]:
+    for i, r in enumerate(data["records"]):
         config = {}
         for key, value in r["config"].items():
             agent, part = key.split(".", 1)
             config[(agent, part)] = value
-        records.append(
-            SampleRecord(
-                t=int(r["t"]),
-                config=config,
-                performance={a: float(v) for a, v in r["performance"].items()},
-            )
-        )
+        performance = {}
+        for a, v in r["performance"].items():
+            try:
+                performance[a] = float(v)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"records[{i}].performance.{a}: expected a number, got {v!r}"
+                ) from None
+        records.append(SampleRecord(t=int(r["t"]), config=config, performance=performance))
     return SampleLog(schemas=schemas, records=tuple(records))
 
 

@@ -3,7 +3,9 @@ dynamics and scenario plumbing."""
 
 import hashlib
 import json
+import logging
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from influence_scope import (
     CameraPose,
     CameraSpec,
     FixedPtz,
+    Footprint,
     PtzConfig,
     ScenarioSpec,
     SceneState,
@@ -136,6 +139,27 @@ def test_full_overlap_total_equals_target_count():
     assert sum(credits) == len(targets)
 
 
+def test_exact_credits_match_per_target_fractions():
+    # five overlapping discs, so targets are seen by up to five cameras;
+    # the reference adds one Fraction(1, m) per observed target
+    rng = np.random.default_rng(7)
+    footprints = [Footprint(float(cx), 5.0, 4.0) for cx in (3.0, 4.0, 5.0, 6.0, 7.0)]
+    xy = rng.uniform(0.0, 10.0, size=(400, 2))
+    detected = rng.uniform(size=400) < 0.2
+    covers = [
+        [(x - fp.cx) ** 2 + (y - fp.cy) ** 2 <= (fp.radius + 0.5) ** 2 for fp in footprints]
+        for x, y in xy.tolist()
+    ]
+    expected = [Fraction(0)] * len(footprints)
+    for j, row in enumerate(covers):
+        if not detected[j]:
+            for c, inside in enumerate(row):
+                if inside:
+                    expected[c] += Fraction(1, sum(row))
+    assert max(sum(row) for row in covers) == len(footprints)
+    assert exact_camera_credits(xy, detected, footprints, 0.5) == expected
+
+
 def test_system_performance_sums():
     assert system_performance([1.0, 0.5, 0.0]) == 1.5
     assert system_performance([]) == 0.0
@@ -201,6 +225,86 @@ def test_golden_overlap_pair_checksum():
     assert digest == "8e0b35a2a1cbb769bfaeec2e06ab23b8bfcdb7534274ca8eb0dd938bf31f6639"
 
 
+def test_golden_camera_trio_checksum():
+    # camera-trio shares many targets between cam1 and cam2 (m = 2), which
+    # overlap-pair rarely does, so drift in split credit shows up here
+    spec = scenario_from_dict(json.loads((SCENARIOS / "camera-trio.json").read_text()))
+    log = run_scenario(spec, steps=1500, seed=1)
+    digest = hashlib.sha256(log_to_json(log).encode()).hexdigest()
+    assert digest == "9c720f1bf8bf7564cbb3e6dce7362a81c9381a59edc6c2b5c740568dcbb42c94"
+
+
+def reference_records(spec, steps, seed, policy):
+    """The records of ``steps`` public ``step`` calls on the unpruned state,
+    with the same RNG calls as ``run_scenario``."""
+    rng = np.random.default_rng(seed)
+    state = initial_state(spec)
+    records = []
+    for _ in range(steps):
+        if isinstance(policy, FixedPtz):
+            configs = list(policy.configs)
+        else:
+            configs = [
+                PtzConfig(
+                    float(rng.uniform(0.0, 2 * math.pi)),
+                    float(rng.uniform(0.0, cam.tilt_max)),
+                    float(rng.uniform(1.0, cam.zoom_max)),
+                )
+                for cam in spec.cameras
+            ]
+        state, _, record = step(state, configs, rng)
+        records.append(record)
+    return tuple(records)
+
+
+def reach_spec() -> ScenarioSpec:
+    """Two overlapping cameras with a detection radius; the initial target at
+    (55, 18) lies beyond every camera's reach, the one at (12, 10) inside."""
+    cams = (
+        CameraSpec("a", CameraPose(10, 10, 8), 0.5, 0.4, 1.5),
+        CameraSpec("b", CameraPose(16, 10, 8), 0.5, 0.4, 1.5),
+    )
+    return ScenarioSpec(
+        width=60,
+        height=20,
+        arrival_rate=2.0,
+        detection_radius=0.7,
+        cameras=cams,
+        initial_targets=((55.0, 18.0), (12.0, 10.0)),
+    )
+
+
+REACH_FIXED = FixedPtz((PtzConfig(0.3, 0.2, 1.2), PtzConfig(3.0, 0.1, 1.0)))
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize(
+    "spec, policy, steps",
+    [
+        (overlap_pair_spec(), UniformRandomPtz(), 400),
+        (reach_spec(), REACH_FIXED, 300),
+        (reach_spec(), UniformRandomPtz(), 300),
+    ],
+    ids=["overlap-pair", "reach-fixed", "reach-uniform"],
+)
+def test_run_scenario_matches_public_step(spec, policy, steps, seed):
+    log = run_scenario(spec, steps=steps, seed=seed, policy=policy)
+    assert log.records == reference_records(spec, steps, seed, policy)
+
+
+def test_run_scenario_logs_backlog_summary(caplog):
+    spec = reach_spec()
+    quiet = log_to_json(run_scenario(spec, steps=50, seed=0, policy=REACH_FIXED))
+    with caplog.at_level(logging.DEBUG, logger="influence_scope"):
+        traced = log_to_json(run_scenario(spec, steps=50, seed=0, policy=REACH_FIXED))
+    assert traced == quiet
+    [line] = [r.getMessage() for r in caplog.records if r.name == "influence_scope"]
+    assert line.startswith("simulated 50 steps: ")
+    match = re.search(r"(\d+) targets entered, (\d+) dropped as unreachable", line)
+    entered, unreachable = map(int, match.groups())
+    assert entered >= 2 and unreachable >= 1  # (55, 18) is out of reach
+
+
 def test_arrival_rate_scales_mean_performance():
     spec = overlap_pair_spec()
     doubled = ScenarioSpec(
@@ -239,6 +343,49 @@ def test_scenario_error_reports_field_path():
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(data)
     assert "cameras[1]" in str(err.value)
+
+
+@pytest.mark.parametrize("key", ["pan", "tilt", "zoom"])
+def test_scenario_fixed_policy_missing_field_reports_path(key):
+    data = json.loads((SCENARIOS / "overlap-pair.json").read_text())
+    data["policy"] = {"fixed": [{"pan": 0.1, "tilt": 0.2, "zoom": 1.5} for _ in range(3)]}
+    del data["policy"]["fixed"][1][key]
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(data)
+    assert err.value.path == f"policy.fixed[1].{key}"
+
+
+def test_scenario_fixed_policy_entry_must_be_object():
+    data = json.loads((SCENARIOS / "overlap-pair.json").read_text())
+    data["policy"] = {"fixed": [{"pan": 0.1, "tilt": 0.2, "zoom": 1.5}, [0.1, 0.2, 1.5]]}
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(data)
+    assert err.value.path == "policy.fixed[1]"
+
+
+@pytest.mark.parametrize("point", [[1.0], [1.0, 2.0, 3.0], "xy", [1.0, None], 5])
+def test_scenario_initial_target_must_be_number_pair(point):
+    data = json.loads((SCENARIOS / "overlap-pair.json").read_text())
+    data["initial_targets"] = [[10.0, 10.0], point]
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(data)
+    assert err.value.path == "initial_targets[1]"
+
+
+@pytest.mark.parametrize(
+    "field, value, path",
+    [("pose", 5, "cameras[0].pose"), ("steps", None, "steps"), ("steps", 2.5, "steps"),
+     ("seed", "x", "seed"), ("seed", float("inf"), "seed")],
+)
+def test_scenario_malformed_field_reports_path(field, value, path):
+    data = json.loads((SCENARIOS / "overlap-pair.json").read_text())
+    if field == "pose":
+        data["cameras"][0]["pose"] = value
+    else:
+        data[field] = value
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(data)
+    assert err.value.path == path
 
 
 def test_scenario_rejects_bad_camera_geometry():

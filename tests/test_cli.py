@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from influence_scope import run_scenario, scenario_from_dict
 from influence_scope.cli import main
 from influence_scope.logio import log_to_json
 
@@ -110,6 +111,18 @@ def test_detect_invalid_log_is_input_error(tmp_path, capsys):
     code = main(["detect", str(log_path), "--out", str(tmp_path / "m.json")])
     assert code == 2
     assert "validation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [None, "fast", [1.0]])
+def test_detect_non_numeric_performance_is_input_error(tmp_path, capsys, value):
+    spec = scenario_from_dict(json.loads((SCENARIOS / "overlap-pair.json").read_text()))
+    data = json.loads(log_to_json(run_scenario(spec, steps=30, seed=0)))
+    data["records"][3]["performance"]["cam_a"] = value
+    log_path = tmp_path / "broken.json"
+    log_path.write_text(json.dumps(data))
+    code = main(["detect", str(log_path), "--out", str(tmp_path / "m.json")])
+    assert code == 2
+    assert "records[3].performance.cam_a" in capsys.readouterr().err
 
 
 def test_detect_invalid_strategy_is_input_error(tmp_path):
