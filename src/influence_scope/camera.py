@@ -407,6 +407,10 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
         if not isinstance(cam, dict):
             raise ScenarioError(f"cameras[{i}]", "expected an object")
         cam_id = need(cam, "id", path)
+        if not (isinstance(cam_id, str) and cam_id):
+            raise ScenarioError(path + "id", f"expected a non-empty string, got {cam_id!r}")
+        if any(c.camera_id == cam_id for c in cameras):
+            raise ScenarioError(path + "id", f"duplicate camera id {cam_id!r}")
         pose_obj = need(cam, "pose", path)
         if not isinstance(pose_obj, dict):
             raise ScenarioError(path + "pose", "expected an object")
@@ -418,7 +422,7 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
         try:
             cameras.append(
                 CameraSpec(
-                    camera_id=str(cam_id),
+                    camera_id=cam_id,
                     pose=pose,
                     base_half_angle=number(cam, "base_half_angle", path),
                     tilt_max=number(cam, "tilt_max", path),

@@ -133,7 +133,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
         return EXIT_INPUT
 
     log.info("running detection with %s", strategy_to_dict(strategy))
-    matrix = influence_matrix(sample_log, strategy, threads=args.threads)
+    matrix = influence_matrix(sample_log, strategy)
     matrix_json = matrix_to_json(matrix)
 
     out = Path(args.out)
@@ -227,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("--alpha", type=float)
     p_det.add_argument("--permutations", type=int)
     p_det.add_argument("--seed", type=int)
-    p_det.add_argument("--threads", type=int, default=1)
     p_det.add_argument("--out", required=True, help="output matrix path (JSON; CSV written alongside)")
     p_det.set_defaults(func=cmd_detect)
 

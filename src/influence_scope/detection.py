@@ -14,7 +14,6 @@ column within the same partitions the winning score used.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -31,7 +30,7 @@ from .measures import (
     linear_correlation,
     rank_correlation,
     quantile_bins,
-    _equip_codes,
+    _RankBins,
 )
 from .model import (
     AgentSchema,
@@ -364,6 +363,11 @@ def _perm_values_mi(
     codes = xc[perm_idx] * ky + yc[None, :]
     codes += (np.arange(r) * (kx * ky))[:, None]
     counts = np.bincount(codes.ravel(), minlength=r * kx * ky).reshape(r, kx, ky)
+    return _mi_bits_of_tables(counts, n)
+
+
+def _mi_bits_of_tables(counts: np.ndarray, n: int) -> np.ndarray:
+    """MI in bits of each table of a contiguous (reps, kx, ky) count stack."""
     p = counts / n
     px = p.sum(axis=2, keepdims=True)
     py = p.sum(axis=1, keepdims=True)
@@ -372,25 +376,69 @@ def _perm_values_mi(
     return np.maximum(terms.sum(axis=(1, 2)), 0.0)
 
 
+def _prefix_tables(
+    seq: np.ndarray, k: int, starts_list: list[np.ndarray], n: int
+) -> list[np.ndarray]:
+    """Count tables of one code sequence against several rank binnings.
+
+    ``seq`` holds each replicate's codes (``k`` values) in the other axis's
+    rank order, and each entry of ``starts_list`` the bin starts of one
+    binning of that axis.  Counts per elementary segment (between adjacent
+    starts of any binning) summed into int32 prefix counts give every
+    binning's (reps, k, bins) table by gather-and-difference.
+    """
+    reps = seq.shape[0]
+    bounds = np.unique(np.concatenate(starts_list + [[n]]))
+    e = len(bounds) - 1
+    flat = seq * e + np.repeat(np.arange(e), np.diff(bounds))
+    flat += (np.arange(reps) * (k * e))[:, None]
+    counts = np.bincount(flat.ravel(), minlength=reps * k * e).reshape(reps, k, e)
+    prefix = np.zeros((reps, k, e + 1), dtype=np.int32)
+    np.cumsum(counts, axis=2, dtype=np.int32, out=prefix[:, :, 1:])
+    tables = []
+    for starts in starts_list:
+        edges = prefix[:, :, np.searchsorted(bounds, np.append(starts, n))]
+        tables.append(edges[:, :, 1:] - edges[:, :, :-1])
+    return tables
+
+
 def _perm_values_mic(
     xv: np.ndarray,
     yv: np.ndarray,
     perm_idx: np.ndarray,
     params: MicSearchParams,
 ) -> np.ndarray:
-    """Equipartition MIC for each permutation row, maximizing over grids."""
+    """Equipartition MIC for each permutation row, maximizing over grids.
+
+    Every bin is a contiguous rank interval and every admissible grid has a
+    side of at most sqrt(B) bins.  For each such small side, prefix counts
+    of its codes along the other axis's rank order give each grid's table
+    as a difference at the other axis's bin starts.
+    """
     n = len(xv)
     if np.all(xv == xv[0]) or np.all(yv == yv[0]):
         return np.zeros(perm_idx.shape[0])
+    x_ranks, y_ranks = _RankBins(xv), _RankBins(yv)
+    inverse = np.empty_like(perm_idx)
+    np.put_along_axis(inverse, perm_idx, np.arange(n)[None, :], axis=1)
+    by_y_rank = perm_idx[:, y_ranks.order]  # x sample at each y rank
+    by_x_rank = inverse[:, x_ranks.order]  # y sample at each permuted-x rank
     pairs = params.admissible_pairs(n)
-    x_cache: dict = {}
-    y_cache: dict = {}
     best = np.zeros(perm_idx.shape[0])
-    for nx, ny in pairs:
-        xc, kx, _ = _equip_codes(xv, nx, x_cache)
-        yc, ky, _ = _equip_codes(yv, ny, y_cache)
-        mi = _perm_values_mi(xc, kx, yc, ky, perm_idx)
-        np.maximum(best, mi / math.log2(min(nx, ny)), out=best)
+    for small in sorted({min(pair) for pair in pairs}):
+        for ranks, seq_idx, other_ranks, others, transpose in (
+            (x_ranks, by_y_rank, y_ranks, [b for a, b in pairs if a == small <= b], False),
+            (y_ranks, by_x_rank, x_ranks, [a for a, b in pairs if b == small < a], True),
+        ):
+            if not others:
+                continue
+            codes, k, _, _ = ranks.bins(small)
+            starts = [other_ranks.bins(other)[3] for other in others]
+            for other, table in zip(others, _prefix_tables(codes[seq_idx], k, starts, n)):
+                if transpose:
+                    table = table.transpose(0, 2, 1)
+                mi = _mi_bits_of_tables(np.ascontiguousarray(table), n)
+                np.maximum(best, mi / math.log2(min(small, other)), out=best)
     return np.minimum(best, 1.0)
 
 
@@ -546,15 +594,13 @@ def influence_matrix(
     *,
     conditioning: bool = True,
     targets: Optional[Sequence[str]] = None,
-    threads: int = 1,
 ) -> InfluenceMatrix:
     """Score every (target agent, remote agent, remote part) combination.
 
     ``conditioning=False`` restricts every entry to its raw score (useful
     to demonstrate influences that only the conditioned path can see).
-    ``targets`` limits the rows computed; ``threads`` parallelizes entries
-    (results are identical to serial execution because each entry derives
-    its own RNG stream).
+    ``targets`` limits the rows computed; each entry derives its own RNG
+    stream, so a row's values do not depend on which other rows are computed.
     """
     issues = validate_log(log)
     if issues:
@@ -563,7 +609,7 @@ def influence_matrix(
         raise ValueError("need at least 2 agents")
     wanted = set(targets) if targets is not None else None
 
-    tasks = []
+    entries: dict[tuple[str, str, str], InfluenceEntry] = {}
     for ti, target_schema in enumerate(log.schemas):
         if wanted is not None and target_schema.agent_id not in wanted:
             continue
@@ -571,23 +617,9 @@ def influence_matrix(
             if remote_schema.agent_id == target_schema.agent_id:
                 continue
             for pi, part in enumerate(remote_schema.parts):
-                tasks.append((ti, target_schema, ri, remote_schema, pi, part.name))
-
-    def run(task) -> tuple[tuple[str, str, str], InfluenceEntry]:
-        ti, target_schema, ri, remote_schema, pi, part_name = task
-        rng = _entry_rng(strategy.seed, ti, ri, pi)
-        entry = _compute_entry(
-            log, target_schema, remote_schema, part_name, strategy, conditioning, rng
-        )
-        return (target_schema.agent_id, remote_schema.agent_id, part_name), entry
-
-    entries: dict[tuple[str, str, str], InfluenceEntry] = {}
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for key, entry in pool.map(run, tasks):
-                entries[key] = entry
-    else:
-        for task in tasks:
-            key, entry = run(task)
-            entries[key] = entry
+                key = (target_schema.agent_id, remote_schema.agent_id, part.name)
+                entries[key] = _compute_entry(
+                    log, target_schema, remote_schema, part.name, strategy,
+                    conditioning, _entry_rng(strategy.seed, ti, ri, pi),
+                )
     return InfluenceMatrix(alpha=strategy.alpha, entries=entries)

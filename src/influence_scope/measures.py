@@ -213,66 +213,61 @@ def quantile_bins(
     values exist.
     """
     values = as_float_values(x)
-    n = len(values)
     if n_bins < 2:
         raise ValueError("n_bins must be >= 2")
-    if n < n_bins:
+    if len(values) < n_bins:
         raise ValueError("need at least n_bins samples")
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    run_start = np.empty(n, dtype=bool)
-    run_start[0] = True
-    run_start[1:] = sorted_vals[1:] != sorted_vals[:-1]
-    if int(run_start.sum()) < 2:
+    ranks = _RankBins(values)
+    if len(ranks.run_starts) < 2:
         raise DegenerateSeriesError("fewer than two distinct values")
-    raw = (np.arange(n, dtype=np.int64) * n_bins) // n
-    first_pos = np.nonzero(run_start)[0]
-    run_id = np.cumsum(run_start) - 1
-    bins_sorted = raw[first_pos][run_id]
-    occupied = np.unique(bins_sorted)
-    labels_sorted = np.searchsorted(occupied, bins_sorted)
-    codes = np.empty(n, dtype=np.int64)
-    codes[order] = labels_sorted
-    k = len(occupied)
-    cuts = tuple(
-        float(sorted_vals[np.nonzero(labels_sorted == i)[0][0]]) for i in range(1, k)
-    )
+    codes, k, cuts, _ = ranks.bins(n_bins)
     return CategorySeries(codes, k), cuts
+
+
+class _RankBins:
+    """Every equal-frequency binning of one column, from one stable sort.
+
+    ``bins(k)`` follows :func:`quantile_bins`'s tie and label rules and
+    returns the codes, the occupied-bin count, the cut values and each bin's
+    start position in sorted order (every bin is a contiguous rank
+    interval), in O(n) per k and cached.
+    """
+
+    def __init__(self, values: np.ndarray) -> None:
+        self.order = np.argsort(values, kind="stable")
+        self.sorted_vals = values[self.order]
+        change = self.sorted_vals[1:] != self.sorted_vals[:-1]
+        self.run_starts = np.concatenate(([0], np.nonzero(change)[0] + 1))
+        self.run_lengths = np.diff(self.run_starts, append=len(values))
+        self._cache: dict[int, tuple[np.ndarray, int, tuple[float, ...], np.ndarray]] = {}
+
+    def bins(self, k: int) -> tuple[np.ndarray, int, tuple[float, ...], np.ndarray]:
+        if k not in self._cache:
+            n = len(self.order)
+            # A tie run lands in the bin of its first position; bins no run
+            # starts in are dropped, so labels stay compact.
+            raw = (self.run_starts * k) // n
+            new_bin = np.empty(len(raw), dtype=bool)
+            new_bin[0] = True
+            np.not_equal(raw[1:], raw[:-1], out=new_bin[1:])
+            starts = self.run_starts[new_bin]
+            codes = np.empty(n, dtype=np.int64)
+            codes[self.order] = np.repeat(np.cumsum(new_bin) - 1, self.run_lengths)
+            cuts = tuple(self.sorted_vals[starts[1:]].tolist())
+            self._cache[k] = (codes, len(starts), cuts, starts)
+        return self._cache[k]
 
 
 def _is_constant(values: np.ndarray) -> bool:
     return bool(np.all(values == values[0]))
 
 
-def _equip_codes(
-    values: np.ndarray,
-    k: int,
-    cache: dict[int, tuple[np.ndarray, int, tuple[float, ...]]],
-) -> tuple[np.ndarray, int, tuple[float, ...]]:
-    if k not in cache:
-        series, cuts = quantile_bins(values, k)
-        cache[k] = (series.values, series.n_categories, cuts)
-    return cache[k]
-
-
 def _counts_from_codes(xc: np.ndarray, kx: int, yc: np.ndarray, ky: int) -> np.ndarray:
     return np.bincount(xc * ky + yc, minlength=kx * ky).reshape(kx, ky)
 
 
-def _rank_boundaries(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted order plus the admissible interior cut positions.
-
-    A cut may only fall between two distinct values, so grids remain pure
-    functions of rank (ties can never be split across bins).
-    """
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    interior = np.nonzero(sorted_vals[1:] != sorted_vals[:-1])[0] + 1
-    return order, interior
-
-
 def _partition_mi_best(
-    x_values: np.ndarray, y_codes: np.ndarray, ky: int, n_bins: int
+    x_ranks: _RankBins, y_codes: np.ndarray, ky: int, n_bins: int
 ) -> tuple[Optional[float], Optional[tuple[float, ...]]]:
     """Best MI over all rank partitions of x into exactly ``n_bins`` bins.
 
@@ -280,12 +275,11 @@ def _partition_mi_best(
     fixed; returns (best MI in bits, x cut values) or (None, None) when x
     has too few distinct values for that many bins.
     """
-    n = len(x_values)
-    order, interior = _rank_boundaries(x_values)
-    pts = np.concatenate(([0], interior, [n]))
+    order, sorted_vals = x_ranks.order, x_ranks.sorted_vals
+    n = len(order)
+    pts = np.append(x_ranks.run_starts, n)  # cuts only between distinct values
     if len(pts) - 1 < n_bins:
         return None, None
-    sorted_vals = x_values[order]
     one_hot = np.zeros((n + 1, ky))
     one_hot[np.arange(1, n + 1), y_codes[order]] = 1.0
     prefix = np.cumsum(one_hot, axis=0)
@@ -373,8 +367,7 @@ def mic(
         return DependencyScore(0.0, Measure.MIC, n, degenerate=True)
 
     pairs = params.admissible_pairs(n)
-    x_cache: dict = {}
-    y_cache: dict = {}
+    x_ranks, y_ranks = _RankBins(xv), _RankBins(yv)
 
     best_value = 0.0
     best_layout: Optional[BinLayout] = None
@@ -386,39 +379,38 @@ def mic(
             best_layout = layout
 
     for nx, ny in pairs:
-        xc, kx, xcuts = _equip_codes(xv, nx, x_cache)
-        yc, ky, ycuts = _equip_codes(yv, ny, y_cache)
+        xc, kx, xcuts, _ = x_ranks.bins(nx)
+        yc, ky, ycuts, _ = y_ranks.bins(ny)
         mi_bits = _mi_bits_from_counts(_counts_from_codes(xc, kx, yc, ky))
         consider(mi_bits / math.log2(min(nx, ny)), BinLayout(nx, ny, xcuts, ycuts))
 
     if params.search_mode is MicSearchMode.AXIS_OPTIMIZED:
         for nx, ny in pairs:
             norm = math.log2(min(nx, ny))
-            yc, ky, ycuts = _equip_codes(yv, ny, y_cache)
-            mi_bits, xcuts = _partition_mi_best(xv, yc, ky, nx)
+            yc, ky, ycuts, _ = y_ranks.bins(ny)
+            mi_bits, xcuts = _partition_mi_best(x_ranks, yc, ky, nx)
             if mi_bits is not None:
                 consider(mi_bits / norm, BinLayout(nx, ny, xcuts, ycuts))
-            xc, kx, xcuts_eq = _equip_codes(xv, nx, x_cache)
-            mi_bits, ycuts_opt = _partition_mi_best(yv, xc, kx, ny)
+            xc, kx, xcuts_eq, _ = x_ranks.bins(nx)
+            mi_bits, ycuts_opt = _partition_mi_best(y_ranks, xc, kx, ny)
             if mi_bits is not None:
                 consider(mi_bits / norm, BinLayout(nx, ny, xcuts_eq, ycuts_opt))
     elif params.search_mode is MicSearchMode.EXHAUSTIVE:
-        x_order, x_interior = _rank_boundaries(xv)
-        y_order, y_interior = _rank_boundaries(yv)
+        # a cut may only fall between two distinct values
+        x_interior = x_ranks.run_starts[1:].tolist()
+        y_interior = y_ranks.run_starts[1:].tolist()
         for nx, ny in pairs:
             norm = math.log2(min(nx, ny))
-            for xpos in itertools.combinations(x_interior.tolist(), nx - 1):
-                xc = _codes_from_cut_positions(x_order, xpos, n)
-                for ypos in itertools.combinations(y_interior.tolist(), ny - 1):
-                    yc = _codes_from_cut_positions(y_order, ypos, n)
+            for xpos in itertools.combinations(x_interior, nx - 1):
+                xc = _codes_from_cut_positions(x_ranks.order, xpos, n)
+                for ypos in itertools.combinations(y_interior, ny - 1):
+                    yc = _codes_from_cut_positions(y_ranks.order, ypos, n)
                     mi_bits = _mi_bits_from_counts(_counts_from_codes(xc, nx, yc, ny))
-                    sorted_x = xv[x_order]
-                    sorted_y = yv[y_order]
                     layout = BinLayout(
                         nx,
                         ny,
-                        tuple(float(sorted_x[p]) for p in xpos),
-                        tuple(float(sorted_y[p]) for p in ypos),
+                        tuple(float(x_ranks.sorted_vals[p]) for p in xpos),
+                        tuple(float(y_ranks.sorted_vals[p]) for p in ypos),
                     )
                     consider(mi_bits / norm, layout)
 

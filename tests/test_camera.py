@@ -375,12 +375,16 @@ def test_scenario_initial_target_must_be_number_pair(point):
 @pytest.mark.parametrize(
     "field, value, path",
     [("pose", 5, "cameras[0].pose"), ("steps", None, "steps"), ("steps", 2.5, "steps"),
-     ("seed", "x", "seed"), ("seed", float("inf"), "seed")],
+     ("seed", "x", "seed"), ("seed", float("inf"), "seed"),
+     ("id", None, "cameras[0].id"), ("id", ["x"], "cameras[0].id"), ("id", 7, "cameras[0].id"),
+     ("id", "", "cameras[0].id"), ("id", "cam_b", "cameras[1].id")],
 )
 def test_scenario_malformed_field_reports_path(field, value, path):
     data = json.loads((SCENARIOS / "overlap-pair.json").read_text())
     if field == "pose":
         data["cameras"][0]["pose"] = value
+    elif field == "id":  # "cam_b" duplicates the id of the second camera
+        data["cameras"][0]["id"] = value
     else:
         data[field] = value
     with pytest.raises(ScenarioError) as err:

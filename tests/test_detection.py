@@ -28,7 +28,9 @@ from influence_scope import (
     run_scenario,
     scenario_from_dict,
 )
+from influence_scope.detection import _perm_values_mi, _perm_values_mic
 from influence_scope.logio import matrix_to_json
+from influence_scope.measures import MicSearchParams, quantile_bins
 from influence_scope.model import ConfigSelector
 
 from conftest import coupled_log, independent_log
@@ -191,13 +193,6 @@ def test_matrix_is_deterministic():
     first = influence_matrix(log, FAST)
     second = influence_matrix(log, FAST)
     assert first.entries == second.entries
-
-
-def test_matrix_threads_match_serial():
-    log = coupled_log(1500, seed=9)
-    serial = influence_matrix(log, FAST)
-    threaded = influence_matrix(log, FAST, threads=4)
-    assert serial.entries == threaded.entries
 
 
 def test_matrix_relabeling_equivariance():
@@ -411,8 +406,8 @@ def nominal_parts_log(n=600, seed=4):
     return SampleLog(schemas, records)
 
 
-def matrix_digest(log):
-    text = matrix_to_json(influence_matrix(log, GOLDEN))
+def matrix_digest(log, strategy=GOLDEN):
+    text = matrix_to_json(influence_matrix(log, strategy))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -428,3 +423,75 @@ def test_golden_matrix_nominal_parts():
     assert matrix_digest(nominal_parts_log()) == (
         "e2d5d879dfc16740573727b8d18f1311f1e2ce118d247919b8bcab7eaa47df73"
     )
+
+
+GOLDEN_MIC = DetectionStrategy(measure_kind=Measure.MIC, lag_set=(0, 1), permutations=49)
+
+
+def rounded_real_log(n=400, seed=5):
+    """Two agents with one real part each; every value is rounded to one
+    decimal, so each column has many ties.  B's performance rises with A's
+    knob one step later."""
+    rng = np.random.default_rng(seed)
+    knob = {a: np.round(rng.uniform(0.0, 2.0, size=n), 1) for a in "AB"}
+    perf = {a: rng.uniform(size=n) for a in "AB"}
+    perf["B"][1:] += 0.5 * knob["A"][:-1]
+    schemas = tuple(
+        AgentSchema(a, (ConfigPartSchema("knob", RealInterval(0.0, 2.0)),)) for a in "AB"
+    )
+    records = tuple(
+        SampleRecord(
+            t,
+            {(a, "knob"): float(knob[a][t]) for a in "AB"},
+            {a: round(float(perf[a][t]), 1) for a in "AB"},
+        )
+        for t in range(n)
+    )
+    return SampleLog(schemas, records)
+
+
+def test_golden_matrix_mic():
+    spec = scenario_from_dict(json.loads((SCENARIOS / "overlap-pair.json").read_text()))
+    log = run_scenario(spec, steps=300, seed=11)
+    assert matrix_digest(log, GOLDEN_MIC) == (
+        "d5d2ddbc596a5786027da0dd7b5a1d494ea6edfe7ed096573f1f66b332cb7475"
+    )
+    assert matrix_digest(rounded_real_log(), GOLDEN_MIC) == (
+        "96dc33f16d7555a069202870a86108ef9a774637ba4edeb2fe65180ac9c9346d"
+    )
+
+
+# --- MIC permutation kernel ---------------------------------------------------------
+
+
+def per_grid_perm_mic(xv, yv, perm_idx):
+    """Permutation MIC from one count table per admissible grid."""
+    best = np.zeros(perm_idx.shape[0])
+    if len(np.unique(xv)) < 2 or len(np.unique(yv)) < 2:
+        return best
+    for nx, ny in MicSearchParams().admissible_pairs(len(xv)):
+        xs, _ = quantile_bins(xv, nx)
+        ys, _ = quantile_bins(yv, ny)
+        mi = _perm_values_mi(xs.values, xs.n_categories, ys.values, ys.n_categories, perm_idx)
+        best = np.maximum(best, mi / math.log2(min(nx, ny)))
+    return np.minimum(best, 1.0)
+
+
+@pytest.mark.parametrize("n", [4, 5, 9, 31, 120, 300])
+@pytest.mark.parametrize("kind", ["ties", "continuous", "mixed", "constant"])
+def test_perm_mic_matches_per_grid_tables(n, kind):
+    rng = np.random.default_rng(n)
+    ties = lambda: rng.integers(0, 4, size=n).astype(float)
+    continuous = lambda: rng.normal(size=n)
+    xv, yv = {
+        "ties": (ties(), ties()),
+        "continuous": (continuous(), continuous()),
+        "mixed": (ties(), continuous()),
+        "constant": (np.full(n, 2.0), continuous()),
+    }[kind]
+    if kind != "constant":
+        yv[: n // 2] += xv[: n // 2]  # some dependence, so the maxima differ
+    perm_idx = np.array([np.arange(n)] + [rng.permutation(n) for _ in range(20)])
+    for x, y in ((xv, yv), (yv, xv)):
+        got = _perm_values_mic(x, y, perm_idx, MicSearchParams())
+        assert got.tolist() == per_grid_perm_mic(x, y, perm_idx).tolist()

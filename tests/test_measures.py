@@ -21,6 +21,7 @@ from influence_scope import (
     quantile_bins,
     rank_correlation,
 )
+from influence_scope.measures import _RankBins
 
 
 def cat(values, k=None):
@@ -153,6 +154,37 @@ def test_quantile_bins_label_contract(values, n_bins):
     assert 1 <= k <= n_bins
     assert set(np.unique(binned.values)) == set(range(k))
     assert len(cuts) == k - 1
+
+
+def documented_bins(values, n_bins):
+    """quantile_bins's contract, spelled out: sorted position i has nominal
+    bin i * n_bins // n, a tie run takes the bin of its first position,
+    labels number the occupied bins in order, and each cut is the smallest
+    value of bins 1..k-1."""
+    n = len(values)
+    ordered = sorted(values.tolist())
+    first = {v: i for i, v in reversed(list(enumerate(ordered)))}
+    occupied = sorted({first[v] * n_bins // n for v in ordered})
+    codes = [occupied.index(first[v] * n_bins // n) for v in values.tolist()]
+    k = len(occupied)
+    cuts = tuple(min(v for v, c in zip(values.tolist(), codes) if c == i) for i in range(1, k))
+    return codes, k, cuts
+
+
+@given(real_series)
+def test_rank_bins_follow_quantile_contract(values):
+    values = np.round(values, 0)  # plenty of ties
+    if len(np.unique(values)) < 2:
+        return
+    ranks = _RankBins(values)  # one sort for every k below
+    for n_bins in range(2, min(len(values), 7) + 1):
+        codes, k, cuts, starts = ranks.bins(n_bins)
+        assert (codes.tolist(), k, cuts) == documented_bins(values, n_bins)
+        binned, q_cuts = quantile_bins(values, n_bins)
+        assert (binned.values.tolist(), binned.n_categories, q_cuts) == (codes.tolist(), k, cuts)
+        # each bin starts where its label first appears in sorted order
+        labels_sorted = codes[ranks.order]
+        assert starts.tolist() == [int(np.argmax(labels_sorted == i)) for i in range(k)]
 
 
 # --- MIC -------------------------------------------------------------------------
