@@ -6,7 +6,7 @@ detection with permutation significance, a smart-camera-network simulator
 for generating logs, and a taxonomy-driven strategy recommender.
 """
 
-from .errors import DegenerateSeriesError, InternalConsistencyError
+from .errors import DegenerateSeriesError, InputError, InternalConsistencyError
 from .series import CategorySeries, RealSeries
 from .measures import (
     BinLayout,
@@ -16,7 +16,6 @@ from .measures import (
     MicSearchParams,
     discrete_mutual_information,
     entropy,
-    joint_distribution,
     linear_correlation,
     mic,
     quantile_bins,

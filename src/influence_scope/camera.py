@@ -24,6 +24,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .errors import InputError, expect, integer, is_number, need, number
 from .model import (
     AgentSchema,
     ConfigPartSchema,
@@ -34,15 +35,10 @@ from .model import (
 
 TWO_PI = 2.0 * math.pi
 
+# A scenario that fails validation raises the package's one input error.
+ScenarioError = InputError
+
 log = logging.getLogger("influence_scope")
-
-
-class ScenarioError(ValueError):
-    """A scenario description failed validation; ``path`` names the field."""
-
-    def __init__(self, path: str, message: str) -> None:
-        super().__init__(f"{path}: {message}")
-        self.path = path
 
 
 @dataclass(frozen=True)
@@ -369,107 +365,45 @@ def run_scenario(
 def scenario_from_dict(data: dict) -> ScenarioSpec:
     """Build a scenario from a parsed JSON object, reporting the offending
     field path on failure."""
+    expect(data, dict, "")
+    scene = need(data, "scene", kind=dict)
+    width, height = (number(scene, k, "scene.") for k in ("width", "height"))
 
-    def need(obj: dict, key: str, path: str):
-        if key not in obj:
-            raise ScenarioError(f"{path}{key}", "missing field")
-        return obj[key]
-
-    def is_number(value) -> bool:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-    def number(obj: dict, key: str, path: str) -> float:
-        value = need(obj, key, path)
-        if not is_number(value):
-            raise ScenarioError(f"{path}{key}", f"expected a number, got {value!r}")
-        return float(value)
-
-    def integer(key: str, default: int) -> int:
-        value = number(data, key, "") if key in data else default
-        if not float(value).is_integer():
-            raise ScenarioError(key, f"expected an integer, got {value!r}")
-        return int(value)
-
-    if not isinstance(data, dict):
-        raise ScenarioError("", "scenario must be a JSON object")
-    scene = need(data, "scene", "")
-    if not isinstance(scene, dict):
-        raise ScenarioError("scene", "expected an object")
-    width = number(scene, "width", "scene.")
-    height = number(scene, "height", "scene.")
-
-    raw_cameras = need(data, "cameras", "")
-    if not isinstance(raw_cameras, list) or not raw_cameras:
-        raise ScenarioError("cameras", "expected a non-empty list")
     cameras = []
-    for i, cam in enumerate(raw_cameras):
-        path = f"cameras[{i}]."
-        if not isinstance(cam, dict):
-            raise ScenarioError(f"cameras[{i}]", "expected an object")
-        cam_id = need(cam, "id", path)
-        if not (isinstance(cam_id, str) and cam_id):
-            raise ScenarioError(path + "id", f"expected a non-empty string, got {cam_id!r}")
-        if any(c.camera_id == cam_id for c in cameras):
-            raise ScenarioError(path + "id", f"duplicate camera id {cam_id!r}")
-        pose_obj = need(cam, "pose", path)
-        if not isinstance(pose_obj, dict):
-            raise ScenarioError(path + "pose", "expected an object")
-        pose = CameraPose(
-            number(pose_obj, "x", path + "pose."),
-            number(pose_obj, "y", path + "pose."),
-            number(pose_obj, "z", path + "pose."),
-        )
+    for i, cam in enumerate(need(data, "cameras", kind=list)):
+        at = f"cameras[{i}]."
+        cam_id = need(expect(cam, dict, at[:-1]), "id", at, str)
+        if not cam_id or any(c.camera_id == cam_id for c in cameras):
+            raise InputError(at + "id", f"empty or duplicate camera id {cam_id!r}")
+        pose = [number(need(cam, "pose", at, dict), k, at + "pose.") for k in "xyz"]
+        angles = {k: number(cam, k, at) for k in ("base_half_angle", "tilt_max", "zoom_max")}
         try:
-            cameras.append(
-                CameraSpec(
-                    camera_id=cam_id,
-                    pose=pose,
-                    base_half_angle=number(cam, "base_half_angle", path),
-                    tilt_max=number(cam, "tilt_max", path),
-                    zoom_max=number(cam, "zoom_max", path),
-                )
-            )
+            cameras.append(CameraSpec(cam_id, CameraPose(*pose), **angles))
         except ValueError as exc:
-            raise ScenarioError(f"cameras[{i}]", str(exc)) from exc
+            raise InputError(at[:-1], str(exc)) from exc
 
     policy_name = data.get("policy", "uniform_random")
     if policy_name == "uniform_random":
         policy: Policy = UniformRandomPtz()
     elif isinstance(policy_name, dict) and "fixed" in policy_name:
-        if not isinstance(policy_name["fixed"], list):
-            raise ScenarioError("policy.fixed", "expected a list")
         configs = []
-        for i, cfg in enumerate(policy_name["fixed"]):
-            path = f"policy.fixed[{i}]"
-            if not isinstance(cfg, dict):
-                raise ScenarioError(path, "expected an object")
-            pan, tilt, zoom = (number(cfg, k, path + ".") for k in ("pan", "tilt", "zoom"))
-            configs.append(PtzConfig(pan, tilt, zoom))
+        for i, cfg in enumerate(expect(policy_name["fixed"], list, "policy.fixed")):
+            at = f"policy.fixed[{i}]."
+            ptz = [number(expect(cfg, dict, at[:-1]), k, at) for k in ("pan", "tilt", "zoom")]
+            configs.append(PtzConfig(*ptz))
         policy = FixedPtz(tuple(configs))
     else:
-        raise ScenarioError("policy", f"unknown policy {policy_name!r}")
+        raise InputError("policy", f"unknown policy {policy_name!r}")
 
-    raw_targets = data.get("initial_targets", [])
-    if not isinstance(raw_targets, list):
-        raise ScenarioError("initial_targets", "expected a list")
     initial = []
-    for i, point in enumerate(raw_targets):
+    for i, point in enumerate(expect(data.get("initial_targets", []), list, "initial_targets")):
         if not (isinstance(point, list) and len(point) == 2 and all(map(is_number, point))):
-            raise ScenarioError(f"initial_targets[{i}]", f"expected two numbers, got {point!r}")
+            raise InputError(f"initial_targets[{i}]", f"expected two numbers, got {point!r}")
         initial.append((float(point[0]), float(point[1])))
-    try:
-        return ScenarioSpec(
-            width=width,
-            height=height,
-            arrival_rate=number(data, "arrival_rate", ""),
-            detection_radius=number(data, "detection_radius", ""),
-            cameras=tuple(cameras),
-            initial_targets=tuple(initial),
-            policy=policy,
-            steps=integer("steps", 1000),
-            seed=integer("seed", 0),
-        )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError("", str(exc)) from exc
+    rates = {k: number(data, k) for k in ("arrival_rate", "detection_radius")}
+    steps = integer(data.get("steps", 1000), "steps")
+    seed = integer(data.get("seed", 0), "seed")
+    return ScenarioSpec(
+        width, height, cameras=tuple(cameras), initial_targets=tuple(initial),
+        policy=policy, steps=steps, seed=seed, **rates,
+    )

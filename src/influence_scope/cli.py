@@ -14,12 +14,13 @@ import os
 import sys
 from pathlib import Path
 
-from .camera import ScenarioError, run_scenario, scenario_from_dict
-from .detection import DetectionStrategy, Measure, influence_matrix
+from .camera import run_scenario, scenario_from_dict
+from .detection import Measure, influence_matrix
 from .logio import (
     log_from_json,
     log_to_csv,
     log_to_json,
+    matrix_data_from_json,
     matrix_summary_csv,
     matrix_to_json,
     render_report,
@@ -27,7 +28,7 @@ from .logio import (
     strategy_to_dict,
 )
 from .model import validate_log
-from .taxonomy import builtin_descriptor, descriptor_from_dict, recommend_strategy
+from .taxonomy import BUILTINS, builtin_descriptor, descriptor_from_dict, recommend_strategy
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -36,8 +37,8 @@ EXIT_IO = 3
 log = logging.getLogger("influence_scope")
 
 
-class InputFailure(Exception):
-    pass
+class _Failure(Exception):
+    """``_Failure(code, message)`` ends a command; ``main`` prints the message."""
 
 
 def _configure_logging() -> None:
@@ -46,78 +47,41 @@ def _configure_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+def _guarded(what: str, run):
+    """``run()``, under the one map from failures to exit codes: a file that
+    cannot be read or written exits 3, an input rejected as a ValueError
+    (JSON syntax included) exits 2."""
+    try:
+        return run()
+    except OSError as exc:
+        raise _Failure(EXIT_IO, f"I/O error on {what}: {exc}") from None
+    except ValueError as exc:
+        raise _Failure(EXIT_INPUT, f"invalid {what}: {exc}") from None
 
 
-def _write_text(path: str, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
+def _load(path: str, what: str, parse):
+    return _guarded(what, lambda: parse(Path(path).read_text(encoding="utf-8")))
+
+
+def _save(path: Path, text: str, what: str) -> None:
+    _guarded(what, lambda: path.write_text(text, encoding="utf-8"))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        raw = json.loads(_read_text(args.scenario))
-    except OSError as exc:
-        print(f"cannot read scenario: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except json.JSONDecodeError as exc:
-        print(f"malformed scenario JSON: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        spec = scenario_from_dict(raw)
-        sample_log = run_scenario(spec, steps=args.steps, seed=args.seed)
-    except ScenarioError as exc:
-        print(f"invalid scenario: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
-        print(f"invalid scenario: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
+    spec = _load(args.scenario, "scenario", lambda text: scenario_from_dict(json.loads(text)))
+    sample_log = _guarded("scenario", lambda: run_scenario(spec, steps=args.steps, seed=args.seed))
     out = Path(args.out)
-    try:
-        _write_text(str(out), log_to_json(sample_log))
-        _write_text(str(out.with_suffix(".csv")), log_to_csv(sample_log))
-    except OSError as exc:
-        print(f"cannot write log: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _save(out, log_to_json(sample_log), "log")
+    _save(out.with_suffix(".csv"), log_to_csv(sample_log), "log")
 
-    total = [
-        sum(r.performance.values()) for r in sample_log.records
-    ]
-    mean_perf = sum(total) / len(total)
+    total = [sum(r.performance.values()) for r in sample_log.records]
     print(f"wrote {len(sample_log.records)} records to {out}")
-    print(f"mean system performance: {mean_perf:.6g}")
+    print(f"mean system performance: {sum(total) / len(total):.6g}")
     return EXIT_OK
 
 
-def _strategy_from_args(args: argparse.Namespace) -> DetectionStrategy:
-    if args.strategy:
-        data = json.loads(_read_text(args.strategy))
-    else:
-        data = {}
-    if args.measure:
-        data["measure"] = args.measure
-    if args.lags:
-        data["lag_set"] = [int(l) for l in args.lags.split(",")]
-    if args.alpha is not None:
-        data["alpha"] = args.alpha
-    if args.permutations is not None:
-        data["permutations"] = args.permutations
-    if args.seed is not None:
-        data["seed"] = args.seed
-    return strategy_from_dict(data)
-
-
 def cmd_detect(args: argparse.Namespace) -> int:
-    try:
-        sample_log = log_from_json(_read_text(args.log))
-    except OSError as exc:
-        print(f"cannot read log: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"malformed log: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
+    sample_log = _load(args.log, "log", log_from_json)
     issues = validate_log(sample_log)
     if issues:
         print(f"log failed validation ({len(issues)} issues):", file=sys.stderr)
@@ -126,27 +90,22 @@ def cmd_detect(args: argparse.Namespace) -> int:
                   file=sys.stderr)
         return EXIT_INPUT
 
-    try:
-        strategy = _strategy_from_args(args)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"invalid strategy: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    data = _load(args.strategy, "strategy", json.loads) if args.strategy else {}
+    if isinstance(data, dict):  # the options override the file
+        lags = args.lags.split(",") if args.lags else None
+        options = dict(measure=args.measure, lag_set=lags, alpha=args.alpha,
+                       permutations=args.permutations, seed=args.seed)
+        data.update((k, v) for k, v in options.items() if v is not None)
+    strategy = _guarded("strategy", lambda: strategy_from_dict(data))
 
     log.info("running detection with %s", strategy_to_dict(strategy))
-    matrix = influence_matrix(sample_log, strategy)
+    matrix = _guarded("log or strategy", lambda: influence_matrix(sample_log, strategy))
     matrix_json = matrix_to_json(matrix)
-
     out = Path(args.out)
-    try:
-        _write_text(str(out), matrix_json)
-        _write_text(str(out.with_suffix(".csv")), matrix_summary_csv(json.loads(matrix_json)))
-    except OSError as exc:
-        print(f"cannot write matrix: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _save(out, matrix_json, "matrix")
+    _save(out.with_suffix(".csv"), matrix_summary_csv(json.loads(matrix_json)), "matrix")
 
-    flagged = [
-        key for key in sorted(matrix.entries) if matrix.entries[key].influenced
-    ]
+    flagged = [key for key in sorted(matrix.entries) if matrix.entries[key].influenced]
     if flagged:
         print("flagged influences:")
         for target, remote, part in flagged:
@@ -159,17 +118,14 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def cmd_recommend(args: argparse.Namespace) -> int:
-    try:
-        if args.builtin:
-            descriptor = builtin_descriptor(args.builtin)
-        else:
-            descriptor = descriptor_from_dict(json.loads(_read_text(args.descriptor)))
-    except OSError as exc:
-        print(f"cannot read descriptor: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
-        print(f"invalid descriptor: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    if args.descriptor:
+        descriptor = _load(
+            args.descriptor, "descriptor", lambda text: descriptor_from_dict(json.loads(text))
+        )
+    elif args.builtin in BUILTINS:
+        descriptor = builtin_descriptor(args.builtin)
+    else:
+        raise _Failure(EXIT_INPUT, f"unknown builtin descriptor {args.builtin!r}")
 
     recommendation = recommend_strategy(descriptor)
     payload = {
@@ -181,24 +137,10 @@ def cmd_recommend(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    try:
-        data = json.loads(_read_text(args.matrix))
-        if not isinstance(data, dict) or "entries" not in data:
-            raise ValueError("not an influence matrix")
-    except OSError as exc:
-        print(f"cannot read matrix: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (json.JSONDecodeError, ValueError) as exc:
-        print(f"malformed matrix: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
+    data = _load(args.matrix, "matrix", matrix_data_from_json)
     out = Path(args.out)
-    try:
-        _write_text(str(out), render_report(data))
-        _write_text(str(out.with_suffix(".csv")), matrix_summary_csv(data))
-    except OSError as exc:
-        print(f"cannot write report: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _save(out, render_report(data), "report")
+    _save(out.with_suffix(".csv"), matrix_summary_csv(data), "report")
     print(f"wrote report to {out}")
     return EXIT_OK
 
@@ -247,7 +189,12 @@ def main(argv: list[str] | None = None) -> int:
     _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Failure as failure:
+        code, message = failure.args
+        print(message, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

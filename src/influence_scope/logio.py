@@ -18,6 +18,7 @@ import json
 import re
 
 from .detection import ConditionedScore, DetectionStrategy, InfluenceMatrix
+from .errors import InputError, convert, expect, need, number, read
 from .measures import BinLayout, DependencyScore, Measure
 from .model import (
     AgentSchema,
@@ -56,14 +57,29 @@ def _kind_to_dict(kind) -> dict:
     return {"type": "real", "lower": kind.lower, "upper": kind.upper}
 
 
-def _kind_from_dict(data: dict):
-    if data["type"] == "nominal":
-        return Nominal(tuple(data["categories"]))
-    if data["type"] == "ordinal":
-        return Ordinal(tuple(data["categories"]))
-    if data["type"] == "real":
-        return RealInterval(float(data["lower"]), float(data["upper"]))
-    raise ValueError(f"unknown part kind {data['type']!r}")
+def _kind_from_dict(part: dict, at: str):
+    """The ``kind`` of a part whose path prefix is ``at``."""
+    data = need(part, "kind", at, dict)
+    at += "kind."
+    kind = need(data, "type", at)
+    if kind == "nominal" or kind == "ordinal":
+        categories = read(data, "categories", tuple, at)
+        return convert(categories, Nominal if kind == "nominal" else Ordinal, at[:-1])
+    if kind == "real":
+        bounds = [read(data, k, float, at) for k in ("lower", "upper")]
+        return convert(bounds, lambda b: RealInterval(*b), at[:-1])
+    raise InputError(at + "type", f"unknown part kind {kind!r}")
+
+
+def _schema_from_dict(data, path: str) -> AgentSchema:
+    at = path + "."
+    agent_id = need(expect(data, dict, path), "agent_id", at, str)
+    parts = []
+    for i, p in enumerate(need(data, "parts", at, list)):
+        part_at = f"{at}parts[{i}]."
+        name = need(expect(p, dict, part_at[:-1]), "name", part_at, str)
+        parts.append(ConfigPartSchema(name, _kind_from_dict(p, part_at)))
+    return convert(tuple(parts), lambda ps: AgentSchema(agent_id, ps), path)
 
 
 def log_to_dict(log: SampleLog) -> dict:
@@ -92,28 +108,35 @@ def log_to_dict(log: SampleLog) -> dict:
 
 
 def log_from_dict(data: dict) -> SampleLog:
+    """Build a log from parsed JSON.  A field that cannot be read raises
+    :class:`InputError` at its path; values that read but do not fit the
+    schemas are validation findings of the log (see ``validate_log``)."""
+    expect(data, dict, "")
     schemas = tuple(
-        AgentSchema(
-            s["agent_id"],
-            tuple(ConfigPartSchema(p["name"], _kind_from_dict(p["kind"])) for p in s["parts"]),
-        )
-        for s in data["schemas"]
+        _schema_from_dict(s, f"schemas[{i}]")
+        for i, s in enumerate(need(data, "schemas", kind=list))
     )
     records = []
-    for i, r in enumerate(data["records"]):
-        config = {}
-        for key, value in r["config"].items():
-            agent, part = key.split(".", 1)
-            config[(agent, part)] = value
-        performance = {}
-        for a, v in r["performance"].items():
-            try:
+    for i, r in enumerate(need(data, "records", kind=list)):
+        # Plain indexing keeps the read fast; ``field`` names what failed.
+        field = "config"
+        try:
+            config = {}
+            for key, value in r["config"].items():
+                agent, part = key.split(".", 1)
+                config[(agent, part)] = value
+            field = "t"
+            t = int(r["t"])
+            field = "performance"
+            performance = {}
+            for a, v in r["performance"].items():
+                field = "performance." + a
                 performance[a] = float(v)
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"records[{i}].performance.{a}: expected a number, got {v!r}"
-                ) from None
-        records.append(SampleRecord(t=int(r["t"]), config=config, performance=performance))
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+            expect(r, dict, f"records[{i}]")
+            message = "missing field" if isinstance(exc, KeyError) else str(exc)
+            raise InputError(f"records[{i}].{field}", message) from None
+        records.append(SampleRecord(t=t, config=config, performance=performance))
     return SampleLog(schemas=schemas, records=tuple(records))
 
 
@@ -195,20 +218,25 @@ def strategy_to_dict(strategy: DetectionStrategy) -> dict:
     }
 
 
+_STRATEGY_FIELDS = {
+    "measure": Measure,
+    "own_part_bins": int,
+    "min_partition_size": int,
+    "lag_set": lambda lags: tuple(int(l) for l in lags),
+    "joint_pairs": bool,
+    "alpha": float,
+    "permutations": int,
+    "seed": int,
+}
+
+
 def strategy_from_dict(data: dict) -> DetectionStrategy:
-    defaults = DetectionStrategy()
-    return DetectionStrategy(
-        measure_kind=Measure(data.get("measure", defaults.measure_kind.value)),
-        own_part_bins=int(data.get("own_part_bins", defaults.own_part_bins)),
-        min_partition_size=int(
-            data.get("min_partition_size", defaults.min_partition_size)
-        ),
-        lag_set=tuple(int(l) for l in data.get("lag_set", defaults.lag_set)),
-        joint_pairs=bool(data.get("joint_pairs", defaults.joint_pairs)),
-        alpha=float(data.get("alpha", defaults.alpha)),
-        permutations=int(data.get("permutations", defaults.permutations)),
-        seed=int(data.get("seed", defaults.seed)),
-    )
+    """A strategy from parsed JSON; absent fields keep their defaults."""
+    defaults = strategy_to_dict(DetectionStrategy())
+    expect(data, dict, "")
+    fields = {k: convert(data.get(k, defaults[k]), to, k) for k, to in _STRATEGY_FIELDS.items()}
+    fields["measure_kind"] = fields.pop("measure")
+    return DetectionStrategy(**fields)
 
 
 # --- influence matrices --------------------------------------------------------
@@ -276,6 +304,33 @@ def matrix_to_dict(matrix: InfluenceMatrix) -> dict:
 
 def matrix_to_json(matrix: InfluenceMatrix) -> str:
     return _canonical_json(matrix_to_dict(matrix))
+
+
+def matrix_data_from_json(text: str) -> dict:
+    """Parse a matrix for ``render_report`` and ``matrix_summary_csv``,
+    checking every field they read."""
+    data = expect(json.loads(text), dict, "")
+    need(data, "alpha")
+    for i, e in enumerate(need(data, "entries", kind=list)):
+        at = f"entries[{i}]."
+        expect(e, dict, at[:-1])
+        for key in ("target", "remote_agent", "remote_part", "best_lag", "influenced"):
+            need(e, key, at)
+        number(e, "headline", at)
+        number(e, "p_value", at)
+        cond = e.get("best_conditioned")
+        if cond and expect(cond, dict, at + "best_conditioned").get("per_partition"):
+            at += "best_conditioned."
+            need(cond, "aggregate", at)
+            cp = cond.get("conditioning_part")
+            if cp and len(expect(cp, list, at + "conditioning_part")) < 2:
+                raise InputError(at + "conditioning_part", "expected [agent, part]")
+            for j, p in enumerate(expect(cond["per_partition"], list, at + "per_partition")):
+                p_at = f"{at}per_partition[{j}]."
+                for key in ("label", "count"):
+                    need(expect(p, dict, p_at[:-1]), key, p_at)
+                number(need(p, "score", p_at, dict), "value", p_at + "score.")
+    return data
 
 
 def matrix_summary_csv(matrix_data: dict) -> str:

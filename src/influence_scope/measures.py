@@ -50,27 +50,23 @@ class MicSearchMode(Enum):
 EXHAUSTIVE_MAX_SAMPLES = 12
 
 
+# Exponent of MIC's grid-size bound B = N ** MIC_B_EXPONENT.
+MIC_B_EXPONENT = 0.6
+
+
 @dataclass(frozen=True)
 class MicSearchParams:
     """Grid-search bounds for the maximal information coefficient.
 
     The admissible grids satisfy ``n_x >= 2``, ``n_y >= 2`` and
-    ``n_x * n_y < B`` with ``B = N ** b_exponent``.  ``B`` is raised to just
-    above 4 when necessary so the 2x2 grid stays admissible for small N.
+    ``n_x * n_y < B`` with ``B = N ** MIC_B_EXPONENT``.  ``B`` is raised to
+    just above 4 when necessary so the 2x2 grid stays admissible for small N.
     """
 
-    b_exponent: float = 0.6
     search_mode: MicSearchMode = MicSearchMode.EQUIPARTITION
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.b_exponent < 1.0:
-            raise ValueError("b_exponent must lie in (0, 1)")
-
-    def grid_limit(self, n: int) -> float:
-        return max(float(n) ** self.b_exponent, 4.0 * (1.0 + 1e-9))
-
     def admissible_pairs(self, n: int) -> list[tuple[int, int]]:
-        limit = self.grid_limit(n)
+        limit = max(float(n) ** MIC_B_EXPONENT, 4.0 * (1.0 + 1e-9))
         pairs: list[tuple[int, int]] = []
         nx = 2
         while nx * 2 < limit:
@@ -105,37 +101,8 @@ class DependencyScore:
     measure_kind: Measure
     sample_count: int
     bin_layout: Optional[BinLayout] = None
-    p_value: Optional[float] = None
     lag: Optional[int] = None
     degenerate: bool = False
-
-
-@dataclass(frozen=True)
-class JointDistribution:
-    """Empirical joint and marginal probabilities of two category series."""
-
-    joint: np.ndarray
-    marginal_x: np.ndarray
-    marginal_y: np.ndarray
-    sample_count: int
-
-    def __post_init__(self) -> None:
-        joint = np.asarray(self.joint, dtype=np.float64)
-        if np.any(joint < 0):
-            raise ValueError("joint probabilities must be non-negative")
-        if abs(joint.sum() - 1.0) > 1e-12:
-            raise ValueError("joint probabilities must sum to 1")
-        if np.max(np.abs(joint.sum(axis=1) - self.marginal_x)) > 1e-12:
-            raise ValueError("marginal_x inconsistent with joint")
-        if np.max(np.abs(joint.sum(axis=0) - self.marginal_y)) > 1e-12:
-            raise ValueError("marginal_y inconsistent with joint")
-
-
-def joint_distribution(x: CategorySeries, y: CategorySeries) -> JointDistribution:
-    counts = contingency_table(x, y)
-    n = counts.sum()
-    joint = counts / n
-    return JointDistribution(joint, joint.sum(axis=1), joint.sum(axis=0), int(n))
 
 
 def contingency_table(x: CategorySeries, y: CategorySeries) -> np.ndarray:
@@ -149,8 +116,9 @@ def contingency_table(x: CategorySeries, y: CategorySeries) -> np.ndarray:
 def _mi_bits_from_counts(counts: np.ndarray) -> float:
     """Plug-in mutual information in bits from a joint count table.
 
-    The per-cell terms are summed with a sorted exact summation so the
-    result is bit-identical under transposition of the table.
+    The per-cell terms are summed with ``math.fsum``, which is correctly
+    rounded, so the result does not depend on their order: it is
+    bit-identical under transposition of the table.
     """
     n = int(counts.sum())
     if n == 0:
@@ -161,7 +129,7 @@ def _mi_bits_from_counts(counts: np.ndarray) -> float:
     c = counts[nz].astype(np.float64)
     denom = (row[:, None] * col[None, :])[nz].astype(np.float64)
     terms = (c / n) * np.log2(c * n / denom)
-    value = math.fsum(np.sort(terms))
+    value = math.fsum(terms)
     if value < 0.0:
         if value < -_NEGATIVE_MI_TOLERANCE:
             raise InternalConsistencyError(
@@ -175,7 +143,7 @@ def _entropy_bits_from_counts(counts: np.ndarray) -> float:
     n = int(counts.sum())
     c = counts[counts > 0].astype(np.float64)
     terms = -(c / n) * np.log2(c / n)
-    return max(math.fsum(np.sort(terms)), 0.0)
+    return max(math.fsum(terms), 0.0)
 
 
 def discrete_mutual_information(

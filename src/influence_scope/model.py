@@ -143,10 +143,6 @@ class SampleLog:
                 return schema
         raise KeyError(f"unknown agent {agent_id!r}")
 
-    @property
-    def agent_ids(self) -> tuple[str, ...]:
-        return tuple(s.agent_id for s in self.schemas)
-
 
 _MISSING = object()
 

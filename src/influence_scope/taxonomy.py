@@ -15,6 +15,7 @@ from enum import Enum
 from typing import Optional, Union
 
 from .detection import DetectionStrategy, Measure
+from .errors import InputError, expect, need, read
 
 
 class AgentScale(Enum):
@@ -191,7 +192,7 @@ def recommend_strategy(descriptor: SystemDescriptor) -> StrategyRecommendation:
     return StrategyRecommendation(strategy=strategy, notes=tuple(notes))
 
 
-_BUILTINS = {
+BUILTINS = {
     "scn": SystemDescriptor(
         # network sizes range from a few cameras to large-scale; there is
         # no clear single classification, stored as medium
@@ -212,7 +213,7 @@ def builtin_descriptor(name: str) -> SystemDescriptor:
     """Shipped descriptors; "scn" is the smart-camera network with three
     infinite real-valued parts (pan, tilt, zoom) per camera."""
     try:
-        return _BUILTINS[name]
+        return BUILTINS[name]
     except KeyError:
         raise KeyError(f"unknown builtin descriptor {name!r}") from None
 
@@ -249,29 +250,35 @@ def descriptor_to_dict(d: SystemDescriptor) -> dict:
 
 
 def descriptor_from_dict(data: dict) -> SystemDescriptor:
+    expect(data, dict, "")
     parts: list[PartKindSpec] = []
-    for p in data["part_kinds"]:
-        if p["kind"] == "nominal":
-            parts.append(NominalPart(int(p["categories"])))
-        elif p["kind"] == "ordinal":
-            parts.append(OrdinalPart(int(p["categories"])))
-        elif p["kind"] == "infinite_real":
+    for i, p in enumerate(need(data, "part_kinds", kind=list)):
+        at = f"part_kinds[{i}]."
+        kind = need(expect(p, dict, at[:-1]), "kind", at)
+        if kind == "nominal" or kind == "ordinal":
+            part = NominalPart if kind == "nominal" else OrdinalPart
+            parts.append(read(p, "categories", lambda c: part(int(c)), at))
+        elif kind == "infinite_real":
             parts.append(InfiniteRealPart())
         else:
-            raise ValueError(f"unknown part kind {p['kind']!r}")
-    comm = data["communication"]
+            raise InputError(at + "kind", f"unknown part kind {kind!r}")
+    comm = need(data, "communication", kind=dict)
     temporal = data.get("temporality", {"delayed": False, "max_lag": 0})
+    expect(temporal, dict, "temporality")
     return SystemDescriptor(
-        agent_scale=AgentScale(data["agent_scale"]),
+        agent_scale=read(data, "agent_scale", AgentScale),
         part_kinds=tuple(parts),
         communication=Communication(
-            CommKind(comm["kind"]),
-            CostLevel(comm["cost"]) if comm.get("cost") else None,
+            read(comm, "kind", CommKind, "communication."),
+            read(comm, "cost", CostLevel, "communication.") if comm.get("cost") else None,
         ),
-        influence_locality=InfluenceLocality(data["influence_locality"]),
-        jointness=Jointness(data["jointness"]),
-        dependency_class=DependencyClass(data["dependency_class"]),
-        distinctiveness=Distinctiveness(data["distinctiveness"]),
-        temporality=Temporality(bool(temporal["delayed"]), int(temporal["max_lag"])),
+        influence_locality=read(data, "influence_locality", InfluenceLocality),
+        jointness=read(data, "jointness", Jointness),
+        dependency_class=read(data, "dependency_class", DependencyClass),
+        distinctiveness=read(data, "distinctiveness", Distinctiveness),
+        temporality=Temporality(
+            read(temporal, "delayed", bool, "temporality."),
+            read(temporal, "max_lag", int, "temporality."),
+        ),
         hardware_heterogeneous=bool(data.get("hardware_heterogeneous", False)),
     )

@@ -157,6 +157,13 @@ def test_detect_entropy_strategy_is_input_error(tmp_path):
     assert code == 2
 
 
+def test_detect_lag_beyond_log_is_input_error(tmp_path, capsys):
+    log_path = write_log(tmp_path, coupled_log(200))
+    code = main(["detect", str(log_path), "--lags", "0,500", "--out", str(tmp_path / "m.json")])
+    assert code == 2
+    assert "lag 500" in capsys.readouterr().err
+
+
 def test_detect_missing_log_is_io_error(tmp_path):
     assert main(["detect", str(tmp_path / "nope.json"), "--out", str(tmp_path / "m.json")]) == 3
 
@@ -248,6 +255,99 @@ def test_report_non_matrix_json_is_input_error(tmp_path):
     path = tmp_path / "m.json"
     path.write_text("[1, 2, 3]")
     assert main(["report", str(path), "--out", str(tmp_path / "r.txt")]) == 2
+
+
+# --- malformed input: exit 2 with the field path, never a traceback -------------------
+
+DESCRIPTOR = {
+    "agent_scale": "small",
+    "part_kinds": [{"kind": "nominal", "categories": 2}],
+    "communication": {"kind": "free", "cost": None},
+    "influence_locality": "neighborhood",
+    "jointness": "pairwise",
+    "dependency_class": "stochastic",
+    "distinctiveness": "distinct",
+}
+MATRIX = {
+    "alpha": 0.05,
+    "entries": [
+        {"target": "B", "remote_agent": "A", "remote_part": "cfg", "headline": 0.5,
+         "p_value": 0.01, "influenced": True, "best_lag": 0, "best_conditioned": None}
+    ],
+}
+DELETE = object()
+
+
+def put(doc, keys, value):
+    """``doc`` with the item at ``keys`` replaced by ``value`` (or deleted)."""
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    if value is DELETE:
+        del target[keys[-1]]
+    else:
+        target[keys[-1]] = value
+    return doc
+
+
+def run_on(tmp_path, command, doc):
+    """Run ``command`` with ``doc`` as its JSON input file."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    out = str(tmp_path / "out.json")
+    if command == "log":
+        return main(["detect", str(path), "--out", out])
+    if command == "strategy":
+        log_path = write_log(tmp_path, coupled_log(200))
+        return main(["detect", str(log_path), "--strategy", str(path), "--out", out])
+    if command == "descriptor":
+        return main(["recommend", "--descriptor", str(path)])
+    return main(["report", str(path), "--out", out])
+
+
+@pytest.mark.parametrize(
+    "command, edit, expected",
+    [
+        ("log", lambda d: put(d, ["records", 3, "t"], None), "records[3].t"),
+        ("log", lambda d: put(d, ["records", 3, "config"], [1, 2]), "records[3].config"),
+        ("log", lambda d: put(d, ["records", 3], 7), "records[3]: expected an object"),
+        ("log", lambda d: [d], "expected an object"),
+        ("log", lambda d: put(d, ["schemas", 0, "parts"], 4), "schemas[0].parts"),
+        ("log", lambda d: put(d, ["schemas", 0, "parts", 0, "kind", "categories"], 2),
+         "schemas[0].parts[0].kind.categories"),
+        ("strategy", lambda d: [d], "expected an object"),
+        ("strategy", lambda d: put(d, ["lag_set"], 3), "lag_set"),
+        ("strategy", lambda d: put(d, ["permutations"], None), "permutations"),
+        ("descriptor", lambda d: [d], "expected an object"),
+        ("descriptor", lambda d: put(d, ["part_kinds"], 3), "part_kinds"),
+        ("matrix", lambda d: put(d, ["entries", 0, "influenced"], DELETE),
+         "entries[0].influenced"),
+        ("matrix", lambda d: put(d, ["entries"], 5), "entries"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else "edit",
+)
+def test_malformed_input_exits_2_with_field_path(tmp_path, capsys, command, edit, expected):
+    base = {
+        "log": lambda: json.loads(log_to_json(coupled_log(30))),
+        "strategy": lambda: {"permutations": 20},
+        "descriptor": lambda: json.loads(json.dumps(DESCRIPTOR)),
+        "matrix": lambda: json.loads(json.dumps(MATRIX)),
+    }[command]
+    assert run_on(tmp_path, command, base()) == 0
+    capsys.readouterr()
+    assert run_on(tmp_path, command, edit(base())) == 2
+    err = capsys.readouterr().err
+    assert f"invalid {command}: {expected}" in err
+    assert "Traceback" not in err
+
+
+def test_detect_missing_strategy_is_io_error(tmp_path):
+    log_path = write_log(tmp_path, coupled_log(200))
+    code = main(
+        ["detect", str(log_path), "--strategy", str(tmp_path / "nope.json"),
+         "--out", str(tmp_path / "m.json")]
+    )
+    assert code == 3
 
 
 # --- determinism across full runs ---------------------------------------------------
