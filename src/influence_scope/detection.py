@@ -1,14 +1,15 @@
 """Mutual-influence detection.
 
-Scores the dependency between a remote agent's configuration parts and a
-target agent's performance, both unconditioned (raw) and conditioned on
-the target's own configuration parts.  Conditioning partitions the samples
-per single own part (never per full joint own configuration) so each
-partition keeps as many samples as possible; influences that cancel out in
-the unconditioned view become visible inside the partitions.
-
-Significance comes from a seeded permutation test that shuffles the remote
-column within the same partitions the winning score used.
+Scores the dependency between a remote agent's configuration part and a
+target agent's performance.  Each matrix entry searches one candidate
+family: at every lag, a raw candidate over all samples and one candidate
+per own configuration part of the target, partitioned by that part's value
+(never by the full own configuration, so partitions stay large).
+Influences that cancel out in the raw view show inside the partitions.
+Each lag's columns are extracted once; the better of the best raw and the
+best conditioned candidate is the headline, and a seeded permutation test
+of that candidate, shuffling the remote column within each of its
+partitions, gives its p-value.
 """
 
 from __future__ import annotations
@@ -154,36 +155,25 @@ def score_dependency(x: Series, y: Series, strategy: DetectionStrategy) -> Depen
         return DependencyScore(0.0, strategy.measure_kind, n, degenerate=True)
 
 
-# --- raw and conditioned scoring -----------------------------------------
+# --- the candidate family of one entry -------------------------------------
 
 
-def _aligned_columns(
-    log: SampleLog, remote_part: PartRef, target: str, lag: int
-) -> tuple[Series, RealSeries]:
-    xs = extract_series(log, ConfigSelector(*remote_part), lag)
-    ys = extract_series(log, PerformanceSelector(target), lag)
-    return xs, ys  # type: ignore[return-value]
+@dataclass(frozen=True)
+class _Candidate:
+    """One way to score an entry: the remote and performance columns at one
+    lag, split into the partitions of one own part, or into one partition of
+    all samples when ``own_part`` is None (the raw candidate)."""
 
-
-def raw_influence(
-    log: SampleLog, target: str, remote_part: PartRef, strategy: DetectionStrategy
-) -> DependencyScore:
-    """Unconditioned dependency, maximized over the strategy's lag set."""
-    if remote_part[0] == target:
-        raise ValueError("remote part must belong to a different agent")
-    best: Optional[DependencyScore] = None
-    for lag in strategy.lag_set:
-        xs, ys = _aligned_columns(log, remote_part, target, lag)
-        score = replace(score_dependency(xs, ys, strategy), lag=lag)
-        if best is None or score.value > best.value:
-            best = score
-    assert best is not None
-    return best
+    lag: int
+    remote: Optional[Series]  # None: a composite with too many categories
+    perf: Series
+    own_part: Optional[PartRef] = None
+    partitions: tuple[tuple[str, np.ndarray], ...] = ()
 
 
 def _partition_indices(
     own: Series, strategy: DetectionStrategy
-) -> list[tuple[str, np.ndarray]]:
+) -> tuple[tuple[str, np.ndarray], ...]:
     """Split sample indices by the own part's value.
 
     Nominal/ordinal: one partition per occupied category.  Real: quantile
@@ -197,7 +187,7 @@ def _partition_indices(
         try:
             binned, _ = quantile_bins(own, strategy.own_part_bins)
         except DegenerateSeriesError:
-            return [("all", np.arange(len(own)))]
+            return (("all", np.arange(len(own))),)
         codes = binned.values
         labels = [f"bin{i}" for i in range(binned.n_categories)]
     out = []
@@ -205,7 +195,52 @@ def _partition_indices(
         idx = np.nonzero(codes == code)[0]
         if len(idx) > 0:
             out.append((label, idx))
-    return out
+    return tuple(out)
+
+
+def _composite(
+    a: Series, b: Series, strategy: DetectionStrategy
+) -> Optional[CategorySeries]:
+    """Two columns as one nominal column with a category per value pair,
+    real columns quantile-binned first; None when the pairs outnumber
+    ``n / min_partition_size``."""
+    coded = []
+    for series in (a, b):
+        try:
+            coded.append(_categorize(series, strategy.own_part_bins))
+        except DegenerateSeriesError:
+            coded.append(CategorySeries(np.zeros(len(series), dtype=np.int64), 1))
+    ac, bc = coded
+    k = ac.n_categories * bc.n_categories
+    if k > len(ac) / strategy.min_partition_size:
+        return None
+    return CategorySeries(ac.values * bc.n_categories + bc.values, k)
+
+
+def _family(
+    log: SampleLog,
+    target: str,
+    remote_parts: Sequence[PartRef],
+    own_parts: Sequence[PartRef],
+    strategy: DetectionStrategy,
+) -> list[_Candidate]:
+    """Every candidate of one entry, lag-major: each lag's raw candidate,
+    then one per own part.  Each lag's columns are extracted once and shared;
+    two remote parts are scored as their composite."""
+    family = []
+    for lag in strategy.lag_set:
+        columns = [extract_series(log, ConfigSelector(*p), lag) for p in remote_parts]
+        remote = columns[0] if len(columns) == 1 else _composite(*columns, strategy)
+        perf = extract_series(log, PerformanceSelector(target), lag)
+        if remote is None:
+            family.append(_Candidate(lag, None, perf))
+            continue
+        # the raw candidate is partitioned as a constant own part would be
+        family.append(_Candidate(lag, remote, perf, None, (("0", np.arange(len(remote))),)))
+        for own in own_parts:
+            column = extract_series(log, ConfigSelector(*own), lag)
+            family.append(_Candidate(lag, remote, perf, own, _partition_indices(column, strategy)))
+    return family
 
 
 def _take(series: Series, idx: np.ndarray) -> Series:
@@ -214,38 +249,53 @@ def _take(series: Series, idx: np.ndarray) -> Series:
     return RealSeries(series.values[idx])
 
 
-def _conditioned_at_lag(
-    remote_series: Series,
-    perf_series: RealSeries,
-    own_series: Series,
-    remote_part: PartRef,
-    own_part: Optional[PartRef],
-    strategy: DetectionStrategy,
-    lag: int,
+def _raw_score(c: _Candidate, strategy: DetectionStrategy) -> DependencyScore:
+    return replace(score_dependency(c.remote, c.perf, strategy), lag=c.lag)
+
+
+def _conditioned_score(
+    c: _Candidate, remote_ref: PartRef, strategy: DetectionStrategy
 ) -> ConditionedScore:
-    partitions = _partition_indices(own_series, strategy)
+    """Score each partition, and aggregate those of at least
+    ``min_partition_size`` samples as a sample-count-weighted mean."""
     per_partition: list[PartitionScore] = []
     weighted_sum = 0.0
     weight = 0
-    for label, idx in partitions:
+    for label, idx in c.partitions:
         count = len(idx)
         if count >= 4:
-            score = score_dependency(
-                _take(remote_series, idx), _take(perf_series, idx), strategy
-            )
+            score = score_dependency(_take(c.remote, idx), _take(c.perf, idx), strategy)
         else:
             score = DependencyScore(0.0, strategy.measure_kind, count, degenerate=True)
         per_partition.append(PartitionScore(label, count, score))
         if count >= strategy.min_partition_size:
             weighted_sum += count * score.value
             weight += count
-    if weight == 0:
-        return ConditionedScore(
-            remote_part, own_part, tuple(per_partition), None, lag, insufficient_data=True
-        )
+    aggregate = weighted_sum / weight if weight else None
     return ConditionedScore(
-        remote_part, own_part, tuple(per_partition), weighted_sum / weight, lag
+        remote_ref, c.own_part, tuple(per_partition), aggregate, c.lag,
+        insufficient_data=aggregate is None,
     )
+
+
+def _aggregate_key(cs: ConditionedScore) -> float:
+    return -math.inf if cs.aggregate is None else cs.aggregate
+
+
+def _best(candidates, score, key):
+    """(candidate, its score) of the first candidate whose score has the
+    largest ``key``: a later candidate wins only when strictly better."""
+    return max(((c, score(c)) for c in candidates), key=lambda pair: key(pair[1]))
+
+
+def raw_influence(
+    log: SampleLog, target: str, remote_part: PartRef, strategy: DetectionStrategy
+) -> DependencyScore:
+    """Unconditioned dependency, maximized over the strategy's lag set."""
+    if remote_part[0] == target:
+        raise ValueError("remote part must belong to a different agent")
+    family = _family(log, target, (remote_part,), (), strategy)
+    return _best(family, lambda c: _raw_score(c, strategy), lambda s: s.value)[1]
 
 
 def conditioned_influence(
@@ -263,24 +313,11 @@ def conditioned_influence(
         raise ValueError("conditioning part must belong to the target agent")
     if remote_part[0] == target:
         raise ValueError("remote part must belong to a different agent")
-    best: Optional[ConditionedScore] = None
-    for lag in strategy.lag_set:
-        remote_series, perf_series = _aligned_columns(log, remote_part, target, lag)
-        own_series = extract_series(log, ConfigSelector(*own_part), lag)
-        cs = _conditioned_at_lag(
-            remote_series, perf_series, own_series, remote_part, own_part, strategy, lag
-        )
-        if best is None or _aggregate_key(cs) > _aggregate_key(best):
-            best = cs
-    assert best is not None
-    return best
-
-
-def _aggregate_key(cs: ConditionedScore) -> float:
-    return -math.inf if cs.aggregate is None else cs.aggregate
-
-
-# --- joint (pairwise-composite) influence ---------------------------------
+    family = _family(log, target, (remote_part,), (own_part,), strategy)
+    conditioned = [c for c in family if c.own_part is not None]
+    return _best(
+        conditioned, lambda c: _conditioned_score(c, remote_part, strategy), _aggregate_key
+    )[1]
 
 
 def joint_influence(
@@ -293,63 +330,20 @@ def joint_influence(
 
     Reveals influences where neither part alone is informative (e.g. an
     XOR coupling).  Real parts are quantile-binned first; the composite is
-    nominal with one category per value combination.
+    nominal with one category per value combination.  Ties go to the first
+    lag, then to raw before the own parts in schema order.
     """
     if not strategy.joint_pairs:
         raise ValueError("joint_pairs is disabled in this strategy")
     for part in remote_parts:
         if part[0] == target:
             raise ValueError("remote parts must belong to agents other than the target")
-    best: Optional[ConditionedScore] = None
-    target_schema = log.agent(target)
     composite_ref: PartRef = (remote_parts[0][0], f"{remote_parts[0][1]}+{remote_parts[1][1]}")
-    for lag in strategy.lag_set:
-        a = extract_series(log, ConfigSelector(*remote_parts[0]), lag)
-        b = extract_series(log, ConfigSelector(*remote_parts[1]), lag)
-        perf = extract_series(log, PerformanceSelector(target), lag)
-        try:
-            ac = _categorize(a, strategy.own_part_bins)
-        except DegenerateSeriesError:
-            ac = CategorySeries(np.zeros(len(a), dtype=np.int64), 1)
-        try:
-            bc = _categorize(b, strategy.own_part_bins)
-        except DegenerateSeriesError:
-            bc = CategorySeries(np.zeros(len(b), dtype=np.int64), 1)
-        k = ac.n_categories * bc.n_categories
-        n = len(ac)
-        if k > n / strategy.min_partition_size:
-            cs = ConditionedScore(
-                composite_ref, None, (), None, lag, insufficient_data=True
-            )
-        else:
-            composite = CategorySeries(ac.values * bc.n_categories + bc.values, k)
-            # no conditioning: single partition over all samples
-            cs = _conditioned_at_lag(
-                composite,
-                perf,  # type: ignore[arg-type]
-                CategorySeries(np.zeros(n, dtype=np.int64), 1),
-                composite_ref,
-                None,
-                strategy,
-                lag,
-            )
-            for own in target_schema.parts:
-                own_series = extract_series(log, ConfigSelector(target, own.name), lag)
-                alt = _conditioned_at_lag(
-                    composite,
-                    perf,  # type: ignore[arg-type]
-                    own_series,
-                    composite_ref,
-                    (target, own.name),
-                    strategy,
-                    lag,
-                )
-                if _aggregate_key(alt) > _aggregate_key(cs):
-                    cs = alt
-        if best is None or _aggregate_key(cs) > _aggregate_key(best):
-            best = cs
-    assert best is not None
-    return best
+    own_parts = [(target, own.name) for own in log.agent(target).parts]
+    family = _family(log, target, remote_parts, own_parts, strategy)
+    return _best(
+        family, lambda c: _conditioned_score(c, composite_ref, strategy), _aggregate_key
+    )[1]
 
 
 # --- vectorized permutation machinery -------------------------------------
@@ -459,66 +453,23 @@ def _perm_values_corr(
     return np.abs(np.clip(r, -1.0, 1.0))
 
 
-def _perm_stat_for_partition(
-    x_part: Series,
-    y_part: Series,
-    strategy: DetectionStrategy,
-    perm_idx: np.ndarray,
-) -> np.ndarray:
-    if strategy.measure_kind is Measure.MI:
-        try:
-            xc = _categorize(x_part, strategy.own_part_bins)
-            yc = _categorize(y_part, strategy.own_part_bins)
-        except DegenerateSeriesError:
-            return np.zeros(perm_idx.shape[0])
-        return _perm_values_mi(
-            xc.values, xc.n_categories, yc.values, yc.n_categories, perm_idx
-        )
-    xv = as_float_values(x_part)
-    yv = as_float_values(y_part)
-    if strategy.measure_kind is Measure.MIC:
-        if len(xv) < 4:
-            return np.zeros(perm_idx.shape[0])
-        return _perm_values_mic(xv, yv, perm_idx, MicSearchParams())
-    return _perm_values_corr(
-        xv, yv, perm_idx, ranked=strategy.measure_kind is Measure.RANK
-    )
+def _permuted(
+    c: _Candidate, strategy: DetectionStrategy, rng: np.random.Generator
+) -> Optional[np.ndarray]:
+    """The candidate's kernel score under ``strategy.permutations`` shuffles
+    of the remote column, row 0 the identity; None when no partition is scored.
 
-
-def _headline_pvalue(
-    log: SampleLog,
-    target: str,
-    remote_part: PartRef,
-    strategy: DetectionStrategy,
-    winning: "DependencyScore | ConditionedScore",
-    rng: np.random.Generator,
-) -> float:
-    """Permutation p-value of the winning score's configuration.
-
-    The remote column is shuffled within the same partitions the winning
-    score used (the whole column when the raw score won), the statistic is
-    recomputed per shuffle, and the standard +1 permutation formula gives
-    the p-value.
+    Each scored partition draws its shuffles in turn and is shuffled within
+    itself; the raw candidate's one partition is scored whatever its size,
+    an own part's only from ``min_partition_size`` samples.  Partition scores
+    aggregate as the sample-count-weighted mean.
     """
-    reps = strategy.permutations
-    if isinstance(winning, ConditionedScore):
-        lag = winning.lag
-    else:
-        lag = winning.lag or 0
-    remote_series, perf_series = _aligned_columns(log, remote_part, target, lag)
-    if isinstance(winning, ConditionedScore) and winning.conditioning_part is not None:
-        own_series = extract_series(
-            log, ConfigSelector(*winning.conditioning_part), lag
-        )
-        partitions = _partition_indices(own_series, strategy)
-        masks = [
-            idx for _, idx in partitions if len(idx) >= strategy.min_partition_size
-        ]
-    else:
-        masks = [np.arange(len(remote_series))]
+    least = 0 if c.own_part is None else strategy.min_partition_size
+    masks = [idx for _, idx in c.partitions if len(idx) >= least]
     if not masks:
-        return 1.0
-
+        return None
+    reps = strategy.permutations
+    kind = strategy.measure_kind
     weights = np.array([len(m) for m in masks], dtype=np.float64)
     stats = np.zeros((reps + 1, len(masks)))
     for j, idx in enumerate(masks):
@@ -527,13 +478,26 @@ def _headline_pvalue(
         perm_idx[0] = np.arange(n_p)  # identity row carries the observed value
         for r in range(1, reps + 1):
             perm_idx[r] = rng.permutation(n_p)
-        stats[:, j] = _perm_stat_for_partition(
-            _take(remote_series, idx), _take(perf_series, idx), strategy, perm_idx
-        )
-    aggregate = stats @ weights / weights.sum()
-    observed = aggregate[0]
-    exceed = int(np.sum(aggregate[1:] >= observed))
-    return (1 + exceed) / (reps + 1)
+        x, y = _take(c.remote, idx), _take(c.perf, idx)
+        if kind is Measure.MI:
+            try:
+                xc = _categorize(x, strategy.own_part_bins)
+                yc = _categorize(y, strategy.own_part_bins)
+            except DegenerateSeriesError:
+                continue  # a constant column scores 0 under every shuffle
+            stats[:, j] = _perm_values_mi(
+                xc.values, xc.n_categories, yc.values, yc.n_categories, perm_idx
+            )
+        elif kind is Measure.MIC:
+            if n_p >= 4:
+                stats[:, j] = _perm_values_mic(
+                    as_float_values(x), as_float_values(y), perm_idx, MicSearchParams()
+                )
+        else:
+            stats[:, j] = _perm_values_corr(
+                as_float_values(x), as_float_values(y), perm_idx, ranked=kind is Measure.RANK
+            )
+    return stats @ weights / weights.sum()
 
 
 # --- the full matrix -------------------------------------------------------
@@ -548,35 +512,35 @@ def _entry_rng(seed: int, ti: int, ri: int, pi: int) -> np.random.Generator:
 def _compute_entry(
     log: SampleLog,
     target_schema: AgentSchema,
-    remote_schema: AgentSchema,
-    part_name: str,
+    remote_part: PartRef,
     strategy: DetectionStrategy,
     conditioning: bool,
     rng: np.random.Generator,
 ) -> InfluenceEntry:
+    """The entry's best raw and best conditioned candidate; the better of the
+    two is the headline, and its permutation p-value the entry's."""
     target = target_schema.agent_id
-    remote_part: PartRef = (remote_schema.agent_id, part_name)
-    raw = raw_influence(log, target, remote_part, strategy)
-    best_cond: Optional[ConditionedScore] = None
-    if conditioning:
-        for own in target_schema.parts:
-            cs = conditioned_influence(
-                log, target, remote_part, (target, own.name), strategy
-            )
-            if best_cond is None or _aggregate_key(cs) > _aggregate_key(best_cond):
-                best_cond = cs
-    if best_cond is not None and _aggregate_key(best_cond) > raw.value:
-        winning: "DependencyScore | ConditionedScore" = best_cond
-        headline = float(best_cond.aggregate)  # type: ignore[arg-type]
-        best_lag = best_cond.lag
-    else:
-        winning = raw
-        headline = raw.value
-        best_lag = raw.lag or 0
-    p_value = _headline_pvalue(log, target, remote_part, strategy, winning, rng)
-    insufficient = raw.degenerate and (
-        best_cond is None or best_cond.insufficient_data
+    own_parts = [(target, own.name) for own in target_schema.parts] if conditioning else []
+    family = _family(log, target, (remote_part,), own_parts, strategy)
+    raws = [c for c in family if c.own_part is None]
+    winner, raw = _best(raws, lambda c: _raw_score(c, strategy), lambda s: s.value)
+    headline, best_lag = raw.value, raw.lag or 0
+    # own-part-major, so a tie goes to the first own part, then to the first lag
+    conditioned = sorted(
+        (c for c in family if c.own_part), key=lambda c: own_parts.index(c.own_part)
     )
+    best_cond: Optional[ConditionedScore] = None
+    if conditioned:
+        cond, best_cond = _best(
+            conditioned, lambda c: _conditioned_score(c, remote_part, strategy), _aggregate_key
+        )
+        if _aggregate_key(best_cond) > raw.value:
+            winner, best_lag = cond, best_cond.lag
+            headline = float(best_cond.aggregate)  # type: ignore[arg-type]
+    stats = _permuted(winner, strategy, rng)
+    p_value = 1.0
+    if stats is not None:
+        p_value = (1 + int(np.sum(stats[1:] >= stats[0]))) / (strategy.permutations + 1)
     return InfluenceEntry(
         raw=raw,
         best_conditioned=best_cond,
@@ -584,7 +548,7 @@ def _compute_entry(
         headline=headline,
         p_value=p_value,
         influenced=p_value < strategy.alpha,
-        insufficient_data=insufficient,
+        insufficient_data=raw.degenerate and (best_cond is None or best_cond.insufficient_data),
     )
 
 
@@ -619,7 +583,7 @@ def influence_matrix(
             for pi, part in enumerate(remote_schema.parts):
                 key = (target_schema.agent_id, remote_schema.agent_id, part.name)
                 entries[key] = _compute_entry(
-                    log, target_schema, remote_schema, part.name, strategy,
+                    log, target_schema, (remote_schema.agent_id, part.name), strategy,
                     conditioning, _entry_rng(strategy.seed, ti, ri, pi),
                 )
     return InfluenceMatrix(alpha=strategy.alpha, entries=entries)

@@ -1,6 +1,7 @@
 """Shared exception types, and the field checks every reader of outside
 input (scenario, log, strategy, descriptor and matrix JSON) raises through."""
 
+import math
 from reprlib import repr as brief
 
 
@@ -65,8 +66,12 @@ def read(obj: dict, key: str, to, prefix: str = ""):
 
 
 def number(obj: dict, key: str, prefix: str = "") -> float:
-    """A required JSON number, as a float."""
-    return convert(need(obj, key, prefix, float), float, prefix + key)
+    """A required finite JSON number, as a float; Python's reader turns
+    ``Infinity``, ``-Infinity`` and ``NaN`` into floats, so they are refused here."""
+    value = convert(need(obj, key, prefix, float), float, prefix + key)
+    if not math.isfinite(value):
+        raise InputError(prefix + key, f"expected a finite number, got {obj[key]!r}")
+    return value
 
 
 def integer(value, path: str) -> int:

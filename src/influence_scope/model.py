@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from reprlib import repr as brief
 from typing import Union
 
 import numpy as np
@@ -200,11 +201,19 @@ def _decode(
     # (record index, slot, finding): the slot orders one record's findings
     # as the checks are listed, the time step first.
     found: list[tuple[int, int, Issue]] = []
-    t = np.array([r.t for r in records], dtype=np.int64)
+    try:
+        t = np.array([r.t for r in records], dtype=np.int64)
+    except OverflowError:  # compare the steps as Python ints instead
+        t = np.array([r.t for r in records], dtype=object)
+        low, high = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+        for i in np.flatnonzero((t < low) | (t > high)).tolist():
+            message = f"time step {brief(records[i].t)} does not fit in 64 bits"
+            found.append((i, 0, Issue(i, "t", message)))
     for i in np.flatnonzero(t < 0).tolist():
-        found.append((i, 0, Issue(i, "t", f"negative time step {records[i].t}")))
+        found.append((i, 0, Issue(i, "t", f"negative time step {brief(records[i].t)}")))
     for i in (np.flatnonzero(t[1:] <= t[:-1]) + 1).tolist():
-        message = f"time steps not strictly increasing ({records[i - 1].t} -> {records[i].t})"
+        steps = f"{brief(records[i - 1].t)} -> {brief(records[i].t)}"
+        message = f"time steps not strictly increasing ({steps})"
         found.append((i, 1, Issue(i, "t", message)))
     for i, record in enumerate(records):
         if not record.config.keys() <= declared:

@@ -12,10 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from reprlib import repr as brief
 from typing import Optional, Union
 
 from .detection import DetectionStrategy, Measure
 from .errors import InputError, expect, need, read
+
+# The recommended lag set scans every lag from 0 to max_lag, and each lag
+# re-scores every candidate of every matrix entry, so a descriptor may ask
+# for at most this many steps of delay.
+MAX_LAG = 1000
 
 
 class AgentScale(Enum):
@@ -249,6 +255,13 @@ def descriptor_to_dict(d: SystemDescriptor) -> dict:
     }
 
 
+def _max_lag(value) -> int:
+    lag = int(value)
+    if lag > MAX_LAG:
+        raise ValueError(f"at most {MAX_LAG} steps, got {brief(lag)}")
+    return lag
+
+
 def descriptor_from_dict(data: dict) -> SystemDescriptor:
     expect(data, dict, "")
     parts: list[PartKindSpec] = []
@@ -278,7 +291,7 @@ def descriptor_from_dict(data: dict) -> SystemDescriptor:
         distinctiveness=read(data, "distinctiveness", Distinctiveness),
         temporality=Temporality(
             read(temporal, "delayed", bool, "temporality."),
-            read(temporal, "max_lag", int, "temporality."),
+            read(temporal, "max_lag", _max_lag, "temporality."),
         ),
         hardware_heterogeneous=bool(data.get("hardware_heterogeneous", False)),
     )

@@ -388,3 +388,42 @@ def test_simulate_detect_byte_identical(tmp_path):
         )
         outputs.append(matrix_out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+# --- values that read as numbers but no later stage can use ---------------------------
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize(
+    "keys, path",
+    [(["scene", "width"], "scene.width"), (["scene", "height"], "scene.height"),
+     (["cameras", 0, "zoom_max"], "cameras[0].zoom_max"), (["arrival_rate"], "arrival_rate")],
+    ids=["scene.width", "scene.height", "zoom_max", "arrival_rate"],
+)
+def test_simulate_non_finite_number_exits_2_with_field_path(tmp_path, capsys, keys, path, value):
+    data = put(json.loads((SCENARIOS / "overlap-pair.json").read_text()), keys, value)
+    scenario = tmp_path / "scen.json"
+    scenario.write_text(json.dumps(data))  # Infinity, -Infinity and NaN, as Python writes them
+    assert main(["simulate", str(scenario), "--steps", "5", "--out", str(tmp_path / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"invalid scenario: {path}: expected a finite number" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("max_lag, code", [(10**400, 2), (1001, 2), (1000, 0)],
+                         ids=["10^400", "1001", "1000"])
+def test_recommend_bounds_max_lag(tmp_path, capsys, max_lag, code):
+    doc = {**DESCRIPTOR, "temporality": {"delayed": True, "max_lag": max_lag}}
+    assert run_on(tmp_path, "descriptor", doc) == code
+    err = capsys.readouterr().err
+    assert ("invalid descriptor: temporality.max_lag" in err) == (code == 2)
+    assert "Traceback" not in err
+
+
+def test_detect_time_step_beyond_int64_is_a_finding(tmp_path, capsys):
+    doc = json.loads(log_to_json(coupled_log(30)))
+    doc["records"][3]["t"] = 10**400
+    assert run_on(tmp_path, "log", doc) == 2
+    err = capsys.readouterr().err
+    assert "record=3 t: time step" in err and "does not fit in 64 bits" in err
+    assert "Traceback" not in err

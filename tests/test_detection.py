@@ -495,3 +495,104 @@ def test_perm_mic_matches_per_grid_tables(n, kind):
     for x, y in ((xv, yv), (yv, xv)):
         got = _perm_values_mic(x, y, perm_idx, MicSearchParams())
         assert got.tolist() == per_grid_perm_mic(x, y, perm_idx).tolist()
+
+
+# --- tie order of the candidate search ----------------------------------------------
+
+
+def tie_log(m=50):
+    """4m + 1 records scored exactly 1.0 or 0.0 by MI in several candidates.
+
+    A's part ``x`` alternates and ``idle`` is constant.  B's performance is
+    x XOR s for a sign s of period 0, 0, 1, 1; B's own part ``p`` is s, with
+    the last record in a category of its own, and ``q`` is the next step's
+    s.  So (p, lag 0) and (q, lag 1) both split B's samples into partitions
+    where performance is a balanced function of x, and raw scores near 0.
+    C's performance copies x and C.p is B.p: raw at lag 1 and p at both
+    lags score 1.0.
+    """
+    n = 4 * m + 1
+    cats = ("c0", "c1", "c2")
+    x = [t % 2 for t in range(n)]
+    s = [(t // 2) % 2 for t in range(n + 1)]
+    p, q = s[: n - 1] + [2], s[1:]
+    nominal = lambda name, k=3: ConfigPartSchema(name, Nominal(cats[:k]))
+    schemas = (
+        AgentSchema("A", (nominal("x", 2), nominal("idle", 2))),
+        AgentSchema("B", (nominal("p"), nominal("q"))),
+        AgentSchema("C", (nominal("p"),)),
+    )
+    records = tuple(
+        SampleRecord(
+            t,
+            {("A", "x"): cats[x[t]], ("A", "idle"): "c0", ("B", "p"): cats[p[t]],
+             ("B", "q"): cats[q[t]], ("C", "p"): cats[p[t]]},
+            {"A": 0.0, "B": float(x[t] ^ s[t]), "C": float(x[t])},
+        )
+        for t in range(n)
+    )
+    return SampleLog(schemas, records)
+
+
+def at_lag(log, target, remote, own, lag):
+    return conditioned_influence(log, target, remote, own, DetectionStrategy(lag_set=(lag,)))
+
+
+@pytest.mark.parametrize("lags", [(0, 1), (1, 0)])
+def test_lag_ties_go_to_the_first_listed_lag(lags):
+    log = tie_log()
+    strategy = DetectionStrategy(lag_set=lags)
+    raw = raw_influence(log, "B", ("A", "idle"), strategy)
+    assert (raw.value, raw.lag) == (0.0, lags[0])
+    assert [at_lag(log, "C", ("A", "x"), ("C", "p"), lag).aggregate for lag in lags] == [1.0, 1.0]
+    cs = conditioned_influence(log, "C", ("A", "x"), ("C", "p"), strategy)
+    assert (cs.aggregate, cs.lag) == (1.0, lags[0])
+
+
+def test_matrix_own_part_tie_goes_to_the_first_own_part():
+    # (q, lag 1) ties (p, lag 0) and comes first in lag order, but the
+    # matrix searches own part by own part.
+    log = tie_log()
+    assert at_lag(log, "B", ("A", "x"), ("B", "q"), 1).aggregate == 1.0
+    assert at_lag(log, "B", ("A", "x"), ("B", "p"), 0).aggregate == 1.0
+    entry = influence_matrix(log, DetectionStrategy(lag_set=(1, 0))).entries[("B", "A", "x")]
+    assert entry.best_conditioned.conditioning_part == ("B", "p")
+    assert (entry.best_conditioned.lag, entry.best_lag) == (0, 0)
+    assert entry.headline == 1.0 > entry.raw.value
+
+
+def test_matrix_conditioned_tie_with_raw_goes_to_raw():
+    entry = influence_matrix(tie_log(), DetectionStrategy(lag_set=(0, 1))).entries[("C", "A", "x")]
+    assert entry.raw.value == entry.best_conditioned.aggregate == entry.headline == 1.0
+    assert (entry.raw.lag, entry.best_conditioned.lag) == (1, 0)
+    assert entry.best_lag == 1
+
+
+@pytest.mark.parametrize("lags, own", [((1, 0), ("B", "q")), ((0, 1), ("B", "p"))])
+def test_joint_tie_goes_to_the_first_lag_then_the_first_own_part(lags, own):
+    strategy = DetectionStrategy(lag_set=lags, joint_pairs=True)
+    pair = joint_influence(tie_log(), "B", (("A", "x"), ("A", "idle")), strategy)
+    assert (pair.aggregate, pair.conditioning_part, pair.lag) == (1.0, own, lags[0])
+
+
+def overlap_pair_log():
+    spec = scenario_from_dict(json.loads((SCENARIOS / "overlap-pair.json").read_text()))
+    return run_scenario(spec, steps=300, seed=11)
+
+
+@pytest.mark.parametrize(
+    "log, strategy",
+    [(overlap_pair_log, GOLDEN), (nominal_parts_log, GOLDEN),
+     (overlap_pair_log, GOLDEN_MIC), (rounded_real_log, GOLDEN_MIC)],
+    ids=["real", "nominal", "mic-real", "mic-rounded"],
+)
+def test_golden_entries_match_the_public_scores(log, strategy):
+    log = log()
+    for (target, remote, part), entry in influence_matrix(log, strategy).entries.items():
+        assert entry.raw == raw_influence(log, target, (remote, part), strategy)
+        per_own = [
+            conditioned_influence(log, target, (remote, part), (target, own.name), strategy)
+            for own in log.agent(target).parts
+        ]
+        best = max(per_own, key=lambda cs: -math.inf if cs.aggregate is None else cs.aggregate)
+        assert entry.best_conditioned == best

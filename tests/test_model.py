@@ -153,6 +153,21 @@ def test_validate_reports_negative_time():
     assert validate_log(log) == [Issue(0, "t", "negative time step -1")]
 
 
+@pytest.mark.parametrize("t", [2**63, 10**400, -(2**63) - 1], ids=["2^63", "10^400", "-2^63-1"])
+def test_validate_reports_time_step_beyond_int64(t):
+    log = with_record(camera_like_log(), 2, t=t)
+    issues = [i for i in validate_log(log) if "64 bits" in i.message]
+    assert [(i.record_index, i.path) for i in issues] == [(2, "t")]
+    assert len(issues[0].message) < 100
+
+
+def test_time_steps_at_the_int64_limits_are_valid():
+    log = camera_like_log(2)
+    low, high = -(2**63), 2**63 - 1
+    log = with_record(with_record(log, 0, t=low), 1, t=high)
+    assert validate_log(log) == [Issue(0, "t", f"negative time step {low}")]
+
+
 def test_validate_reports_undeclared_part():
     log = camera_like_log()
     config = {**log.records[2].config, ("cam", "roll"): 0.1}
