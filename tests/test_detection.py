@@ -461,6 +461,17 @@ def test_golden_matrix_mic():
     )
 
 
+def test_golden_matrix_mic_camera_trio():
+    # the benchmark's log size: N = 1200 reaches the larger grids and the
+    # raw candidate's full-log search
+    spec = scenario_from_dict(json.loads((SCENARIOS / "camera-trio.json").read_text()))
+    log = run_scenario(spec, steps=1200, seed=1)
+    strategy = DetectionStrategy(measure_kind=Measure.MIC, permutations=20, seed=1)
+    assert matrix_digest(log, strategy) == (
+        "8a809ac13dba545b08a9826c6d46e6bca762948c2a739c8c2c01d2bf6dde4b03"
+    )
+
+
 # --- MIC permutation kernel ---------------------------------------------------------
 
 
