@@ -362,12 +362,26 @@ def run_scenario(
 # --- scenario (de)serialization --------------------------------------------
 
 
+# Largest magnitude a scenario may give a length (scene size, camera pose,
+# detection radius).  A footprint's radius reaches about 3e32 times the camera
+# height (base_half_angle and tilt_max just below pi/2), and the simulator
+# squares distances, so much larger lengths could overflow.
+MAX_LENGTH = 1e100
+
+
+def _length(obj: dict, key: str, prefix: str = "") -> float:
+    value = number(obj, key, prefix)
+    if abs(value) > MAX_LENGTH:
+        raise InputError(prefix + key, f"magnitude above {MAX_LENGTH:g}, got {value!r}")
+    return value
+
+
 def scenario_from_dict(data: dict) -> ScenarioSpec:
     """Build a scenario from a parsed JSON object, reporting the offending
     field path on failure."""
     expect(data, dict, "")
     scene = need(data, "scene", kind=dict)
-    width, height = (number(scene, k, "scene.") for k in ("width", "height"))
+    width, height = (_length(scene, k, "scene.") for k in ("width", "height"))
 
     cameras = []
     for i, cam in enumerate(need(data, "cameras", kind=list)):
@@ -375,7 +389,7 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
         cam_id = need(expect(cam, dict, at[:-1]), "id", at, str)
         if not cam_id or any(c.camera_id == cam_id for c in cameras):
             raise InputError(at + "id", f"empty or duplicate camera id {cam_id!r}")
-        pose = [number(need(cam, "pose", at, dict), k, at + "pose.") for k in "xyz"]
+        pose = [_length(need(cam, "pose", at, dict), k, at + "pose.") for k in "xyz"]
         angles = {k: number(cam, k, at) for k in ("base_half_angle", "tilt_max", "zoom_max")}
         try:
             cameras.append(CameraSpec(cam_id, CameraPose(*pose), **angles))
@@ -400,7 +414,8 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
         if not (isinstance(point, list) and len(point) == 2 and all(map(is_number, point))):
             raise InputError(f"initial_targets[{i}]", f"expected two numbers, got {point!r}")
         initial.append((float(point[0]), float(point[1])))
-    rates = {k: number(data, k) for k in ("arrival_rate", "detection_radius")}
+    rates = {"arrival_rate": number(data, "arrival_rate"),
+             "detection_radius": _length(data, "detection_radius")}
     steps = integer(data.get("steps", 1000), "steps")
     seed = integer(data.get("seed", 0), "seed")
     return ScenarioSpec(

@@ -31,6 +31,7 @@ from .measures import (
     linear_correlation,
     rank_correlation,
     quantile_bins,
+    _prefix_counts,
     _RankBins,
 )
 from .model import (
@@ -360,79 +361,78 @@ def _perm_values_mi(
     return _mi_bits_of_tables(counts, n)
 
 
-def _mi_bits_of_tables(counts: np.ndarray, n: int) -> np.ndarray:
-    """MI in bits of each table of a contiguous (reps, kx, ky) count stack."""
+def _mi_bits_of_tables(counts: np.ndarray, n: int | np.ndarray) -> np.ndarray:
+    """MI in bits of each table of a contiguous (reps, kx, ky) count stack;
+    ``n`` is the sample count, one for all tables or one per table as an
+    array of shape (reps, 1, 1)."""
     p = counts / n
     px = p.sum(axis=2, keepdims=True)
     py = p.sum(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(counts > 0, p * np.log2(p / (px * py)), 0.0)
+    nz = counts > 0
+    terms = np.divide(p, px * py, out=np.zeros_like(p), where=nz)
+    np.log2(terms, out=terms, where=nz)
+    terms *= p
     return np.maximum(terms.sum(axis=(1, 2)), 0.0)
 
 
-def _prefix_tables(
-    seq: np.ndarray, k: int, starts_list: list[np.ndarray], n: int
-) -> list[np.ndarray]:
-    """Count tables of one code sequence against several rank binnings.
-
-    ``seq`` holds each replicate's codes (``k`` values) in the other axis's
-    rank order, and each entry of ``starts_list`` the bin starts of one
-    binning of that axis.  Counts per elementary segment (between adjacent
-    starts of any binning) summed into int32 prefix counts give every
-    binning's (reps, k, bins) table by gather-and-difference.
-    """
-    reps = seq.shape[0]
-    bounds = np.unique(np.concatenate(starts_list + [[n]]))
-    e = len(bounds) - 1
-    flat = seq * e + np.repeat(np.arange(e), np.diff(bounds))
-    flat += (np.arange(reps) * (k * e))[:, None]
-    counts = np.bincount(flat.ravel(), minlength=reps * k * e).reshape(reps, k, e)
-    prefix = np.zeros((reps, k, e + 1), dtype=np.int32)
-    np.cumsum(counts, axis=2, dtype=np.int32, out=prefix[:, :, 1:])
-    tables = []
-    for starts in starts_list:
-        edges = prefix[:, :, np.searchsorted(bounds, np.append(starts, n))]
-        tables.append(edges[:, :, 1:] - edges[:, :, :-1])
-    return tables
-
-
-def _perm_values_mic(
-    xv: np.ndarray,
-    yv: np.ndarray,
-    perm_idx: np.ndarray,
-    params: MicSearchParams,
-) -> np.ndarray:
-    """Equipartition MIC for each permutation row, maximizing over grids.
+def _perm_values_mic(samples: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Equipartition MIC of each permutation row of each ``(x, y, perm_idx)``
+    sample, one column per sample, maximizing over grids.
 
     Every bin is a contiguous rank interval and every admissible grid has a
-    side of at most sqrt(B) bins.  For each such small side, prefix counts
-    of its codes along the other axis's rank order give each grid's table
-    as a difference at the other axis's bin starts.
+    side of at most sqrt(B) bins.  Per orientation, one ``bin_edges`` call
+    gives the bins of every partner binning; for each small side, one
+    prefix-count table of its codes along the other axis's rank order gives
+    the tables of all its grids.  Tables of one shape, across grids and
+    samples, are scored in one stack.
     """
-    n = len(xv)
-    if np.all(xv == xv[0]) or np.all(yv == yv[0]):
-        return np.zeros(perm_idx.shape[0])
-    x_ranks, y_ranks = _RankBins(xv), _RankBins(yv)
-    inverse = np.empty_like(perm_idx)
-    np.put_along_axis(inverse, perm_idx, np.arange(n)[None, :], axis=1)
-    by_y_rank = perm_idx[:, y_ranks.order]  # x sample at each y rank
-    by_x_rank = inverse[:, x_ranks.order]  # y sample at each permuted-x rank
-    pairs = params.admissible_pairs(n)
-    best = np.zeros(perm_idx.shape[0])
-    for small in sorted({min(pair) for pair in pairs}):
-        for ranks, seq_idx, other_ranks, others, transpose in (
-            (x_ranks, by_y_rank, y_ranks, [b for a, b in pairs if a == small <= b], False),
-            (y_ranks, by_x_rank, x_ranks, [a for a, b in pairs if b == small < a], True),
+    reps = samples[0][2].shape[0]
+    sizes = np.array([len(xv) for xv, _, _ in samples])
+    best = np.zeros((reps, len(samples)))
+    # per table shape: the tables, their samples and their normalizers
+    stacks: dict[tuple[int, int], tuple[list, list, list]] = {}
+    for j, (xv, yv, perm_idx) in enumerate(samples):
+        n = len(xv)
+        if np.all(xv == xv[0]) or np.all(yv == yv[0]):
+            continue
+        x_ranks, y_ranks = _RankBins(xv), _RankBins(yv)
+        inverse = np.empty_like(perm_idx)
+        np.put_along_axis(inverse, perm_idx, np.arange(n)[None, :], axis=1)
+        by_y_rank = perm_idx[:, y_ranks.order]  # x sample at each y rank
+        by_x_rank = inverse[:, x_ranks.order]  # y sample at each permuted-x rank
+        pairs = MicSearchParams().admissible_pairs(n)
+        for ranks, seq_idx, other_ranks, grids, transpose in (
+            (x_ranks, by_y_rank, y_ranks, [(a, b) for a, b in pairs if a <= b], False),
+            (y_ranks, by_x_rank, x_ranks, [(b, a) for a, b in pairs if b < a], True),
         ):
-            if not others:
+            if not grids:
                 continue
-            codes, k, _, _ = ranks.bins(small)
-            starts = [other_ranks.bins(other)[3] for other in others]
-            for other, table in zip(others, _prefix_tables(codes[seq_idx], k, starts, n)):
-                if transpose:
-                    table = table.transpose(0, 2, 1)
-                mi = _mi_bits_of_tables(np.ascontiguousarray(table), n)
-                np.maximum(best, mi / math.log2(min(small, other)), out=best)
+            # every partner bin count from 2 up; binning o's bins are at
+            # offsets[o - 2]:offsets[o - 1]
+            partners = range(2, max(o for _, o in grids) + 1)
+            starts, ends, bin_counts = other_ranks.bin_edges(partners)
+            offsets = np.concatenate(([0], np.cumsum(bin_counts)))
+            for small in sorted({s for s, _ in grids}):
+                others = [o for s, o in grids if s == small]  # consecutive
+                lo, hi = offsets[others[0] - 2], offsets[others[-1] - 1]
+                codes, k, _, _ = ranks.bins(small)
+                prefix, at = _prefix_counts(codes[seq_idx], k, starts[lo:hi])
+                side_tables = prefix[:, :, at[ends[lo:hi]]] - prefix[:, :, at[starts[lo:hi]]]
+                for other in others:
+                    table = side_tables[:, :, offsets[other - 2] - lo : offsets[other - 1] - lo]
+                    if transpose:
+                        table = table.transpose(0, 2, 1)
+                    stack = stacks.setdefault(table.shape[1:], ([], [], []))
+                    stack[0].append(table)
+                    stack[1].append(j)
+                    stack[2].append(math.log2(min(small, other)))
+    for shape, (tables, js, norms) in stacks.items():
+        # a C-ordered stack, so each table sums in the order it would alone
+        counts = np.empty((len(tables) * reps, *shape), dtype=np.int32)
+        np.concatenate(tables, out=counts)
+        n = np.repeat(sizes[js], reps)[:, None, None]
+        mi = _mi_bits_of_tables(counts, n).reshape(len(tables), reps)
+        np.maximum.at(best.T, js, mi / np.array(norms)[:, None])
     return np.minimum(best, 1.0)
 
 
@@ -472,6 +472,7 @@ def _permuted(
     kind = strategy.measure_kind
     weights = np.array([len(m) for m in masks], dtype=np.float64)
     stats = np.zeros((reps + 1, len(masks)))
+    mic_samples, mic_columns = [], []
     for j, idx in enumerate(masks):
         n_p = len(idx)
         perm_idx = np.empty((reps + 1, n_p), dtype=np.int64)
@@ -489,14 +490,15 @@ def _permuted(
                 xc.values, xc.n_categories, yc.values, yc.n_categories, perm_idx
             )
         elif kind is Measure.MIC:
-            if n_p >= 4:
-                stats[:, j] = _perm_values_mic(
-                    as_float_values(x), as_float_values(y), perm_idx, MicSearchParams()
-                )
+            if n_p >= 4:  # scored below, with every partition's tables at once
+                mic_samples.append((as_float_values(x), as_float_values(y), perm_idx))
+                mic_columns.append(j)
         else:
             stats[:, j] = _perm_values_corr(
                 as_float_values(x), as_float_values(y), perm_idx, ranked=kind is Measure.RANK
             )
+    if mic_samples:
+        stats[:, mic_columns] = _perm_values_mic(mic_samples)
     return stats @ weights / weights.sum()
 
 

@@ -123,8 +123,9 @@ def _mi_bits_from_counts(counts: np.ndarray) -> float:
     n = int(counts.sum())
     if n == 0:
         raise ValueError("empty count table")
-    row = counts.sum(axis=1)
-    col = counts.sum(axis=0)
+    # int64 marginals: the product below overflows int32 beyond n = 46340
+    row = counts.sum(axis=1, dtype=np.int64)
+    col = counts.sum(axis=0, dtype=np.int64)
     nz = counts > 0
     c = counts[nz].astype(np.float64)
     denom = (row[:, None] * col[None, :])[nz].astype(np.float64)
@@ -198,7 +199,8 @@ class _RankBins:
     ``bins(k)`` follows :func:`quantile_bins`'s tie and label rules and
     returns the codes, the occupied-bin count, the cut values and each bin's
     start position in sorted order (every bin is a contiguous rank
-    interval), in O(n) per k and cached.
+    interval), in O(n) per k and cached.  ``bin_edges(ks)`` gives the bins
+    of several binnings at once, without codes.
     """
 
     def __init__(self, values: np.ndarray) -> None:
@@ -206,24 +208,86 @@ class _RankBins:
         self.sorted_vals = values[self.order]
         change = self.sorted_vals[1:] != self.sorted_vals[:-1]
         self.run_starts = np.concatenate(([0], np.nonzero(change)[0] + 1))
-        self.run_lengths = np.diff(self.run_starts, append=len(values))
+        self.run_bounds = np.append(self.run_starts, len(values))
+        self.run_of = np.empty(len(values), dtype=np.int64)  # each sample's tie run
+        self.run_of[self.order] = np.repeat(
+            np.arange(len(self.run_starts)), np.diff(self.run_bounds)
+        )
         self._cache: dict[int, tuple[np.ndarray, int, tuple[float, ...], np.ndarray]] = {}
+
+    def _open_runs(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(binning, run) of each tie run that opens a bin of the binnings
+        into ``ks[i]`` bins, binning-major.
+
+        Sorted position i has nominal bin i * k // n and a run lands in the
+        bin of its first position, so nominal bin b opens at the first run
+        starting at or after ceil(b * n / k) if that run still starts in
+        bin b; bins no run opens are dropped, so labels stay compact.
+        """
+        n = len(self.order)
+        which = np.repeat(np.arange(len(ks)), ks)
+        k = ks[which]
+        b = np.arange(len(which)) - np.repeat(np.cumsum(ks) - ks, ks)
+        run = np.searchsorted(self.run_starts, -(-b * n // k))
+        opens = self.run_bounds[run] * k < (b + 1) * n
+        return which[opens], run[opens]
+
+    def _labels(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (len(ks), runs) bin label of each tie run in each binning,
+        and every binning's bin starts, binning-major."""
+        which, run = self._open_runs(ks)
+        opens = np.zeros((len(ks), len(self.run_starts)), dtype=bool)
+        opens[which, run] = True
+        return np.cumsum(opens, axis=1) - 1, self.run_starts[run]
 
     def bins(self, k: int) -> tuple[np.ndarray, int, tuple[float, ...], np.ndarray]:
         if k not in self._cache:
-            n = len(self.order)
-            # A tie run lands in the bin of its first position; bins no run
-            # starts in are dropped, so labels stay compact.
-            raw = (self.run_starts * k) // n
-            new_bin = np.empty(len(raw), dtype=bool)
-            new_bin[0] = True
-            np.not_equal(raw[1:], raw[:-1], out=new_bin[1:])
-            starts = self.run_starts[new_bin]
-            codes = np.empty(n, dtype=np.int64)
-            codes[self.order] = np.repeat(np.cumsum(new_bin) - 1, self.run_lengths)
+            labels, starts = self._labels(np.array([k]))
             cuts = tuple(self.sorted_vals[starts[1:]].tolist())
-            self._cache[k] = (codes, len(starts), cuts, starts)
+            self._cache[k] = (labels[0][self.run_of], len(starts), cuts, starts)
         return self._cache[k]
+
+    def codes(self, ks: Sequence[int], order: np.ndarray) -> np.ndarray:
+        """(len(ks), len(order)) codes of the binnings into ``ks[i]`` bins,
+        samples taken in ``order``."""
+        return self._labels(np.asarray(ks))[0][:, self.run_of[order]]
+
+    def bin_edges(self, ks: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The bins of the binnings into ``ks[i]`` bins, binning-major: each
+        bin's start and end position in sorted order, and each binning's
+        occupied-bin count."""
+        which, run = self._open_runs(np.asarray(ks))
+        starts = self.run_starts[run]
+        ends = np.append(starts[1:], len(self.order))
+        ends[:-1][which[1:] != which[:-1]] = len(self.order)  # a binning's last bin
+        return starts, ends, np.bincount(which, minlength=len(ks))
+
+
+def _prefix_counts(
+    seq: np.ndarray, k: int, starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix counts of code sequences at the bin starts of the other axis.
+
+    Row ``r`` of ``seq`` holds one sequence of codes (``k`` values) in the
+    other axis's rank order.  Counts per elementary segment (between
+    adjacent ``starts``) summed into an int32 (rows, k, segments + 1)
+    prefix table; ``at[p]`` is the prefix column of the counts before sorted
+    position ``p``, for ``p`` a start or ``n``.  The table of a bin
+    ``[s, e)`` is then ``prefix[..., at[e]] - prefix[..., at[s]]``.
+    """
+    reps, n = seq.shape
+    bound = np.zeros(n + 1, dtype=bool)
+    bound[starts] = True
+    bound[n] = True
+    at = np.cumsum(bound) - 1
+    e = int(at[n])
+    flat = seq * e
+    flat += at[:n]  # each position's segment
+    flat += (np.arange(reps) * (k * e))[:, None]
+    counts = np.bincount(flat.ravel(), minlength=reps * k * e).reshape(reps, k, e)
+    prefix = np.zeros((reps, k, e + 1), dtype=np.int32)
+    np.cumsum(counts, axis=2, dtype=np.int32, out=prefix[:, :, 1:])
+    return prefix, at
 
 
 def _is_constant(values: np.ndarray) -> bool:
@@ -291,6 +355,45 @@ def _partition_mi_best(
     return max(float(best_val), 0.0), tuple(cuts)
 
 
+# Bound on the float error of a grid's estimated normalized MI (about 1e-13
+# in practice): a grid further below the largest estimate cannot win.
+_ESTIMATE_WINDOW = 1e-9
+
+
+def _grid_mi_estimates(
+    x_ranks: _RankBins, y_ranks: _RankBins, px: np.ndarray, py: np.ndarray
+) -> np.ndarray:
+    """MI in bits of each equipartition grid ``(px[i], py[i])``, with the
+    per-cell terms summed in float rather than exactly.
+
+    Each orientation puts its grids' smaller bin count (the small side) on
+    one axis; every grid with the smaller side there, the diagonal on both,
+    gets its table from one prefix-count table of all small sides' codes in
+    the other axis's rank order.
+    """
+    n = len(x_ranks.order)
+    values = np.empty(len(px))
+    for ranks, partner, small, big in ((x_ranks, y_ranks, px, py), (y_ranks, x_ranks, py, px)):
+        mask = small <= big
+        side_of, partner_of = small[mask] - 2, big[mask] - 2
+        sides, partners = np.arange(2, side_of.max() + 3), np.arange(2, partner_of.max() + 3)
+        seq = ranks.codes(sides, partner.order)
+        starts, ends, bin_counts = partner.bin_edges(partners)
+        prefix, at = _prefix_counts(seq, int(seq.max()) + 1, starts)
+        # the columns of this orientation's grids: (small side, partner bin)
+        wanted = np.zeros((len(sides), len(partners)), dtype=bool)
+        wanted[side_of, partner_of] = True
+        side, col = np.nonzero(np.repeat(wanted, bin_counts, axis=1))
+        cells = (prefix[side, :, at[ends[col]]] - prefix[side, :, at[starts[col]]]).astype(float)
+        expected = prefix[side, :, -1] * (ends - starts)[col, None].astype(float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(cells > 0, (cells / n) * np.log2(cells * n / expected), 0.0)
+        grid = side * len(partners) + np.repeat(np.arange(len(partners)), bin_counts)[col]
+        mi = np.bincount(grid, weights=terms.sum(axis=1), minlength=wanted.size)
+        values[mask] = mi[side_of * len(partners) + partner_of]
+    return values
+
+
 def _codes_from_cut_positions(
     order: np.ndarray, cut_positions: Sequence[int], n: int
 ) -> np.ndarray:
@@ -310,7 +413,8 @@ def mic(
 
     For every admissible grid the binned mutual information is divided by
     ``log2(min(n_x, n_y))`` and the maximum ratio is returned, together
-    with the winning bin layout.  Constant inputs score 0 by convention.
+    with the winning bin layout; ties go to the first grid in pair order.
+    Constant inputs score 0 by convention.
 
     Search modes: ``EQUIPARTITION`` evaluates equal-frequency grids only;
     ``AXIS_OPTIMIZED`` additionally optimizes the cut points on one axis
@@ -346,7 +450,12 @@ def mic(
             best_value = value
             best_layout = layout
 
-    for nx, ny in pairs:
+    # Every grid scored as one float vector; only grids within the window of
+    # its maximum can be the exact winner, so only they are scored exactly.
+    px, py = np.array(pairs).T
+    values = _grid_mi_estimates(x_ranks, y_ranks, px, py) / np.log2(np.minimum(px, py))
+    for i in np.flatnonzero(values >= values.max() - _ESTIMATE_WINDOW):
+        nx, ny = pairs[i]
         xc, kx, xcuts, _ = x_ranks.bins(nx)
         yc, ky, ycuts, _ = y_ranks.bins(ny)
         mi_bits = _mi_bits_from_counts(_counts_from_codes(xc, kx, yc, ky))

@@ -410,6 +410,26 @@ def test_simulate_non_finite_number_exits_2_with_field_path(tmp_path, capsys, ke
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", [1e308, -1e101])
+@pytest.mark.parametrize(
+    "keys, path",
+    [(["cameras", 0, "pose", "z"], "cameras[0].pose.z"),
+     (["cameras", 1, "pose", "x"], "cameras[1].pose.x"),
+     (["cameras", 0, "pose", "y"], "cameras[0].pose.y"),
+     (["detection_radius"], "detection_radius"), (["scene", "width"], "scene.width")],
+    ids=["pose.z", "pose.x", "pose.y", "detection_radius", "scene.width"],
+)
+def test_simulate_huge_length_exits_2_with_field_path(tmp_path, capsys, keys, path, value):
+    # finite, but the footprint arithmetic would square it past the float range
+    data = put(json.loads((SCENARIOS / "overlap-pair.json").read_text()), keys, value)
+    scenario = tmp_path / "scen.json"
+    scenario.write_text(json.dumps(data))
+    assert main(["simulate", str(scenario), "--steps", "5", "--out", str(tmp_path / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"invalid scenario: {path}: magnitude above 1e+100" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("max_lag, code", [(10**400, 2), (1001, 2), (1000, 0)],
                          ids=["10^400", "1001", "1000"])
 def test_recommend_bounds_max_lag(tmp_path, capsys, max_lag, code):

@@ -504,8 +504,24 @@ def test_perm_mic_matches_per_grid_tables(n, kind):
         yv[: n // 2] += xv[: n // 2]  # some dependence, so the maxima differ
     perm_idx = np.array([np.arange(n)] + [rng.permutation(n) for _ in range(20)])
     for x, y in ((xv, yv), (yv, xv)):
-        got = _perm_values_mic(x, y, perm_idx, MicSearchParams())
+        got = _perm_values_mic([(x, y, perm_idx)])[:, 0]
         assert got.tolist() == per_grid_perm_mic(x, y, perm_idx).tolist()
+
+
+def test_perm_mic_stacked_partitions_match_separate_calls():
+    # tables of one shape from several partitions are scored in one stack
+    rng = np.random.default_rng(7)
+    samples = []
+    for n in (5, 31, 120, 121, 400, 1200):
+        xv = rng.integers(0, 6, size=n).astype(float) if n % 2 else rng.normal(size=n)
+        yv = rng.normal(size=n)
+        yv[: n // 3] += xv[: n // 3]
+        perm_idx = np.array([np.arange(n)] + [rng.permutation(n) for _ in range(30)])
+        samples.append((xv, yv, perm_idx))
+    got = _perm_values_mic(samples)
+    assert got.shape == (31, len(samples))
+    for j, (xv, yv, perm_idx) in enumerate(samples):
+        assert got[:, j].tolist() == per_grid_perm_mic(xv, yv, perm_idx).tolist()
 
 
 # --- tie order of the candidate search ----------------------------------------------

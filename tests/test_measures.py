@@ -1,5 +1,6 @@
 """Estimator-level tests: MI, entropy, binning, MIC and correlations."""
 
+import itertools
 import math
 
 import numpy as np
@@ -21,7 +22,13 @@ from influence_scope import (
     quantile_bins,
     rank_correlation,
 )
-from influence_scope.measures import _RankBins
+from influence_scope.measures import (
+    BinLayout,
+    _codes_from_cut_positions,
+    _mi_bits_from_counts,
+    _partition_mi_best,
+    _RankBins,
+)
 
 
 def cat(values, k=None):
@@ -185,6 +192,12 @@ def test_rank_bins_follow_quantile_contract(values):
         # each bin starts where its label first appears in sorted order
         labels_sorted = codes[ranks.order]
         assert starts.tolist() == [int(np.argmax(labels_sorted == i)) for i in range(k)]
+    # several binnings at once: each bin runs from its start to the next one's
+    ks = list(range(2, min(len(values), 7) + 1))
+    starts, ends, counts = ranks.bin_edges(ks)
+    assert counts.tolist() == [ranks.bins(k)[1] for k in ks]
+    assert starts.tolist() == [s for k in ks for s in ranks.bins(k)[3].tolist()]
+    assert ends.tolist() == [e for k in ks for e in ranks.bins(k)[3][1:].tolist() + [len(values)]]
 
 
 # --- MIC -------------------------------------------------------------------------
@@ -281,6 +294,99 @@ def test_mic_rank_invariance(x):
     # strictly increasing re-encodings leave the rank-based binning alone
     transformed = mic(x**3 + x, np.exp(y / 2.0)).value
     assert transformed == base
+
+
+def per_grid_mic(x, y, mode):
+    """MIC from one exact count table per grid: the equipartition grids in
+    pair order, then the mode's own search, a later grid winning only when
+    strictly better.  Returns (value, bin layout)."""
+    n = len(x)
+    if len(np.unique(x)) < 2 or len(np.unique(y)) < 2:
+        return 0.0, None
+    best, layout = 0.0, None
+    pairs = MicSearchParams().admissible_pairs(n)
+    for nx, ny in pairs:
+        xs, xcuts = quantile_bins(x, nx)
+        ys, ycuts = quantile_bins(y, ny)
+        counts = np.bincount(
+            xs.values * ys.n_categories + ys.values, minlength=xs.n_categories * ys.n_categories
+        ).reshape(xs.n_categories, ys.n_categories)
+        value = _mi_bits_from_counts(counts) / math.log2(min(nx, ny))
+        if value > best or layout is None:
+            best, layout = value, BinLayout(nx, ny, xcuts, ycuts)
+    candidates = []
+    if mode is MicSearchMode.AXIS_OPTIMIZED:
+        for nx, ny in pairs:
+            xs, xcuts = quantile_bins(x, nx)
+            ys, ycuts = quantile_bins(y, ny)
+            bits, cuts = _partition_mi_best(_RankBins(x), ys.values, ys.n_categories, nx)
+            candidates.append((bits, nx, ny, cuts, ycuts))
+            bits, cuts = _partition_mi_best(_RankBins(y), xs.values, xs.n_categories, ny)
+            candidates.append((bits, nx, ny, xcuts, cuts))
+    elif mode is MicSearchMode.EXHAUSTIVE:
+        order = {"x": np.argsort(x, kind="stable"), "y": np.argsort(y, kind="stable")}
+        ordered = {"x": x[order["x"]], "y": y[order["y"]]}
+        interior = {a: [i for i in range(1, n) if v[i] != v[i - 1]] for a, v in ordered.items()}
+        for nx, ny in pairs:
+            for xpos in itertools.combinations(interior["x"], nx - 1):
+                xc = _codes_from_cut_positions(order["x"], xpos, n)
+                for ypos in itertools.combinations(interior["y"], ny - 1):
+                    yc = _codes_from_cut_positions(order["y"], ypos, n)
+                    counts = np.bincount(xc * ny + yc, minlength=nx * ny).reshape(nx, ny)
+                    candidates.append((
+                        _mi_bits_from_counts(counts), nx, ny,
+                        tuple(float(ordered["x"][p]) for p in xpos),
+                        tuple(float(ordered["y"][p]) for p in ypos),
+                    ))
+    for bits, nx, ny, xcuts, ycuts in candidates:
+        if bits is not None and bits / math.log2(min(nx, ny)) > best:
+            best, layout = bits / math.log2(min(nx, ny)), BinLayout(nx, ny, xcuts, ycuts)
+    return min(max(best, 0.0), 1.0), layout
+
+
+@pytest.mark.parametrize("n", [4, 5, 9, 31, 120, 400, 1200])
+@pytest.mark.parametrize("kind", ["ties", "continuous", "mixed", "constant", "identity"])
+def test_mic_matches_per_grid_tables(n, kind):
+    rng = np.random.default_rng(n)
+    ties = lambda: rng.integers(0, 4, size=n).astype(float)
+    continuous = lambda: rng.normal(size=n)
+    if kind == "identity":
+        xv = rng.permutation(n).astype(float)
+        yv = xv.copy()
+    else:
+        draw_x, draw_y = {
+            "ties": (ties, ties),
+            "continuous": (continuous, continuous),
+            "mixed": (ties, continuous),
+            "constant": (lambda: np.full(n, 2.0), continuous),
+        }[kind]
+        xv, yv = draw_x(), draw_y()
+        yv[: n // 2] += xv[: n // 2]  # some dependence, so the grids differ
+    modes = [MicSearchMode.EQUIPARTITION]
+    modes += [MicSearchMode.AXIS_OPTIMIZED] if n <= 31 else []
+    modes += [MicSearchMode.EXHAUSTIVE] if n <= 9 else []
+    for x, y in ((xv, yv), (yv, xv)):
+        for mode in modes:
+            score = mic(x, y, MicSearchParams(search_mode=mode))
+            assert (score.value, score.bin_layout) == per_grid_mic(x, y, mode)
+
+
+@pytest.mark.parametrize("n, layout", [(1200, (2, 2)), (1201, (2, 14))])
+def test_mic_exact_ties_go_to_the_first_grid(n, layout):
+    # the identity line scores several grids identically (53 grids exactly
+    # 1.0 at N = 1200); the first in pair order wins
+    x = np.random.default_rng(n).permutation(n).astype(float)
+    score = mic(x, x)
+    assert (score.bin_layout.n_x, score.bin_layout.n_y) == layout
+    assert (score.value, score.bin_layout) == per_grid_mic(x, x, MicSearchMode.EQUIPARTITION)
+
+
+def test_mi_bits_int32_table_matches_int64():
+    # beyond N = 46340 a product of two int32 marginals no longer fits int32
+    rng = np.random.default_rng(3)
+    table = rng.integers(5_000, 40_000, size=(3, 4))
+    assert table.sum() > 46_340
+    assert _mi_bits_from_counts(table.astype(np.int32)) == _mi_bits_from_counts(table)
 
 
 # --- correlations -----------------------------------------------------------------
