@@ -398,8 +398,9 @@ def _perm_values_mic(samples: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]
         x_ranks, y_ranks = _RankBins(xv), _RankBins(yv)
         inverse = np.empty_like(perm_idx)
         np.put_along_axis(inverse, perm_idx, np.arange(n)[None, :], axis=1)
-        by_y_rank = perm_idx[:, y_ranks.order]  # x sample at each y rank
-        by_x_rank = inverse[:, x_ranks.order]  # y sample at each permuted-x rank
+        # C-ordered (a fancy index on axis 1 is not), so each row is contiguous
+        by_y_rank = np.take(perm_idx, y_ranks.order, axis=1)  # x sample at each y rank
+        by_x_rank = np.take(inverse, x_ranks.order, axis=1)  # y sample at each permuted-x rank
         pairs = MicSearchParams().admissible_pairs(n)
         for ranks, seq_idx, other_ranks, grids, transpose in (
             (x_ranks, by_y_rank, y_ranks, [(a, b) for a, b in pairs if a <= b], False),

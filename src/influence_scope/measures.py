@@ -250,7 +250,7 @@ class _RankBins:
     def codes(self, ks: Sequence[int], order: np.ndarray) -> np.ndarray:
         """(len(ks), len(order)) codes of the binnings into ``ks[i]`` bins,
         samples taken in ``order``."""
-        return self._labels(np.asarray(ks))[0][:, self.run_of[order]]
+        return np.take(self._labels(np.asarray(ks))[0], self.run_of[order], axis=1)
 
     def bin_edges(self, ks: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The bins of the binnings into ``ks[i]`` bins, binning-major: each

@@ -508,7 +508,7 @@ def test_perm_mic_matches_per_grid_tables(n, kind):
         assert got.tolist() == per_grid_perm_mic(x, y, perm_idx).tolist()
 
 
-def test_perm_mic_stacked_partitions_match_separate_calls():
+def test_perm_mic_of_several_partitions_matches_per_grid_tables():
     # tables of one shape from several partitions are scored in one stack
     rng = np.random.default_rng(7)
     samples = []
