@@ -385,6 +385,7 @@ def _grid_mi_estimates(
         wanted[side_of, partner_of] = True
         side, col = np.nonzero(np.repeat(wanted, bin_counts, axis=1))
         cells = (prefix[side, :, at[ends[col]]] - prefix[side, :, at[starts[col]]]).astype(float)
+        # the small side's bin count times the partner bin's size
         expected = prefix[side, :, -1] * (ends - starts)[col, None].astype(float)
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(cells > 0, (cells / n) * np.log2(cells * n / expected), 0.0)
