@@ -198,6 +198,76 @@ def test_recommend_delayed_descriptor(tmp_path, capsys):
     assert payload["strategy"]["lag_set"] == [0, 1, 2, 3]
 
 
+SCN_RECOMMENDATION = """\
+{
+  "notes": [
+    "stochastic dependencies over real-valued parts: MIC searches binning grids for arbitrary dependency shapes"
+  ],
+  "strategy": {
+    "alpha": 0.05,
+    "joint_pairs": false,
+    "lag_set": [
+      0
+    ],
+    "measure": "mic",
+    "min_partition_size": 25,
+    "own_part_bins": 3,
+    "permutations": 200,
+    "seed": 0
+  }
+}
+"""
+
+
+def test_recommend_builtin_stdout_is_pinned(capsys):
+    assert main(["recommend", "--builtin", "scn"]) == 0
+    assert capsys.readouterr().out == SCN_RECOMMENDATION
+
+
+DELAYED_JOINT_SUBTLE = {
+    "agent_scale": "large",
+    "part_kinds": [{"kind": "ordinal", "categories": 4}, {"kind": "infinite_real"}],
+    "communication": {"kind": "neighbors_only", "cost": None},
+    "influence_locality": "multi_hop",
+    "jointness": "joint",
+    "dependency_class": "stochastic",
+    "distinctiveness": "subtle",
+    "temporality": {"delayed": True, "max_lag": 2},
+}
+DELAYED_JOINT_SUBTLE_RECOMMENDATION = """\
+{
+  "notes": [
+    "stochastic dependencies over real-valued parts: MIC searches binning grids for arbitrary dependency shapes",
+    "delayed influence: scan lags 0..2",
+    "joint influences: score composite remote-part pairs too",
+    "subtle dependencies: more permutations and larger partitions stabilize the significance test",
+    "large system with neighbor-limited communication: restrict candidate remote agents to declared neighborhoods"
+  ],
+  "strategy": {
+    "alpha": 0.05,
+    "joint_pairs": true,
+    "lag_set": [
+      0,
+      1,
+      2
+    ],
+    "measure": "mic",
+    "min_partition_size": 50,
+    "own_part_bins": 3,
+    "permutations": 500,
+    "seed": 0
+  }
+}
+"""
+
+
+def test_recommend_descriptor_stdout_is_pinned(tmp_path, capsys):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(DELAYED_JOINT_SUBTLE))
+    assert main(["recommend", "--descriptor", str(path)]) == 0
+    assert capsys.readouterr().out == DELAYED_JOINT_SUBTLE_RECOMMENDATION
+
+
 def test_recommend_unknown_builtin_is_input_error():
     assert main(["recommend", "--builtin", "foo"]) == 2
 

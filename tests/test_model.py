@@ -1,6 +1,7 @@
 """Sample-log data model: schemas, validation, column extraction and the
 canonical serialization round trip."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -283,6 +284,30 @@ def test_json_round_trip_is_byte_identical():
     log = coupled_log(40, seed=5)
     text = log_to_json(log)
     assert log_to_json(log_from_json(text)) == text
+
+
+def test_json_bytes_pinned_on_every_part_kind():
+    schema = AgentSchema(
+        "a",
+        (
+            ConfigPartSchema("mode", Nominal(("wide", "narrow"))),
+            ConfigPartSchema("level", Ordinal(("lo", "mid", "hi"))),
+            ConfigPartSchema("pan", RealInterval(-1.5, 2.25)),
+        ),
+    )
+    records = tuple(
+        SampleRecord(
+            t=t,
+            config={("a", "mode"): ("wide", "narrow")[t % 2],
+                     ("a", "level"): ("lo", "mid", "hi")[t % 3], ("a", "pan"): 0.1 * t - 1.0},
+            performance={"a": t / 3},
+        )
+        for t in range(6)
+    )
+    text = log_to_json(SampleLog(schemas=(schema,), records=records))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c14653e2c57f32f9682c5e83ad720c065cba1c2576ff2e07f3521a93ba735d6d"
+    )
 
 
 def test_csv_round_trip_is_byte_identical():
