@@ -23,6 +23,7 @@ from .logio import (
     matrix_data_from_json,
     matrix_summary_csv,
     matrix_to_json,
+    recommendation_to_json,
     render_report,
     strategy_from_dict,
     strategy_to_dict,
@@ -127,12 +128,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     else:
         raise _Failure(EXIT_INPUT, f"unknown builtin descriptor {args.builtin!r}")
 
-    recommendation = recommend_strategy(descriptor)
-    payload = {
-        "strategy": strategy_to_dict(recommendation.strategy),
-        "notes": list(recommendation.notes),
-    }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(recommendation_to_json(recommend_strategy(descriptor)), end="")
     return EXIT_OK
 
 

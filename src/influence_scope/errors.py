@@ -26,7 +26,8 @@ class InputError(ValueError):
         self.path = path
 
 
-_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", float: "a number"}
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", float: "a number",
+               bool: "true or false"}
 
 
 def is_number(value) -> bool:
@@ -35,7 +36,8 @@ def is_number(value) -> bool:
 
 
 def expect(value, kind: type, path: str):
-    """``value`` if it is a JSON ``kind``: dict, list, str, or float for any number."""
+    """``value`` if it is a JSON ``kind``: dict, list, str, bool, or float for
+    any number."""
     if not (is_number(value) if kind is float else isinstance(value, kind)):
         raise InputError(path, f"expected {_JSON_TYPES[kind]}, got {brief(value)}")
     return value

@@ -5,9 +5,12 @@ schemas) and for matrices.  Logs additionally serialize to a flat CSV with
 header ``t,<agent>.<part>,...,<agent>.perf,...`` so they stay inspectable
 with standard tools; reading CSV back requires the schemas.
 
-All serialization is canonical: fixed field order, sorted keys, shortest
-round-trip float formatting.  serialize -> parse -> serialize is
-byte-identical for valid inputs.
+One encoder writes matrices, strategies, recommendations and agent schemas
+straight from the fields of their dataclasses; only log records, keyed by
+flat ``agent.part`` strings, are written by hand.  All serialization is
+canonical: fixed field order, sorted keys, shortest round-trip float
+formatting.  serialize -> parse -> serialize is byte-identical for valid
+inputs.
 """
 
 from __future__ import annotations
@@ -16,10 +19,12 @@ import csv
 import io
 import json
 import re
+from dataclasses import fields, is_dataclass
+from enum import Enum
 
-from .detection import ConditionedScore, DetectionStrategy, InfluenceMatrix
+from .detection import DetectionStrategy, InfluenceMatrix
 from .errors import InputError, convert, expect, need, number, read
-from .measures import BinLayout, DependencyScore, Measure
+from .measures import Measure
 from .model import (
     AgentSchema,
     ConfigPartSchema,
@@ -29,8 +34,33 @@ from .model import (
     SampleLog,
     SampleRecord,
 )
+from .taxonomy import StrategyRecommendation
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
+
+# The ``type`` tag of each part kind, written by ``_data`` and read by
+# ``_kind_from_dict``.
+_KINDS = {"nominal": Nominal, "ordinal": Ordinal, "real": RealInterval}
+_TAGS = {kind: tag for tag, kind in _KINDS.items()}
+
+
+def _data(value):
+    """JSON data of a result: a dataclass gives one key per field, with
+    ``measure_kind`` written as ``measure`` and a part kind's ``type`` tag
+    added; enums give their values and tuples lists."""
+    if is_dataclass(value):
+        data = {
+            "measure" if f.name == "measure_kind" else f.name: _data(getattr(value, f.name))
+            for f in fields(value)
+        }
+        if type(value) in _TAGS:
+            data["type"] = _TAGS[type(value)]
+        return data
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_data(v) for v in value]
+    return value
 
 
 def _canonical_json(data) -> str:
@@ -49,26 +79,17 @@ def _check_names(log: SampleLog) -> None:
 # --- sample logs: JSON -------------------------------------------------------
 
 
-def _kind_to_dict(kind) -> dict:
-    if isinstance(kind, Nominal):
-        return {"type": "nominal", "categories": list(kind.categories)}
-    if isinstance(kind, Ordinal):
-        return {"type": "ordinal", "categories": list(kind.categories)}
-    return {"type": "real", "lower": kind.lower, "upper": kind.upper}
-
-
 def _kind_from_dict(part: dict, at: str):
     """The ``kind`` of a part whose path prefix is ``at``."""
     data = need(part, "kind", at, dict)
     at += "kind."
-    kind = need(data, "type", at)
-    if kind == "nominal" or kind == "ordinal":
-        categories = read(data, "categories", tuple, at)
-        return convert(categories, Nominal if kind == "nominal" else Ordinal, at[:-1])
-    if kind == "real":
+    kind = _KINDS.get(need(data, "type", at, str))
+    if kind is None:
+        raise InputError(at + "type", f"unknown part kind {data['type']!r}")
+    if kind is RealInterval:
         bounds = [read(data, k, float, at) for k in ("lower", "upper")]
         return convert(bounds, lambda b: RealInterval(*b), at[:-1])
-    raise InputError(at + "type", f"unknown part kind {kind!r}")
+    return convert(read(data, "categories", tuple, at), kind, at[:-1])
 
 
 def _schema_from_dict(data, path: str) -> AgentSchema:
@@ -84,13 +105,6 @@ def _schema_from_dict(data, path: str) -> AgentSchema:
 
 def log_to_dict(log: SampleLog) -> dict:
     _check_names(log)
-    schemas = [
-        {
-            "agent_id": s.agent_id,
-            "parts": [{"name": p.name, "kind": _kind_to_dict(p.kind)} for p in s.parts],
-        }
-        for s in log.schemas
-    ]
     records = []
     for r in log.records:
         config = {}
@@ -104,7 +118,7 @@ def log_to_dict(log: SampleLog) -> dict:
                 "performance": {a: r.performance[a] for a in sorted(r.performance)},
             }
         )
-    return {"schemas": schemas, "records": records}
+    return {"schemas": _data(log.schemas), "records": records}
 
 
 def log_from_dict(data: dict) -> SampleLog:
@@ -206,24 +220,19 @@ def log_from_csv(text: str, schemas: tuple[AgentSchema, ...]) -> SampleLog:
 
 
 def strategy_to_dict(strategy: DetectionStrategy) -> dict:
-    return {
-        "measure": strategy.measure_kind.value,
-        "own_part_bins": strategy.own_part_bins,
-        "min_partition_size": strategy.min_partition_size,
-        "lag_set": list(strategy.lag_set),
-        "joint_pairs": strategy.joint_pairs,
-        "alpha": strategy.alpha,
-        "permutations": strategy.permutations,
-        "seed": strategy.seed,
-    }
+    return _data(strategy)
+
+
+def recommendation_to_json(recommendation: StrategyRecommendation) -> str:
+    return _canonical_json(_data(recommendation))
 
 
 _STRATEGY_FIELDS = {
     "measure": Measure,
     "own_part_bins": int,
     "min_partition_size": int,
-    "lag_set": lambda lags: tuple(int(l) for l in lags),
-    "joint_pairs": bool,
+    "lag_set": lambda lags: tuple(int(l) for l in expect(lags, list, "lag_set")),
+    "joint_pairs": lambda flag: expect(flag, bool, "joint_pairs"),
     "alpha": float,
     "permutations": int,
     "seed": int,
@@ -231,9 +240,12 @@ _STRATEGY_FIELDS = {
 
 
 def strategy_from_dict(data: dict) -> DetectionStrategy:
-    """A strategy from parsed JSON; absent fields keep their defaults."""
+    """A strategy from parsed JSON; absent fields keep their defaults, and
+    a field the strategy does not have is an error."""
     defaults = strategy_to_dict(DetectionStrategy())
-    expect(data, dict, "")
+    for key in expect(data, dict, ""):
+        if key not in _STRATEGY_FIELDS:
+            raise InputError(key, "not a strategy field")
     fields = {k: convert(data.get(k, defaults[k]), to, k) for k, to in _STRATEGY_FIELDS.items()}
     fields["measure_kind"] = fields.pop("measure")
     return DetectionStrategy(**fields)
@@ -242,63 +254,12 @@ def strategy_from_dict(data: dict) -> DetectionStrategy:
 # --- influence matrices --------------------------------------------------------
 
 
-def _layout_to_dict(layout: BinLayout | None) -> dict | None:
-    if layout is None:
-        return None
-    return {
-        "n_x": layout.n_x,
-        "n_y": layout.n_y,
-        "x_cuts": list(layout.x_cuts) if layout.x_cuts is not None else None,
-        "y_cuts": list(layout.y_cuts) if layout.y_cuts is not None else None,
-    }
-
-
-def _score_to_dict(score: DependencyScore) -> dict:
-    return {
-        "value": score.value,
-        "measure": score.measure_kind.value,
-        "sample_count": score.sample_count,
-        "bin_layout": _layout_to_dict(score.bin_layout),
-        "lag": score.lag,
-        "degenerate": score.degenerate,
-    }
-
-
-def _conditioned_to_dict(cs: ConditionedScore | None) -> dict | None:
-    if cs is None:
-        return None
-    return {
-        "remote": list(cs.remote),
-        "conditioning_part": list(cs.conditioning_part) if cs.conditioning_part else None,
-        "per_partition": [
-            {"label": p.label, "count": p.count, "score": _score_to_dict(p.score)}
-            for p in cs.per_partition
-        ],
-        "aggregate": cs.aggregate,
-        "lag": cs.lag,
-        "insufficient_data": cs.insufficient_data,
-    }
-
-
 def matrix_to_dict(matrix: InfluenceMatrix) -> dict:
-    entries = []
-    for key in sorted(matrix.entries):
-        target, remote, part = key
-        e = matrix.entries[key]
-        entries.append(
-            {
-                "target": target,
-                "remote_agent": remote,
-                "remote_part": part,
-                "raw": _score_to_dict(e.raw),
-                "best_conditioned": _conditioned_to_dict(e.best_conditioned),
-                "best_lag": e.best_lag,
-                "headline": e.headline,
-                "p_value": e.p_value,
-                "influenced": e.influenced,
-                "insufficient_data": e.insufficient_data,
-            }
-        )
+    entries = [
+        {"target": target, "remote_agent": remote, "remote_part": part,
+         **_data(matrix.entries[(target, remote, part)])}
+        for target, remote, part in sorted(matrix.entries)
+    ]
     return {"alpha": matrix.alpha, "entries": entries}
 
 

@@ -290,8 +290,10 @@ def descriptor_from_dict(data: dict) -> SystemDescriptor:
         dependency_class=read(data, "dependency_class", DependencyClass),
         distinctiveness=read(data, "distinctiveness", Distinctiveness),
         temporality=Temporality(
-            read(temporal, "delayed", bool, "temporality."),
+            need(temporal, "delayed", "temporality.", bool),
             read(temporal, "max_lag", _max_lag, "temporality."),
         ),
-        hardware_heterogeneous=bool(data.get("hardware_heterogeneous", False)),
+        hardware_heterogeneous=expect(
+            data.get("hardware_heterogeneous", False), bool, "hardware_heterogeneous"
+        ),
     )

@@ -388,8 +388,16 @@ def run_on(tmp_path, command, doc):
         ("strategy", lambda d: [d], "expected an object"),
         ("strategy", lambda d: put(d, ["lag_set"], 3), "lag_set"),
         ("strategy", lambda d: put(d, ["permutations"], None), "permutations"),
+        ("strategy", lambda d: json.loads(SCN_RECOMMENDATION), "notes: not a strategy field"),
+        ("strategy", lambda d: put(d, ["joint_pairs"], "false"),
+         "joint_pairs: expected true or false"),
+        ("strategy", lambda d: put(d, ["lag_set"], "12"), "lag_set: expected a list"),
         ("descriptor", lambda d: [d], "expected an object"),
         ("descriptor", lambda d: put(d, ["part_kinds"], 3), "part_kinds"),
+        ("descriptor", lambda d: put(d, ["temporality"], {"delayed": "false", "max_lag": 0}),
+         "temporality.delayed: expected true or false"),
+        ("descriptor", lambda d: put(d, ["hardware_heterogeneous"], 1),
+         "hardware_heterogeneous: expected true or false"),
         ("matrix", lambda d: put(d, ["entries", 0, "influenced"], DELETE),
          "entries[0].influenced"),
         ("matrix", lambda d: put(d, ["entries"], 5), "entries"),
