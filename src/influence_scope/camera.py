@@ -368,11 +368,16 @@ def run_scenario(
 # squares distances, so much larger lengths could overflow.
 MAX_LENGTH = 1e100
 
+# Largest mean number of targets a scenario may have arrive per step.  Each
+# step draws that many positions (16 bytes each) and keeps the undetected
+# ones, so a much larger rate runs out of memory within a few steps.
+MAX_ARRIVAL_RATE = 1e6
 
-def _length(obj: dict, key: str, prefix: str = "") -> float:
+
+def _bounded(obj: dict, key: str, prefix: str = "", limit: float = MAX_LENGTH) -> float:
     value = number(obj, key, prefix)
-    if abs(value) > MAX_LENGTH:
-        raise InputError(prefix + key, f"magnitude above {MAX_LENGTH:g}, got {value!r}")
+    if abs(value) > limit:
+        raise InputError(prefix + key, f"magnitude above {limit:g}, got {value!r}")
     return value
 
 
@@ -381,7 +386,7 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
     field path on failure."""
     expect(data, dict, "")
     scene = need(data, "scene", kind=dict)
-    width, height = (_length(scene, k, "scene.") for k in ("width", "height"))
+    width, height = (_bounded(scene, k, "scene.") for k in ("width", "height"))
 
     cameras = []
     for i, cam in enumerate(need(data, "cameras", kind=list)):
@@ -389,7 +394,7 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
         cam_id = need(expect(cam, dict, at[:-1]), "id", at, str)
         if not cam_id or any(c.camera_id == cam_id for c in cameras):
             raise InputError(at + "id", f"empty or duplicate camera id {cam_id!r}")
-        pose = [_length(need(cam, "pose", at, dict), k, at + "pose.") for k in "xyz"]
+        pose = [_bounded(need(cam, "pose", at, dict), k, at + "pose.") for k in "xyz"]
         angles = {k: number(cam, k, at) for k in ("base_half_angle", "tilt_max", "zoom_max")}
         try:
             cameras.append(CameraSpec(cam_id, CameraPose(*pose), **angles))
@@ -414,8 +419,8 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
         if not (isinstance(point, list) and len(point) == 2 and all(map(is_number, point))):
             raise InputError(f"initial_targets[{i}]", f"expected two numbers, got {point!r}")
         initial.append((float(point[0]), float(point[1])))
-    rates = {"arrival_rate": number(data, "arrival_rate"),
-             "detection_radius": _length(data, "detection_radius")}
+    rates = {"arrival_rate": _bounded(data, "arrival_rate", limit=MAX_ARRIVAL_RATE),
+             "detection_radius": _bounded(data, "detection_radius")}
     steps = integer(data.get("steps", 1000), "steps")
     seed = integer(data.get("seed", 0), "seed")
     return ScenarioSpec(

@@ -488,23 +488,29 @@ def test_simulate_non_finite_number_exits_2_with_field_path(tmp_path, capsys, ke
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("value", [1e308, -1e101])
+LENGTHS = [(["cameras", 0, "pose", "z"], "cameras[0].pose.z", "pose.z"),
+           (["cameras", 1, "pose", "x"], "cameras[1].pose.x", "pose.x"),
+           (["cameras", 0, "pose", "y"], "cameras[0].pose.y", "pose.y"),
+           (["detection_radius"], "detection_radius", "detection_radius"),
+           (["scene", "width"], "scene.width", "scene.width")]
+
+
 @pytest.mark.parametrize(
-    "keys, path",
-    [(["cameras", 0, "pose", "z"], "cameras[0].pose.z"),
-     (["cameras", 1, "pose", "x"], "cameras[1].pose.x"),
-     (["cameras", 0, "pose", "y"], "cameras[0].pose.y"),
-     (["detection_radius"], "detection_radius"), (["scene", "width"], "scene.width")],
-    ids=["pose.z", "pose.x", "pose.y", "detection_radius", "scene.width"],
+    "keys, path, value, limit",
+    [pytest.param(keys, path, value, "1e+100", id=f"{name}-{value:g}")
+     for keys, path, name in LENGTHS for value in (1e308, -1e101)]
+    + [pytest.param(["arrival_rate"], "arrival_rate", value, "1e+06", id=f"arrival_rate-{value:g}")
+       for value in (1e12, 1e200)],
 )
-def test_simulate_huge_length_exits_2_with_field_path(tmp_path, capsys, keys, path, value):
-    # finite, but the footprint arithmetic would square it past the float range
+def test_simulate_huge_length_exits_2_with_field_path(tmp_path, capsys, keys, path, value, limit):
+    # finite, but the footprint arithmetic would square a length past the
+    # float range, and a step's arrivals would not fit in memory
     data = put(json.loads((SCENARIOS / "overlap-pair.json").read_text()), keys, value)
     scenario = tmp_path / "scen.json"
     scenario.write_text(json.dumps(data))
     assert main(["simulate", str(scenario), "--steps", "5", "--out", str(tmp_path / "x.json")]) == 2
     err = capsys.readouterr().err
-    assert f"invalid scenario: {path}: magnitude above 1e+100" in err
+    assert f"invalid scenario: {path}: magnitude above {limit}" in err
     assert "Traceback" not in err
 
 
