@@ -158,9 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_det = sub.add_parser("detect", help="compute the influence matrix from a log")
     p_det.add_argument("log", help="sample log JSON file")
     p_det.add_argument("--strategy", help="strategy JSON file")
-    p_det.add_argument(
-        "--measure", choices=[m.value for m in Measure if m is not Measure.ENTROPY]
-    )
+    p_det.add_argument("--measure", choices=[m.value for m in Measure])
     p_det.add_argument("--lags", help="comma-separated lags, e.g. 0,1,2")
     p_det.add_argument("--alpha", type=float)
     p_det.add_argument("--permutations", type=int)

@@ -66,8 +66,6 @@ class DetectionStrategy:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.measure_kind is Measure.ENTROPY:
-            raise ValueError("entropy is not a dependency measure")
         if self.own_part_bins < 2:
             raise ValueError("own_part_bins must be >= 2")
         if self.min_partition_size < 4:

@@ -30,13 +30,12 @@ _NEGATIVE_MI_TOLERANCE = 1e-12
 
 
 class Measure(Enum):
-    """A dependency measure; detection scores with every member but ENTROPY."""
+    """A dependency measure that detection can score with."""
 
     MI = "mi"
     MIC = "mic"
     LINEAR = "linear"
     RANK = "rank"
-    ENTROPY = "entropy"
 
 
 class MicSearchMode(Enum):
@@ -92,7 +91,7 @@ class BinLayout:
 class DependencyScore:
     """A dependency-measure value with its provenance.
 
-    ``value`` is in bits for MI/entropy, in [0, 1] for MIC and in [-1, 1]
+    ``value`` is in bits for MI, in [0, 1] for MIC and in [-1, 1]
     for correlations.  ``lag`` records which alignment won when a score is
     the maximum over several time lags.
     """
@@ -140,13 +139,6 @@ def _mi_bits_from_counts(counts: np.ndarray) -> float:
     return value
 
 
-def _entropy_bits_from_counts(counts: np.ndarray) -> float:
-    n = int(counts.sum())
-    c = counts[counts > 0].astype(np.float64)
-    terms = -(c / n) * np.log2(c / n)
-    return max(math.fsum(terms), 0.0)
-
-
 def discrete_mutual_information(
     x: CategorySeries, y: CategorySeries
 ) -> DependencyScore:
@@ -161,10 +153,11 @@ def discrete_mutual_information(
     return DependencyScore(value, Measure.MI, len(x))
 
 
-def entropy(x: CategorySeries) -> DependencyScore:
+def entropy(x: CategorySeries) -> float:
     """Plug-in Shannon entropy in bits; zero for a constant series."""
     counts = np.bincount(x.values, minlength=x.n_categories)
-    return DependencyScore(_entropy_bits_from_counts(counts), Measure.ENTROPY, len(x))
+    p = counts[counts > 0] / len(x)
+    return max(math.fsum(-p * np.log2(p)), 0.0)
 
 
 def quantile_bins(

@@ -51,11 +51,6 @@ def test_strategy_rejects_few_permutations():
         DetectionStrategy(permutations=19)
 
 
-def test_strategy_rejects_entropy():
-    with pytest.raises(ValueError):
-        DetectionStrategy(measure_kind=Measure.ENTROPY)
-
-
 # --- raw influence ----------------------------------------------------------
 
 
@@ -83,7 +78,7 @@ def test_raw_influence_copy_equals_entropy():
     )
     score = raw_influence(log, "B", ("A", "cfg"), FAST)
     cfg = extract_series(log, ConfigSelector("A", "cfg"))
-    assert score.value == pytest.approx(entropy(cfg).value, abs=1e-9)
+    assert score.value == pytest.approx(entropy(cfg), abs=1e-9)
 
 
 def test_raw_influence_picks_winning_lag():
