@@ -369,8 +369,8 @@ def run_scenario(
 MAX_LENGTH = 1e100
 
 # Largest mean number of targets a scenario may have arrive per step.  Each
-# step draws that many positions (16 bytes each) and keeps the undetected
-# ones, so a much larger rate runs out of memory within a few steps.
+# step draws about that many positions, 16 bytes each, so one step's draw
+# stays near 16 MB; a rate of 1e12 would ask for terabytes.
 MAX_ARRIVAL_RATE = 1e6
 
 

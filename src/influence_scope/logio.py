@@ -5,12 +5,10 @@ schemas) and for matrices.  Logs additionally serialize to a flat CSV with
 header ``t,<agent>.<part>,...,<agent>.perf,...`` so they stay inspectable
 with standard tools; reading CSV back requires the schemas.
 
-One encoder writes matrices, strategies, recommendations and agent schemas
-straight from the fields of their dataclasses; only log records, keyed by
-flat ``agent.part`` strings, are written by hand.  All serialization is
-canonical: fixed field order, sorted keys, shortest round-trip float
-formatting.  serialize -> parse -> serialize is byte-identical for valid
-inputs.
+One encoder writes matrices, strategies, recommendations and schemas from
+their dataclass fields.  All serialization is canonical: sorted keys,
+shortest round-trip float formatting; serialize -> parse -> serialize is
+byte-identical for valid inputs.
 """
 
 from __future__ import annotations
@@ -38,8 +36,7 @@ from .taxonomy import StrategyRecommendation
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
 
-# The ``type`` tag of each part kind, written by ``_data`` and read by
-# ``_kind_from_dict``.
+# Each part kind's ``type`` tag, shared by ``_data`` and ``_kind_from_dict``.
 _KINDS = {"nominal": Nominal, "ordinal": Ordinal, "real": RealInterval}
 _TAGS = {kind: tag for tag, kind in _KINDS.items()}
 
@@ -241,14 +238,14 @@ _STRATEGY_FIELDS = {
 
 def strategy_from_dict(data: dict) -> DetectionStrategy:
     """A strategy from parsed JSON; absent fields keep their defaults, and
-    a field the strategy does not have is an error."""
-    defaults = strategy_to_dict(DetectionStrategy())
-    for key in expect(data, dict, ""):
+    a key that names no strategy field is an error."""
+    values = {}
+    for key, value in expect(data, dict, "").items():
         if key not in _STRATEGY_FIELDS:
             raise InputError(key, "not a strategy field")
-    fields = {k: convert(data.get(k, defaults[k]), to, k) for k, to in _STRATEGY_FIELDS.items()}
-    fields["measure_kind"] = fields.pop("measure")
-    return DetectionStrategy(**fields)
+        field = "measure_kind" if key == "measure" else key
+        values[field] = convert(value, _STRATEGY_FIELDS[key], key)
+    return DetectionStrategy(**values)
 
 
 # --- influence matrices --------------------------------------------------------
