@@ -20,6 +20,7 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from reprlib import repr as brief
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -381,12 +382,20 @@ def _bounded(obj: dict, key: str, prefix: str = "", limit: float = MAX_LENGTH) -
     return value
 
 
+def _at_least(value, least, path: str, strict: bool = False):
+    """``value``, refused at ``path`` when below ``least``, or equal to it if ``strict``."""
+    if value < least or (strict and value == least):
+        raise InputError(path, f"must be {'>' if strict else '>='} {least}, got {brief(value)}")
+    return value
+
+
 def scenario_from_dict(data: dict) -> ScenarioSpec:
     """Build a scenario from a parsed JSON object, reporting the offending
     field path on failure."""
     expect(data, dict, "")
     scene = need(data, "scene", kind=dict)
-    width, height = (_bounded(scene, k, "scene.") for k in ("width", "height"))
+    width, height = (_at_least(_bounded(scene, k, "scene."), 0, "scene." + k, strict=True)
+                     for k in ("width", "height"))
 
     cameras = []
     for i, cam in enumerate(need(data, "cameras", kind=list)):
@@ -419,10 +428,10 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
         if not (isinstance(point, list) and len(point) == 2 and all(map(is_number, point))):
             raise InputError(f"initial_targets[{i}]", f"expected two numbers, got {point!r}")
         initial.append((float(point[0]), float(point[1])))
-    rates = {"arrival_rate": _bounded(data, "arrival_rate", limit=MAX_ARRIVAL_RATE),
-             "detection_radius": _bounded(data, "detection_radius")}
-    steps = integer(data.get("steps", 1000), "steps")
-    seed = integer(data.get("seed", 0), "seed")
+    rates = {key: _at_least(_bounded(data, key, limit=limit), 0, key) for key, limit
+             in (("arrival_rate", MAX_ARRIVAL_RATE), ("detection_radius", MAX_LENGTH))}
+    steps = _at_least(integer(data.get("steps", 1000), "steps"), 1, "steps")
+    seed = _at_least(integer(data.get("seed", 0), "seed"), 0, "seed")
     return ScenarioSpec(
         width, height, cameras=tuple(cameras), initial_targets=tuple(initial),
         policy=policy, steps=steps, seed=seed, **rates,

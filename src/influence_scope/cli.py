@@ -17,6 +17,7 @@ from pathlib import Path
 from .camera import run_scenario, scenario_from_dict
 from .detection import Measure, influence_matrix
 from .logio import (
+    descriptor_from_dict,
     log_from_json,
     log_to_csv,
     log_to_json,
@@ -29,7 +30,7 @@ from .logio import (
     strategy_to_dict,
 )
 from .model import validate_log
-from .taxonomy import BUILTINS, builtin_descriptor, descriptor_from_dict, recommend_strategy
+from .taxonomy import BUILTINS, builtin_descriptor, recommend_strategy
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -93,8 +94,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
     data = _load(args.strategy, "strategy", json.loads) if args.strategy else {}
     if isinstance(data, dict):  # the options override the file
-        lags = args.lags.split(",") if args.lags else None
-        options = dict(measure=args.measure, lag_set=lags, alpha=args.alpha,
+        options = dict(measure=args.measure, lag_set=args.lags, alpha=args.alpha,
                        permutations=args.permutations, seed=args.seed)
         data.update((k, v) for k, v in options.items() if v is not None)
     strategy = _guarded("strategy", lambda: strategy_from_dict(data))
@@ -142,6 +142,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    def lags(text: str) -> list[int]:  # argparse names the type in its errors
+        return [int(lag) for lag in text.split(",")]
+
     parser = argparse.ArgumentParser(
         prog="influence-scope",
         description="Detect hidden mutual influences between configurable agents",
@@ -159,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("log", help="sample log JSON file")
     p_det.add_argument("--strategy", help="strategy JSON file")
     p_det.add_argument("--measure", choices=[m.value for m in Measure])
-    p_det.add_argument("--lags", help="comma-separated lags, e.g. 0,1,2")
+    p_det.add_argument("--lags", type=lags, help="comma-separated lags, e.g. 0,1,2")
     p_det.add_argument("--alpha", type=float)
     p_det.add_argument("--permutations", type=int)
     p_det.add_argument("--seed", type=int)

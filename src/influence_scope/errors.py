@@ -1,7 +1,7 @@
 """Shared exception types, and the field checks every reader of outside
 input (scenario, log, strategy, descriptor and matrix JSON) raises through."""
 
-import math
+import sys
 from reprlib import repr as brief
 
 
@@ -24,6 +24,7 @@ class InputError(ValueError):
     def __init__(self, path: str, message: str) -> None:
         super().__init__(f"{path}: {message}" if path else message)
         self.path = path
+        self.message = message
 
 
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string", float: "a number",
@@ -51,29 +52,18 @@ def need(obj: dict, key: str, prefix: str = "", kind: type | None = None):
     return obj[key] if kind is None else expect(obj[key], kind, prefix + key)
 
 
-def convert(value, to, path: str):
-    """``to(value)`` for a field read leniently (``int("3")`` is 3); a value
-    ``to`` rejects is an input error at ``path``."""
-    try:
-        return to(value)
-    except InputError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(path, str(exc)) from None
-
-
-def read(obj: dict, key: str, to, prefix: str = ""):
-    """``to(obj[key])``, read leniently as by :func:`convert`."""
-    return convert(need(obj, key, prefix), to, prefix + key)
+def finite(value, path: str) -> float:
+    """A finite JSON number, as a float.  Python's reader turns ``Infinity``,
+    ``-Infinity`` and ``NaN`` into floats, and an integer may be too large
+    for a float; both are refused here."""
+    if not abs(expect(value, float, path)) <= sys.float_info.max:
+        raise InputError(path, f"expected a finite number, got {brief(value)}")
+    return float(value)
 
 
 def number(obj: dict, key: str, prefix: str = "") -> float:
-    """A required finite JSON number, as a float; Python's reader turns
-    ``Infinity``, ``-Infinity`` and ``NaN`` into floats, so they are refused here."""
-    value = convert(need(obj, key, prefix, float), float, prefix + key)
-    if not math.isfinite(value):
-        raise InputError(prefix + key, f"expected a finite number, got {obj[key]!r}")
-    return value
+    """A required finite JSON number, as a float (see :func:`finite`)."""
+    return finite(need(obj, key, prefix), prefix + key)
 
 
 def integer(value, path: str) -> int:

@@ -5,10 +5,13 @@ schemas) and for matrices.  Logs additionally serialize to a flat CSV with
 header ``t,<agent>.<part>,...,<agent>.perf,...`` so they stay inspectable
 with standard tools; reading CSV back requires the schemas.
 
-One encoder writes matrices, strategies, recommendations and schemas from
-their dataclass fields.  All serialization is canonical: sorted keys,
-shortest round-trip float formatting; serialize -> parse -> serialize is
-byte-identical for valid inputs.
+One encoder writes matrices, strategies, recommendations, schemas and
+system descriptors from their dataclass fields; one strict decoder reads
+strategies, schemas and descriptors back, each value checked against its
+field's type (no string or boolean is read as a number).  All
+serialization is canonical: sorted keys, shortest round-trip float
+formatting; serialize -> parse -> serialize is byte-identical for valid
+inputs.
 """
 
 from __future__ import annotations
@@ -17,47 +20,102 @@ import csv
 import io
 import json
 import re
-from dataclasses import fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 from enum import Enum
+from reprlib import repr as brief
+from typing import Union, get_args, get_origin, get_type_hints
 
 from .detection import DetectionStrategy, InfluenceMatrix
-from .errors import InputError, convert, expect, need, number, read
-from .measures import Measure
-from .model import (
-    AgentSchema,
-    ConfigPartSchema,
-    Nominal,
-    Ordinal,
-    RealInterval,
-    SampleLog,
-    SampleRecord,
+from .errors import InputError, expect, finite, integer, need, number
+from .model import AgentSchema, Nominal, Ordinal, RealInterval, SampleLog, SampleRecord
+from .taxonomy import (
+    InfiniteRealPart, NominalPart, OrdinalPart, StrategyRecommendation, SystemDescriptor
 )
-from .taxonomy import StrategyRecommendation
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
 
-# Each part kind's ``type`` tag, shared by ``_data`` and ``_kind_from_dict``.
-_KINDS = {"nominal": Nominal, "ordinal": Ordinal, "real": RealInterval}
-_TAGS = {kind: tag for tag, kind in _KINDS.items()}
+# The (key, tag) of each part kind: ``_data`` writes the tag, and
+# ``_from_data`` reads it to tell the members of a ``Union`` apart.
+_TAGS = {Nominal: ("type", "nominal"), Ordinal: ("type", "ordinal"),
+         RealInterval: ("type", "real"), NominalPart: ("kind", "nominal"),
+         OrdinalPart: ("kind", "ordinal"), InfiniteRealPart: ("kind", "infinite_real")}
+# The one field whose JSON key is not its name.
+_KEYS = {"measure_kind": "measure"}
 
 
 def _data(value):
-    """JSON data of a result: a dataclass gives one key per field, with
-    ``measure_kind`` written as ``measure`` and a part kind's ``type`` tag
-    added; enums give their values and tuples lists."""
+    """JSON data of a result: a dataclass gives one key per field, named as
+    in ``_KEYS``, and a part kind's tag; enums give their values and tuples
+    lists."""
     if is_dataclass(value):
-        data = {
-            "measure" if f.name == "measure_kind" else f.name: _data(getattr(value, f.name))
-            for f in fields(value)
-        }
+        data = {_KEYS.get(f.name, f.name): _data(getattr(value, f.name)) for f in fields(value)}
         if type(value) in _TAGS:
-            data["type"] = _TAGS[type(value)]
+            key, tag = _TAGS[type(value)]
+            data[key] = tag
         return data
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, tuple):
         return [_data(v) for v in value]
     return value
+
+
+def _from_data(cls, data, path: str):
+    """A ``cls`` built from JSON data, the inverse of ``_data``.  An absent
+    field takes its default, and each value must fit its field's type; a
+    key that names no field, a bad value, and a value the constructor
+    refuses each raise :class:`InputError` at its path."""
+    at = path + "." if path else ""
+    hints = get_type_hints(cls)
+    known = {_KEYS.get(f.name, f.name): f for f in fields(cls)}
+    tag_key = _TAGS.get(cls, (None,))[0]
+    values = {}
+    for key, value in expect(data, dict, path).items():
+        if key == tag_key:
+            continue
+        if key not in known:
+            noun = re.sub(r".*(?=[A-Z])", "", cls.__name__).lower()  # DetectionStrategy: strategy
+            raise InputError(at + key, f"not a {noun} field")
+        name = known[key].name
+        values[name] = _typed(hints[name], value, at + key)
+    for key, f in known.items():
+        if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
+            raise InputError(at + key, "missing field")
+    try:
+        return cls(**values)
+    except InputError as exc:  # a check that names its field, such as max_lag
+        raise InputError(at + exc.path, exc.message) from None
+    except ValueError as exc:
+        raise InputError(path, str(exc)) from None
+
+
+def _typed(hint, value, path: str):
+    """``value`` read as JSON data of the type ``hint``."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union and type(None) in args:  # Optional[X]
+        return None if value is None else _typed(args[0], value, path)
+    if origin is Union:  # part kinds, told apart by their tag
+        key = _TAGS[args[0]][0]
+        tag = need(expect(value, dict, path), key, path + ".")
+        for kind in args:
+            if _TAGS[kind][1] == tag:
+                return _from_data(kind, value, path)
+        raise InputError(f"{path}.{key}", f"unknown part kind {brief(tag)}")
+    if origin is tuple:  # tuple[X, ...]
+        items = expect(value, list, path)
+        return tuple(_typed(args[0], v, f"{path}[{i}]") for i, v in enumerate(items))
+    if is_dataclass(hint):
+        return _from_data(hint, value, path)
+    if issubclass(hint, Enum):
+        try:
+            return hint(value)
+        except ValueError:
+            raise InputError(path, f"{brief(value)} is not a valid {hint.__name__}") from None
+    if hint is int:
+        return integer(value, path)
+    if hint is float:
+        return finite(value, path)
+    return expect(value, hint, path)  # bool or str
 
 
 def _canonical_json(data) -> str:
@@ -74,30 +132,6 @@ def _check_names(log: SampleLog) -> None:
 
 
 # --- sample logs: JSON -------------------------------------------------------
-
-
-def _kind_from_dict(part: dict, at: str):
-    """The ``kind`` of a part whose path prefix is ``at``."""
-    data = need(part, "kind", at, dict)
-    at += "kind."
-    kind = _KINDS.get(need(data, "type", at, str))
-    if kind is None:
-        raise InputError(at + "type", f"unknown part kind {data['type']!r}")
-    if kind is RealInterval:
-        bounds = [read(data, k, float, at) for k in ("lower", "upper")]
-        return convert(bounds, lambda b: RealInterval(*b), at[:-1])
-    return convert(read(data, "categories", tuple, at), kind, at[:-1])
-
-
-def _schema_from_dict(data, path: str) -> AgentSchema:
-    at = path + "."
-    agent_id = need(expect(data, dict, path), "agent_id", at, str)
-    parts = []
-    for i, p in enumerate(need(data, "parts", at, list)):
-        part_at = f"{at}parts[{i}]."
-        name = need(expect(p, dict, part_at[:-1]), "name", part_at, str)
-        parts.append(ConfigPartSchema(name, _kind_from_dict(p, part_at)))
-    return convert(tuple(parts), lambda ps: AgentSchema(agent_id, ps), path)
 
 
 def log_to_dict(log: SampleLog) -> dict:
@@ -122,14 +156,11 @@ def log_from_dict(data: dict) -> SampleLog:
     """Build a log from parsed JSON.  A field that cannot be read raises
     :class:`InputError` at its path; values that read but do not fit the
     schemas are validation findings of the log (see ``validate_log``)."""
-    expect(data, dict, "")
-    schemas = tuple(
-        _schema_from_dict(s, f"schemas[{i}]")
-        for i, s in enumerate(need(data, "schemas", kind=list))
-    )
+    schemas = _typed(tuple[AgentSchema, ...], need(expect(data, dict, ""), "schemas"), "schemas")
     records = []
     for i, r in enumerate(need(data, "records", kind=list)):
-        # Plain indexing keeps the read fast; ``field`` names what failed.
+        # Plain indexing keeps the read fast; ``field`` names what failed,
+        # and the checks below raise with no path of their own.
         field = "config"
         try:
             config = {}
@@ -137,12 +168,13 @@ def log_from_dict(data: dict) -> SampleLog:
                 agent, part = key.split(".", 1)
                 config[(agent, part)] = value
             field = "t"
-            t = int(r["t"])
+            t = r["t"] if type(r["t"]) is int else integer(r["t"], "")
             field = "performance"
             performance = {}
             for a, v in r["performance"].items():
                 field = "performance." + a
-                performance[a] = float(v)
+                # a non-finite number reads, and is a finding of the log
+                performance[a] = v if type(v) is float else float(expect(v, float, ""))
         except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             expect(r, dict, f"records[{i}]")
             message = "missing field" if isinstance(exc, KeyError) else str(exc)
@@ -224,28 +256,19 @@ def recommendation_to_json(recommendation: StrategyRecommendation) -> str:
     return _canonical_json(_data(recommendation))
 
 
-_STRATEGY_FIELDS = {
-    "measure": Measure,
-    "own_part_bins": int,
-    "min_partition_size": int,
-    "lag_set": lambda lags: tuple(int(l) for l in expect(lags, list, "lag_set")),
-    "joint_pairs": lambda flag: expect(flag, bool, "joint_pairs"),
-    "alpha": float,
-    "permutations": int,
-    "seed": int,
-}
-
-
 def strategy_from_dict(data: dict) -> DetectionStrategy:
-    """A strategy from parsed JSON; absent fields keep their defaults, and
-    a key that names no strategy field is an error."""
-    values = {}
-    for key, value in expect(data, dict, "").items():
-        if key not in _STRATEGY_FIELDS:
-            raise InputError(key, "not a strategy field")
-        field = "measure_kind" if key == "measure" else key
-        values[field] = convert(value, _STRATEGY_FIELDS[key], key)
-    return DetectionStrategy(**values)
+    return _from_data(DetectionStrategy, data, "")
+
+
+# --- system descriptors -----------------------------------------------------------
+
+
+def descriptor_to_dict(descriptor: SystemDescriptor) -> dict:
+    return _data(descriptor)
+
+
+def descriptor_from_dict(data: dict) -> SystemDescriptor:
+    return _from_data(SystemDescriptor, data, "")
 
 
 # --- influence matrices --------------------------------------------------------

@@ -6,6 +6,10 @@ what communication costs, and how influences behave (locality, jointness,
 dependency class, distinctiveness, timing).  ``recommend_strategy`` maps a
 descriptor to detection settings through a fixed rule table; every setting
 that deviates from the defaults carries a human-readable note.
+
+A descriptor's JSON is read and written from its fields by ``logio``,
+which imports this module; the checks beyond each field's type live in the
+types themselves, so they hold for every descriptor, read or built.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from reprlib import repr as brief
 from typing import Optional, Union
 
 from .detection import DetectionStrategy, Measure
-from .errors import InputError, expect, need, read
+from .errors import InputError
 
 # The recommended lag set scans every lag from 0 to max_lag, and each lag
 # re-scores every candidate of every matrix entry, so a descriptor may ask
@@ -109,6 +113,8 @@ class Temporality:
     max_lag: int = 0
 
     def __post_init__(self) -> None:
+        if self.max_lag > MAX_LAG:
+            raise InputError("max_lag", f"at most {MAX_LAG} steps, got {brief(self.max_lag)}")
         if self.delayed and self.max_lag < 1:
             raise ValueError("delayed influence needs max_lag >= 1")
         if not self.delayed and self.max_lag != 0:
@@ -124,7 +130,7 @@ class SystemDescriptor:
     jointness: Jointness
     dependency_class: DependencyClass
     distinctiveness: Distinctiveness
-    temporality: Temporality
+    temporality: Temporality = Temporality()
     hardware_heterogeneous: bool = False  # descriptor metadata only
 
     @property
@@ -209,8 +215,6 @@ BUILTINS = {
         jointness=Jointness.PAIRWISE,
         dependency_class=DependencyClass.STOCHASTIC,
         distinctiveness=Distinctiveness.DISTINCT,
-        temporality=Temporality(),
-        hardware_heterogeneous=False,
     ),
 }
 
@@ -222,78 +226,3 @@ def builtin_descriptor(name: str) -> SystemDescriptor:
         return BUILTINS[name]
     except KeyError:
         raise KeyError(f"unknown builtin descriptor {name!r}") from None
-
-
-# --- JSON mirror ------------------------------------------------------------
-
-
-def descriptor_to_dict(d: SystemDescriptor) -> dict:
-    parts = []
-    for kind in d.part_kinds:
-        if isinstance(kind, NominalPart):
-            parts.append({"kind": "nominal", "categories": kind.categories})
-        elif isinstance(kind, OrdinalPart):
-            parts.append({"kind": "ordinal", "categories": kind.categories})
-        else:
-            parts.append({"kind": "infinite_real"})
-    return {
-        "agent_scale": d.agent_scale.value,
-        "part_kinds": parts,
-        "communication": {
-            "kind": d.communication.kind.value,
-            "cost": d.communication.cost.value if d.communication.cost else None,
-        },
-        "influence_locality": d.influence_locality.value,
-        "jointness": d.jointness.value,
-        "dependency_class": d.dependency_class.value,
-        "distinctiveness": d.distinctiveness.value,
-        "temporality": {
-            "delayed": d.temporality.delayed,
-            "max_lag": d.temporality.max_lag,
-        },
-        "hardware_heterogeneous": d.hardware_heterogeneous,
-    }
-
-
-def _max_lag(value) -> int:
-    lag = int(value)
-    if lag > MAX_LAG:
-        raise ValueError(f"at most {MAX_LAG} steps, got {brief(lag)}")
-    return lag
-
-
-def descriptor_from_dict(data: dict) -> SystemDescriptor:
-    expect(data, dict, "")
-    parts: list[PartKindSpec] = []
-    for i, p in enumerate(need(data, "part_kinds", kind=list)):
-        at = f"part_kinds[{i}]."
-        kind = need(expect(p, dict, at[:-1]), "kind", at)
-        if kind == "nominal" or kind == "ordinal":
-            part = NominalPart if kind == "nominal" else OrdinalPart
-            parts.append(read(p, "categories", lambda c: part(int(c)), at))
-        elif kind == "infinite_real":
-            parts.append(InfiniteRealPart())
-        else:
-            raise InputError(at + "kind", f"unknown part kind {kind!r}")
-    comm = need(data, "communication", kind=dict)
-    temporal = data.get("temporality", {"delayed": False, "max_lag": 0})
-    expect(temporal, dict, "temporality")
-    return SystemDescriptor(
-        agent_scale=read(data, "agent_scale", AgentScale),
-        part_kinds=tuple(parts),
-        communication=Communication(
-            read(comm, "kind", CommKind, "communication."),
-            read(comm, "cost", CostLevel, "communication.") if comm.get("cost") else None,
-        ),
-        influence_locality=read(data, "influence_locality", InfluenceLocality),
-        jointness=read(data, "jointness", Jointness),
-        dependency_class=read(data, "dependency_class", DependencyClass),
-        distinctiveness=read(data, "distinctiveness", Distinctiveness),
-        temporality=Temporality(
-            need(temporal, "delayed", "temporality.", bool),
-            read(temporal, "max_lag", _max_lag, "temporality."),
-        ),
-        hardware_heterogeneous=expect(
-            data.get("hardware_heterogeneous", False), bool, "hardware_heterogeneous"
-        ),
-    )

@@ -157,6 +157,14 @@ def test_detect_entropy_strategy_is_input_error(tmp_path):
     assert code == 2
 
 
+def test_detect_unreadable_lag_exits_2(tmp_path, capsys):
+    log_path = write_log(tmp_path, coupled_log(200))
+    with pytest.raises(SystemExit) as raised:
+        main(["detect", str(log_path), "--lags", "0,x", "--out", str(tmp_path / "m.json")])
+    assert raised.value.code == 2
+    assert "--lags" in capsys.readouterr().err
+
+
 def test_detect_lag_beyond_log_is_input_error(tmp_path, capsys):
     log_path = write_log(tmp_path, coupled_log(200))
     code = main(["detect", str(log_path), "--lags", "0,500", "--out", str(tmp_path / "m.json")])
@@ -372,7 +380,12 @@ def run_on(tmp_path, command, doc):
         return main(["detect", str(log_path), "--strategy", str(path), "--out", out])
     if command == "descriptor":
         return main(["recommend", "--descriptor", str(path)])
+    if command == "scenario":
+        return main(["simulate", str(path), "--steps", "5", "--out", out])
     return main(["report", str(path), "--out", out])
+
+
+REAL_KIND = ["schemas", 0, "parts", 0, "kind"]
 
 
 @pytest.mark.parametrize(
@@ -385,6 +398,20 @@ def run_on(tmp_path, command, doc):
         ("log", lambda d: put(d, ["schemas", 0, "parts"], 4), "schemas[0].parts"),
         ("log", lambda d: put(d, ["schemas", 0, "parts", 0, "kind", "categories"], 2),
          "schemas[0].parts[0].kind.categories"),
+        ("log", lambda d: put(d, ["schemas", 0, "parts", 0, "kind", "categories"], "ab"),
+         "schemas[0].parts[0].kind.categories: expected a list"),
+        ("log", lambda d: put(d, REAL_KIND, {"type": "real", "lower": "0", "upper": 1.0}),
+         "schemas[0].parts[0].kind.lower: expected a number"),
+        ("log", lambda d: put(d, REAL_KIND, {"type": "real", "lower": 0.0, "upper": True}),
+         "schemas[0].parts[0].kind.upper: expected a number"),
+        ("log", lambda d: put(d, ["schemas", 0, "owner"], "x"),
+         "schemas[0].owner: not a schema field"),
+        ("log", lambda d: put(d, ["records", 3, "t"], 2.7), "records[3].t: expected an integer"),
+        ("log", lambda d: put(d, ["records", 3, "t"], "5"), "records[3].t: expected an integer"),
+        ("log", lambda d: put(d, ["records", 3, "performance", "A"], "1.5"),
+         "records[3].performance.A: expected a number"),
+        ("log", lambda d: put(d, ["records", 3, "performance", "A"], True),
+         "records[3].performance.A: expected a number"),
         ("strategy", lambda d: [d], "expected an object"),
         ("strategy", lambda d: put(d, ["lag_set"], 3), "lag_set"),
         ("strategy", lambda d: put(d, ["permutations"], None), "permutations"),
@@ -392,12 +419,36 @@ def run_on(tmp_path, command, doc):
         ("strategy", lambda d: put(d, ["joint_pairs"], "false"),
          "joint_pairs: expected true or false"),
         ("strategy", lambda d: put(d, ["lag_set"], "12"), "lag_set: expected a list"),
+        ("strategy", lambda d: put(d, ["lag_set"], [True, 2.7]),
+         "lag_set[0]: expected an integer"),
+        ("strategy", lambda d: put(d, ["lag_set"], [0, 2.7]), "lag_set[1]: expected an integer"),
+        ("strategy", lambda d: put(d, ["own_part_bins"], 2.9),
+         "own_part_bins: expected an integer"),
+        ("strategy", lambda d: put(d, ["permutations"], 20.99),
+         "permutations: expected an integer"),
+        ("strategy", lambda d: put(d, ["seed"], "3"), "seed: expected an integer"),
+        ("strategy", lambda d: put(d, ["alpha"], "0.1"), "alpha: expected a number"),
         ("descriptor", lambda d: [d], "expected an object"),
         ("descriptor", lambda d: put(d, ["part_kinds"], 3), "part_kinds"),
         ("descriptor", lambda d: put(d, ["temporality"], {"delayed": "false", "max_lag": 0}),
          "temporality.delayed: expected true or false"),
         ("descriptor", lambda d: put(d, ["hardware_heterogeneous"], 1),
          "hardware_heterogeneous: expected true or false"),
+        ("descriptor", lambda d: put(d, ["part_kinds", 0, "categories"], "2"),
+         "part_kinds[0].categories: expected an integer"),
+        ("descriptor", lambda d: put(d, ["colour"], "red"), "colour: not a descriptor field"),
+        ("descriptor", lambda d: put(d, ["communication", "hops"], 2),
+         "communication.hops: not a communication field"),
+        ("descriptor", lambda d: put(d, ["communication", "cost"], "low"),
+         "communication: cost level only applies to multi-hop communication"),
+        ("descriptor", lambda d: put(d, ["temporality"], {"delayed": False, "max_lag": 2}),
+         "temporality: immediate influence must not carry a lag"),
+        ("scenario", lambda d: put(d, ["arrival_rate"], -5), "arrival_rate: must be >= 0"),
+        ("scenario", lambda d: put(d, ["detection_radius"], -1),
+         "detection_radius: must be >= 0"),
+        ("scenario", lambda d: put(d, ["scene", "width"], 0), "scene.width: must be > 0"),
+        ("scenario", lambda d: put(d, ["steps"], 0), "steps: must be >= 1"),
+        ("scenario", lambda d: put(d, ["seed"], -1), "seed: must be >= 0"),
         ("matrix", lambda d: put(d, ["entries", 0, "influenced"], DELETE),
          "entries[0].influenced"),
         ("matrix", lambda d: put(d, ["entries"], 5), "entries"),
@@ -410,6 +461,7 @@ def test_malformed_input_exits_2_with_field_path(tmp_path, capsys, command, edit
         "strategy": lambda: {"permutations": 20},
         "descriptor": lambda: json.loads(json.dumps(DESCRIPTOR)),
         "matrix": lambda: json.loads(json.dumps(MATRIX)),
+        "scenario": lambda: json.loads((SCENARIOS / "overlap-pair.json").read_text()),
     }[command]
     assert run_on(tmp_path, command, base()) == 0
     capsys.readouterr()

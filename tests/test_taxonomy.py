@@ -25,9 +25,8 @@ from influence_scope.taxonomy import (
     NominalPart,
     OrdinalPart,
     Temporality,
-    descriptor_from_dict,
-    descriptor_to_dict,
 )
+from influence_scope.logio import descriptor_from_dict, descriptor_to_dict
 
 
 def descriptor(**overrides) -> SystemDescriptor:
