@@ -145,6 +145,13 @@ def build_parser() -> argparse.ArgumentParser:
     def lags(text: str) -> list[int]:  # argparse names the type in its errors
         return [int(lag) for lag in text.split(",")]
 
+    def at_least(low: int):
+        def integer(text: str) -> int:
+            if int(text) < low:
+                raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+            return int(text)
+        return integer
+
     parser = argparse.ArgumentParser(
         prog="influence-scope",
         description="Detect hidden mutual influences between configurable agents",
@@ -153,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run a camera scenario and write a sample log")
     p_sim.add_argument("scenario", help="scenario JSON file")
-    p_sim.add_argument("--steps", type=int, default=None)
-    p_sim.add_argument("--seed", type=int, default=None)
+    p_sim.add_argument("--steps", type=at_least(1), default=None)
+    p_sim.add_argument("--seed", type=at_least(0), default=None)
     p_sim.add_argument("--out", required=True, help="output log path (JSON; CSV written alongside)")
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -6,10 +6,11 @@ family: at every lag, a raw candidate over all samples and one candidate
 per own configuration part of the target, partitioned by that part's value
 (never by the full own configuration, so partitions stay large).
 Influences that cancel out in the raw view show inside the partitions.
-Each lag's columns are extracted once; the better of the best raw and the
-best conditioned candidate is the headline, and a seeded permutation test
-of that candidate, shuffling the remote column within each of its
-partitions, gives its p-value.
+A matrix row's target side (each lag's partitions and the performance in
+each, binned for MI) is built once; each entry adds its remote column.
+The better of the best raw and the best conditioned candidate is the
+headline, and a seeded permutation test of that candidate, shuffling the
+remote column within each of its partitions, gives its p-value.
 """
 
 from __future__ import annotations
@@ -35,14 +36,13 @@ from .measures import (
     _RankBins,
 )
 from .model import (
-    AgentSchema,
     ConfigSelector,
     PerformanceSelector,
     SampleLog,
     extract_series,
     validate_log,
 )
-from .series import CategorySeries, RealSeries, Series, as_float_values
+from .series import CategorySeries, Series
 
 PartRef = tuple[str, str]  # (agent_id, part name)
 
@@ -120,38 +120,40 @@ class InfluenceMatrix:
 # --- measure application -------------------------------------------------
 
 
-def _categorize(series: Series, bins: int) -> CategorySeries:
-    """Coerce any series to categories; real columns get quantile bins."""
+def _categorize(series: Series | np.ndarray, bins: int) -> Optional[CategorySeries]:
+    """Categories as they are, real values in quantile bins, None for
+    constant real values."""
     if isinstance(series, CategorySeries):
         return series
-    binned, _ = quantile_bins(series, bins)
-    return binned
+    try:
+        return quantile_bins(series, bins)[0]
+    except DegenerateSeriesError:
+        return None
 
 
-def score_dependency(x: Series, y: Series, strategy: DetectionStrategy) -> DependencyScore:
-    """Apply the strategy's measure to a pair of aligned columns.
+def score_dependency(x, y, n: int, strategy: DetectionStrategy) -> DependencyScore:
+    """Apply the strategy's measure to two aligned columns of ``n`` samples
+    as :func:`_slice` gives them.
 
     Correlation measures report their absolute value so scores aggregate
-    and compare on dependency strength; degenerate (constant) columns score
-    0 with the degenerate flag set.
+    and compare on dependency strength; degenerate (constant) columns, and
+    a None column, score 0 with the degenerate flag set.
     """
-    n = len(x)
+    degenerate = DependencyScore(0.0, strategy.measure_kind, n, degenerate=True)
+    if x is None or y is None:
+        return degenerate
     try:
         if strategy.measure_kind is Measure.MI:
-            xc = _categorize(x, strategy.own_part_bins)
-            yc = _categorize(y, strategy.own_part_bins)
-            return discrete_mutual_information(xc, yc)
+            return discrete_mutual_information(x, y)
         if strategy.measure_kind is Measure.MIC:
             return mic(x, y)
-        xv = as_float_values(x)
-        yv = as_float_values(y)
         if strategy.measure_kind is Measure.LINEAR:
-            base = linear_correlation(xv, yv)
+            base = linear_correlation(x, y)
         else:
-            base = rank_correlation(xv, yv)
+            base = rank_correlation(x, y)
         return replace(base, value=abs(base.value))
     except DegenerateSeriesError:
-        return DependencyScore(0.0, strategy.measure_kind, n, degenerate=True)
+        return degenerate
 
 
 # --- the candidate family of one entry -------------------------------------
@@ -159,15 +161,16 @@ def score_dependency(x: Series, y: Series, strategy: DetectionStrategy) -> Depen
 
 @dataclass(frozen=True)
 class _Candidate:
-    """One way to score an entry: the remote and performance columns at one
-    lag, split into the partitions of one own part, or into one partition of
-    all samples when ``own_part`` is None (the raw candidate)."""
+    """One way to score an entry: the samples at one lag, split into the
+    partitions of one own part, or into one partition of all samples when
+    ``own_part`` is None (the raw candidate), with each partition's
+    performance and remote column from :func:`_slices`."""
 
     lag: int
-    remote: Optional[Series]  # None: a composite with too many categories
-    perf: Series
-    own_part: Optional[PartRef] = None
-    partitions: tuple[tuple[str, np.ndarray], ...] = ()
+    own_part: Optional[PartRef]
+    partitions: tuple[tuple[str, np.ndarray], ...]
+    perf: tuple = ()
+    remote: tuple = ()
 
 
 def _partition_indices(
@@ -205,10 +208,10 @@ def _composite(
     ``n / min_partition_size``."""
     coded = []
     for series in (a, b):
-        try:
-            coded.append(_categorize(series, strategy.own_part_bins))
-        except DegenerateSeriesError:
-            coded.append(CategorySeries(np.zeros(len(series), dtype=np.int64), 1))
+        codes = _categorize(series, strategy.own_part_bins)
+        if codes is None:  # a constant real column is one category
+            codes = CategorySeries(np.zeros(len(series), dtype=np.int64), 1)
+        coded.append(codes)
     ac, bc = coded
     k = ac.n_categories * bc.n_categories
     if k > len(ac) / strategy.min_partition_size:
@@ -216,40 +219,71 @@ def _composite(
     return CategorySeries(ac.values * bc.n_categories + bc.values, k)
 
 
-def _family(
-    log: SampleLog,
-    target: str,
-    remote_parts: Sequence[PartRef],
-    own_parts: Sequence[PartRef],
+def _slice(series: Series, idx: np.ndarray, strategy: DetectionStrategy):
+    """``series`` at ``idx`` as the strategy's measure reads it: categories
+    for MI (see :func:`_categorize`), floats for the other measures."""
+    values = series.values[idx]
+    if strategy.measure_kind is not Measure.MI:
+        return np.asarray(values, dtype=np.float64)
+    if isinstance(series, CategorySeries):
+        return CategorySeries(values, series.n_categories)
+    return _categorize(values, strategy.own_part_bins)
+
+
+def _slices(series: Series, c: _Candidate, strategy: DetectionStrategy) -> tuple:
+    """``series`` in each of the candidate's partitions that a scorer reads:
+    the raw one, and any of at least 4 samples (None for the rest)."""
+    return tuple(
+        _slice(series, idx, strategy) if c.own_part is None or len(idx) >= 4 else None
+        for _, idx in c.partitions
+    )
+
+
+def _target_side(
+    log: SampleLog, target: str, own_parts: Sequence[Optional[PartRef]],
     strategy: DetectionStrategy,
 ) -> list[_Candidate]:
-    """Every candidate of one entry, lag-major: each lag's raw candidate,
-    then one per own part.  Each lag's columns are extracted once and shared;
-    two remote parts are scored as their composite."""
-    family = []
+    """A row's candidates without their remote column, lag-major and in
+    ``own_parts`` order (None: the raw candidate), shared by the row's
+    entries: each lag's columns are extracted, partitioned and sliced once."""
+    side = []
     for lag in strategy.lag_set:
-        columns = [extract_series(log, ConfigSelector(*p), lag) for p in remote_parts]
-        remote = columns[0] if len(columns) == 1 else _composite(*columns, strategy)
         perf = extract_series(log, PerformanceSelector(target), lag)
-        if remote is None:
-            family.append(_Candidate(lag, None, perf))
-            continue
-        # the raw candidate is partitioned as a constant own part would be
-        family.append(_Candidate(lag, remote, perf, None, (("0", np.arange(len(remote))),)))
         for own in own_parts:
-            column = extract_series(log, ConfigSelector(*own), lag)
-            family.append(_Candidate(lag, remote, perf, own, _partition_indices(column, strategy)))
+            if own is None:  # partitioned as a constant own part would be
+                partitions = (("0", np.arange(len(perf))),)
+            else:
+                column = extract_series(log, ConfigSelector(*own), lag)
+                partitions = _partition_indices(column, strategy)
+            c = _Candidate(lag, own, partitions)
+            side.append(replace(c, perf=_slices(perf, c, strategy)))
+    return side
+
+
+def _with_remote(
+    side: Sequence[_Candidate], log: SampleLog, remote_parts: Sequence[PartRef],
+    strategy: DetectionStrategy,
+) -> list[_Candidate]:
+    """One entry's candidates: the target side with the remote column sliced
+    into its partitions.  Two remote parts are scored as their composite;
+    where it has too many categories, a lag keeps one empty raw candidate."""
+    columns: dict[int, Optional[Series]] = {}
+    family = []
+    for c in side:
+        if c.lag not in columns:
+            parts = [extract_series(log, ConfigSelector(*p), c.lag) for p in remote_parts]
+            columns[c.lag] = parts[0] if len(parts) == 1 else _composite(*parts, strategy)
+        remote = columns[c.lag]
+        if remote is not None:
+            family.append(replace(c, remote=_slices(remote, c, strategy)))
+        elif c.own_part is None:
+            family.append(_Candidate(c.lag, None, ()))
     return family
 
 
-def _take(series: Series, idx: np.ndarray) -> Series:
-    if isinstance(series, CategorySeries):
-        return CategorySeries(series.values[idx], series.n_categories)
-    return RealSeries(series.values[idx])
-
-
 def _raw_score(c: _Candidate, strategy: DetectionStrategy) -> DependencyScore:
-    return replace(score_dependency(c.remote, c.perf, strategy), lag=c.lag)
+    n = len(c.partitions[0][1])
+    return replace(score_dependency(c.remote[0], c.perf[0], n, strategy), lag=c.lag)
 
 
 def _conditioned_score(
@@ -260,12 +294,10 @@ def _conditioned_score(
     per_partition: list[PartitionScore] = []
     weighted_sum = 0.0
     weight = 0
-    for label, idx in c.partitions:
+    for (label, idx), x, y in zip(c.partitions, c.remote, c.perf):
         count = len(idx)
-        if count >= 4:
-            score = score_dependency(_take(c.remote, idx), _take(c.perf, idx), strategy)
-        else:
-            score = DependencyScore(0.0, strategy.measure_kind, count, degenerate=True)
+        # fewer than 4 samples score as degenerate, the raw partition's too
+        score = score_dependency(x if count >= 4 else None, y, count, strategy)
         per_partition.append(PartitionScore(label, count, score))
         if count >= strategy.min_partition_size:
             weighted_sum += count * score.value
@@ -293,7 +325,8 @@ def raw_influence(
     """Unconditioned dependency, maximized over the strategy's lag set."""
     if remote_part[0] == target:
         raise ValueError("remote part must belong to a different agent")
-    family = _family(log, target, (remote_part,), (), strategy)
+    side = _target_side(log, target, (None,), strategy)
+    family = _with_remote(side, log, (remote_part,), strategy)
     return _best(family, lambda c: _raw_score(c, strategy), lambda s: s.value)[1]
 
 
@@ -312,10 +345,10 @@ def conditioned_influence(
         raise ValueError("conditioning part must belong to the target agent")
     if remote_part[0] == target:
         raise ValueError("remote part must belong to a different agent")
-    family = _family(log, target, (remote_part,), (own_part,), strategy)
-    conditioned = [c for c in family if c.own_part is not None]
+    side = _target_side(log, target, (own_part,), strategy)
+    family = _with_remote(side, log, (remote_part,), strategy)
     return _best(
-        conditioned, lambda c: _conditioned_score(c, remote_part, strategy), _aggregate_key
+        family, lambda c: _conditioned_score(c, remote_part, strategy), _aggregate_key
     )[1]
 
 
@@ -339,7 +372,8 @@ def joint_influence(
             raise ValueError("remote parts must belong to agents other than the target")
     composite_ref: PartRef = (remote_parts[0][0], f"{remote_parts[0][1]}+{remote_parts[1][1]}")
     own_parts = [(target, own.name) for own in log.agent(target).parts]
-    family = _family(log, target, remote_parts, own_parts, strategy)
+    side = _target_side(log, target, [None, *own_parts], strategy)
+    family = _with_remote(side, log, remote_parts, strategy)
     return _best(
         family, lambda c: _conditioned_score(c, composite_ref, strategy), _aggregate_key
     )[1]
@@ -459,43 +493,37 @@ def _permuted(
     of the remote column, row 0 the identity; None when no partition is scored.
 
     Each scored partition draws its shuffles in turn and is shuffled within
-    itself; the raw candidate's one partition is scored whatever its size,
-    an own part's only from ``min_partition_size`` samples.  Partition scores
-    aggregate as the sample-count-weighted mean.
+    itself, on the columns the observed scorer read; the raw candidate's one
+    partition is scored whatever its size, an own part's only from
+    ``min_partition_size`` samples.  Partition scores aggregate as the
+    sample-count-weighted mean.
     """
     least = 0 if c.own_part is None else strategy.min_partition_size
-    masks = [idx for _, idx in c.partitions if len(idx) >= least]
-    if not masks:
+    sizes = [len(idx) for _, idx in c.partitions]
+    scored = [s for s in zip(sizes, c.remote, c.perf) if s[0] >= least]
+    if not scored:
         return None
     reps = strategy.permutations
     kind = strategy.measure_kind
-    weights = np.array([len(m) for m in masks], dtype=np.float64)
-    stats = np.zeros((reps + 1, len(masks)))
+    weights = np.array([n_p for n_p, _, _ in scored], dtype=np.float64)
+    stats = np.zeros((reps + 1, len(scored)))
     mic_samples, mic_columns = [], []
-    for j, idx in enumerate(masks):
-        n_p = len(idx)
+    for j, (n_p, x, y) in enumerate(scored):
         perm_idx = np.empty((reps + 1, n_p), dtype=np.int64)
         perm_idx[0] = np.arange(n_p)  # identity row carries the observed value
         for r in range(1, reps + 1):
             perm_idx[r] = rng.permutation(n_p)
-        x, y = _take(c.remote, idx), _take(c.perf, idx)
         if kind is Measure.MI:
-            try:
-                xc = _categorize(x, strategy.own_part_bins)
-                yc = _categorize(y, strategy.own_part_bins)
-            except DegenerateSeriesError:
-                continue  # a constant column scores 0 under every shuffle
-            stats[:, j] = _perm_values_mi(
-                xc.values, xc.n_categories, yc.values, yc.n_categories, perm_idx
-            )
+            if x is not None and y is not None:  # None: constant, 0 under every shuffle
+                stats[:, j] = _perm_values_mi(
+                    x.values, x.n_categories, y.values, y.n_categories, perm_idx
+                )
         elif kind is Measure.MIC:
             if n_p >= 4:  # scored below, with every partition's tables at once
-                mic_samples.append((as_float_values(x), as_float_values(y), perm_idx))
+                mic_samples.append((x, y, perm_idx))
                 mic_columns.append(j)
         else:
-            stats[:, j] = _perm_values_corr(
-                as_float_values(x), as_float_values(y), perm_idx, ranked=kind is Measure.RANK
-            )
+            stats[:, j] = _perm_values_corr(x, y, perm_idx, ranked=kind is Measure.RANK)
     if mic_samples:
         stats[:, mic_columns] = _perm_values_mic(mic_samples)
     return stats @ weights / weights.sum()
@@ -511,18 +539,14 @@ def _entry_rng(seed: int, ti: int, ri: int, pi: int) -> np.random.Generator:
 
 
 def _compute_entry(
-    log: SampleLog,
-    target_schema: AgentSchema,
+    family: Sequence[_Candidate],
     remote_part: PartRef,
+    own_parts: Sequence[PartRef],
     strategy: DetectionStrategy,
-    conditioning: bool,
     rng: np.random.Generator,
 ) -> InfluenceEntry:
     """The entry's best raw and best conditioned candidate; the better of the
     two is the headline, and its permutation p-value the entry's."""
-    target = target_schema.agent_id
-    own_parts = [(target, own.name) for own in target_schema.parts] if conditioning else []
-    family = _family(log, target, (remote_part,), own_parts, strategy)
     raws = [c for c in family if c.own_part is None]
     winner, raw = _best(raws, lambda c: _raw_score(c, strategy), lambda s: s.value)
     headline, best_lag = raw.value, raw.lag or 0
@@ -576,15 +600,18 @@ def influence_matrix(
 
     entries: dict[tuple[str, str, str], InfluenceEntry] = {}
     for ti, target_schema in enumerate(log.schemas):
-        if wanted is not None and target_schema.agent_id not in wanted:
+        target = target_schema.agent_id
+        if wanted is not None and target not in wanted:
             continue
+        own_parts = [(target, own.name) for own in target_schema.parts] if conditioning else []
+        side = _target_side(log, target, [None, *own_parts], strategy)
         for ri, remote_schema in enumerate(log.schemas):
-            if remote_schema.agent_id == target_schema.agent_id:
+            if remote_schema.agent_id == target:
                 continue
             for pi, part in enumerate(remote_schema.parts):
-                key = (target_schema.agent_id, remote_schema.agent_id, part.name)
-                entries[key] = _compute_entry(
-                    log, target_schema, (remote_schema.agent_id, part.name), strategy,
-                    conditioning, _entry_rng(strategy.seed, ti, ri, pi),
+                remote = (remote_schema.agent_id, part.name)
+                entries[(target, *remote)] = _compute_entry(
+                    _with_remote(side, log, (remote,), strategy), remote, own_parts,
+                    strategy, _entry_rng(strategy.seed, ti, ri, pi),
                 )
     return InfluenceMatrix(alpha=strategy.alpha, entries=entries)

@@ -26,7 +26,7 @@ from reprlib import repr as brief
 from typing import Union, get_args, get_origin, get_type_hints
 
 from .detection import DetectionStrategy, InfluenceMatrix
-from .errors import InputError, expect, finite, integer, need, number
+from .errors import InputError, expect, finite, integer, natural, need, number
 from .model import AgentSchema, Nominal, Ordinal, RealInterval, SampleLog, SampleRecord
 from .taxonomy import (
     InfiniteRealPart, NominalPart, OrdinalPart, StrategyRecommendation, SystemDescriptor
@@ -289,27 +289,32 @@ def matrix_to_json(matrix: InfluenceMatrix) -> str:
 
 def matrix_data_from_json(text: str) -> dict:
     """Parse a matrix for ``render_report`` and ``matrix_summary_csv``,
-    checking every field they read."""
+    checking the presence and type of every field they read."""
     data = expect(json.loads(text), dict, "")
-    need(data, "alpha")
+    number(data, "alpha")
     for i, e in enumerate(need(data, "entries", kind=list)):
         at = f"entries[{i}]."
         expect(e, dict, at[:-1])
-        for key in ("target", "remote_agent", "remote_part", "best_lag", "influenced"):
-            need(e, key, at)
+        for key in ("target", "remote_agent", "remote_part"):
+            need(e, key, at, str)
+        natural(e, "best_lag", at)
+        need(e, "influenced", at, bool)
         number(e, "headline", at)
         number(e, "p_value", at)
         cond = e.get("best_conditioned")
         if cond and expect(cond, dict, at + "best_conditioned").get("per_partition"):
             at += "best_conditioned."
-            need(cond, "aggregate", at)
+            if need(cond, "aggregate", at) is not None:
+                number(cond, "aggregate", at)
             cp = cond.get("conditioning_part")
             if cp and len(expect(cp, list, at + "conditioning_part")) < 2:
                 raise InputError(at + "conditioning_part", "expected [agent, part]")
+            for k, name in enumerate(cp or ()):
+                expect(name, str, f"{at}conditioning_part[{k}]")
             for j, p in enumerate(expect(cond["per_partition"], list, at + "per_partition")):
                 p_at = f"{at}per_partition[{j}]."
-                for key in ("label", "count"):
-                    need(expect(p, dict, p_at[:-1]), key, p_at)
+                need(expect(p, dict, p_at[:-1]), "label", p_at, str)
+                natural(p, "count", p_at)
                 number(need(p, "score", p_at, dict), "value", p_at + "score.")
     return data
 

@@ -350,9 +350,13 @@ MATRIX = {
     "alpha": 0.05,
     "entries": [
         {"target": "B", "remote_agent": "A", "remote_part": "cfg", "headline": 0.5,
-         "p_value": 0.01, "influenced": True, "best_lag": 0, "best_conditioned": None}
+         "p_value": 0.01, "influenced": True, "best_lag": 0,
+         "best_conditioned": {"conditioning_part": ["B", "cfg"], "aggregate": 0.5,
+                              "per_partition": [{"label": "0", "count": 30,
+                                                 "score": {"value": 0.5}}]}}
     ],
 }
+CONDITIONED = ["entries", 0, "best_conditioned"]
 DELETE = object()
 
 
@@ -452,6 +456,29 @@ REAL_KIND = ["schemas", 0, "parts", 0, "kind"]
         ("matrix", lambda d: put(d, ["entries", 0, "influenced"], DELETE),
          "entries[0].influenced"),
         ("matrix", lambda d: put(d, ["entries"], 5), "entries"),
+        ("matrix", lambda d: put(d, ["alpha"], "0.05"), "alpha: expected a number"),
+        ("matrix", lambda d: put(d, ["entries", 0, "target"], 1),
+         "entries[0].target: expected a string"),
+        ("matrix", lambda d: put(d, ["entries", 0, "remote_part"], None),
+         "entries[0].remote_part: expected a string"),
+        ("matrix", lambda d: put(d, ["entries", 0, "best_lag"], [1]),
+         "entries[0].best_lag: expected a non-negative integer"),
+        ("matrix", lambda d: put(d, ["entries", 0, "best_lag"], True),
+         "entries[0].best_lag: expected a non-negative integer"),
+        ("matrix", lambda d: put(d, ["entries", 0, "best_lag"], -1),
+         "entries[0].best_lag: expected a non-negative integer"),
+        ("matrix", lambda d: put(d, ["entries", 0, "influenced"], "yes"),
+         "entries[0].influenced: expected true or false"),
+        ("matrix", lambda d: put(d, CONDITIONED + ["aggregate"], "a"),
+         "entries[0].best_conditioned.aggregate: expected a number"),
+        ("matrix", lambda d: put(d, CONDITIONED + ["conditioning_part"], ["B", 3]),
+         "entries[0].best_conditioned.conditioning_part[1]: expected a string"),
+        ("matrix", lambda d: put(d, CONDITIONED + ["per_partition", 0, "count"], "many"),
+         "entries[0].best_conditioned.per_partition[0].count: expected a non-negative integer"),
+        ("matrix", lambda d: put(d, CONDITIONED + ["per_partition", 0, "count"], 30.0),
+         "entries[0].best_conditioned.per_partition[0].count: expected a non-negative integer"),
+        ("matrix", lambda d: put(d, CONDITIONED + ["per_partition", 0, "label"], 0),
+         "entries[0].best_conditioned.per_partition[0].label: expected a string"),
     ],
     ids=lambda v: v if isinstance(v, str) else "edit",
 )
@@ -469,6 +496,21 @@ def test_malformed_input_exits_2_with_field_path(tmp_path, capsys, command, edit
     err = capsys.readouterr().err
     assert f"invalid {command}: {expected}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "option, value, expected",
+    [("--seed", "-1", "must be >= 0"), ("--steps", "0", "must be >= 1"),
+     ("--seed", "2.5", "invalid integer value"), ("--steps", "x", "invalid integer value")],
+)
+def test_simulate_bad_option_exits_2_naming_it(tmp_path, capsys, option, value, expected):
+    # refused before the scenario is read, never blamed on it
+    with pytest.raises(SystemExit) as raised:
+        main(["simulate", str(SCENARIOS / "overlap-pair.json"), option, value,
+              "--out", str(tmp_path / "out.json")])
+    assert raised.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: {expected}" in err and "invalid scenario" not in err
 
 
 def test_detect_missing_strategy_is_io_error(tmp_path):

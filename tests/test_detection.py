@@ -4,6 +4,7 @@ its significance layer."""
 import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from influence_scope import (
     run_scenario,
     scenario_from_dict,
 )
+from influence_scope import detection
 from influence_scope.detection import _perm_values_mi, _perm_values_mic
 from influence_scope.logio import matrix_to_json
 from influence_scope.measures import MicSearchParams, quantile_bins
@@ -406,6 +408,11 @@ def matrix_digest(log, strategy=GOLDEN):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def overlap_pair_log():
+    spec = scenario_from_dict(json.loads((SCENARIOS / "overlap-pair.json").read_text()))
+    return run_scenario(spec, steps=300, seed=11)
+
+
 def test_golden_matrix_real_parts():
     spec = scenario_from_dict(json.loads((SCENARIOS / "overlap-pair.json").read_text()))
     log = run_scenario(spec, steps=300, seed=11)
@@ -454,6 +461,95 @@ def test_golden_matrix_mic():
     assert matrix_digest(rounded_real_log(), GOLDEN_MIC) == (
         "96dc33f16d7555a069202870a86108ef9a774637ba4edeb2fe65180ac9c9346d"
     )
+
+
+@pytest.mark.parametrize(
+    "measure, digest",
+    [(Measure.LINEAR, "ddbba6205f2ea905805db40909be536585ea75c27c18e786311a5a1c6776f055"),
+     (Measure.RANK, "49e4935207c1b16a7516ca56d2e46c05467fdb803648ca4dbd50169e06c741a2")],
+    ids=["linear", "rank"],
+)
+def test_golden_matrix_correlations(measure, digest):
+    assert matrix_digest(overlap_pair_log(), replace(GOLDEN, measure_kind=measure)) == digest
+
+
+GOLDEN_LAGS = DetectionStrategy(lag_set=(0, 1, 2), permutations=49)
+
+
+def three_agent_log(n=600, seed=6):
+    """Three agents with three nominal parts of three categories each, the
+    shape of the benchmark's nominal log.  B's performance rises when A's
+    p0 agrees with B's own p1, C's two steps after B's p2 is c0, and C's
+    performance is constant while C's own p0 is c0."""
+    agents, parts, cats = "ABC", ("p0", "p1", "p2"), ("c0", "c1", "c2")
+    rng = np.random.default_rng(seed)
+    codes = {(a, p): rng.integers(0, len(cats), size=n) for a in agents for p in parts}
+    perf = {a: rng.uniform(size=n) for a in agents}
+    perf["B"] += 0.5 * (codes[("A", "p0")] == codes[("B", "p1")])
+    perf["C"][2:] += 0.5 * (codes[("B", "p2")] == 0)[:-2]
+    perf["C"][codes[("C", "p0")] == 0] = 0.25
+    schemas = tuple(
+        AgentSchema(a, tuple(ConfigPartSchema(p, Nominal(cats)) for p in parts)) for a in agents
+    )
+    records = tuple(
+        SampleRecord(
+            t,
+            {(a, p): cats[codes[(a, p)][t]] for a in agents for p in parts},
+            {a: float(perf[a][t]) for a in agents},
+        )
+        for t in range(n)
+    )
+    return SampleLog(schemas, records)
+
+
+def test_golden_matrix_three_agents_three_lags():
+    log = three_agent_log()
+    lag0 = conditioned_influence(log, "C", ("A", "p0"), ("C", "p0"), DetectionStrategy())
+    assert lag0.per_partition[0].score.degenerate  # C's constant partition
+    assert matrix_digest(log, GOLDEN_LAGS) == (
+        "c34a62748df8854a7863727a4dee2263da8d0b3f1cd79e88df057fe1a4509989"
+    )
+
+
+@pytest.mark.parametrize(
+    "log, target, pair, digest",
+    [(three_agent_log, "C", (("A", "p0"), ("B", "p2")),
+      "010ccd09e4615f4f6e5879c6a8810dd583383a6bd8bba8da0d0fe6552873a38b"),
+     (overlap_pair_log, "cam_b", (("cam_a", "pan"), ("cam_far", "zoom")),
+      "6e8b271074e1ef935dfc493b10559caf3ce6be3a5251c5a827edb88449390f50")],
+    ids=["nominal", "real"],
+)
+def test_golden_joint_scores(log, target, pair, digest):
+    score = joint_influence(log(), target, pair, replace(GOLDEN_LAGS, joint_pairs=True))
+    assert hashlib.sha256(repr(score).encode()).hexdigest() == digest
+
+
+def test_matrix_rows_do_not_depend_on_the_other_rows():
+    log = three_agent_log()
+    full = influence_matrix(log, GOLDEN_LAGS).entries
+    for target in "ABC":
+        row = influence_matrix(log, GOLDEN_LAGS, targets=[target]).entries
+        assert row == {key: entry for key, entry in full.items() if key[0] == target}
+
+
+@pytest.mark.parametrize("conditioning", [True, False], ids=["conditioned", "raw"])
+def test_each_partition_is_binned_once(monkeypatch, conditioning):
+    # the performance is binned once per (target, lag, partition), whatever
+    # the remote parts and the permutation test read of it
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return quantile_bins(*args)
+
+    monkeypatch.setattr(detection, "quantile_bins", counted)
+    log = three_agent_log()
+    influence_matrix(log, GOLDEN_LAGS, conditioning=conditioning)
+    partitions = [
+        1 + sum(len(part.kind.categories) for part in schema.parts) * conditioning
+        for schema in log.schemas
+    ]
+    assert len(calls) == len(GOLDEN_LAGS.lag_set) * sum(partitions)
 
 
 def test_golden_matrix_mic_camera_trio():
@@ -595,11 +691,6 @@ def test_joint_tie_goes_to_the_first_lag_then_the_first_own_part(lags, own):
     strategy = DetectionStrategy(lag_set=lags, joint_pairs=True)
     pair = joint_influence(tie_log(), "B", (("A", "x"), ("A", "idle")), strategy)
     assert (pair.aggregate, pair.conditioning_part, pair.lag) == (1.0, own, lags[0])
-
-
-def overlap_pair_log():
-    spec = scenario_from_dict(json.loads((SCENARIOS / "overlap-pair.json").read_text()))
-    return run_scenario(spec, steps=300, seed=11)
 
 
 @pytest.mark.parametrize(
