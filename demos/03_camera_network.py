@@ -11,7 +11,14 @@ quiet about it.
 import json
 from pathlib import Path
 
-from influence_scope import DetectionStrategy, Measure, influence_matrix, run_scenario, scenario_from_dict
+from influence_scope import (
+    DetectionStrategy,
+    Measure,
+    PerformanceSelector,
+    influence_matrix,
+    run_scenario,
+    scenario_from_dict,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -21,7 +28,7 @@ def main():
     print("simulating 5000 steps of the camera trio (uniform random PTZ excitation)...")
     log = run_scenario(spec, steps=5000, seed=0)
     mean_perf = {
-        cam.camera_id: sum(r.performance[cam.camera_id] for r in log.records) / len(log.records)
+        cam.camera_id: log.columns[PerformanceSelector(cam.camera_id)].mean()
         for cam in spec.cameras
     }
     for cam_id, value in mean_perf.items():

@@ -9,7 +9,7 @@ targets are latched as detected and never score again.
 
 Per-step order of effects: spawn new targets, compute footprints, score
 cameras on currently undetected targets, latch observations, emit the
-sample record.  ``step`` carries every target with a detected mask;
+step's log values.  ``step`` carries every target with a detected mask;
 ``run_scenario`` keeps only the live backlog.  Both score through one
 footprint test and an exact credit computed from per-m counts.
 """
@@ -35,6 +35,8 @@ from .model import (
 )
 
 TWO_PI = 2.0 * math.pi
+# A camera's configuration parts, as its log schema declares them.
+_PARTS = ("pan", "tilt", "zoom")
 
 # A scenario that fails validation raises the package's one input error.
 ScenarioError = InputError
@@ -163,18 +165,6 @@ def system_performance(per_camera: Sequence[float]) -> float:
     return float(math.fsum(per_camera))
 
 
-def _record(
-    t: int, cameras: Sequence[CameraSpec], configs: Sequence[PtzConfig], perfs: list[float]
-) -> SampleRecord:
-    config = {}
-    for cam, cfg in zip(cameras, configs):
-        config[(cam.camera_id, "pan")] = cfg.pan
-        config[(cam.camera_id, "tilt")] = cfg.tilt
-        config[(cam.camera_id, "zoom")] = cfg.zoom
-    performance = {cam.camera_id: p for cam, p in zip(cameras, perfs)}
-    return SampleRecord(t=t, config=config, performance=performance)
-
-
 def _advance(
     scene: Union[SceneState, ScenarioSpec], configs: Sequence[PtzConfig], rng: np.random.Generator
 ) -> tuple[np.ndarray, list[Footprint]]:
@@ -206,7 +196,10 @@ def step(
     perfs = [float(c) for c in _credits(m, hit)]
     detected[live[m > 0]] = True
     next_state = replace(state, target_xy=xy, target_detected=detected, t=state.t + 1)
-    return next_state, perfs, _record(state.t, state.cameras, configs, perfs)
+    config = {(cam.camera_id, part): getattr(cfg, part)
+              for cam, cfg in zip(state.cameras, configs) for part in _PARTS}
+    performance = {cam.camera_id: p for cam, p in zip(state.cameras, perfs)}
+    return next_state, perfs, SampleRecord(state.t, config, performance)
 
 
 # --- scenarios and policies ------------------------------------------------
@@ -274,29 +267,10 @@ def camera_schemas(spec: ScenarioSpec) -> tuple[AgentSchema, ...]:
         # degenerate bounds (tilt_max 0, zoom_max 1) still need lower < upper
         tilt_hi = cam.tilt_max if cam.tilt_max > 0 else 1e-9
         zoom_hi = cam.zoom_max if cam.zoom_max > 1 else 1.0 + 1e-9
-        parts = (
-            ConfigPartSchema("pan", RealInterval(0.0, TWO_PI)),
-            ConfigPartSchema("tilt", RealInterval(0.0, tilt_hi)),
-            ConfigPartSchema("zoom", RealInterval(1.0, zoom_hi)),
-        )
+        bounds = ((0.0, TWO_PI), (0.0, tilt_hi), (1.0, zoom_hi))
+        parts = tuple(ConfigPartSchema(p, RealInterval(*b)) for p, b in zip(_PARTS, bounds))
         schemas.append(AgentSchema(cam.camera_id, parts))
     return tuple(schemas)
-
-
-def _draw_configs(
-    spec: ScenarioSpec, policy: Policy, rng: np.random.Generator
-) -> list[PtzConfig]:
-    if isinstance(policy, FixedPtz):
-        if len(policy.configs) != len(spec.cameras):
-            raise ValueError("FixedPtz needs one config per camera")
-        return list(policy.configs)
-    configs = []
-    for cam in spec.cameras:
-        pan = float(rng.uniform(0.0, TWO_PI))
-        tilt = float(rng.uniform(0.0, cam.tilt_max))
-        zoom = float(rng.uniform(1.0, cam.zoom_max))
-        configs.append(PtzConfig(pan, tilt, zoom))
-    return configs
 
 
 def run_scenario(
@@ -334,16 +308,24 @@ def run_scenario(
     base_y = np.array([cam.pose.y for cam in cams])
     x, y = np.array(spec.initial_targets, dtype=float).reshape(-1, 2).T
     entered, unreachable, peak = len(x), 0, 0
-    records = []
+    if isinstance(policy, FixedPtz) and len(policy.configs) != len(cams):
+        raise ValueError("FixedPtz needs one config per camera")
+    # the uniform policy draws every camera's pan, tilt and zoom in one call
+    lows = np.tile([0.0, 0.0, 1.0], len(cams))
+    highs = np.array([(TWO_PI, cam.tilt_max, cam.zoom_max) for cam in cams]).ravel()
+    rows = []  # per step: every camera's pan, tilt and zoom, then every performance
     for t in range(steps):
-        configs = _draw_configs(spec, policy, rng)
+        configs = policy.configs if isinstance(policy, FixedPtz) else [
+            PtzConfig(*ptz) for ptz in rng.uniform(lows, highs).reshape(-1, 3).tolist()
+        ]
         new_xy, footprints = _advance(spec, configs, rng)
         x = np.concatenate([x, new_xy[:, 0]])
         y = np.concatenate([y, new_xy[:, 1]])
         fresh = len(x) if t == 0 else len(new_xy)  # initial targets enter at step 0
         entered += len(new_xy)
         m, hit = _observe(x, y, footprints, spec.detection_radius)
-        records.append(_record(t, cams, configs, [float(c) for c in _credits(m, hit)]))
+        rows.append([v for cfg in configs for v in (cfg.pan, cfg.tilt, cfg.zoom)]
+                    + [float(c) for c in _credits(m, hit)])
         keep = m == 0
         if fresh:
             d2 = (x[-fresh:, None] - base_x) ** 2 + (y[-fresh:, None] - base_y) ** 2
@@ -357,7 +339,7 @@ def run_scenario(
         "simulated %d steps: %d targets entered, %d dropped as unreachable, live backlog"
         " %d at the end, %d at peak", steps, entered, unreachable, len(x), peak
     )
-    return SampleLog(schemas=camera_schemas(spec), records=tuple(records))
+    return SampleLog.from_columns(camera_schemas(spec), range(steps), list(zip(*rows)))
 
 
 # --- scenario (de)serialization --------------------------------------------

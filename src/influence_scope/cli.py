@@ -76,8 +76,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _save(out, log_to_json(sample_log), "log")
     _save(out.with_suffix(".csv"), log_to_csv(sample_log), "log")
 
-    total = [sum(r.performance.values()) for r in sample_log.records]
-    print(f"wrote {len(sample_log.records)} records to {out}")
+    total = [sum(performance.values()) for _, _, performance in sample_log.steps()]
+    print(f"wrote {len(total)} records to {out}")
     print(f"mean system performance: {sum(total) / len(total):.6g}")
     return EXIT_OK
 

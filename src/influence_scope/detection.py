@@ -227,6 +227,8 @@ def _slice(series: Series, idx: np.ndarray, strategy: DetectionStrategy):
         return np.asarray(values, dtype=np.float64)
     if isinstance(series, CategorySeries):
         return CategorySeries(values, series.n_categories)
+    if len(values) < strategy.own_part_bins:  # too few to bin: scored as degenerate
+        return None
     return _categorize(values, strategy.own_part_bins)
 
 

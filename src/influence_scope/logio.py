@@ -27,7 +27,7 @@ from typing import Union, get_args, get_origin, get_type_hints
 
 from .detection import DetectionStrategy, InfluenceMatrix
 from .errors import InputError, expect, finite, integer, natural, need, number
-from .model import AgentSchema, Nominal, Ordinal, RealInterval, SampleLog, SampleRecord
+from .model import AgentSchema, Nominal, Ordinal, RealInterval, SampleLog, transpose
 from .taxonomy import (
     InfiniteRealPart, NominalPart, OrdinalPart, StrategyRecommendation, SystemDescriptor
 )
@@ -136,51 +136,39 @@ def _check_names(log: SampleLog) -> None:
 
 def log_to_dict(log: SampleLog) -> dict:
     _check_names(log)
-    records = []
-    for r in log.records:
-        config = {}
-        for s in log.schemas:
-            for p in s.parts:
-                config[f"{s.agent_id}.{p.name}"] = r.config[(s.agent_id, p.name)]
-        records.append(
-            {
-                "t": r.t,
-                "config": config,
-                "performance": {a: r.performance[a] for a in sorted(r.performance)},
-            }
-        )
+    records = [{"t": t, "config": config, "performance": performance}
+               for t, config, performance in log.steps("{}.{}".format)]
     return {"schemas": _data(log.schemas), "records": records}
 
 
 def log_from_dict(data: dict) -> SampleLog:
-    """Build a log from parsed JSON.  A field that cannot be read raises
-    :class:`InputError` at its path; values that read but do not fit the
-    schemas are validation findings of the log (see ``validate_log``)."""
+    """Build a log from parsed JSON, each record's values straight into their
+    columns.  A field that cannot be read raises :class:`InputError` at its
+    path; values that read but do not fit the schemas are validation
+    findings of the log (see ``validate_log``)."""
     schemas = _typed(tuple[AgentSchema, ...], need(expect(data, dict, ""), "schemas"), "schemas")
-    records = []
+    t, configs, performances = [], [], []
     for i, r in enumerate(need(data, "records", kind=list)):
         # Plain indexing keeps the read fast; ``field`` names what failed,
         # and the checks below raise with no path of their own.
         field = "config"
         try:
-            config = {}
-            for key, value in r["config"].items():
-                agent, part = key.split(".", 1)
-                config[(agent, part)] = value
+            configs.append(expect(r["config"], dict, ""))
             field = "t"
-            t = r["t"] if type(r["t"]) is int else integer(r["t"], "")
+            t.append(r["t"] if type(r["t"]) is int else integer(r["t"], ""))
             field = "performance"
-            performance = {}
-            for a, v in r["performance"].items():
-                field = "performance." + a
-                # a non-finite number reads, and is a finding of the log
-                performance[a] = v if type(v) is float else float(expect(v, float, ""))
-        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+            for agent, value in expect(r["performance"], dict, "").items():
+                if type(value) is not float:
+                    field = "performance." + agent
+                    # a non-finite number reads, and is a finding of the log
+                    float(expect(value, float, ""))
+            performances.append(r["performance"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             expect(r, dict, f"records[{i}]")
             message = "missing field" if isinstance(exc, KeyError) else str(exc)
             raise InputError(f"records[{i}].{field}", message) from None
-        records.append(SampleRecord(t=t, config=config, performance=performance))
-    return SampleLog(schemas=schemas, records=tuple(records))
+    columns = transpose(schemas, configs, performances, "{}.{}".format)
+    return SampleLog.from_columns(schemas, t, *columns)
 
 
 def log_to_json(log: SampleLog) -> str:
@@ -194,55 +182,32 @@ def log_from_json(text: str) -> SampleLog:
 # --- sample logs: CSV ---------------------------------------------------------
 
 
-def _columns(log: SampleLog) -> list[str]:
-    cols = []
-    for s in log.schemas:
-        for p in s.parts:
-            cols.append(f"{s.agent_id}.{p.name}")
-    for s in log.schemas:
-        cols.append(f"{s.agent_id}.perf")
-    return cols
+def _header(schemas) -> list[str]:
+    return ["t", *(f"{s.agent_id}.{p.name}" for s in schemas for p in s.parts),
+            *(f"{s.agent_id}.perf" for s in schemas)]
 
 
 def log_to_csv(log: SampleLog) -> str:
     _check_names(log)
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t"] + _columns(log))
-    for r in log.records:
-        row: list[str] = [str(r.t)]
-        for s in log.schemas:
-            for p in s.parts:
-                value = r.config[(s.agent_id, p.name)]
-                row.append(repr(value) if isinstance(value, float) else str(value))
-        for s in log.schemas:
-            row.append(repr(float(r.performance[s.agent_id])))
-        writer.writerow(row)
+    writer = csv.writer(buf, lineterminator="\n")  # writes floats by repr
+    writer.writerow(_header(log.schemas))
+    writer.writerows((t, *config.values(), *performance.values())
+                     for t, config, performance in log.steps())
     return buf.getvalue()
 
 
 def log_from_csv(text: str, schemas: tuple[AgentSchema, ...]) -> SampleLog:
     reader = csv.reader(io.StringIO(text))
     header = next(reader)
-    probe = SampleLog(schemas=schemas, records=())
-    expected = ["t"] + _columns(probe)
-    if header != expected:
+    if header != _header(schemas):
         raise ValueError(f"unexpected CSV header {header!r}")
-    records = []
-    for row in reader:
-        values = dict(zip(header, row))
-        config = {}
-        performance = {}
-        for s in schemas:
-            for p in s.parts:
-                raw = values[f"{s.agent_id}.{p.name}"]
-                if isinstance(p.kind, RealInterval):
-                    config[(s.agent_id, p.name)] = float(raw)
-                else:
-                    config[(s.agent_id, p.name)] = raw
-            performance[s.agent_id] = float(values[f"{s.agent_id}.perf"])
-        records.append(SampleRecord(int(values["t"]), config, performance))
-    return SampleLog(schemas=schemas, records=tuple(records))
+    rows = list(reader)
+    t, *cells = zip(*rows) if rows else [()] * len(header)
+    kinds = [p.kind for s in schemas for p in s.parts] + [None] * len(schemas)
+    columns = [column if isinstance(kind, (Nominal, Ordinal)) else list(map(float, column))
+               for column, kind in zip(cells, kinds)]
+    return SampleLog.from_columns(schemas, list(map(int, t)), columns)
 
 
 # --- strategies ---------------------------------------------------------------

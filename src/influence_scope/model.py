@@ -1,29 +1,40 @@
 """Agent schemas and the sample-log format consumed by every detector.
 
-A log is a time-ordered sequence of records, each holding every agent's
-configuration-part values and one performance scalar per agent.  Nominal
-and ordinal parts carry category labels; real-valued parts carry floats
-inside a declared interval.
+A log holds, at each time step, every agent's configuration-part values
+and one performance scalar per agent.  Nominal and ordinal parts carry
+category labels; real-valued parts carry floats inside a declared interval.
 
-Records are the input and output form only: a log decodes them once, when
-it is built, into typed columns (int64 category codes, float64 reals and
-performances) and keeps every validation finding of that pass, so
-extracting a column is a slice.
+The columns are the log: a time column, one typed column per declared part
+(int64 category codes or float64 reals) and one float64 performance column
+per agent.  They are decoded once, with every validation finding, from one
+value list per column that the readers and the simulator fill directly, so
+validation returns stored findings and extracting a column is a slice.  A
+per-step :class:`SampleRecord` is only a constructor input and a
+read-only view of a valid log.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from reprlib import repr as brief
-from typing import Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
+from .errors import is_number
 from .series import CategorySeries, RealSeries, Series
 
 ConfigValue = Union[str, float]
 PartKey = tuple[str, str]  # (agent_id, part name)
+
+
+def _check_categories(kind) -> None:
+    if len(kind.categories) < 2:
+        raise ValueError(f"{type(kind).__name__.lower()} parts need at least 2 categories")
+    if len(set(kind.categories)) != len(kind.categories):
+        raise ValueError("duplicate category labels")
 
 
 @dataclass(frozen=True)
@@ -31,12 +42,7 @@ class Nominal:
     """Unordered categories."""
 
     categories: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.categories) < 2:
-            raise ValueError("nominal parts need at least 2 categories")
-        if len(set(self.categories)) != len(self.categories):
-            raise ValueError("duplicate category labels")
+    __post_init__ = _check_categories
 
 
 @dataclass(frozen=True)
@@ -44,12 +50,7 @@ class Ordinal:
     """Ordered categories; the declared order is the rank order."""
 
     categories: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.categories) < 2:
-            raise ValueError("ordinal parts need at least 2 categories")
-        if len(set(self.categories)) != len(self.categories):
-            raise ValueError("duplicate category labels")
+    __post_init__ = _check_categories
 
 
 @dataclass(frozen=True)
@@ -120,23 +121,45 @@ class Issue:
     message: str
 
 
-@dataclass(frozen=True)
-class SampleLog:
-    """Schemas and records, decoded once into typed columns.
+NO_VALUE = object()  # the value of a part or performance that a step does not give
 
-    Building a log never fails on bad values: every finding is kept for
-    :func:`validate_log`, and a log with findings yields no columns.
+
+class SampleLog:
+    """Schemas, a time column, one typed column per declared part and per
+    agent's performance, and the validation findings of their values.
+
+    ``SampleLog(schemas, records)`` moves records into columns, and
+    :meth:`from_columns` takes the value lists a reader or the simulator
+    filled; :attr:`records` is a view built from the columns.  Building a
+    log never fails on bad values: every finding is kept for
+    :func:`validate_log`.  A bad value has no column code, so a log with
+    findings gives no steps, records, series or files.
     """
 
-    schemas: tuple[AgentSchema, ...]
-    records: tuple[SampleRecord, ...]
-    _columns: dict[Selector, np.ndarray] = field(init=False, repr=False, compare=False)
-    _issues: tuple[Issue, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("schemas", "t", "columns", "issues")
 
-    def __post_init__(self) -> None:
-        columns, issues = _decode(self.schemas, self.records)
-        object.__setattr__(self, "_columns", columns)
-        object.__setattr__(self, "_issues", issues)
+    def __init__(self, schemas: Sequence[AgentSchema], records: Sequence[SampleRecord]) -> None:
+        records, self.schemas = tuple(records), tuple(schemas)
+        configs, performances = [r.config for r in records], [r.performance for r in records]
+        columns = transpose(self.schemas, configs, performances)
+        self.t, self.columns, self.issues = _decode(self.schemas, [r.t for r in records], *columns)
+
+    @classmethod
+    def from_columns(cls, schemas, t, columns, undeclared=(), unknown=()) -> SampleLog:
+        """The log of the time steps ``t`` and one value list per part, then
+        per performance, in schema order (``NO_VALUE`` where a step has
+        none), with the strays that :func:`transpose` describes."""
+        log = cls.__new__(cls)
+        log.schemas = tuple(schemas)
+        log.t, log.columns, log.issues = _decode(log.schemas, t, columns, undeclared, unknown)
+        return log
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SampleLog):
+            return NotImplemented
+        arrays = [(log.t, *log.columns.values()) for log in (self, other)]
+        return (self.schemas, self.issues) == (other.schemas, other.issues) and all(
+            map(np.array_equal, *arrays))
 
     def agent(self, agent_id: str) -> AgentSchema:
         for schema in self.schemas:
@@ -144,8 +167,51 @@ class SampleLog:
                 return schema
         raise KeyError(f"unknown agent {agent_id!r}")
 
+    def check_valid(self) -> None:
+        """Raise ValueError if the log has validation findings."""
+        if self.issues:
+            raise ValueError(f"log failed validation: {list(self.issues[:3])}")
 
-_MISSING = object()
+    def steps(self, key=lambda *key: key) -> Iterator[tuple[int, dict, dict]]:
+        """Each step of a valid log as a record holds it: the time step, the
+        part values (category labels or floats) keyed by ``key(agent,
+        part)``, and the performances keyed by agent id, in schema order."""
+        self.check_valid()
+        names, columns = [], []
+        for schema in self.schemas:
+            for part in schema.parts:
+                column = self.columns[ConfigSelector(schema.agent_id, part.name)].tolist()
+                if not isinstance(part.kind, RealInterval):
+                    column = [part.kind.categories[code] for code in column]
+                names.append(key(schema.agent_id, part.name))
+                columns.append(column)
+        agents = [s.agent_id for s in self.schemas]
+        columns += [self.columns[PerformanceSelector(a)].tolist() for a in agents]
+        return ((t, dict(zip(names, v)), dict(zip(agents, v[len(names):])))
+                for t, *v in zip(self.t.tolist(), *columns))
+
+    @property
+    def records(self) -> tuple[SampleRecord, ...]:
+        """The steps of a valid log as records."""
+        return tuple(SampleRecord(*step) for step in self.steps())
+
+
+def transpose(schemas, configs, performances, key=lambda *key: key) -> tuple:
+    """Each step's dict of part values, keyed by ``key(agent, part)``, and of
+    performances, keyed by agent id, as :meth:`SampleLog.from_columns` takes
+    them: the value lists, the (step, ``"agent.part"``) of each value of an
+    undeclared part and the (step, agent id) of each unknown performance."""
+    parts = [key(s.agent_id, p.name) for s in schemas for p in s.parts]
+    agents = [s.agent_id for s in schemas]
+    columns = [[d.get(k, NO_VALUE) for d in configs] for k in parts]
+    columns += [[d.get(a, NO_VALUE) for d in performances] for a in agents]
+    declared, known = set(parts), set(agents)
+    undeclared = [(i, k if isinstance(k, str) else "{}.{}".format(*k))
+                  for i, d in enumerate(configs) if not d.keys() <= declared
+                  for k in d if k not in declared]
+    unknown = [(i, a) for i, d in enumerate(performances)
+               if not d.keys() <= known for a in d if a not in known]
+    return columns, undeclared, unknown
 
 
 def _category_code(index: dict, value) -> int:
@@ -155,110 +221,93 @@ def _category_code(index: dict, value) -> int:
         return -1
 
 
-def _decode_part(kind: PartKind, values: list) -> tuple[np.ndarray, list[tuple[int, str]]]:
-    """One part's column (category codes or reals) and its bad values as
-    (record index, message)."""
+def _decode_part(
+    kind: Optional[PartKind], values: Sequence
+) -> tuple[np.ndarray, list[tuple[int, str]]]:
+    """One column (category codes, or reals for a real part and for a
+    performance, whose ``kind`` is None) and its bad values as (step index,
+    message)."""
     if isinstance(kind, (Nominal, Ordinal)):
         index = {label: code for code, label in enumerate(kind.categories)}
         column = np.array([_category_code(index, v) for v in values], dtype=np.int64)
         bad = np.flatnonzero(column < 0)
+    elif kind is None:
+        column = np.array([math.nan if v is NO_VALUE else float(v) for v in values], dtype=float)
+        bad = np.flatnonzero(~np.isfinite(column))
     else:
-        column = np.array(
-            [v if isinstance(v, (int, float)) else math.nan for v in values],
-            dtype=np.float64,
-        )
-        bad = np.flatnonzero(
-            ~np.isfinite(column) | (column < kind.lower) | (column > kind.upper)
-        )
+        # no boolean reads as a number, and an int beyond the float range as nan
+        reals = [v if type(v) is float or is_number(v) and abs(v) <= sys.float_info.max
+                 else math.nan for v in values]
+        column = np.array(reals, dtype=float)
+        bad = np.flatnonzero(~np.isfinite(column) | (column < kind.lower) | (column > kind.upper))
     found = []
     for i in bad.tolist():
         value = values[i]
-        if value is _MISSING:
+        if kind is None:
+            message = "missing performance" if value is NO_VALUE else "non-finite performance"
+        elif value is NO_VALUE:
             message = "missing config value"
         elif isinstance(kind, (Nominal, Ordinal)):
-            message = f"unknown category {value!r}"
-        elif not math.isfinite(column[i]):
-            message = f"non-finite value {value!r}"
+            message = f"unknown category {brief(value)}"
+        elif is_number(value) and (isinstance(value, int) or math.isfinite(value)):
+            message = f"value {brief(value)} outside [{kind.lower}, {kind.upper}]"
         else:
-            message = f"value {value!r} outside [{kind.lower}, {kind.upper}]"
+            message = f"non-finite value {brief(value)}"
         found.append((i, message))
     return column, found
 
 
 def _decode(
-    schemas: tuple[AgentSchema, ...], records: tuple[SampleRecord, ...]
-) -> tuple[dict[Selector, np.ndarray], tuple[Issue, ...]]:
-    """The column of every declared part and every agent's performance, and
-    every log invariant violated, schema findings first, then by record."""
-    issues: list[Issue] = []
-    agents: set[str] = set()
-    for schema in schemas:
-        if schema.agent_id in agents:
-            issues.append(Issue(None, schema.agent_id, "duplicate agent id"))
-        agents.add(schema.agent_id)
-    declared = {(s.agent_id, p.name) for s in schemas for p in s.parts}
+    schemas: tuple[AgentSchema, ...], t: Sequence, columns: Sequence[Sequence],
+    undeclared: Sequence[tuple[int, str]], unknown: Sequence[tuple[int, str]],
+) -> tuple[np.ndarray, dict[Selector, np.ndarray], tuple[Issue, ...]]:
+    """The time column, the typed column of every declared part and every
+    agent's performance (see :meth:`SampleLog.from_columns`), and every log
+    invariant violated, schema findings first, then by step."""
+    ids = [schema.agent_id for schema in schemas]
+    issues = [Issue(None, a, "duplicate agent id") for k, a in enumerate(ids) if a in ids[:k]]
 
-    # (record index, slot, finding): the slot orders one record's findings
-    # as the checks are listed, the time step first.
+    # (step index, slot, finding): the slot orders one step's findings as
+    # the checks are listed, the time step first.
     found: list[tuple[int, int, Issue]] = []
     try:
-        t = np.array([r.t for r in records], dtype=np.int64)
+        times = np.array(t, dtype=np.int64)
     except OverflowError:  # compare the steps as Python ints instead
-        t = np.array([r.t for r in records], dtype=object)
+        times = np.array(t, dtype=object)
         low, high = np.iinfo(np.int64).min, np.iinfo(np.int64).max
-        for i in np.flatnonzero((t < low) | (t > high)).tolist():
-            message = f"time step {brief(records[i].t)} does not fit in 64 bits"
+        for i in np.flatnonzero((times < low) | (times > high)).tolist():
+            message = f"time step {brief(t[i])} does not fit in 64 bits"
             found.append((i, 0, Issue(i, "t", message)))
-    for i in np.flatnonzero(t < 0).tolist():
-        found.append((i, 0, Issue(i, "t", f"negative time step {brief(records[i].t)}")))
-    for i in (np.flatnonzero(t[1:] <= t[:-1]) + 1).tolist():
-        steps = f"{brief(records[i - 1].t)} -> {brief(records[i].t)}"
-        message = f"time steps not strictly increasing ({steps})"
-        found.append((i, 1, Issue(i, "t", message)))
-    for i, record in enumerate(records):
-        if not record.config.keys() <= declared:
-            found += [
-                (i, 2, Issue(i, f"{key[0]}.{key[1]}", "undeclared config part"))
-                for key in record.config
-                if key not in declared
-            ]
+    for i in np.flatnonzero(times < 0).tolist():
+        found.append((i, 0, Issue(i, "t", f"negative time step {brief(t[i])}")))
+    for i in (np.flatnonzero(times[1:] <= times[:-1]) + 1).tolist():
+        steps = f"{brief(t[i - 1])} -> {brief(t[i])}"
+        found.append((i, 1, Issue(i, "t", f"time steps not strictly increasing ({steps})")))
+    found += [(i, 2, Issue(i, path, "undeclared config part")) for i, path in undeclared]
 
-    columns: dict[Selector, np.ndarray] = {}
+    parts = [ConfigSelector(s.agent_id, p.name) for s in schemas for p in s.parts]
+    values = dict(zip(parts + [PerformanceSelector(a) for a in ids], columns))
+    typed: dict[Selector, np.ndarray] = {}
     slot = 3
-    for schema in schemas:
-        for part in schema.parts:
-            key = (schema.agent_id, part.name)
-            values = [r.config.get(key, _MISSING) for r in records]
-            columns[ConfigSelector(*key)], bad = _decode_part(part.kind, values)
-            found += [(i, slot, Issue(i, f"{key[0]}.{key[1]}", m)) for i, m in bad]
+    for schema in schemas:  # its parts, then its performance (kind None)
+        keys = [(ConfigSelector(schema.agent_id, p.name), p.kind) for p in schema.parts]
+        for key, kind in keys + [(PerformanceSelector(schema.agent_id), None)]:
+            typed[key], bad = _decode_part(kind, values[key])
+            path = f"{key.agent_id}.{'perf' if kind is None else key.part}"
+            found += [(i, slot, Issue(i, path, m)) for i, m in bad]
             slot += 1
-        values = [r.performance.get(schema.agent_id, _MISSING) for r in records]
-        column = np.array(
-            [math.nan if v is _MISSING else float(v) for v in values], dtype=np.float64
-        )
-        columns[PerformanceSelector(schema.agent_id)] = column
-        path = f"{schema.agent_id}.perf"
-        for i in np.flatnonzero(~np.isfinite(column)).tolist():
-            message = "missing performance" if values[i] is _MISSING else "non-finite performance"
-            found.append((i, slot, Issue(i, path, message)))
-        slot += 1
-    for i, record in enumerate(records):
-        if not record.performance.keys() <= agents:
-            found += [
-                (i, slot, Issue(i, f"{agent_id}.perf", "performance for unknown agent"))
-                for agent_id in record.performance
-                if agent_id not in agents
-            ]
+    found += [(i, slot, Issue(i, f"{agent}.perf", "performance for unknown agent"))
+              for i, agent in unknown]
 
-    for column in columns.values():
+    for column in (times, *typed.values()):
         column.setflags(write=False)
     found.sort(key=lambda f: f[:2])
-    return columns, tuple(issues + [issue for _, _, issue in found])
+    return times, typed, tuple(issues + [issue for _, _, issue in found])
 
 
 def validate_log(log: SampleLog) -> list[Issue]:
     """Every log invariant the log violates; an empty list means it is valid."""
-    return list(log._issues)
+    return list(log.issues)
 
 
 def extract_series(log: SampleLog, source: Selector, lag: int = 0) -> Series:
@@ -269,20 +318,18 @@ def extract_series(log: SampleLog, source: Selector, lag: int = 0) -> Series:
     lines up with performance at time t + L.  Both sides end up with the
     same length.  A log with validation findings has no columns.
     """
-    if log._issues:
-        raise ValueError(f"log failed validation: {list(log._issues[:3])}")
-    n = len(log.records)
+    log.check_valid()
+    n = len(log.t)
     if lag < 0:
         raise ValueError("lag must be >= 0")
     if lag >= n:
         raise ValueError(f"lag {lag} >= record count {n}")
 
     if isinstance(source, PerformanceSelector):
-        log.agent(source.agent_id)
-        return RealSeries(log._columns[source][lag:])
+        return RealSeries(log.columns[source][lag:])
 
     kind = log.agent(source.agent_id).part(source.part).kind
-    column = log._columns[source][: n - lag]
+    column = log.columns[source][: n - lag]
     if isinstance(kind, RealInterval):
         return RealSeries(column)
     return CategorySeries(column, len(kind.categories))

@@ -625,3 +625,26 @@ def test_detect_time_step_beyond_int64_is_a_finding(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "record=3 t: time step" in err and "does not fit in 64 bits" in err
     assert "Traceback" not in err
+
+
+def test_detect_real_part_beyond_float_range_is_a_finding(tmp_path, capsys):
+    spec = scenario_from_dict(json.loads((SCENARIOS / "overlap-pair.json").read_text()))
+    doc = json.loads(log_to_json(run_scenario(spec, steps=30, seed=0)))
+    doc["records"][2]["config"]["cam_a.zoom"] = 10**400
+    assert run_on(tmp_path, "log", doc) == 2
+    err = capsys.readouterr().err
+    assert "record=2 cam_a.zoom: value" in err and "outside" in err
+    assert "Traceback" not in err
+
+
+def test_detect_partitions_smaller_than_own_part_bins_score_as_degenerate(tmp_path, capsys):
+    # Each own-part partition of B's real performance has about 100 samples,
+    # too few for 150 quantile bins.
+    strategy = tmp_path / "strategy.json"
+    strategy.write_text(json.dumps({"own_part_bins": 150}))
+    out = tmp_path / "m.json"
+    log_path = write_log(tmp_path, independent_log(200, seed=1))
+    assert main(["detect", str(log_path), "--strategy", str(strategy), "--out", str(out)]) == 0
+    for entry in json.loads(out.read_text())["entries"]:
+        partitions = entry["best_conditioned"]["per_partition"]
+        assert partitions and all(p["score"]["degenerate"] for p in partitions)

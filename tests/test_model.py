@@ -2,6 +2,7 @@
 canonical serialization round trip."""
 
 import hashlib
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,9 @@ from influence_scope import (
     validate_log,
 )
 from influence_scope.model import Issue
-from influence_scope.logio import log_from_csv, log_from_json, log_to_csv, log_to_json
+from influence_scope.logio import (
+    log_from_csv, log_from_dict, log_from_json, log_to_csv, log_to_json
+)
 
 from conftest import coupled_log, independent_log
 
@@ -165,7 +168,8 @@ def test_validate_reports_time_step_beyond_int64(t):
 def test_time_steps_at_the_int64_limits_are_valid():
     log = camera_like_log(2)
     low, high = -(2**63), 2**63 - 1
-    log = with_record(with_record(log, 0, t=low), 1, t=high)
+    first, second = log.records  # a log with findings has no records view
+    log = SampleLog(log.schemas, (replace(first, t=low), replace(second, t=high)))
     assert validate_log(log) == [Issue(0, "t", f"negative time step {low}")]
 
 
@@ -176,11 +180,20 @@ def test_validate_reports_undeclared_part():
     assert issues == [Issue(2, "cam.roll", "undeclared config part")]
 
 
-def test_validate_reports_non_numeric_real():
+@pytest.mark.parametrize("value, shown", [("wide", "'wide'"), (True, "True")],
+                         ids=["string", "boolean"])
+def test_validate_reports_non_numeric_real(value, shown):
     log = camera_like_log()
-    config = {**log.records[1].config, ("cam", "pan"): "wide"}
+    config = {**log.records[1].config, ("cam", "pan"): value}
     issues = validate_log(with_record(log, 1, config=config))
-    assert issues == [Issue(1, "cam.pan", "non-finite value 'wide'")]
+    assert issues == [Issue(1, "cam.pan", f"non-finite value {shown}")]
+
+
+def test_json_boolean_real_is_a_finding():
+    doc = json.loads(log_to_json(camera_like_log()))
+    doc["records"][2]["config"]["cam.pan"] = True
+    log = log_from_dict(doc)
+    assert validate_log(log) == [Issue(2, "cam.pan", "non-finite value True")]
 
 
 def test_validate_reports_missing_performance():
@@ -332,3 +345,96 @@ def test_serialization_rejects_hostile_names():
     )
     with pytest.raises(ValueError):
         log_to_json(log)
+
+
+# --- one log, three readers ---------------------------------------------------------
+
+
+def every_kind_log(n=8):
+    """Two agents with a nominal, an ordinal and a real part each."""
+    schemas = tuple(
+        AgentSchema(
+            agent,
+            (
+                ConfigPartSchema("mode", Nominal(("wide", "narrow"))),
+                ConfigPartSchema("level", Ordinal(("lo", "mid", "hi"))),
+                ConfigPartSchema("pan", RealInterval(-1.5, 2.25)),
+            ),
+        )
+        for agent in ("a", "b")
+    )
+    records = tuple(
+        SampleRecord(
+            t=3 * t + 1,
+            config={
+                key: value
+                for k, agent in enumerate(("a", "b"))
+                for key, value in (
+                    ((agent, "mode"), ("wide", "narrow")[(t + k) % 2]),
+                    ((agent, "level"), ("lo", "mid", "hi")[(t * k) % 3]),
+                    ((agent, "pan"), 0.25 * (t % 12) - 1.25 - k / 7),
+                )
+            },
+            performance={"b": t / 3, "a": -0.0 if t == 2 else 1e-300 * t},
+        )
+        for t in range(n)
+    )
+    return SampleLog(schemas, records)
+
+
+def assert_same_log(log, other):
+    """Equal schemas, findings and columns, a nan equal to a nan."""
+    assert log.schemas == other.schemas
+    assert validate_log(log) == validate_log(other)
+    np.testing.assert_array_equal(log.t, other.t)
+    assert list(log.columns) == list(other.columns)
+    for key, column in log.columns.items():
+        assert column.dtype == other.columns[key].dtype
+        np.testing.assert_array_equal(column, other.columns[key])
+
+
+@pytest.mark.parametrize("make", [every_kind_log, camera_like_log, coupled_log],
+                         ids=["every-kind", "camera-like", "coupled"])
+def test_records_json_and_csv_read_to_the_same_columns(make):
+    log = make(12)
+    from_json = log_from_json(log_to_json(log))
+    from_csv = log_from_csv(log_to_csv(log), log.schemas)
+    for other in (from_json, from_csv):
+        assert_same_log(log, other)
+        assert other == log
+        assert other.records == log.records
+
+
+def test_records_and_json_give_the_same_seven_findings():
+    config = {("cam", "roll"): 0.1, ("cam", "mode"): "zoomed"}
+    broken = with_record(camera_like_log(), 2, t=-2, config=config, performance={"ghost": 1.0})
+    doc = json.loads(log_to_json(camera_like_log()))
+    doc["records"][2] = {"t": -2, "config": {"cam.roll": 0.1, "cam.mode": "zoomed"},
+                         "performance": {"ghost": 1.0}}
+    assert len(validate_log(broken)) == 7
+    assert_same_log(broken, log_from_dict(doc))
+
+
+def test_records_json_and_csv_give_the_same_findings():
+    # every finding a CSV row can hold: it has no cell for an undeclared part
+    config = {("cam", "pan"): 7.0, ("cam", "mode"): "zoomed"}
+    nan = float("nan")
+    broken = with_record(camera_like_log(), 2, t=-2, config=config, performance={"cam": nan})
+    doc = json.loads(log_to_json(camera_like_log()))
+    doc["records"][2] = {"t": -2, "config": {"cam.pan": 7.0, "cam.mode": "zoomed"},
+                         "performance": {"cam": nan}}
+    lines = log_to_csv(camera_like_log()).splitlines(keepends=True)
+    assert lines[0] == "t,cam.pan,cam.mode,cam.perf\n"
+    lines[3] = "-2,7.0,zoomed,nan\n"
+    assert len(validate_log(broken)) == 5
+    assert_same_log(broken, log_from_dict(doc))
+    assert_same_log(broken, log_from_csv("".join(lines), broken.schemas))
+
+
+@pytest.mark.parametrize("write", [log_to_json, log_to_csv], ids=["json", "csv"])
+def test_writers_refuse_a_log_with_findings(write):
+    log = with_record(camera_like_log(), 1, performance={"cam": float("nan")})
+    with pytest.raises(ValueError, match="failed validation"):
+        write(log)
+    with pytest.raises(ValueError, match="failed validation"):
+        log.records
