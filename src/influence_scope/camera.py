@@ -11,7 +11,7 @@ Per-step order of effects: spawn new targets, compute footprints, score
 cameras on currently undetected targets, latch observations, emit the
 step's log values.  ``step`` carries every target with a detected mask;
 ``run_scenario`` keeps only the live backlog.  Both score through one
-footprint test and an exact credit computed from per-m counts.
+footprint test and one exact credit, an integer over lcm(1..#cameras).
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ _PARTS = ("pan", "tilt", "zoom")
 ScenarioError = InputError
 
 log = logging.getLogger("influence_scope")
+
+_BLOCK = 32  # steps whose draws run_scenario makes ahead; bounds the memory they hold
 
 
 @dataclass(frozen=True)
@@ -115,37 +117,55 @@ def fov_footprint(pose: CameraPose, ptz: PtzConfig, base_half_angle: float) -> F
     The center moves away from the camera's ground position as tilt grows;
     the radius shrinks with zoom and grows with tilt.
     """
-    offset = pose.z * math.tan(ptz.tilt)
-    cx = pose.x + offset * math.cos(ptz.pan)
-    cy = pose.y + offset * math.sin(ptz.pan)
-    radius = pose.z * math.tan(base_half_angle / ptz.zoom) / math.cos(ptz.tilt)
-    return Footprint(cx, cy, radius)
+    return Footprint(*_disc(pose, base_half_angle, ptz.pan, ptz.tilt, ptz.zoom))
 
 
-def _observe(
-    x: np.ndarray, y: np.ndarray, footprints: Sequence[Footprint], radius: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Observer count m of each target and the (cameras, targets) hit mask."""
-    hit = np.empty((len(footprints), len(x)), dtype=bool)
-    for c, fp in enumerate(footprints):
-        hit[c] = (x - fp.cx) ** 2 + (y - fp.cy) ** 2 <= (fp.radius + radius) ** 2
-    return hit.sum(axis=0), hit
+def _disc(pose: CameraPose, base_half_angle: float, pan: float, tilt: float, zoom: float):
+    """The footprint's center x, y and radius (see :func:`fov_footprint`)."""
+    offset = pose.z * math.tan(tilt)
+    return (pose.x + offset * math.cos(pan), pose.y + offset * math.sin(pan),
+            pose.z * math.tan(base_half_angle / zoom) / math.cos(tilt))
 
 
-def _credits(m: np.ndarray, hit: np.ndarray) -> list[Fraction]:
-    """Exact credit per camera, the sum of 1/m over the targets it hits.
+def _reaches(discs, detection_radius: float) -> np.ndarray:
+    """The (3, C, 1) columns center x, center y and squared reach (radius
+    plus detection radius) of each camera's (cx, cy, radius) disc."""
+    rows = [(cx, cy, (radius + detection_radius) ** 2) for cx, cy, radius in discs]
+    return np.array(rows, dtype=float).reshape(-1, 3).T[:, :, None]
 
-    With count_m of those targets seen by m cameras the credit is
-    sum_m count_m / m, summed in integers over L = lcm(1..#cameras).
-    """
+
+class _HitTest:
+    """The footprint test of every camera against every target, written into
+    buffers kept across calls that grow with the target count: a fresh
+    (C, n) temporary for a backlog of thousands exceeds the allocator's
+    mmap threshold and would be page-faulted again on every step."""
+
+    hit: Optional[np.ndarray] = None  # with dx and dy, allocated by the first call
+
+    def __call__(self, x: np.ndarray, y: np.ndarray, reaches: np.ndarray) -> np.ndarray:
+        """The (C, n) mask of the targets (x, y) within each camera's reach."""
+        n = len(x)
+        if self.hit is None or n > self.hit.shape[1]:
+            grown = (len(reaches[0]), 2 * n)
+            self.dx, self.dy, self.hit = np.empty(grown), np.empty(grown), np.empty(grown, bool)
+        dx, dy, hit = self.dx[:, :n], self.dy[:, :n], self.hit[:, :n]
+        np.square(np.subtract(x, reaches[0], dx), dx)
+        np.square(np.subtract(y, reaches[1], dy), dy)
+        return np.less_equal(np.add(dx, dy, dx), reaches[2], hit)
+
+
+def _credits(hit: np.ndarray) -> tuple[list[int], int, np.ndarray]:
+    """Exact credit per camera, the sum of 1/m over the targets it hits, m
+    being each target's observer count: the integer numerators over
+    L = lcm(1..#cameras), L, and the mask of targets some camera hits.
+
+    The numerators are summed in int64 while no sum can reach 2**63, and as
+    Python ints beyond, as from 43 cameras on."""
     lcm = math.lcm(*range(1, len(hit) + 1))
-    seen = np.flatnonzero(m)
-    m_seen = m[seen]
-    credits = []
-    for row in hit[:, seen]:
-        counts = np.bincount(m_seen[row]).tolist()  # counts[0] is 0: m >= 1
-        credits.append(Fraction(sum(n * (lcm // k) for k, n in enumerate(counts) if n), lcm))
-    return credits
+    seen = hit.any(axis=0)
+    sub = hit.compress(seen, axis=1)
+    m = sub.sum(axis=0, dtype=np.int64 if lcm * sub.shape[1] < 2**63 else object)
+    return (sub @ (lcm // m)).tolist(), lcm, seen
 
 
 def exact_camera_credits(
@@ -156,8 +176,9 @@ def exact_camera_credits(
 ) -> list[Fraction]:
     """Exact per-camera credit: sum of 1/m over newly observed targets."""
     live = ~target_detected
-    m, hit = _observe(target_xy[live, 0], target_xy[live, 1], footprints, detection_radius)
-    return _credits(m, hit)
+    reaches = _reaches([(fp.cx, fp.cy, fp.radius) for fp in footprints], detection_radius)
+    numerators, lcm, _ = _credits(_HitTest()(target_xy[live, 0], target_xy[live, 1], reaches))
+    return [Fraction(k, lcm) for k in numerators]
 
 
 def system_performance(per_camera: Sequence[float]) -> float:
@@ -165,36 +186,33 @@ def system_performance(per_camera: Sequence[float]) -> float:
     return float(math.fsum(per_camera))
 
 
-def _advance(
-    scene: Union[SceneState, ScenarioSpec], configs: Sequence[PtzConfig], rng: np.random.Generator
-) -> tuple[np.ndarray, list[Footprint]]:
-    """Check the configs, draw the step's (n, 2) arrivals and project the
-    footprints."""
-    if len(configs) != len(scene.cameras):
+def _check_configs(cameras: Sequence[CameraSpec], configs: Sequence[PtzConfig]) -> None:
+    if len(configs) != len(cameras):
         raise ValueError("one PTZ config per camera required")
-    for cam, cfg in zip(scene.cameras, configs):
+    for cam, cfg in zip(cameras, configs):
         cam.validate_ptz(cfg)
-    n_new = int(rng.poisson(scene.arrival_rate))
-    new_xy = np.empty((0, 2))
-    if n_new:
-        new_xy = rng.uniform(low=[0.0, 0.0], high=[scene.width, scene.height], size=(n_new, 2))
-    return new_xy, [
-        fov_footprint(cam.pose, cfg, cam.base_half_angle)
-        for cam, cfg in zip(scene.cameras, configs)
-    ]
+
+
+def _arrivals(scene: Union[SceneState, ScenarioSpec], rng: np.random.Generator) -> np.ndarray:
+    """The step's (n, 2) new targets: a Poisson count, uniform over the
+    scene, the same doubles as ``rng.uniform`` with bounds 0 and the size."""
+    return rng.random((int(rng.poisson(scene.arrival_rate)), 2)) * (scene.width, scene.height)
 
 
 def step(
     state: SceneState, configs: Sequence[PtzConfig], rng: np.random.Generator
 ) -> tuple[SceneState, list[float], SampleRecord]:
     """Advance one time step; returns (next state, per-camera perf, record)."""
-    new_xy, footprints = _advance(state, configs, rng)
+    _check_configs(state.cameras, configs)
+    new_xy = _arrivals(state, rng)
     xy = np.vstack([state.target_xy, new_xy]) if len(state.target_xy) else new_xy
     detected = np.concatenate([state.target_detected, np.zeros(len(new_xy), dtype=bool)])
     live = np.flatnonzero(~detected)
-    m, hit = _observe(xy[live, 0], xy[live, 1], footprints, state.detection_radius)
-    perfs = [float(c) for c in _credits(m, hit)]
-    detected[live[m > 0]] = True
+    reaches = _reaches([_disc(cam.pose, cam.base_half_angle, cfg.pan, cfg.tilt, cfg.zoom)
+                        for cam, cfg in zip(state.cameras, configs)], state.detection_radius)
+    numerators, lcm, seen = _credits(_HitTest()(xy[live, 0], xy[live, 1], reaches))
+    perfs = [k / lcm for k in numerators]  # correctly rounded, as float(Fraction(k, lcm))
+    detected[live[seen]] = True
     next_state = replace(state, target_xy=xy, target_detected=detected, t=state.t + 1)
     config = {(cam.camera_id, part): getattr(cfg, part)
               for cam, cfg in zip(state.cameras, configs) for part in _PARTS}
@@ -291,53 +309,55 @@ def run_scenario(
         raise ValueError("steps must be >= 1")
     rng = np.random.default_rng(seed)
     cams = spec.cameras
+    fixed = None  # a fixed policy's pan, tilt and zoom of every camera, checked once
+    if isinstance(policy, FixedPtz):
+        _check_configs(cams, policy.configs)
+        fixed = [v for cfg in policy.configs for v in (cfg.pan, cfg.tilt, cfg.zoom)]
+    # The uniform policy draws the doubles of rng.uniform(lows, highs); low +
+    # span * u with u < 1 never leaves [low, high], so no draw needs a check.
+    lows = np.tile([0.0, 0.0, 1.0], len(cams))
+    span = np.array([(TWO_PI, cam.tilt_max, cam.zoom_max) for cam in cams]).ravel() - lows
     # The backlog x, y holds only undetected targets that can still be seen.
     # A target can never enter camera c's footprint once it is farther from
-    # the base than the largest center offset plus the largest radius: each
-    # target is tested against that reach once, after the footprint test of
-    # the step it enters in, and hit targets are dropped after every step.
-    reach = np.array(
-        [
-            cam.pose.z * math.tan(cam.tilt_max)
-            + cam.pose.z * math.tan(cam.base_half_angle) / math.cos(cam.tilt_max)
-            + spec.detection_radius
-            for cam in cams
-        ]
-    )
-    base_x = np.array([cam.pose.x for cam in cams])
-    base_y = np.array([cam.pose.y for cam in cams])
-    x, y = np.array(spec.initial_targets, dtype=float).reshape(-1, 2).T
-    entered, unreachable, peak = len(x), 0, 0
-    if isinstance(policy, FixedPtz) and len(policy.configs) != len(cams):
-        raise ValueError("FixedPtz needs one config per camera")
-    # the uniform policy draws every camera's pan, tilt and zoom in one call
-    lows = np.tile([0.0, 0.0, 1.0], len(cams))
-    highs = np.array([(TWO_PI, cam.tilt_max, cam.zoom_max) for cam in cams]).ravel()
-    rows = []  # per step: every camera's pan, tilt and zoom, then every performance
-    for t in range(steps):
-        configs = policy.configs if isinstance(policy, FixedPtz) else [
-            PtzConfig(*ptz) for ptz in rng.uniform(lows, highs).reshape(-1, 3).tolist()
-        ]
-        new_xy, footprints = _advance(spec, configs, rng)
-        x = np.concatenate([x, new_xy[:, 0]])
-        y = np.concatenate([y, new_xy[:, 1]])
-        fresh = len(x) if t == 0 else len(new_xy)  # initial targets enter at step 0
-        entered += len(new_xy)
-        m, hit = _observe(x, y, footprints, spec.detection_radius)
-        rows.append([v for cfg in configs for v in (cfg.pan, cfg.tilt, cfg.zoom)]
-                    + [float(c) for c in _credits(m, hit)])
-        keep = m == 0
-        if fresh:
-            d2 = (x[-fresh:, None] - base_x) ** 2 + (y[-fresh:, None] - base_y) ** 2
-            reachable = (d2 <= reach**2).any(axis=1)
-            unreachable += int(np.count_nonzero(keep[-fresh:] & ~reachable))
-            keep[-fresh:] &= reachable
-        if not keep.all():
+    # the base than the largest center offset plus the largest radius: a target
+    # beyond every reach is dropped after the footprint test of the step it
+    # enters in, and hit targets are dropped after every step.
+    reach = np.array([cam.pose.z * math.tan(cam.tilt_max) + cam.pose.z * math.tan(
+        cam.base_half_angle) / math.cos(cam.tilt_max) + spec.detection_radius for cam in cams])
+    bases = np.array([[cam.pose.x for cam in cams], [cam.pose.y for cam in cams], reach**2])
+    x = y = np.empty(0)
+    entered, credited, peak = 0, 0, 0
+    hit_test, reach_test = _HitTest(), _HitTest()
+    rows = []  # per step: each camera's pan, tilt and zoom, then each credit
+    for first in range(0, steps, _BLOCK):
+        # No draw depends on the state: a block of steps is drawn ahead, in the
+        # order the steps make them, and its arrivals meet the reach at once.
+        draws, arrivals = [], []
+        for _ in range(min(_BLOCK, steps - first)):
+            draws.append(fixed or rng.random(span.size))
+            arrivals.append(_arrivals(spec, rng))
+        if first == 0:  # the initial targets enter at step 0
+            arrivals[0] = np.concatenate([np.reshape(spec.initial_targets, (-1, 2)), arrivals[0]])
+        ptz = [fixed] * len(draws) if fixed else (lows + span * np.array(draws)).tolist()
+        new_x, new_y = np.concatenate(arrivals).T
+        reachable = reach_test(new_x, new_y, bases[..., None]).any(axis=0)
+        bounds = np.cumsum([0] + [len(a) for a in arrivals]).tolist()
+        entered += bounds[-1]
+        for p, a, b in zip(ptz, bounds, bounds[1:]):
+            reaches = _reaches([_disc(cam.pose, cam.base_half_angle, *p[3 * c:3 * c + 3])
+                                for c, cam in enumerate(cams)], spec.detection_radius)
+            x, y = np.concatenate([x, new_x[a:b]]), np.concatenate([y, new_y[a:b]])
+            numerators, lcm, seen = _credits(hit_test(x, y, reaches))
+            rows.append(p + [k / lcm for k in numerators])
+            credited += int(np.count_nonzero(seen))
+            keep = ~seen
+            keep[len(x) - (b - a):] &= reachable[a:b]
             x, y = x[keep], y[keep]
-        peak = max(peak, len(x))
+            peak = max(peak, len(x))
+    # every target that entered was credited, dropped as unreachable, or is live
     log.debug(
         "simulated %d steps: %d targets entered, %d dropped as unreachable, live backlog"
-        " %d at the end, %d at peak", steps, entered, unreachable, len(x), peak
+        " %d at the end, %d at peak", steps, entered, entered - credited - len(x), len(x), peak
     )
     return SampleLog.from_columns(camera_schemas(spec), range(steps), list(zip(*rows)))
 

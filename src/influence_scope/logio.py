@@ -198,16 +198,36 @@ def log_to_csv(log: SampleLog) -> str:
 
 
 def log_from_csv(text: str, schemas: tuple[AgentSchema, ...]) -> SampleLog:
+    """Build a log from the CSV :func:`log_to_csv` writes.  A row with a
+    missing or extra cell, and a cell that does not read as its column's
+    type (an integer ``t``, a number for a real part or a performance),
+    raise :class:`InputError` at ``rows[i].<column>``, or ``rows[i][j]``
+    for an extra cell, counting data rows from 0 after the header."""
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
+    header = next(reader, [])
     if header != _header(schemas):
         raise ValueError(f"unexpected CSV header {header!r}")
     rows = list(reader)
-    t, *cells = zip(*rows) if rows else [()] * len(header)
-    kinds = [p.kind for s in schemas for p in s.parts] + [None] * len(schemas)
-    columns = [column if isinstance(kind, (Nominal, Ordinal)) else list(map(float, column))
-               for column, kind in zip(cells, kinds)]
-    return SampleLog.from_columns(schemas, list(map(int, t)), columns)
+    for i, row in enumerate(rows):
+        if len(row) < len(header):
+            raise InputError(f"rows[{i}].{header[len(row)]}", "missing cell")
+        if len(row) > len(header):
+            raise InputError(f"rows[{i}][{len(header)}]", f"extra cell {brief(row[len(header)])}")
+    reads = [int] + [str if isinstance(p.kind, (Nominal, Ordinal)) else float
+                     for s in schemas for p in s.parts] + [float] * len(schemas)
+    columns = []
+    for name, read, cells in zip(header, reads, zip(*rows) if rows else [()] * len(header)):
+        column = []
+        try:
+            for cell in cells:
+                column.append(read(cell))
+        except ValueError:
+            kind = "an integer" if read is int else "a number"
+            message = f"expected {kind}, got {brief(cells[len(column)])}"
+            raise InputError(f"rows[{len(column)}].{name}", message) from None
+        columns.append(column)
+    t, *columns = columns
+    return SampleLog.from_columns(schemas, t, columns)
 
 
 # --- strategies ---------------------------------------------------------------

@@ -160,6 +160,22 @@ def test_exact_credits_match_per_target_fractions():
     assert exact_camera_credits(xy, detected, footprints, 0.5) == expected
 
 
+def test_exact_credits_beyond_int64_numerators():
+    # lcm(1..45) exceeds 2**63, so the credit numerators are Python ints;
+    # centers step by 1/64, so no target lies near a footprint's edge
+    footprints = [Footprint(5.0 + c / 64, 5.0, 3.0) for c in range(45)]
+    xy = np.array([[5.0, 5.0], [8.1, 5.0], [8.4, 5.0], [8.65, 5.0], [1.0, 1.0]])
+    expected, observers = [Fraction(0)] * len(footprints), []
+    for x, y in xy.tolist():
+        inside = [(x - fp.cx) ** 2 + (y - fp.cy) ** 2 <= fp.radius**2 for fp in footprints]
+        observers.append(sum(inside))
+        for c in np.flatnonzero(inside):
+            expected[c] += Fraction(1, sum(inside))
+    assert observers == [45, 38, 19, 3, 0]
+    credits = exact_camera_credits(xy, np.zeros(len(xy), dtype=bool), footprints, 0.0)
+    assert credits == expected and sum(credits) == 4
+
+
 def test_system_performance_sums():
     assert system_performance([1.0, 0.5, 0.0]) == 1.5
     assert system_performance([]) == 0.0
@@ -277,6 +293,44 @@ def reach_spec() -> ScenarioSpec:
 REACH_FIXED = FixedPtz((PtzConfig(0.3, 0.2, 1.2), PtzConfig(3.0, 0.1, 1.0)))
 
 
+def one_camera_spec() -> ScenarioSpec:
+    return ScenarioSpec(
+        width=40,
+        height=30,
+        arrival_rate=3.0,
+        detection_radius=0.4,
+        cameras=(CameraSpec("solo", CameraPose(20, 15, 9), 0.5, 0.6, 1.8),),
+        initial_targets=((20.0, 15.0),),
+    )
+
+
+def five_overlap_spec(arrival_rate: float = 2.0) -> ScenarioSpec:
+    """Five cameras around (10, 10): every footprint keeps at least 2.2 of
+    its 4.2-plus radius around its base, so the initial target at (10, 10)
+    is seen by all five and m reaches 5, with credits over L = 60."""
+    bases = ((10, 10), (10.5, 10), (9.5, 10), (10, 10.5), (10, 9.5))
+    cams = tuple(CameraSpec(f"c{i}", CameraPose(x, y, 10), 0.6, 0.2, 1.5)
+                 for i, (x, y) in enumerate(bases))
+    return ScenarioSpec(width=20, height=20, arrival_rate=arrival_rate, detection_radius=0.0,
+                        cameras=cams, initial_targets=((10.0, 10.0),))
+
+
+def boundary_spec(arrival_rate: float = 1.0) -> ScenarioSpec:
+    """Two cameras at nadir under BOUNDARY_FIXED, footprint centers (0, 5)
+    and (12, 5); each initial target lies exactly on one footprint's edge:
+    its distance to the center computes to the radius itself."""
+    cams = (
+        CameraSpec("a", CameraPose(0, 5, 10), 0.5, 0.4, 1.5),
+        CameraSpec("b", CameraPose(12, 5, 10), 0.5, 0.4, 1.5),
+    )
+    radius = fov_footprint(cams[0].pose, PtzConfig(0.0, 0.0, 1.0), 0.5).radius
+    return ScenarioSpec(width=20, height=10, arrival_rate=arrival_rate, detection_radius=0.0,
+                        cameras=cams, initial_targets=((radius, 5.0), (12.0 - radius, 5.0)))
+
+
+BOUNDARY_FIXED = FixedPtz((PtzConfig(0.0, 0.0, 1.0), PtzConfig(0.0, 0.0, 1.0)))
+
+
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize(
     "spec, policy, steps",
@@ -284,12 +338,37 @@ REACH_FIXED = FixedPtz((PtzConfig(0.3, 0.2, 1.2), PtzConfig(3.0, 0.1, 1.0)))
         (overlap_pair_spec(), UniformRandomPtz(), 400),
         (reach_spec(), REACH_FIXED, 300),
         (reach_spec(), UniformRandomPtz(), 300),
+        (one_camera_spec(), UniformRandomPtz(), 300),
+        (five_overlap_spec(), UniformRandomPtz(), 200),
+        (boundary_spec(), BOUNDARY_FIXED, 200),
     ],
-    ids=["overlap-pair", "reach-fixed", "reach-uniform"],
+    ids=["overlap-pair", "reach-fixed", "reach-uniform", "one-camera", "five-overlap",
+         "boundary-fixed"],
 )
 def test_run_scenario_matches_public_step(spec, policy, steps, seed):
     log = run_scenario(spec, steps=steps, seed=seed, policy=policy)
     assert log.records == reference_records(spec, steps, seed, policy)
+
+
+def test_five_observers_split_a_target_in_fifths():
+    # the (10, 10) target is seen by all five cameras at step 0
+    [record] = run_scenario(five_overlap_spec(arrival_rate=0.0), steps=1, seed=0).records
+    assert list(record.performance.values()) == [0.2] * 5
+
+
+def test_target_on_the_footprint_edge_is_observed():
+    log = run_scenario(boundary_spec(arrival_rate=0.0), steps=2, seed=0, policy=BOUNDARY_FIXED)
+    assert [r.performance for r in log.records] == [{"a": 1.0, "b": 1.0}, {"a": 0.0, "b": 0.0}]
+
+
+def test_run_scenario_refuses_a_fixed_tilt_as_step_does():
+    spec = reach_spec()  # tilt_max 0.4
+    bad = FixedPtz((PtzConfig(0.3, 0.2, 1.2), PtzConfig(3.0, 0.5, 1.0)))
+    with pytest.raises(ValueError) as by_step:
+        step(initial_state(spec), list(bad.configs), np.random.default_rng(0))
+    with pytest.raises(ValueError) as by_run:
+        run_scenario(spec, steps=5, seed=0, policy=bad)
+    assert str(by_run.value) == str(by_step.value) == "tilt 0.5 outside [0, 0.4]"
 
 
 def test_run_scenario_logs_backlog_summary(caplog):
@@ -303,6 +382,17 @@ def test_run_scenario_logs_backlog_summary(caplog):
     match = re.search(r"(\d+) targets entered, (\d+) dropped as unreachable", line)
     entered, unreachable = map(int, match.groups())
     assert entered >= 2 and unreachable >= 1  # (55, 18) is out of reach
+
+
+def test_camera_trio_backlog_summary_is_pinned(caplog):
+    # a change in how the backlog is held must not move these counts
+    spec = scenario_from_dict(json.loads((SCENARIOS / "camera-trio.json").read_text()))
+    with caplog.at_level(logging.DEBUG, logger="influence_scope"):
+        run_scenario(spec, steps=1500, seed=1)
+    assert [r.getMessage() for r in caplog.records if r.name == "influence_scope"] == [
+        "simulated 1500 steps: 90800 targets entered, 30716 dropped as unreachable, "
+        "live backlog 8276 at the end, 8281 at peak"
+    ]
 
 
 def test_arrival_rate_scales_mean_performance():

@@ -24,6 +24,7 @@ from influence_scope import (
     extract_series,
     validate_log,
 )
+from influence_scope.errors import InputError
 from influence_scope.model import Issue
 from influence_scope.logio import (
     log_from_csv, log_from_dict, log_from_json, log_to_csv, log_to_json
@@ -429,6 +430,34 @@ def test_records_json_and_csv_give_the_same_findings():
     assert len(validate_log(broken)) == 5
     assert_same_log(broken, log_from_dict(doc))
     assert_same_log(broken, log_from_csv("".join(lines), broken.schemas))
+
+
+@pytest.mark.parametrize(
+    "make, row, path, message",
+    [
+        (coupled_log, "2,c2,c1,0.7294965609839984", "rows[2].B.perf", "missing cell"),
+        (coupled_log, "2,c2,c1,0.7294965609839984,fast", "rows[2].B.perf",
+         "expected a number, got 'fast'"),
+        (coupled_log, "2,c2,c1,0.7294965609839984,0.5,0.5", "rows[2][5]", "extra cell '0.5'"),
+        (coupled_log, "2.0,c2,c1,0.7294965609839984,0.5", "rows[2].t",
+         "expected an integer, got '2.0'"),
+        (camera_like_log, "2,wide,zoomed,0.5", "rows[2].cam.pan",
+         "expected a number, got 'wide'"),
+    ],
+    ids=["short", "non-numeric", "long", "non-integer-t", "shifted"],
+)
+def test_csv_refuses_a_malformed_row_at_its_cell(make, row, path, message):
+    log = make(5)
+    lines = log_to_csv(log).splitlines()
+    lines[3] = row
+    with pytest.raises(InputError) as err:
+        log_from_csv("\n".join(lines) + "\n", log.schemas)
+    assert (err.value.path, err.value.message) == (path, message)
+
+
+def test_csv_without_a_header_is_refused():
+    with pytest.raises(ValueError, match=r"unexpected CSV header \[\]"):
+        log_from_csv("", coupled_log(5).schemas)
 
 
 @pytest.mark.parametrize("write", [log_to_json, log_to_csv], ids=["json", "csv"])
