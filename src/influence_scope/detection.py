@@ -32,8 +32,11 @@ from .measures import (
     linear_correlation,
     rank_correlation,
     quantile_bins,
+    _ESTIMATE_WINDOW,
+    _mi_estimates,
     _prefix_counts,
     _RankBins,
+    _xlogx,
 )
 from .model import (
     ConfigSelector,
@@ -131,16 +134,22 @@ def _categorize(series: Series | np.ndarray, bins: int) -> Optional[CategorySeri
         return None
 
 
+# The fewest samples each measure scores; MI scores any column.
+_LEAST_SAMPLES = {Measure.MIC: 4, Measure.LINEAR: 2, Measure.RANK: 2}
+
+
 def score_dependency(x, y, n: int, strategy: DetectionStrategy) -> DependencyScore:
     """Apply the strategy's measure to two aligned columns of ``n`` samples
     as :func:`_slice` gives them.
 
     Correlation measures report their absolute value so scores aggregate
-    and compare on dependency strength; degenerate (constant) columns, and
-    a None column, score 0 with the degenerate flag set.
+    and compare on dependency strength; degenerate (constant) columns, a
+    None column, and columns too short for the measure (fewer than 4
+    samples for MIC, 2 for a correlation) score 0 with the degenerate flag
+    set.
     """
     degenerate = DependencyScore(0.0, strategy.measure_kind, n, degenerate=True)
-    if x is None or y is None:
+    if x is None or y is None or n < _LEAST_SAMPLES.get(strategy.measure_kind, 0):
         return degenerate
     try:
         if strategy.measure_kind is Measure.MI:
@@ -179,7 +188,8 @@ def _partition_indices(
     """Split sample indices by the own part's value.
 
     Nominal/ordinal: one partition per occupied category.  Real: quantile
-    bins.  A constant own part yields a single all-samples partition, so
+    bins.  A constant own part, and a real one of fewer samples than
+    ``own_part_bins``, yields a single all-samples partition, so
     conditioning on it reduces to the unconditioned score.
     """
     if isinstance(own, CategorySeries):
@@ -188,7 +198,7 @@ def _partition_indices(
     else:
         try:
             binned, _ = quantile_bins(own, strategy.own_part_bins)
-        except DegenerateSeriesError:
+        except ValueError:  # constant, or fewer samples than bins
             return (("all", np.arange(len(own))),)
         codes = binned.values
         labels = [f"bin{i}" for i in range(binned.n_categories)]
@@ -395,10 +405,9 @@ def _perm_values_mi(
     return _mi_bits_of_tables(counts, n)
 
 
-def _mi_bits_of_tables(counts: np.ndarray, n: int | np.ndarray) -> np.ndarray:
-    """MI in bits of each table of a contiguous (reps, kx, ky) count stack;
-    ``n`` is the sample count, one for all tables or one per table as an
-    array of shape (reps, 1, 1)."""
+def _mi_bits_of_tables(counts: np.ndarray, n: int) -> np.ndarray:
+    """MI in bits of each table of a contiguous (reps, kx, ky) count stack
+    of ``n`` samples each."""
     p = counts / n
     px = p.sum(axis=2, keepdims=True)
     py = p.sum(axis=1, keepdims=True)
@@ -417,14 +426,13 @@ def _perm_values_mic(samples: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]
     side of at most sqrt(B) bins.  Per orientation, one ``bin_edges`` call
     gives the bins of every partner binning; for each small side, one
     prefix-count table of its codes along the other axis's rank order gives
-    the tables of all its grids.  Tables of one shape, across grids and
-    samples, are scored in one stack.
+    the tables of all its grids.  A permutation keeps both margins, so every
+    table is estimated by ``_mi_estimates``; per replicate, only the grids
+    within ``_ESTIMATE_WINDOW`` of its largest estimate are scored with
+    ``_mi_bits_of_tables``, each on a C-ordered (rows, kx, ky) table.
     """
     reps = samples[0][2].shape[0]
-    sizes = np.array([len(xv) for xv, _, _ in samples])
     best = np.zeros((reps, len(samples)))
-    # per table shape: the tables, their samples and their normalizers
-    stacks: dict[tuple[int, int], tuple[list, list, list]] = {}
     for j, (xv, yv, perm_idx) in enumerate(samples):
         n = len(xv)
         if np.all(xv == xv[0]) or np.all(yv == yv[0]):
@@ -436,6 +444,10 @@ def _perm_values_mic(samples: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]
         by_y_rank = np.take(perm_idx, y_ranks.order, axis=1)  # x sample at each y rank
         by_x_rank = np.take(inverse, x_ranks.order, axis=1)  # y sample at each permuted-x rank
         pairs = MicSearchParams().admissible_pairs(n)
+        xlogx = _xlogx(n)
+        # per small side: its tables, its grids' column ranges and normalized
+        # estimates, and whether x is its partner (tables transposed)
+        sides = []
         for ranks, seq_idx, other_ranks, grids, transpose in (
             (x_ranks, by_y_rank, y_ranks, [(a, b) for a, b in pairs if a <= b], False),
             (y_ranks, by_x_rank, x_ranks, [(b, a) for a, b in pairs if b < a], True),
@@ -448,26 +460,31 @@ def _perm_values_mic(samples: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]
             starts, ends, bin_counts = other_ranks.bin_edges(partners)
             offsets = np.concatenate(([0], np.cumsum(bin_counts)))
             for small in sorted({s for s, _ in grids}):
-                others = [o for s, o in grids if s == small]  # consecutive
+                others = np.array([o for s, o in grids if s == small])  # consecutive
                 lo, hi = offsets[others[0] - 2], offsets[others[-1] - 1]
                 codes, k, _, _ = ranks.bins(small)
                 prefix, at = _prefix_counts(codes[seq_idx], k, starts[lo:hi])
-                side_tables = prefix[:, :, at[ends[lo:hi]]] - prefix[:, :, at[starts[lo:hi]]]
-                for other in others:
-                    table = side_tables[:, :, offsets[other - 2] - lo : offsets[other - 1] - lo]
-                    if transpose:
-                        table = table.transpose(0, 2, 1)
-                    stack = stacks.setdefault(table.shape[1:], ([], [], []))
-                    stack[0].append(table)
-                    stack[1].append(j)
-                    stack[2].append(math.log2(min(small, other)))
-    for shape, (tables, js, norms) in stacks.items():
-        # a C-ordered stack, so each table sums in the order it would alone
-        counts = np.empty((len(tables) * reps, *shape), dtype=np.int32)
-        np.concatenate(tables, out=counts)
-        n = np.repeat(sizes[js], reps)[:, None, None]
-        mi = _mi_bits_of_tables(counts, n).reshape(len(tables), reps)
-        np.maximum.at(best.T, js, mi / np.array(norms)[:, None])
+                # C-ordered (a fancy index on axis 2 is not)
+                tables = np.take(prefix, at[ends[lo:hi]], axis=2)
+                tables -= np.take(prefix, at[starts[lo:hi]], axis=2)
+                bounds = offsets[np.append(others - 2, others[-1] - 1)] - lo
+                norms = [math.log2(min(small, o)) for o in others]
+                estimates = _mi_estimates(
+                    tables, np.bincount(codes, minlength=k), (ends - starts)[lo:hi],
+                    bounds[:-1], xlogx,
+                ) / norms
+                sides.append((tables, bounds, norms, estimates, transpose))
+        top = np.max([e.max(axis=1) for *_, e, _ in sides], axis=0) - _ESTIMATE_WINDOW
+        for tables, bounds, norms, estimates, transpose in sides:
+            finalists = estimates >= top[:, None]
+            for g in np.flatnonzero(finalists.any(axis=0)):
+                rows = np.flatnonzero(finalists[:, g])
+                table = tables[rows, :, bounds[g] : bounds[g + 1]]
+                if transpose:
+                    table = table.transpose(0, 2, 1)
+                # C-ordered, so each table sums in the order it would alone
+                mi = _mi_bits_of_tables(np.ascontiguousarray(table), n) / norms[g]
+                best[rows, j] = np.maximum(best[rows, j], mi)
     return np.minimum(best, 1.0)
 
 

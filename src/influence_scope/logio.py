@@ -198,15 +198,23 @@ def log_to_csv(log: SampleLog) -> str:
 
 
 def log_from_csv(text: str, schemas: tuple[AgentSchema, ...]) -> SampleLog:
-    """Build a log from the CSV :func:`log_to_csv` writes.  A row with a
-    missing or extra cell, and a cell that does not read as its column's
-    type (an integer ``t``, a number for a real part or a performance),
-    raise :class:`InputError` at ``rows[i].<column>``, or ``rows[i][j]``
-    for an extra cell, counting data rows from 0 after the header."""
+    """Build a log from the CSV :func:`log_to_csv` writes.  A header cell
+    that is wrong, missing or extra raises :class:`InputError` at
+    ``header[j]``.  A row with a missing or extra cell, and a cell that does
+    not read as its column's type (an integer ``t``, a number for a real
+    part or a performance), raise :class:`InputError` at
+    ``rows[i].<column>``, or ``rows[i][j]`` for an extra cell, counting data
+    rows from 0 after the header."""
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, [])
-    if header != _header(schemas):
-        raise ValueError(f"unexpected CSV header {header!r}")
+    header, expected = next(reader, []), _header(schemas)
+    for j, (found, name) in enumerate(zip(header, expected)):
+        if found != name:
+            raise InputError(f"header[{j}]", f"expected {brief(name)}, found {brief(found)}")
+    j = min(len(header), len(expected))
+    if len(header) < len(expected):
+        raise InputError(f"header[{j}]", f"missing cell, expected {brief(expected[j])}")
+    if len(header) > len(expected):
+        raise InputError(f"header[{j}]", f"extra cell {brief(header[j])}")
     rows = list(reader)
     for i, row in enumerate(rows):
         if len(row) < len(header):

@@ -348,23 +348,52 @@ def _partition_mi_best(
     return max(float(best_val), 0.0), tuple(cuts)
 
 
-# Bound on the float error of a grid's estimated normalized MI (about 1e-13
-# in practice): a grid further below the largest estimate cannot win.
+# Bound on the float error of a grid's estimated normalized MI, far above
+# what is seen: against _mi_bits_from_counts on the same tables, random,
+# tied and identity columns (observed and permuted, both orientations, every
+# admissible grid, N from 31 to 50 000) give at most 3.4e-15.  A grid
+# further below the largest estimate cannot win.
 _ESTIMATE_WINDOW = 1e-9
+
+
+def _xlogx(n: int) -> np.ndarray:
+    """The lookup ``c * log2(c)`` for c = 0..n, 0 at c = 0."""
+    c = np.arange(n + 1, dtype=np.float64)
+    return c * np.log2(np.maximum(c, 1.0))
+
+
+def _mi_estimates(
+    tables: np.ndarray, rows: np.ndarray, cols: np.ndarray, firsts: np.ndarray,
+    xlogx: np.ndarray,
+) -> np.ndarray:
+    """Estimated MI in bits of count tables of n = len(xlogx) - 1 samples,
+    laid side by side along the last axis of ``tables`` (..., k, columns):
+    grid g's columns start at ``firsts[g]`` and end where the next grid's
+    start.  ``rows`` are the row sums, (k,) for every grid or (grids, k),
+    and ``cols`` each column's sum.
+
+    With L(c) = c·log2(c) from the lookup ``xlogx``,
+    n·MI = Σ_cells L(c) − Σ_rows L(r) − Σ_cols L(s) + L(n); the margins
+    are one constant per grid, so a table costs one gather and one sum.
+    """
+    n = len(xlogx) - 1
+    per_col = xlogx[tables].sum(axis=-2) - xlogx[cols]
+    per_grid = np.add.reduceat(per_col, firsts, axis=-1)
+    return (per_grid - xlogx[rows].sum(axis=-1) + xlogx[n]) / n
 
 
 def _grid_mi_estimates(
     x_ranks: _RankBins, y_ranks: _RankBins, px: np.ndarray, py: np.ndarray
 ) -> np.ndarray:
-    """MI in bits of each equipartition grid ``(px[i], py[i])``, with the
-    per-cell terms summed in float rather than exactly.
+    """MI in bits of each equipartition grid ``(px[i], py[i])``, estimated
+    by :func:`_mi_estimates`.
 
     Each orientation puts its grids' smaller bin count (the small side) on
     one axis; every grid with the smaller side there, the diagonal on both,
     gets its table from one prefix-count table of all small sides' codes in
     the other axis's rank order.
     """
-    n = len(x_ranks.order)
+    xlogx = _xlogx(len(x_ranks.order))
     values = np.empty(len(px))
     for ranks, partner, small, big in ((x_ranks, y_ranks, px, py), (y_ranks, x_ranks, py, px)):
         mask = small <= big
@@ -373,18 +402,17 @@ def _grid_mi_estimates(
         seq = ranks.codes(sides, partner.order)
         starts, ends, bin_counts = partner.bin_edges(partners)
         prefix, at = _prefix_counts(seq, int(seq.max()) + 1, starts)
-        # the columns of this orientation's grids: (small side, partner bin)
+        # the columns of this orientation's grids: (small side, partner bin),
+        # grid by grid in id order
         wanted = np.zeros((len(sides), len(partners)), dtype=bool)
         wanted[side_of, partner_of] = True
         side, col = np.nonzero(np.repeat(wanted, bin_counts, axis=1))
-        cells = (prefix[side, :, at[ends[col]]] - prefix[side, :, at[starts[col]]]).astype(float)
-        # the small side's bin count times the partner bin's size
-        expected = prefix[side, :, -1] * (ends - starts)[col, None].astype(float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(cells > 0, (cells / n) * np.log2(cells * n / expected), 0.0)
+        cells = prefix[side, :, at[ends[col]]] - prefix[side, :, at[starts[col]]]
         grid = side * len(partners) + np.repeat(np.arange(len(partners)), bin_counts)[col]
-        mi = np.bincount(grid, weights=terms.sum(axis=1), minlength=wanted.size)
-        values[mask] = mi[side_of * len(partners) + partner_of]
+        firsts = np.flatnonzero(np.diff(grid, prepend=-1))
+        rows = prefix[side[firsts], :, -1]  # each grid's small-side bin counts
+        mi = _mi_estimates(cells.T, rows, (ends - starts)[col], firsts, xlogx)
+        values[mask] = mi[np.searchsorted(grid[firsts], side_of * len(partners) + partner_of)]
     return values
 
 

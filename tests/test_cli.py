@@ -172,6 +172,33 @@ def test_detect_lag_beyond_log_is_input_error(tmp_path, capsys):
     assert "lag 500" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def five_step_log(tmp_path_factory):
+    out = tmp_path_factory.mktemp("short") / "run.json"
+    argv = ["simulate", str(SCENARIOS / "overlap-pair.json"), "--steps", "5", "--seed", "1"]
+    assert main([*argv, "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("lags", ["0,2", "0,3", "4"])
+@pytest.mark.parametrize("measure", ["mi", "mic", "linear", "rank"])
+def test_detect_lag_leaving_a_short_column_scores_it_as_degenerate(
+    five_step_log, tmp_path, measure, lags
+):
+    # a lag of 2 leaves 3 samples, too few for MIC; one of 3 or 4 leaves
+    # fewer than own_part_bins real own-part samples to bin
+    out = tmp_path / "m.json"
+    argv = ["detect", str(five_step_log), "--measure", measure, "--lags", lags]
+    assert main([*argv, "--permutations", "20", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["entries"]
+
+
+def test_detect_lag_of_the_record_count_is_still_refused(five_step_log, tmp_path, capsys):
+    code = main(["detect", str(five_step_log), "--lags", "5", "--out", str(tmp_path / "m.json")])
+    assert code == 2
+    assert "lag 5 >= record count 5" in capsys.readouterr().err
+
+
 def test_detect_missing_log_is_io_error(tmp_path):
     assert main(["detect", str(tmp_path / "nope.json"), "--out", str(tmp_path / "m.json")]) == 3
 

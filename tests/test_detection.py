@@ -579,19 +579,25 @@ def per_grid_perm_mic(xv, yv, perm_idx):
     return np.minimum(best, 1.0)
 
 
-@pytest.mark.parametrize("n", [4, 5, 9, 31, 120, 300])
-@pytest.mark.parametrize("kind", ["ties", "continuous", "mixed", "constant"])
+@pytest.mark.parametrize("n", [4, 5, 9, 31, 120, 300, 1200])
+@pytest.mark.parametrize("kind", ["ties", "continuous", "mixed", "constant", "identity"])
 def test_perm_mic_matches_per_grid_tables(n, kind):
+    # identity: the observed row ties exactly 1.0 on many grids (53 at
+    # N = 1200), where a wrong choice of grids to score exactly would show
     rng = np.random.default_rng(n)
     ties = lambda: rng.integers(0, 4, size=n).astype(float)
     continuous = lambda: rng.normal(size=n)
-    xv, yv = {
-        "ties": (ties(), ties()),
-        "continuous": (continuous(), continuous()),
-        "mixed": (ties(), continuous()),
-        "constant": (np.full(n, 2.0), continuous()),
-    }[kind]
-    if kind != "constant":
+    if kind == "identity":
+        xv = rng.permutation(n).astype(float)
+        yv = xv.copy()
+    else:
+        xv, yv = {
+            "ties": (ties(), ties()),
+            "continuous": (continuous(), continuous()),
+            "mixed": (ties(), continuous()),
+            "constant": (np.full(n, 2.0), continuous()),
+        }[kind]
+    if kind not in ("constant", "identity"):
         yv[: n // 2] += xv[: n // 2]  # some dependence, so the maxima differ
     perm_idx = np.array([np.arange(n)] + [rng.permutation(n) for _ in range(20)])
     for x, y in ((xv, yv), (yv, xv)):

@@ -23,11 +23,15 @@ from influence_scope import (
     rank_correlation,
 )
 from influence_scope.measures import (
+    _ESTIMATE_WINDOW,
     BinLayout,
     _codes_from_cut_positions,
+    _grid_mi_estimates,
     _mi_bits_from_counts,
+    _mi_estimates,
     _partition_mi_best,
     _RankBins,
+    _xlogx,
 )
 
 
@@ -379,6 +383,45 @@ def test_mic_exact_ties_go_to_the_first_grid(n, layout):
     score = mic(x, x)
     assert (score.bin_layout.n_x, score.bin_layout.n_y) == layout
     assert (score.value, score.bin_layout) == per_grid_mic(x, x, MicSearchMode.EQUIPARTITION)
+
+
+@pytest.mark.parametrize("n", [31, 1200, 8000])
+@pytest.mark.parametrize("kind", ["random", "ties", "identity"])
+def test_grid_estimates_lie_well_inside_the_window(n, kind):
+    # every grid's lookup estimate, on the observed and on a permuted row and
+    # in both orientations, is far closer to the exact MI than the window
+    # that selects the grids scored exactly
+    rng = np.random.default_rng(n)
+    if kind == "identity":
+        xv = rng.permutation(n).astype(float)
+        yv = xv.copy()
+    else:
+        draw = {"random": lambda: rng.normal(size=n),
+                "ties": lambda: rng.integers(0, 4, size=n).astype(float)}[kind]
+        xv, yv = draw(), draw()
+        yv[: n // 2] += xv[: n // 2]
+    tolerance = _ESTIMATE_WINDOW / 1000
+    xlogx = _xlogx(n)
+    px, py = np.array(MicSearchParams().admissible_pairs(n)).T
+    y_ranks = _RankBins(yv)
+    for x in (xv, xv[rng.permutation(n)]):
+        x_ranks = _RankBins(x)
+        observed = _grid_mi_estimates(x_ranks, y_ranks, px, py)
+        transposed = _grid_mi_estimates(y_ranks, x_ranks, py, px)
+        for i, (nx, ny) in enumerate(zip(px, py)):
+            xc, kx, _, _ = x_ranks.bins(nx)
+            yc, ky, _, _ = y_ranks.bins(ny)
+            table = np.bincount(xc * ky + yc, minlength=kx * ky).reshape(kx, ky)
+            exact = _mi_bits_from_counts(table)
+            rows, cols = table.sum(axis=1), table.sum(axis=0)
+            first = np.array([0])
+            estimates = [
+                observed[i],
+                transposed[i],
+                _mi_estimates(table[None], rows, cols, first, xlogx)[0, 0],
+                _mi_estimates(table.T[None], cols, rows, first, xlogx)[0, 0],
+            ]
+            assert np.abs(np.array(estimates) - exact).max() <= tolerance, (nx, ny)
 
 
 def test_mi_bits_int32_table_matches_int64():

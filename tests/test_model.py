@@ -456,8 +456,28 @@ def test_csv_refuses_a_malformed_row_at_its_cell(make, row, path, message):
 
 
 def test_csv_without_a_header_is_refused():
-    with pytest.raises(ValueError, match=r"unexpected CSV header \[\]"):
+    with pytest.raises(InputError) as err:
         log_from_csv("", coupled_log(5).schemas)
+    assert (err.value.path, err.value.message) == ("header[0]", "missing cell, expected 't'")
+
+
+@pytest.mark.parametrize(
+    "header, path, message",
+    [
+        ("t,A.cfg,B.cfg,A.perf,B.prf", "header[4]", "expected 'B.perf', found 'B.prf'"),
+        ("t,A.cfg,B.cfg,A.perf", "header[4]", "missing cell, expected 'B.perf'"),
+        ("t,A.cfg,B.cfg,A.perf,B.perf,C.perf", "header[5]", "extra cell 'C.perf'"),
+    ],
+    ids=["renamed", "short", "long"],
+)
+def test_csv_refuses_a_wrong_header_at_its_cell(header, path, message):
+    log = coupled_log(5)
+    lines = log_to_csv(log).splitlines()
+    assert lines[0] == "t,A.cfg,B.cfg,A.perf,B.perf"
+    lines[0] = header
+    with pytest.raises(InputError) as err:
+        log_from_csv("\n".join(lines) + "\n", log.schemas)
+    assert (err.value.path, err.value.message) == (path, message)
 
 
 @pytest.mark.parametrize("write", [log_to_json, log_to_csv], ids=["json", "csv"])
