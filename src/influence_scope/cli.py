@@ -76,7 +76,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _save(out, log_to_json(sample_log), "log")
     _save(out.with_suffix(".csv"), log_to_csv(sample_log), "log")
 
-    total = [sum(performance.values()) for _, _, performance in sample_log.steps()]
+    _, _, performances = sample_log.value_columns()
+    total = [sum(step) for step in zip(*performances.values())]
     print(f"wrote {len(total)} records to {out}")
     print(f"mean system performance: {sum(total) / len(total):.6g}")
     return EXIT_OK
@@ -152,6 +153,13 @@ def build_parser() -> argparse.ArgumentParser:
             return int(text)
         return integer
 
+    def output(text: str) -> str:
+        # the CSV goes to the same name with the suffix .csv
+        if Path(text).suffix == ".csv":
+            raise argparse.ArgumentTypeError(f"{text} ends in .csv, the name of the CSV "
+                                             "written alongside")
+        return text
+
     parser = argparse.ArgumentParser(
         prog="influence-scope",
         description="Detect hidden mutual influences between configurable agents",
@@ -162,7 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("scenario", help="scenario JSON file")
     p_sim.add_argument("--steps", type=at_least(1), default=None)
     p_sim.add_argument("--seed", type=at_least(0), default=None)
-    p_sim.add_argument("--out", required=True, help="output log path (JSON; CSV written alongside)")
+    p_sim.add_argument("--out", required=True, type=output,
+                       help="output log path (JSON; CSV written alongside)")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_det = sub.add_parser("detect", help="compute the influence matrix from a log")
@@ -173,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("--alpha", type=float)
     p_det.add_argument("--permutations", type=int)
     p_det.add_argument("--seed", type=int)
-    p_det.add_argument("--out", required=True, help="output matrix path (JSON; CSV written alongside)")
+    p_det.add_argument("--out", required=True, type=output,
+                       help="output matrix path (JSON; CSV written alongside)")
     p_det.set_defaults(func=cmd_detect)
 
     p_rec = sub.add_parser("recommend", help="recommend a detection strategy")
@@ -184,7 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("report", help="render a matrix as text + CSV")
     p_rep.add_argument("matrix", help="influence matrix JSON file")
-    p_rep.add_argument("--out", required=True, help="output report path (text; CSV alongside)")
+    p_rep.add_argument("--out", required=True, type=output,
+                       help="output report path (text; CSV alongside)")
     p_rep.set_defaults(func=cmd_report)
     return parser
 

@@ -3,7 +3,11 @@
 JSON is the primary interchange format for logs (it embeds the agent
 schemas) and for matrices.  Logs additionally serialize to a flat CSV with
 header ``t,<agent>.<part>,...,<agent>.perf,...`` so they stay inspectable
-with standard tools; reading CSV back requires the schemas.
+with standard tools; reading CSV back requires the schemas.  Log records
+are written from the log's columns: the JSON writer formats each column
+once and fills one row template, giving the bytes of the canonical
+``json.dumps(sort_keys=True, indent=2)``, and the CSV writer hands the
+zipped columns to ``csv.writer``.
 
 One encoder writes matrices, strategies, recommendations, schemas and
 system descriptors from their dataclass fields; one strict decoder reads
@@ -134,13 +138,6 @@ def _check_names(log: SampleLog) -> None:
 # --- sample logs: JSON -------------------------------------------------------
 
 
-def log_to_dict(log: SampleLog) -> dict:
-    _check_names(log)
-    records = [{"t": t, "config": config, "performance": performance}
-               for t, config, performance in log.steps("{}.{}".format)]
-    return {"schemas": _data(log.schemas), "records": records}
-
-
 def log_from_dict(data: dict) -> SampleLog:
     """Build a log from parsed JSON, each record's values straight into their
     columns.  A field that cannot be read raises :class:`InputError` at its
@@ -171,8 +168,38 @@ def log_from_dict(data: dict) -> SampleLog:
     return SampleLog.from_columns(schemas, t, *columns)
 
 
+def _object(items: dict[str, str], indent: str) -> str:
+    """The object of the JSON texts ``items`` as :func:`_canonical_json`
+    writes it at ``indent``."""
+    lines = [f"{indent}  {json.dumps(key)}: {text}" for key, text in sorted(items.items())]
+    return "{\n" + ",\n".join(lines) + f"\n{indent}}}" if lines else "{}"
+
+
 def log_to_json(log: SampleLog) -> str:
-    return _canonical_json(log_to_dict(log))
+    """The bytes :func:`_canonical_json` gives a valid log, written from its
+    columns: each column is formatted once and the records fill one row
+    template."""
+    _check_names(log)
+    t, parts, performances = log.value_columns()
+    config = {}
+    for (agent, name), column in parts.items():
+        kind = log.agent(agent).part(name).kind
+        if isinstance(kind, RealInterval):  # finite, so json writes them by repr
+            encode = float.__repr__
+        else:
+            encode = {label: json.dumps(label) for label in kind.categories}.__getitem__
+        config[f"{agent}.{name}"] = map(encode, column)
+    config = dict(sorted(config.items()))
+    performance = {a: map(float.__repr__, column) for a, column in sorted(performances.items())}
+    # names match [A-Za-z0-9_]+, so the template holds no other % than its fields
+    fields = {"config": _object(dict.fromkeys(config, "%s"), " " * 6),
+              "performance": _object(dict.fromkeys(performance, "%s"), " " * 6), "t": "%s"}
+    row = "    " + _object(fields, "    ")
+    rows = map(row.__mod__, zip(*config.values(), *performance.values(), map(int.__repr__, t)))
+    records = "[\n" + ",\n".join(rows) + "\n  ]" if t else "[]"
+    # JSON strings hold no raw newline, so every line break is the layout's
+    schemas = _canonical_json(_data(log.schemas))[:-1].replace("\n", "\n  ")
+    return _object({"records": records, "schemas": schemas}, "") + "\n"
 
 
 def log_from_json(text: str) -> SampleLog:
@@ -189,11 +216,11 @@ def _header(schemas) -> list[str]:
 
 def log_to_csv(log: SampleLog) -> str:
     _check_names(log)
+    t, parts, performances = log.value_columns()
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")  # writes floats by repr
     writer.writerow(_header(log.schemas))
-    writer.writerows((t, *config.values(), *performance.values())
-                     for t, config, performance in log.steps())
+    writer.writerows(zip(t, *parts.values(), *performances.values()))
     return buf.getvalue()
 
 

@@ -19,7 +19,7 @@ import math
 import sys
 from dataclasses import dataclass
 from reprlib import repr as brief
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -130,10 +130,11 @@ class SampleLog:
 
     ``SampleLog(schemas, records)`` moves records into columns, and
     :meth:`from_columns` takes the value lists a reader or the simulator
-    filled; :attr:`records` is a view built from the columns.  Building a
-    log never fails on bad values: every finding is kept for
-    :func:`validate_log`.  A bad value has no column code, so a log with
-    findings gives no steps, records, series or files.
+    filled; :meth:`value_columns` gives the columns back as Python values,
+    which :attr:`records` and the writers read.  Building a log never fails
+    on bad values: every finding is kept for :func:`validate_log`.  A bad
+    value has no column code, so a log with findings gives no value
+    columns, records, series or files.
     """
 
     __slots__ = ("schemas", "t", "columns", "issues")
@@ -172,28 +173,30 @@ class SampleLog:
         if self.issues:
             raise ValueError(f"log failed validation: {list(self.issues[:3])}")
 
-    def steps(self, key=lambda *key: key) -> Iterator[tuple[int, dict, dict]]:
-        """Each step of a valid log as a record holds it: the time step, the
-        part values (category labels or floats) keyed by ``key(agent,
-        part)``, and the performances keyed by agent id, in schema order."""
+    def value_columns(self) -> tuple[list[int], dict[PartKey, list], dict[str, list]]:
+        """The columns of a valid log as Python values, as records hold
+        them: the time steps, each part's values (category labels or
+        floats) keyed by (agent, part), and each agent's performances
+        keyed by agent id, in schema order."""
         self.check_valid()
-        names, columns = [], []
+        parts = {}
         for schema in self.schemas:
             for part in schema.parts:
-                column = self.columns[ConfigSelector(schema.agent_id, part.name)].tolist()
+                column = self.columns[ConfigSelector(schema.agent_id, part.name)]
                 if not isinstance(part.kind, RealInterval):
-                    column = [part.kind.categories[code] for code in column]
-                names.append(key(schema.agent_id, part.name))
-                columns.append(column)
-        agents = [s.agent_id for s in self.schemas]
-        columns += [self.columns[PerformanceSelector(a)].tolist() for a in agents]
-        return ((t, dict(zip(names, v)), dict(zip(agents, v[len(names):])))
-                for t, *v in zip(self.t.tolist(), *columns))
+                    column = np.array(part.kind.categories, dtype=object)[column]
+                parts[schema.agent_id, part.name] = column.tolist()
+        performances = {s.agent_id: self.columns[PerformanceSelector(s.agent_id)].tolist()
+                        for s in self.schemas}
+        return self.t.tolist(), parts, performances
 
     @property
     def records(self) -> tuple[SampleRecord, ...]:
         """The steps of a valid log as records."""
-        return tuple(SampleRecord(*step) for step in self.steps())
+        t, parts, performances = self.value_columns()
+        k = len(parts)
+        return tuple(SampleRecord(step, dict(zip(parts, v)), dict(zip(performances, v[k:])))
+                     for step, *v in zip(t, *parts.values(), *performances.values()))
 
 
 def transpose(schemas, configs, performances, key=lambda *key: key) -> tuple:

@@ -30,7 +30,7 @@ from influence_scope import (
     validate_log,
 )
 from influence_scope.camera import ScenarioError, exact_camera_credits
-from influence_scope.logio import log_to_json
+from influence_scope.logio import log_to_csv, log_to_json
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -248,6 +248,13 @@ def test_golden_camera_trio_checksum():
     log = run_scenario(spec, steps=1500, seed=1)
     digest = hashlib.sha256(log_to_json(log).encode()).hexdigest()
     assert digest == "9c720f1bf8bf7564cbb3e6dce7362a81c9381a59edc6c2b5c740568dcbb42c94"
+
+
+def test_golden_camera_trio_csv_checksum():
+    spec = scenario_from_dict(json.loads((SCENARIOS / "camera-trio.json").read_text()))
+    log = run_scenario(spec, steps=1500, seed=1)
+    digest = hashlib.sha256(log_to_csv(log).encode()).hexdigest()
+    assert digest == "c2af24500ea758a860362a26d9e264a768f66bb7a845dc7729d081b33ccaea8d"
 
 
 def reference_records(spec, steps, seed, policy):

@@ -44,6 +44,16 @@ def test_simulate_writes_log_and_csv(tmp_path, capsys):
     assert (tmp_path / "run.csv").exists()
 
 
+def test_simulate_summary_pinned_on_camera_trio(tmp_path, capsys):
+    out = tmp_path / "trio.json"
+    argv = ["simulate", str(SCENARIOS / "camera-trio.json"), "--steps", "300", "--seed", "1"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"wrote 300 records to {out}",
+        "mean system performance: 29.55",
+    ]
+
+
 def test_simulate_malformed_json_is_input_error(tmp_path):
     bad = tmp_path / "scen.json"
     bad.write_text("{not json")
@@ -538,6 +548,17 @@ def test_simulate_bad_option_exits_2_naming_it(tmp_path, capsys, option, value, 
     assert raised.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {option}: {expected}" in err and "invalid scenario" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "detect", "report"])
+def test_out_ending_in_csv_exits_2_before_any_work(tmp_path, capsys, command):
+    # the CSV written alongside would take the same name and overwrite it;
+    # the input is missing, so any work done would exit 3 instead
+    with pytest.raises(SystemExit) as raised:
+        main([command, str(tmp_path / "missing.json"), "--out", str(tmp_path / "run.csv")])
+    assert raised.value.code == 2
+    assert "argument --out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_detect_missing_strategy_is_io_error(tmp_path):

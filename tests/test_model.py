@@ -1,7 +1,9 @@
 """Sample-log data model: schemas, validation, column extraction and the
 canonical serialization round trip."""
 
+import csv
 import hashlib
+import io
 import json
 from dataclasses import replace
 
@@ -322,6 +324,87 @@ def test_json_bytes_pinned_on_every_part_kind():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "c14653e2c57f32f9682c5e83ad720c065cba1c2576ff2e07f3521a93ba735d6d"
     )
+
+
+def test_csv_bytes_pinned_on_every_part_kind():
+    schema = AgentSchema(
+        "a",
+        (
+            ConfigPartSchema("mode", Nominal(("wide", "narrow"))),
+            ConfigPartSchema("level", Ordinal(("lo", "mid", "hi"))),
+            ConfigPartSchema("pan", RealInterval(-1.5, 2.25)),
+        ),
+    )
+    records = tuple(
+        SampleRecord(
+            t=t,
+            config={("a", "mode"): ("wide", "narrow")[t % 2],
+                     ("a", "level"): ("lo", "mid", "hi")[t % 3], ("a", "pan"): 0.1 * t - 1.0},
+            performance={"a": t / 3},
+        )
+        for t in range(6)
+    )
+    text = log_to_csv(SampleLog(schemas=(schema,), records=records))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a6e4461c79816c3a696654403296521144f7448904042b046b451f3e449b2c97"
+    )
+
+
+LABELS = ('say "hi"', "a,b", "é", "")
+
+
+def unsorted_log(n):
+    """Agents and parts declared out of sorted key order, labels that need
+    quoting or escaping, and an agent with no parts."""
+    real, level = RealInterval(-1.0, 1.0), Ordinal(("lo", "hi"))
+    schemas = (
+        AgentSchema("b", (ConfigPartSchema("z", Nominal(LABELS)),
+                          ConfigPartSchema("a", real),
+                          ConfigPartSchema("p10", level),
+                          ConfigPartSchema("p2", Nominal(LABELS)))),
+        AgentSchema("a", ()),
+        AgentSchema("a_b", (ConfigPartSchema("p2", real),
+                            ConfigPartSchema("p10", Nominal(LABELS)))),
+    )
+    records = tuple(
+        SampleRecord(
+            t=2 * t + 1,
+            config={("b", "z"): LABELS[t % 4], ("b", "a"): 0.1 * t - 0.5,
+                    ("b", "p10"): ("lo", "hi")[t % 2], ("b", "p2"): LABELS[(t + 1) % 4],
+                    ("a_b", "p2"): -t / 7, ("a_b", "p10"): LABELS[(3 * t) % 4]},
+            performance={"b": t / 3, "a": 1e-300 * t, "a_b": -0.0 if t == 2 else 2.5 * t},
+        )
+        for t in range(n)
+    )
+    return SampleLog(schemas, records)
+
+
+def partless_log(n):
+    """One agent with no parts: every record's config is empty."""
+    records = tuple(SampleRecord(t, {}, {"solo": t / 9}) for t in range(n))
+    return SampleLog((AgentSchema("solo", ()),), records)
+
+
+@pytest.mark.parametrize("make", [unsorted_log, partless_log], ids=["unsorted", "partless"])
+@pytest.mark.parametrize("n", [0, 1, 7], ids=["empty", "one", "seven"])
+def test_writers_match_the_reference_encoders(make, n):
+    log = make(n)
+    text = log_to_json(log)
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+    records = [{"t": r.t, "config": {f"{a}.{p}": v for (a, p), v in r.config.items()},
+                "performance": r.performance} for r in log.records]
+    assert json.loads(text)["records"] == records
+    assert log_from_json(text) == log
+    assert log_to_json(log_from_json(text)) == text
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["t", *(f"{s.agent_id}.{p.name}" for s in log.schemas for p in s.parts),
+                     *(f"{s.agent_id}.perf" for s in log.schemas)])
+    writer.writerows([r.t, *r.config.values(), *r.performance.values()] for r in log.records)
+    assert log_to_csv(log) == buf.getvalue()
+    assert log_from_csv(buf.getvalue(), log.schemas) == log
+    assert log_to_csv(log_from_csv(buf.getvalue(), log.schemas)) == buf.getvalue()
 
 
 def test_csv_round_trip_is_byte_identical():
