@@ -25,7 +25,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import InputError, expect, integer, is_number, need, number
+from .errors import InputError, expect, finite, need
+from .logio import _from_data
 from .model import (
     AgentSchema,
     ConfigPartSchema,
@@ -45,16 +46,36 @@ log = logging.getLogger("influence_scope")
 
 _BLOCK = 32  # steps whose draws run_scenario makes ahead; bounds the memory they hold
 
+# Largest magnitude a scenario may give a length (scene size, camera pose,
+# detection radius).  A footprint's radius reaches about 3e32 times the camera
+# height (base_half_angle and tilt_max just below pi/2), and the simulator
+# squares distances, so much larger lengths could overflow.
+MAX_LENGTH = 1e100
+
+# Largest mean number of targets a scenario may have arrive per step.  Each
+# step draws about that many positions, 16 bytes each, so one step's draw
+# stays near 16 MB; a rate of 1e12 would ask for terabytes.
+MAX_ARRIVAL_RATE = 1e6
+
+
+def _within(path: str, value, least, limit: float = math.inf, strict: bool = False) -> None:
+    """Refuse ``value`` at ``path`` when its magnitude is above ``limit``, or
+    when it is below ``least``, or equal to it if ``strict``."""
+    if abs(value) > limit:
+        raise InputError(path, f"magnitude above {limit:g}, got {value!r}")
+    if not (value > least or value == least and not strict):
+        raise InputError(path, f"must be {'>' if strict else '>='} {least}, got {brief(value)}")
+
 
 @dataclass(frozen=True)
 class CameraPose:
     x: float
     y: float
-    z: float
+    z: float  # the height above the ground plane
 
     def __post_init__(self) -> None:
-        if not self.z > 0:
-            raise ValueError("camera height z must be > 0")
+        for name, least in (("x", -math.inf), ("y", -math.inf), ("z", 0)):
+            _within(name, getattr(self, name), least, MAX_LENGTH, strict=True)
 
 
 @dataclass(frozen=True)
@@ -73,6 +94,8 @@ class CameraSpec:
     zoom_max: float
 
     def __post_init__(self) -> None:
+        if not self.camera_id:
+            raise InputError("id", "empty camera id")
         if not 0.0 < self.base_half_angle < math.pi / 2:
             raise ValueError("base_half_angle must lie in (0, pi/2)")
         if not 0.0 <= self.tilt_max < math.pi / 2:
@@ -81,6 +104,8 @@ class CameraSpec:
             raise ValueError("zoom_max must be >= 1")
 
     def validate_ptz(self, ptz: PtzConfig) -> None:
+        """Refuse a config outside this camera's ranges, in a message that
+        begins with the name of the part."""
         if not 0.0 <= ptz.pan < TWO_PI:
             raise ValueError(f"pan {ptz.pan} outside [0, 2*pi)")
         if not 0.0 <= ptz.tilt <= self.tilt_max:
@@ -231,7 +256,7 @@ class UniformRandomPtz:
 
 @dataclass(frozen=True)
 class FixedPtz:
-    configs: tuple[PtzConfig, ...]
+    configs: tuple[PtzConfig, ...]  # one per camera
 
 
 Policy = Union[UniformRandomPtz, FixedPtz]
@@ -250,20 +275,33 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (self.width > 0 and self.height > 0):
-            raise ValueError("scene dimensions must be positive")
-        if self.arrival_rate < 0:
-            raise ValueError("arrival_rate must be >= 0")
-        if self.detection_radius < 0:
-            raise ValueError("detection_radius must be >= 0")
+        """Refuse a bad field at its path in the scenario JSON (see
+        :func:`scenario_from_dict`)."""
+        _within("scene.width", self.width, 0, MAX_LENGTH, strict=True)
+        _within("scene.height", self.height, 0, MAX_LENGTH, strict=True)
+        _within("arrival_rate", self.arrival_rate, 0, MAX_ARRIVAL_RATE)
+        _within("detection_radius", self.detection_radius, 0, MAX_LENGTH)
+        _within("steps", self.steps, 1)
+        _within("seed", self.seed, 0)
         if len(self.cameras) == 0:
             raise ValueError("at least one camera required")
         ids = [c.camera_id for c in self.cameras]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate camera ids")
-        for x, y in self.initial_targets:
+        for i, camera_id in enumerate(ids):
+            if camera_id in ids[:i]:
+                raise InputError(f"cameras[{i}].id", f"duplicate camera id {brief(camera_id)}")
+        for i, (x, y) in enumerate(self.initial_targets):
             if not (0 <= x <= self.width and 0 <= y <= self.height):
-                raise ValueError(f"initial target ({x}, {y}) outside the scene")
+                raise InputError(f"initial_targets[{i}]", f"({x}, {y}) outside the scene")
+        if isinstance(self.policy, FixedPtz):
+            configs = self.policy.configs
+            if len(configs) != len(self.cameras):
+                raise InputError("policy.fixed", f"one PTZ config per camera required, got "
+                                 f"{len(configs)} for {len(self.cameras)} cameras")
+            for i, (cam, cfg) in enumerate(zip(self.cameras, configs)):
+                try:
+                    cam.validate_ptz(cfg)
+                except ValueError as exc:  # its message begins with the part's name
+                    raise InputError(f"policy.fixed[{i}].{str(exc).split()[0]}", str(exc)) from None
 
 
 def initial_state(spec: ScenarioSpec) -> SceneState:
@@ -362,79 +400,31 @@ def run_scenario(
     return SampleLog.from_columns(camera_schemas(spec), range(steps), list(zip(*rows)))
 
 
-# --- scenario (de)serialization --------------------------------------------
-
-
-# Largest magnitude a scenario may give a length (scene size, camera pose,
-# detection radius).  A footprint's radius reaches about 3e32 times the camera
-# height (base_half_angle and tilt_max just below pi/2), and the simulator
-# squares distances, so much larger lengths could overflow.
-MAX_LENGTH = 1e100
-
-# Largest mean number of targets a scenario may have arrive per step.  Each
-# step draws about that many positions, 16 bytes each, so one step's draw
-# stays near 16 MB; a rate of 1e12 would ask for terabytes.
-MAX_ARRIVAL_RATE = 1e6
-
-
-def _bounded(obj: dict, key: str, prefix: str = "", limit: float = MAX_LENGTH) -> float:
-    value = number(obj, key, prefix)
-    if abs(value) > limit:
-        raise InputError(prefix + key, f"magnitude above {limit:g}, got {value!r}")
-    return value
-
-
-def _at_least(value, least, path: str, strict: bool = False):
-    """``value``, refused at ``path`` when below ``least``, or equal to it if ``strict``."""
-    if value < least or (strict and value == least):
-        raise InputError(path, f"must be {'>' if strict else '>='} {least}, got {brief(value)}")
-    return value
+# --- scenario JSON ----------------------------------------------------------
 
 
 def scenario_from_dict(data: dict) -> ScenarioSpec:
-    """Build a scenario from a parsed JSON object, reporting the offending
-    field path on failure."""
-    expect(data, dict, "")
-    scene = need(data, "scene", kind=dict)
-    width, height = (_at_least(_bounded(scene, k, "scene."), 0, "scene." + k, strict=True)
-                     for k in ("width", "height"))
+    """Read a scenario from its parsed JSON through the one strict decoder.
 
-    cameras = []
-    for i, cam in enumerate(need(data, "cameras", kind=list)):
-        at = f"cameras[{i}]."
-        cam_id = need(expect(cam, dict, at[:-1]), "id", at, str)
-        if not cam_id or any(c.camera_id == cam_id for c in cameras):
-            raise InputError(at + "id", f"empty or duplicate camera id {cam_id!r}")
-        pose = [_bounded(need(cam, "pose", at, dict), k, at + "pose.") for k in "xyz"]
-        angles = {k: number(cam, k, at) for k in ("base_half_angle", "tilt_max", "zoom_max")}
-        try:
-            cameras.append(CameraSpec(cam_id, CameraPose(*pose), **angles))
-        except ValueError as exc:
-            raise InputError(at[:-1], str(exc)) from exc
-
-    policy_name = data.get("policy", "uniform_random")
-    if policy_name == "uniform_random":
-        policy: Policy = UniformRandomPtz()
-    elif isinstance(policy_name, dict) and "fixed" in policy_name:
-        configs = []
-        for i, cfg in enumerate(expect(policy_name["fixed"], list, "policy.fixed")):
-            at = f"policy.fixed[{i}]."
-            ptz = [number(expect(cfg, dict, at[:-1]), k, at) for k in ("pan", "tilt", "zoom")]
-            configs.append(PtzConfig(*ptz))
-        policy = FixedPtz(tuple(configs))
+    The JSON object holds :class:`ScenarioSpec`'s fields, a camera's
+    ``camera_id`` under the key ``id``, except for two that this adapter
+    reads: the scene's ``width`` and ``height`` sit in a nested ``scene``
+    object, and ``policy`` is ``"uniform_random"`` (the default) or
+    ``{"fixed": [...]}`` with one ``{"pan", "tilt", "zoom"}`` object per
+    camera.  A bad field raises :class:`InputError` at its path, such as
+    ``scene.width`` or ``policy.fixed[1].tilt``."""
+    fields = dict(expect(data, dict, ""))
+    scene = need(fields, "scene", kind=dict)
+    del fields["scene"]
+    for key in scene:
+        if key not in ("width", "height"):
+            raise InputError(f"scene.{key}", "not a scene field")
+    size = {key: finite(need(scene, key, "scene."), "scene." + key) for key in ("width", "height")}
+    policy = fields.pop("policy", "uniform_random")
+    if policy == "uniform_random":
+        policy = UniformRandomPtz()
+    elif isinstance(policy, dict):
+        policy = _from_data(FixedPtz, policy, "policy")
     else:
-        raise InputError("policy", f"unknown policy {policy_name!r}")
-
-    initial = []
-    for i, point in enumerate(expect(data.get("initial_targets", []), list, "initial_targets")):
-        if not (isinstance(point, list) and len(point) == 2 and all(map(is_number, point))):
-            raise InputError(f"initial_targets[{i}]", f"expected two numbers, got {point!r}")
-        initial.append((float(point[0]), float(point[1])))
-    rates = {key: _at_least(_bounded(data, key, limit=limit), 0, key) for key, limit
-             in (("arrival_rate", MAX_ARRIVAL_RATE), ("detection_radius", MAX_LENGTH))}
-    steps = _at_least(integer(data.get("steps", 1000), "steps"), 1, "steps")
-    seed = _at_least(integer(data.get("seed", 0), "seed"), 0, "seed")
-    return ScenarioSpec(
-        width, height, cameras=tuple(cameras), initial_targets=tuple(initial),
-        policy=policy, steps=steps, seed=seed, **rates,
-    )
+        raise InputError("policy", f"unknown policy {brief(policy)}")
+    return _from_data(ScenarioSpec, fields, "", policy=policy, **size)

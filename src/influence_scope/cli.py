@@ -21,7 +21,7 @@ from .logio import (
     log_from_json,
     log_to_csv,
     log_to_json,
-    matrix_data_from_json,
+    matrix_from_json,
     matrix_summary_csv,
     matrix_to_json,
     recommendation_to_json,
@@ -102,10 +102,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
     log.info("running detection with %s", strategy_to_dict(strategy))
     matrix = _guarded("log or strategy", lambda: influence_matrix(sample_log, strategy))
-    matrix_json = matrix_to_json(matrix)
     out = Path(args.out)
-    _save(out, matrix_json, "matrix")
-    _save(out.with_suffix(".csv"), matrix_summary_csv(json.loads(matrix_json)), "matrix")
+    _save(out, matrix_to_json(matrix), "matrix")
+    _save(out.with_suffix(".csv"), matrix_summary_csv(matrix), "matrix")
 
     flagged = [key for key in sorted(matrix.entries) if matrix.entries[key].influenced]
     if flagged:
@@ -134,10 +133,10 @@ def cmd_recommend(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    data = _load(args.matrix, "matrix", matrix_data_from_json)
+    matrix = _load(args.matrix, "matrix", matrix_from_json)
     out = Path(args.out)
-    _save(out, render_report(data), "report")
-    _save(out.with_suffix(".csv"), matrix_summary_csv(data), "report")
+    _save(out, render_report(matrix), "report")
+    _save(out.with_suffix(".csv"), matrix_summary_csv(matrix), "report")
     print(f"wrote report to {out}")
     return EXIT_OK
 

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.stats
 
-from .errors import DegenerateSeriesError
+from .errors import DegenerateSeriesError, InputError
 from .measures import (
     DependencyScore,
     Measure,
@@ -84,11 +84,19 @@ class DetectionStrategy:
         object.__setattr__(self, "lag_set", tuple(self.lag_set))
 
 
+def _natural(name: str, value: int) -> None:
+    if value < 0:
+        raise InputError(name, f"expected a non-negative integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PartitionScore:
     label: str
     count: int
     score: DependencyScore
+
+    def __post_init__(self) -> None:
+        _natural("count", self.count)
 
 
 @dataclass(frozen=True)
@@ -112,6 +120,9 @@ class InfluenceEntry:
     p_value: float
     influenced: bool
     insufficient_data: bool = False
+
+    def __post_init__(self) -> None:
+        _natural("best_lag", self.best_lag)
 
 
 @dataclass(frozen=True)

@@ -61,22 +61,9 @@ def finite(value, path: str) -> float:
     return float(value)
 
 
-def number(obj: dict, key: str, prefix: str = "") -> float:
-    """A required finite JSON number, as a float (see :func:`finite`)."""
-    return finite(need(obj, key, prefix), prefix + key)
-
-
-def natural(obj: dict, key: str, prefix: str = "") -> int:
-    """A required non-negative JSON integer, written without a fraction;
-    booleans are never integers."""
-    value = need(obj, key, prefix)
-    if not (isinstance(value, int) and not isinstance(value, bool) and value >= 0):
-        raise InputError(prefix + key, f"expected a non-negative integer, got {brief(value)}")
-    return value
-
-
 def integer(value, path: str) -> int:
-    """An integral JSON number, as an int."""
-    if not (is_number(value) and (isinstance(value, int) or value.is_integer())):
+    """A JSON integer, written without a fraction: no float, not even an
+    integral one such as ``5.0``, and no boolean is an integer."""
+    if not (isinstance(value, int) and not isinstance(value, bool)):
         raise InputError(path, f"expected an integer, got {brief(value)}")
-    return int(value)
+    return value

@@ -11,8 +11,10 @@ zipped columns to ``csv.writer``.
 
 One encoder writes matrices, strategies, recommendations, schemas and
 system descriptors from their dataclass fields; one strict decoder reads
-strategies, schemas and descriptors back, each value checked against its
-field's type (no string or boolean is read as a number).  All
+every input back from its dataclass fields (scenarios, log schemas,
+strategies, descriptors and matrices), each value checked against its
+field's type (no string or boolean is read as a number, no float as an
+integer).  All
 serialization is canonical: sorted keys, shortest round-trip float
 formatting; serialize -> parse -> serialize is byte-identical for valid
 inputs.
@@ -26,11 +28,12 @@ import json
 import re
 from dataclasses import MISSING, fields, is_dataclass
 from enum import Enum
+from functools import cache
 from reprlib import repr as brief
 from typing import Union, get_args, get_origin, get_type_hints
 
-from .detection import DetectionStrategy, InfluenceMatrix
-from .errors import InputError, expect, finite, integer, natural, need, number
+from .detection import DetectionStrategy, InfluenceEntry, InfluenceMatrix
+from .errors import InputError, expect, finite, integer, need
 from .model import AgentSchema, Nominal, Ordinal, RealInterval, SampleLog, transpose
 from .taxonomy import (
     InfiniteRealPart, NominalPart, OrdinalPart, StrategyRecommendation, SystemDescriptor
@@ -43,8 +46,10 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
 _TAGS = {Nominal: ("type", "nominal"), Ordinal: ("type", "ordinal"),
          RealInterval: ("type", "real"), NominalPart: ("kind", "nominal"),
          OrdinalPart: ("kind", "ordinal"), InfiniteRealPart: ("kind", "infinite_real")}
-# The one field whose JSON key is not its name.
-_KEYS = {"measure_kind": "measure"}
+# The fields whose JSON key is not their name.
+_KEYS = {"measure_kind": "measure", "camera_id": "id", "configs": "fixed"}
+# The fields of a matrix entry's key, written into the entry's object.
+_ENTRY_KEY = ("target", "remote_agent", "remote_part")
 
 
 def _data(value):
@@ -64,26 +69,35 @@ def _data(value):
     return value
 
 
-def _from_data(cls, data, path: str):
-    """A ``cls`` built from JSON data, the inverse of ``_data``.  An absent
-    field takes its default, and each value must fit its field's type; a
-    key that names no field, a bad value, and a value the constructor
-    refuses each raise :class:`InputError` at its path."""
-    at = path + "." if path else ""
+@cache
+def _fields(cls) -> dict:
+    """(name, type, required) of each field of ``cls``, by its JSON key."""
     hints = get_type_hints(cls)
-    known = {_KEYS.get(f.name, f.name): f for f in fields(cls)}
+    return {_KEYS.get(f.name, f.name): (f.name, hints[f.name], f.default is MISSING
+                                        and f.default_factory is MISSING) for f in fields(cls)}
+
+
+def _from_data(cls, data, path: str, **read):
+    """A ``cls`` built from JSON data, the inverse of ``_data``, and from the
+    fields ``read`` that the caller has read itself.  An absent field takes
+    its default, and each value must fit its field's type; a key that names
+    no field or a field in ``read``, a bad value, and a value the
+    constructor refuses each raise :class:`InputError` at its path."""
+    at = path + "." if path else ""
+    known = _fields(cls)
     tag_key = _TAGS.get(cls, (None,))[0]
-    values = {}
+    values = dict(read)
     for key, value in expect(data, dict, path).items():
         if key == tag_key:
             continue
-        if key not in known:
-            noun = re.sub(r".*(?=[A-Z])", "", cls.__name__).lower()  # DetectionStrategy: strategy
-            raise InputError(at + key, f"not a {noun} field")
-        name = known[key].name
-        values[name] = _typed(hints[name], value, at + key)
-    for key, f in known.items():
-        if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
+        if key not in known or known[key][0] in read:
+            # the last word of the name, but the one before a last "Spec"
+            noun = re.search(r"[A-Z][a-z]*(?=(Spec)?$)", cls.__name__)[0].lower()
+            raise InputError(at + key, f"not {'an' if noun[0] in 'aeiou' else 'a'} {noun} field")
+        name, hint, _ = known[key]
+        values[name] = _typed(hint, value, at + key)
+    for key, (name, _, required) in known.items():
+        if required and name not in values:
             raise InputError(at + key, "missing field")
     try:
         return cls(**values)
@@ -95,6 +109,12 @@ def _from_data(cls, data, path: str):
 
 def _typed(hint, value, path: str):
     """``value`` read as JSON data of the type ``hint``."""
+    if hint is float:
+        return finite(value, path)
+    if hint is int:
+        return integer(value, path)
+    if hint is bool or hint is str:
+        return expect(value, hint, path)
     origin, args = get_origin(hint), get_args(hint)
     if origin is Union and type(None) in args:  # Optional[X]
         return None if value is None else _typed(args[0], value, path)
@@ -105,21 +125,19 @@ def _typed(hint, value, path: str):
             if _TAGS[kind][1] == tag:
                 return _from_data(kind, value, path)
         raise InputError(f"{path}.{key}", f"unknown part kind {brief(tag)}")
-    if origin is tuple:  # tuple[X, ...]
+    if origin is tuple:  # tuple[X, ...], or one of a fixed length such as tuple[X, Y]
         items = expect(value, list, path)
-        return tuple(_typed(args[0], v, f"{path}[{i}]") for i, v in enumerate(items))
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(items)
+        elif len(items) != len(args):
+            raise InputError(path, f"expected a list of {len(args)}, got {brief(value)}")
+        return tuple(_typed(a, v, f"{path}[{i}]") for i, (a, v) in enumerate(zip(args, items)))
     if is_dataclass(hint):
         return _from_data(hint, value, path)
-    if issubclass(hint, Enum):
-        try:
-            return hint(value)
-        except ValueError:
-            raise InputError(path, f"{brief(value)} is not a valid {hint.__name__}") from None
-    if hint is int:
-        return integer(value, path)
-    if hint is float:
-        return finite(value, path)
-    return expect(value, hint, path)  # bool or str
+    try:  # the hints left are enums
+        return hint(value)
+    except ValueError:
+        raise InputError(path, f"{brief(value)} is not a valid {hint.__name__}") from None
 
 
 def _canonical_json(data) -> str:
@@ -294,96 +312,60 @@ def descriptor_from_dict(data: dict) -> SystemDescriptor:
 # --- influence matrices --------------------------------------------------------
 
 
-def matrix_to_dict(matrix: InfluenceMatrix) -> dict:
-    entries = [
-        {"target": target, "remote_agent": remote, "remote_part": part,
-         **_data(matrix.entries[(target, remote, part)])}
-        for target, remote, part in sorted(matrix.entries)
-    ]
-    return {"alpha": matrix.alpha, "entries": entries}
-
-
 def matrix_to_json(matrix: InfluenceMatrix) -> str:
-    return _canonical_json(matrix_to_dict(matrix))
+    entries = [{**dict(zip(_ENTRY_KEY, key)), **_data(matrix.entries[key])}
+               for key in sorted(matrix.entries)]
+    return _canonical_json({"alpha": matrix.alpha, "entries": entries})
 
 
-def matrix_data_from_json(text: str) -> dict:
-    """Parse a matrix for ``render_report`` and ``matrix_summary_csv``,
-    checking the presence and type of every field they read."""
-    data = expect(json.loads(text), dict, "")
-    number(data, "alpha")
-    for i, e in enumerate(need(data, "entries", kind=list)):
-        at = f"entries[{i}]."
-        expect(e, dict, at[:-1])
-        for key in ("target", "remote_agent", "remote_part"):
-            need(e, key, at, str)
-        natural(e, "best_lag", at)
-        need(e, "influenced", at, bool)
-        number(e, "headline", at)
-        number(e, "p_value", at)
-        cond = e.get("best_conditioned")
-        if cond and expect(cond, dict, at + "best_conditioned").get("per_partition"):
-            at += "best_conditioned."
-            if need(cond, "aggregate", at) is not None:
-                number(cond, "aggregate", at)
-            cp = cond.get("conditioning_part")
-            if cp and len(expect(cp, list, at + "conditioning_part")) < 2:
-                raise InputError(at + "conditioning_part", "expected [agent, part]")
-            for k, name in enumerate(cp or ()):
-                expect(name, str, f"{at}conditioning_part[{k}]")
-            for j, p in enumerate(expect(cond["per_partition"], list, at + "per_partition")):
-                p_at = f"{at}per_partition[{j}]."
-                need(expect(p, dict, p_at[:-1]), "label", p_at, str)
-                natural(p, "count", p_at)
-                number(need(p, "score", p_at, dict), "value", p_at + "score.")
-    return data
+def matrix_from_json(text: str) -> InfluenceMatrix:
+    """Read the matrix :func:`matrix_to_json` writes: each entry is decoded
+    as an :class:`InfluenceEntry`, keyed by its target, remote agent and
+    remote part, and a key given twice is refused at its entry."""
+    data = dict(expect(json.loads(text), dict, ""))
+    entries = {}
+    for i, item in enumerate(need(data, "entries", kind=list)):
+        at = f"entries[{i}]"
+        item = dict(expect(item, dict, at))
+        key = tuple(need(item, name, at + ".", str) for name in _ENTRY_KEY)
+        if key in entries:
+            raise InputError(at, f"repeats the entry of {'/'.join(key)}")
+        for name in _ENTRY_KEY:
+            del item[name]
+        entries[key] = _from_data(InfluenceEntry, item, at)
+    del data["entries"]
+    return _from_data(InfluenceMatrix, data, "", entries=entries)
 
 
-def matrix_summary_csv(matrix_data: dict) -> str:
-    """Flat per-entry summary from a matrix dict (as parsed from JSON)."""
+def matrix_summary_csv(matrix: InfluenceMatrix) -> str:
+    """Flat per-entry summary of a matrix, one row per entry in key order."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["target", "remote_agent", "remote_part", "score", "p_value", "influenced"])
-    for e in matrix_data["entries"]:
-        writer.writerow(
-            [
-                e["target"],
-                e["remote_agent"],
-                e["remote_part"],
-                repr(float(e["headline"])),
-                repr(float(e["p_value"])),
-                str(bool(e["influenced"])).lower(),
-            ]
-        )
+    writer.writerow([*_ENTRY_KEY, "score", "p_value", "influenced"])
+    for key in sorted(matrix.entries):
+        e = matrix.entries[key]
+        writer.writerow([*key, repr(float(e.headline)), repr(float(e.p_value)),
+                         str(e.influenced).lower()])
     return buf.getvalue()
 
 
-def render_report(matrix_data: dict) -> str:
+def render_report(matrix: InfluenceMatrix) -> str:
     """Human-readable report: flagged influences ranked first, then the
     rest, each with its per-partition table when one exists."""
-    lines = []
-    entries = sorted(
-        matrix_data["entries"],
-        key=lambda e: (not e["influenced"], -float(e["headline"])),
-    )
-    flagged = [e for e in entries if e["influenced"]]
-    lines.append(f"influence report: {len(matrix_data['entries'])} entries, "
-                 f"{len(flagged)} flagged (alpha={matrix_data['alpha']})")
-    lines.append("")
-    for rank, e in enumerate(entries, start=1):
-        mark = "INFLUENCED" if e["influenced"] else "no influence"
-        lines.append(
-            f"{rank}. {e['target']} <- {e['remote_agent']}.{e['remote_part']}: "
-            f"score={e['headline']:.6g} p={e['p_value']:.6g} lag={e['best_lag']} [{mark}]"
-        )
-        cond = e.get("best_conditioned")
-        if cond and cond.get("per_partition"):
-            cp = cond.get("conditioning_part")
+    ranked = sorted(matrix.entries.items(),  # ties in key order
+                    key=lambda item: (not item[1].influenced, -item[1].headline, item[0]))
+    flagged = sum(e.influenced for _, e in ranked)
+    lines = [f"influence report: {len(ranked)} entries, {flagged} flagged "
+             f"(alpha={matrix.alpha})", ""]
+    for rank, ((target, remote, part), e) in enumerate(ranked, start=1):
+        mark = "INFLUENCED" if e.influenced else "no influence"
+        lines.append(f"{rank}. {target} <- {remote}.{part}: score={e.headline:.6g} "
+                     f"p={e.p_value:.6g} lag={e.best_lag} [{mark}]")
+        cond = e.best_conditioned
+        if cond and cond.per_partition:
+            cp = cond.conditioning_part
             cp_name = f"{cp[0]}.{cp[1]}" if cp else "(none)"
-            lines.append(f"   conditioned on {cp_name}, aggregate={cond['aggregate']}")
-            for p in cond["per_partition"]:
-                lines.append(
-                    f"     partition {p['label']}: n={p['count']} "
-                    f"score={p['score']['value']:.6g}"
-                )
+            lines.append(f"   conditioned on {cp_name}, aggregate={cond.aggregate}")
+            for p in cond.per_partition:
+                lines.append(f"     partition {p.label}: n={p.count} score={p.score.value:.6g}")
     return "\n".join(lines) + "\n"

@@ -466,7 +466,30 @@ def test_scenario_initial_target_must_be_number_pair(point):
     data["initial_targets"] = [[10.0, 10.0], point]
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(data)
-    assert err.value.path == "initial_targets[1]"
+    # a pair of the wrong length or type is refused whole, a bad number at its index
+    assert err.value.path == ("initial_targets[1][1]" if point == [1.0, None]
+                              else "initial_targets[1]")
+
+
+@pytest.mark.parametrize(
+    "fixed, path, message",
+    [([{"pan": 0.1, "tilt": 0.2, "zoom": 1.5}] * 2, "policy.fixed",
+      "one PTZ config per camera required, got 2 for 3 cameras"),
+     ([{"pan": 0.1, "tilt": 0.2, "zoom": 1.5}, {"pan": 9.0, "tilt": 0.2, "zoom": 1.5},
+       {"pan": 0.1, "tilt": 0.2, "zoom": 1.5}], "policy.fixed[1].pan", "pan 9.0 outside [0, 2*pi)"),
+     ([{"pan": 0.1, "tilt": 0.2, "zoom": 1.5}] * 2 + [{"pan": 0.1, "tilt": 0.6, "zoom": 1.5}],
+      "policy.fixed[2].tilt", "tilt 0.6 outside [0, 0.5]"),
+     ([{"pan": 0.1, "tilt": 0.2, "zoom": 2.5}] * 3, "policy.fixed[0].zoom",
+      "zoom 2.5 outside [1, 2.0]")],
+    ids=["count", "pan", "tilt", "zoom"],
+)
+def test_scenario_fixed_policy_is_checked_against_the_cameras(fixed, path, message):
+    # refused as the scenario is read, at the config's path
+    data = json.loads((SCENARIOS / "overlap-pair.json").read_text())
+    data["policy"] = {"fixed": fixed}
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(data)
+    assert (err.value.path, err.value.message) == (path, message)
 
 
 @pytest.mark.parametrize(

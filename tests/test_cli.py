@@ -388,9 +388,12 @@ MATRIX = {
     "entries": [
         {"target": "B", "remote_agent": "A", "remote_part": "cfg", "headline": 0.5,
          "p_value": 0.01, "influenced": True, "best_lag": 0,
-         "best_conditioned": {"conditioning_part": ["B", "cfg"], "aggregate": 0.5,
+         "raw": {"value": 0.1, "measure": "mi", "sample_count": 60},
+         "best_conditioned": {"remote": ["A", "cfg"], "conditioning_part": ["B", "cfg"],
+                              "aggregate": 0.5, "lag": 0,
                               "per_partition": [{"label": "0", "count": 30,
-                                                 "score": {"value": 0.5}}]}}
+                                                 "score": {"value": 0.5, "measure": "mi",
+                                                           "sample_count": 30}}]}}
     ],
 }
 CONDITIONED = ["entries", 0, "best_conditioned"]
@@ -449,6 +452,7 @@ REAL_KIND = ["schemas", 0, "parts", 0, "kind"]
          "schemas[0].owner: not a schema field"),
         ("log", lambda d: put(d, ["records", 3, "t"], 2.7), "records[3].t: expected an integer"),
         ("log", lambda d: put(d, ["records", 3, "t"], "5"), "records[3].t: expected an integer"),
+        ("log", lambda d: put(d, ["records", 3, "t"], 3.0), "records[3].t: expected an integer"),
         ("log", lambda d: put(d, ["records", 3, "performance", "A"], "1.5"),
          "records[3].performance.A: expected a number"),
         ("log", lambda d: put(d, ["records", 3, "performance", "A"], True),
@@ -466,6 +470,8 @@ REAL_KIND = ["schemas", 0, "parts", 0, "kind"]
         ("strategy", lambda d: put(d, ["own_part_bins"], 2.9),
          "own_part_bins: expected an integer"),
         ("strategy", lambda d: put(d, ["permutations"], 20.99),
+         "permutations: expected an integer"),
+        ("strategy", lambda d: put(d, ["permutations"], 20.0),
          "permutations: expected an integer"),
         ("strategy", lambda d: put(d, ["seed"], "3"), "seed: expected an integer"),
         ("strategy", lambda d: put(d, ["alpha"], "0.1"), "alpha: expected a number"),
@@ -489,6 +495,12 @@ REAL_KIND = ["schemas", 0, "parts", 0, "kind"]
          "detection_radius: must be >= 0"),
         ("scenario", lambda d: put(d, ["scene", "width"], 0), "scene.width: must be > 0"),
         ("scenario", lambda d: put(d, ["steps"], 0), "steps: must be >= 1"),
+        ("scenario", lambda d: put(d, ["steps"], 5.0), "steps: expected an integer"),
+        ("scenario", lambda d: put(d, ["scene", "depth"], 10), "scene.depth: not a scene field"),
+        ("scenario", lambda d: put(d, ["width"], 10), "width: not a scenario field"),
+        ("scenario", lambda d: put(d, ["policy"], "fixed"), "policy: unknown policy 'fixed'"),
+        ("scenario", lambda d: put(d, ["cameras", 0, "id"], "cam_far"),
+         "cameras[2].id: duplicate camera id 'cam_far'"),
         ("scenario", lambda d: put(d, ["seed"], -1), "seed: must be >= 0"),
         ("matrix", lambda d: put(d, ["entries", 0, "influenced"], DELETE),
          "entries[0].influenced"),
@@ -499,9 +511,9 @@ REAL_KIND = ["schemas", 0, "parts", 0, "kind"]
         ("matrix", lambda d: put(d, ["entries", 0, "remote_part"], None),
          "entries[0].remote_part: expected a string"),
         ("matrix", lambda d: put(d, ["entries", 0, "best_lag"], [1]),
-         "entries[0].best_lag: expected a non-negative integer"),
+         "entries[0].best_lag: expected an integer"),
         ("matrix", lambda d: put(d, ["entries", 0, "best_lag"], True),
-         "entries[0].best_lag: expected a non-negative integer"),
+         "entries[0].best_lag: expected an integer"),
         ("matrix", lambda d: put(d, ["entries", 0, "best_lag"], -1),
          "entries[0].best_lag: expected a non-negative integer"),
         ("matrix", lambda d: put(d, ["entries", 0, "influenced"], "yes"),
@@ -511,9 +523,16 @@ REAL_KIND = ["schemas", 0, "parts", 0, "kind"]
         ("matrix", lambda d: put(d, CONDITIONED + ["conditioning_part"], ["B", 3]),
          "entries[0].best_conditioned.conditioning_part[1]: expected a string"),
         ("matrix", lambda d: put(d, CONDITIONED + ["per_partition", 0, "count"], "many"),
-         "entries[0].best_conditioned.per_partition[0].count: expected a non-negative integer"),
+         "entries[0].best_conditioned.per_partition[0].count: expected an integer"),
         ("matrix", lambda d: put(d, CONDITIONED + ["per_partition", 0, "count"], 30.0),
+         "entries[0].best_conditioned.per_partition[0].count: expected an integer"),
+        ("matrix", lambda d: put(d, CONDITIONED + ["per_partition", 0, "count"], -30),
          "entries[0].best_conditioned.per_partition[0].count: expected a non-negative integer"),
+        ("matrix", lambda d: put(d, ["entries"], d["entries"] * 2),
+         "entries[1]: repeats the entry of B/A/cfg"),
+        ("matrix", lambda d: put(d, ["colour"], "red"), "colour: not a matrix field"),
+        ("matrix", lambda d: put(d, ["entries", 0, "colour"], "red"),
+         "entries[0].colour: not an entry field"),
         ("matrix", lambda d: put(d, CONDITIONED + ["per_partition", 0, "label"], 0),
          "entries[0].best_conditioned.per_partition[0].label: expected a string"),
     ],

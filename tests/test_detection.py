@@ -31,7 +31,7 @@ from influence_scope import (
 )
 from influence_scope import detection
 from influence_scope.detection import _perm_values_mi, _perm_values_mic
-from influence_scope.logio import matrix_to_json
+from influence_scope.logio import matrix_from_json, matrix_to_json
 from influence_scope.measures import MicSearchParams, quantile_bins
 from influence_scope.model import ConfigSelector
 
@@ -461,6 +461,14 @@ def test_golden_matrix_mic():
     assert matrix_digest(rounded_real_log(), GOLDEN_MIC) == (
         "96dc33f16d7555a069202870a86108ef9a774637ba4edeb2fe65180ac9c9346d"
     )
+
+
+@pytest.mark.parametrize("measure", list(Measure), ids=lambda m: m.value)
+def test_matrix_reads_back_as_written(measure):
+    # every field detect writes decodes to the same entry, MIC's bin layouts too
+    strategy = DetectionStrategy(measure_kind=measure, lag_set=(0, 1), permutations=20)
+    matrix = influence_matrix(rounded_real_log(200), strategy)
+    assert matrix_from_json(matrix_to_json(matrix)) == matrix
 
 
 @pytest.mark.parametrize(
