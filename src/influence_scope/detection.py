@@ -1,42 +1,40 @@
 """Mutual-influence detection.
 
-Scores the dependency between a remote agent's configuration part and a
-target agent's performance.  Each matrix entry searches one candidate
-family: at every lag, a raw candidate over all samples and one candidate
-per own configuration part of the target, partitioned by that part's value
-(never by the full own configuration, so partitions stay large).
-Influences that cancel out in the raw view show inside the partitions.
-A matrix row's target side (each lag's partitions and the performance in
-each, binned for MI) is built once; each entry adds its remote column.
-The better of the best raw and the best conditioned candidate is the
-headline, and a seeded permutation test of that candidate, shuffling the
-remote column within each of its partitions, gives its p-value.
+Builds the candidate families that score a remote agent's configuration
+part against a target agent's performance, selects each entry's winner and
+draws its permutations; :mod:`measures` does the scoring, observed and
+permuted.  Each matrix entry searches one candidate family: at every lag,
+a raw candidate over all samples and one candidate per own configuration
+part of the target, partitioned by that part's value (never by the full
+own configuration, so partitions stay large).  Influences that cancel out
+in the raw view show inside the partitions.  A matrix row's target side
+(each lag's partitions and the performance in each, binned for MI) is
+built once; each entry adds its remote column.  The better of the best raw
+and the best conditioned candidate is the headline, and a seeded
+permutation test of that candidate, shuffling the remote column within
+each of its partitions, gives its p-value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from reprlib import repr as brief
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.stats
 
 from .errors import DegenerateSeriesError, InputError
 from .measures import (
+    LEAST_SAMPLES,
     DependencyScore,
     Measure,
-    MicSearchParams,
     discrete_mutual_information,
     mic,
     linear_correlation,
     rank_correlation,
+    permuted_scores,
     quantile_bins,
-    _ESTIMATE_WINDOW,
-    _mi_estimates,
-    _prefix_counts,
-    _RankBins,
-    _xlogx,
 )
 from .model import (
     ConfigSelector,
@@ -48,6 +46,11 @@ from .model import (
 from .series import CategorySeries, Series
 
 PartRef = tuple[str, str]  # (agent_id, part name)
+
+
+MAX_PERMUTATIONS = 10_000
+"""Caps the (permutations + 1) x N int64 permutation indices of one
+partition at 20 times the most the package asks for, the recommender's 500."""
 
 
 @dataclass(frozen=True)
@@ -69,18 +72,18 @@ class DetectionStrategy:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.own_part_bins < 2:
-            raise ValueError("own_part_bins must be >= 2")
-        if self.min_partition_size < 4:
-            raise ValueError("min_partition_size must be >= 4")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if self.permutations < 20:
-            raise ValueError("permutations must be >= 20")
-        if len(self.lag_set) == 0 or any(l < 0 for l in self.lag_set):
-            raise ValueError("lag_set must be non-empty with non-negative lags")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        for name, ok, rule in (
+            ("own_part_bins", self.own_part_bins >= 2, "must be >= 2"),
+            ("min_partition_size", self.min_partition_size >= 4, "must be >= 4"),
+            ("alpha", 0.0 < self.alpha < 1.0, "must lie in (0, 1)"),
+            ("permutations", 20 <= self.permutations <= MAX_PERMUTATIONS,
+             f"must lie in [20, {MAX_PERMUTATIONS}]"),
+            ("lag_set", len(self.lag_set) > 0 and min(self.lag_set) >= 0,
+             "must be non-empty with lags >= 0"),
+            ("seed", self.seed >= 0, "must be >= 0"),
+        ):
+            if not ok:
+                raise InputError(name, f"{rule}, got {brief(getattr(self, name))}")
         object.__setattr__(self, "lag_set", tuple(self.lag_set))
 
 
@@ -145,10 +148,6 @@ def _categorize(series: Series | np.ndarray, bins: int) -> Optional[CategorySeri
         return None
 
 
-# The fewest samples each measure scores; MI scores any column.
-_LEAST_SAMPLES = {Measure.MIC: 4, Measure.LINEAR: 2, Measure.RANK: 2}
-
-
 def score_dependency(x, y, n: int, strategy: DetectionStrategy) -> DependencyScore:
     """Apply the strategy's measure to two aligned columns of ``n`` samples
     as :func:`_slice` gives them.
@@ -160,7 +159,7 @@ def score_dependency(x, y, n: int, strategy: DetectionStrategy) -> DependencySco
     set.
     """
     degenerate = DependencyScore(0.0, strategy.measure_kind, n, degenerate=True)
-    if x is None or y is None or n < _LEAST_SAMPLES.get(strategy.measure_kind, 0):
+    if x is None or y is None or n < LEAST_SAMPLES.get(strategy.measure_kind, 0):
         return degenerate
     try:
         if strategy.measure_kind is Measure.MI:
@@ -402,118 +401,7 @@ def joint_influence(
     )[1]
 
 
-# --- vectorized permutation machinery -------------------------------------
-
-
-def _perm_values_mi(
-    xc: np.ndarray, kx: int, yc: np.ndarray, ky: int, perm_idx: np.ndarray
-) -> np.ndarray:
-    """MI in bits for each row of permutation indices applied to x."""
-    r, n = perm_idx.shape
-    codes = xc[perm_idx] * ky + yc[None, :]
-    codes += (np.arange(r) * (kx * ky))[:, None]
-    counts = np.bincount(codes.ravel(), minlength=r * kx * ky).reshape(r, kx, ky)
-    return _mi_bits_of_tables(counts, n)
-
-
-def _mi_bits_of_tables(counts: np.ndarray, n: int) -> np.ndarray:
-    """MI in bits of each table of a contiguous (reps, kx, ky) count stack
-    of ``n`` samples each."""
-    p = counts / n
-    px = p.sum(axis=2, keepdims=True)
-    py = p.sum(axis=1, keepdims=True)
-    nz = counts > 0
-    terms = np.divide(p, px * py, out=np.zeros_like(p), where=nz)
-    np.log2(terms, out=terms, where=nz)
-    terms *= p
-    return np.maximum(terms.sum(axis=(1, 2)), 0.0)
-
-
-def _perm_values_mic(samples: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Equipartition MIC of each permutation row of each ``(x, y, perm_idx)``
-    sample, one column per sample, maximizing over grids.
-
-    Every bin is a contiguous rank interval and every admissible grid has a
-    side of at most sqrt(B) bins.  Per orientation, one ``bin_edges`` call
-    gives the bins of every partner binning; for each small side, one
-    prefix-count table of its codes along the other axis's rank order gives
-    the tables of all its grids.  A permutation keeps both margins, so every
-    table is estimated by ``_mi_estimates``; per replicate, only the grids
-    within ``_ESTIMATE_WINDOW`` of its largest estimate are scored with
-    ``_mi_bits_of_tables``, each on a C-ordered (rows, kx, ky) table.
-    """
-    reps = samples[0][2].shape[0]
-    best = np.zeros((reps, len(samples)))
-    for j, (xv, yv, perm_idx) in enumerate(samples):
-        n = len(xv)
-        if np.all(xv == xv[0]) or np.all(yv == yv[0]):
-            continue
-        x_ranks, y_ranks = _RankBins(xv), _RankBins(yv)
-        inverse = np.empty_like(perm_idx)
-        np.put_along_axis(inverse, perm_idx, np.arange(n)[None, :], axis=1)
-        # C-ordered (a fancy index on axis 1 is not), so each row is contiguous
-        by_y_rank = np.take(perm_idx, y_ranks.order, axis=1)  # x sample at each y rank
-        by_x_rank = np.take(inverse, x_ranks.order, axis=1)  # y sample at each permuted-x rank
-        pairs = MicSearchParams().admissible_pairs(n)
-        xlogx = _xlogx(n)
-        # per small side: its tables, its grids' column ranges and normalized
-        # estimates, and whether x is its partner (tables transposed)
-        sides = []
-        for ranks, seq_idx, other_ranks, grids, transpose in (
-            (x_ranks, by_y_rank, y_ranks, [(a, b) for a, b in pairs if a <= b], False),
-            (y_ranks, by_x_rank, x_ranks, [(b, a) for a, b in pairs if b < a], True),
-        ):
-            if not grids:
-                continue
-            # every partner bin count from 2 up; binning o's bins are at
-            # offsets[o - 2]:offsets[o - 1]
-            partners = range(2, max(o for _, o in grids) + 1)
-            starts, ends, bin_counts = other_ranks.bin_edges(partners)
-            offsets = np.concatenate(([0], np.cumsum(bin_counts)))
-            for small in sorted({s for s, _ in grids}):
-                others = np.array([o for s, o in grids if s == small])  # consecutive
-                lo, hi = offsets[others[0] - 2], offsets[others[-1] - 1]
-                codes, k, _, _ = ranks.bins(small)
-                prefix, at = _prefix_counts(codes[seq_idx], k, starts[lo:hi])
-                # C-ordered (a fancy index on axis 2 is not)
-                tables = np.take(prefix, at[ends[lo:hi]], axis=2)
-                tables -= np.take(prefix, at[starts[lo:hi]], axis=2)
-                bounds = offsets[np.append(others - 2, others[-1] - 1)] - lo
-                norms = [math.log2(min(small, o)) for o in others]
-                estimates = _mi_estimates(
-                    tables, np.bincount(codes, minlength=k), (ends - starts)[lo:hi],
-                    bounds[:-1], xlogx,
-                ) / norms
-                sides.append((tables, bounds, norms, estimates, transpose))
-        top = np.max([e.max(axis=1) for *_, e, _ in sides], axis=0) - _ESTIMATE_WINDOW
-        for tables, bounds, norms, estimates, transpose in sides:
-            finalists = estimates >= top[:, None]
-            for g in np.flatnonzero(finalists.any(axis=0)):
-                rows = np.flatnonzero(finalists[:, g])
-                table = tables[rows, :, bounds[g] : bounds[g + 1]]
-                if transpose:
-                    table = table.transpose(0, 2, 1)
-                # C-ordered, so each table sums in the order it would alone
-                mi = _mi_bits_of_tables(np.ascontiguousarray(table), n) / norms[g]
-                best[rows, j] = np.maximum(best[rows, j], mi)
-    return np.minimum(best, 1.0)
-
-
-def _perm_values_corr(
-    xv: np.ndarray, yv: np.ndarray, perm_idx: np.ndarray, ranked: bool
-) -> np.ndarray:
-    """|Pearson r| (optionally on mid-ranks) per permutation row."""
-    if ranked:
-        xv = scipy.stats.rankdata(xv, method="average")
-        yv = scipy.stats.rankdata(yv, method="average")
-    xc = xv - xv.mean()
-    yc = yv - yv.mean()
-    sx = math.sqrt(float(xc @ xc))
-    sy = math.sqrt(float(yc @ yc))
-    if sx == 0.0 or sy == 0.0:
-        return np.zeros(perm_idx.shape[0])
-    r = (xc[perm_idx] @ yc) / (sx * sy)
-    return np.abs(np.clip(r, -1.0, 1.0))
+# --- the permutation test -------------------------------------------------
 
 
 def _permuted(
@@ -529,33 +417,17 @@ def _permuted(
     sample-count-weighted mean.
     """
     least = 0 if c.own_part is None else strategy.min_partition_size
-    sizes = [len(idx) for _, idx in c.partitions]
-    scored = [s for s in zip(sizes, c.remote, c.perf) if s[0] >= least]
+    scored = [(len(idx), x, y) for (_, idx), x, y in zip(c.partitions, c.remote, c.perf)
+              if len(idx) >= least]
     if not scored:
         return None
-    reps = strategy.permutations
-    kind = strategy.measure_kind
     weights = np.array([n_p for n_p, _, _ in scored], dtype=np.float64)
-    stats = np.zeros((reps + 1, len(scored)))
-    mic_samples, mic_columns = [], []
+    stats = np.empty((strategy.permutations + 1, len(scored)))
     for j, (n_p, x, y) in enumerate(scored):
-        perm_idx = np.empty((reps + 1, n_p), dtype=np.int64)
-        perm_idx[0] = np.arange(n_p)  # identity row carries the observed value
-        for r in range(1, reps + 1):
-            perm_idx[r] = rng.permutation(n_p)
-        if kind is Measure.MI:
-            if x is not None and y is not None:  # None: constant, 0 under every shuffle
-                stats[:, j] = _perm_values_mi(
-                    x.values, x.n_categories, y.values, y.n_categories, perm_idx
-                )
-        elif kind is Measure.MIC:
-            if n_p >= 4:  # scored below, with every partition's tables at once
-                mic_samples.append((x, y, perm_idx))
-                mic_columns.append(j)
-        else:
-            stats[:, j] = _perm_values_corr(x, y, perm_idx, ranked=kind is Measure.RANK)
-    if mic_samples:
-        stats[:, mic_columns] = _perm_values_mic(mic_samples)
+        # row 0 the identity; the rest as successive rng.permutation(n_p) calls
+        perm_idx = np.tile(np.arange(n_p), (strategy.permutations + 1, 1))
+        rng.permuted(perm_idx[1:], axis=1, out=perm_idx[1:])
+        stats[:, j] = permuted_scores(strategy.measure_kind, x, y, perm_idx)
     return stats @ weights / weights.sum()
 
 
@@ -593,9 +465,8 @@ def _compute_entry(
             winner, best_lag = cond, best_cond.lag
             headline = float(best_cond.aggregate)  # type: ignore[arg-type]
     stats = _permuted(winner, strategy, rng)
-    p_value = 1.0
-    if stats is not None:
-        p_value = (1 + int(np.sum(stats[1:] >= stats[0]))) / (strategy.permutations + 1)
+    p_value = 1.0 if stats is None else (
+        (1 + int(np.sum(stats[1:] >= stats[0]))) / (strategy.permutations + 1))
     return InfluenceEntry(
         raw=raw,
         best_conditioned=best_cond,

@@ -3,7 +3,7 @@
 Implements plug-in mutual information and entropy for categorical data,
 equal-frequency binning of real data, the maximal information coefficient
 (normalized MI maximized over admissible binning grids), and Pearson and
-Spearman correlations.
+Spearman correlations; :func:`permuted_scores` scores each permuted.
 
 All mutual-information values are reported in bits (base-2 logarithms).
 The MIC normalizer is a ratio of logarithms and therefore base-invariant;
@@ -107,9 +107,11 @@ class DependencyScore:
 def contingency_table(x: CategorySeries, y: CategorySeries) -> np.ndarray:
     if len(x) != len(y):
         raise ValueError("series lengths differ")
-    kx, ky = x.n_categories, y.n_categories
-    flat = x.values * ky + y.values
-    return np.bincount(flat, minlength=kx * ky).reshape(kx, ky)
+    return _counts_from_codes(x.values, x.n_categories, y.values, y.n_categories)
+
+
+def _counts_from_codes(xc: np.ndarray, kx: int, yc: np.ndarray, ky: int) -> np.ndarray:
+    return np.bincount(xc * ky + yc, minlength=kx * ky).reshape(kx, ky)
 
 
 def _mi_bits_from_counts(counts: np.ndarray) -> float:
@@ -151,6 +153,29 @@ def discrete_mutual_information(
     counts = contingency_table(x, y)
     value = _mi_bits_from_counts(counts)
     return DependencyScore(value, Measure.MI, len(x))
+
+
+def _perm_values_mi(x: CategorySeries, y: CategorySeries, perm_idx: np.ndarray) -> np.ndarray:
+    """MI in bits for each row of permutation indices applied to x."""
+    r, n = perm_idx.shape
+    xc, kx, yc, ky = x.values, x.n_categories, y.values, y.n_categories
+    codes = xc[perm_idx] * ky + yc[None, :]
+    codes += (np.arange(r) * (kx * ky))[:, None]
+    counts = np.bincount(codes.ravel(), minlength=r * kx * ky).reshape(r, kx, ky)
+    return _mi_bits_of_tables(counts, n)
+
+
+def _mi_bits_of_tables(counts: np.ndarray, n: int) -> np.ndarray:
+    """MI in bits of each table of a contiguous (reps, kx, ky) count stack
+    of ``n`` samples each."""
+    p = counts / n
+    px = p.sum(axis=2, keepdims=True)
+    py = p.sum(axis=1, keepdims=True)
+    nz = counts > 0
+    terms = np.divide(p, px * py, out=np.zeros_like(p), where=nz)
+    np.log2(terms, out=terms, where=nz)
+    terms *= p
+    return np.maximum(terms.sum(axis=(1, 2)), 0.0)
 
 
 def entropy(x: CategorySeries) -> float:
@@ -285,10 +310,6 @@ def _prefix_counts(
 
 def _is_constant(values: np.ndarray) -> bool:
     return bool(np.all(values == values[0]))
-
-
-def _counts_from_codes(xc: np.ndarray, kx: int, yc: np.ndarray, ky: int) -> np.ndarray:
-    return np.bincount(xc * ky + yc, minlength=kx * ky).reshape(kx, ky)
 
 
 def _partition_mi_best(
@@ -517,15 +538,88 @@ def mic(
     return DependencyScore(value, Measure.MIC, n, bin_layout=best_layout)
 
 
-def _pearson(xv: np.ndarray, yv: np.ndarray) -> float:
+def _centered(xv: np.ndarray, yv: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Both columns less their means, and the product of their norms."""
     xc = xv - xv.mean()
     yc = yv - yv.mean()
     sx = math.sqrt(float(xc @ xc))
     sy = math.sqrt(float(yc @ yc))
     if sx == 0.0 or sy == 0.0:
         raise DegenerateSeriesError("constant series has no defined correlation")
-    r = float(xc @ yc) / (sx * sy)
-    return min(max(r, -1.0), 1.0)
+    return xc, yc, sx * sy
+
+
+def _perm_values_mic(xv: np.ndarray, yv: np.ndarray, perm_idx: np.ndarray) -> np.ndarray:
+    """Equipartition MIC of each permutation row, maximizing over grids.
+
+    Every bin is a contiguous rank interval and every admissible grid has a
+    side of at most sqrt(B) bins.  Per orientation, one ``bin_edges`` call
+    gives the bins of every partner binning; for each small side, one
+    prefix-count table of its codes along the other axis's rank order gives
+    the tables of all its grids, replicates stacked.  A permutation keeps
+    both margins, so every table is estimated by ``_mi_estimates``; per
+    replicate, only the grids within ``_ESTIMATE_WINDOW`` of its largest
+    estimate are scored with ``_mi_bits_of_tables``, each on a C-ordered
+    (rows, kx, ky) table.
+    """
+    best = np.zeros(perm_idx.shape[0])
+    if _is_constant(xv) or _is_constant(yv):
+        return best
+    n = len(xv)
+    x_ranks, y_ranks = _RankBins(xv), _RankBins(yv)
+    inverse = np.empty_like(perm_idx)
+    np.put_along_axis(inverse, perm_idx, np.arange(n)[None, :], axis=1)
+    # C-ordered (a fancy index on axis 1 is not), so each row is contiguous
+    by_y_rank = np.take(perm_idx, y_ranks.order, axis=1)  # x sample at each y rank
+    by_x_rank = np.take(inverse, x_ranks.order, axis=1)  # y sample at each permuted-x rank
+    pairs = MicSearchParams().admissible_pairs(n)
+    xlogx = _xlogx(n)
+    # per small side: its tables, its grids' column ranges and normalized
+    # estimates, and whether x is its partner (tables transposed)
+    sides = []
+    for ranks, seq_idx, other_ranks, grids, transpose in (
+        (x_ranks, by_y_rank, y_ranks, [(a, b) for a, b in pairs if a <= b], False),
+        (y_ranks, by_x_rank, x_ranks, [(b, a) for a, b in pairs if b < a], True),
+    ):
+        if not grids:
+            continue
+        # every partner bin count from 2 up; binning o's bins are at
+        # offsets[o - 2]:offsets[o - 1]
+        partners = range(2, max(o for _, o in grids) + 1)
+        starts, ends, bin_counts = other_ranks.bin_edges(partners)
+        offsets = np.concatenate(([0], np.cumsum(bin_counts)))
+        for small in sorted({s for s, _ in grids}):
+            others = np.array([o for s, o in grids if s == small])  # consecutive
+            lo, hi = offsets[others[0] - 2], offsets[others[-1] - 1]
+            codes, k, _, _ = ranks.bins(small)
+            prefix, at = _prefix_counts(codes[seq_idx], k, starts[lo:hi])
+            # C-ordered (a fancy index on axis 2 is not)
+            tables = np.take(prefix, at[ends[lo:hi]], axis=2)
+            tables -= np.take(prefix, at[starts[lo:hi]], axis=2)
+            bounds = offsets[np.append(others - 2, others[-1] - 1)] - lo
+            norms = [math.log2(min(small, o)) for o in others]
+            estimates = _mi_estimates(
+                tables, np.bincount(codes, minlength=k), (ends - starts)[lo:hi],
+                bounds[:-1], xlogx,
+            ) / norms
+            sides.append((tables, bounds, norms, estimates, transpose))
+    top = np.max([e.max(axis=1) for *_, e, _ in sides], axis=0) - _ESTIMATE_WINDOW
+    for tables, bounds, norms, estimates, transpose in sides:
+        finalists = estimates >= top[:, None]
+        for g in np.flatnonzero(finalists.any(axis=0)):
+            rows = np.flatnonzero(finalists[:, g])
+            table = tables[rows, :, bounds[g] : bounds[g + 1]]
+            if transpose:
+                table = table.transpose(0, 2, 1)
+            # C-ordered, so each table sums in the order it would alone
+            mi = _mi_bits_of_tables(np.ascontiguousarray(table), n) / norms[g]
+            best[rows] = np.maximum(best[rows], mi)
+    return np.minimum(best, 1.0)
+
+
+def _pearson(xv: np.ndarray, yv: np.ndarray) -> float:
+    xc, yc, norms = _centered(xv, yv)
+    return min(max(float(xc @ yc) / norms, -1.0), 1.0)
 
 
 def linear_correlation(x: RealSeries | np.ndarray, y: RealSeries | np.ndarray) -> DependencyScore:
@@ -550,3 +644,36 @@ def rank_correlation(x: RealSeries | np.ndarray, y: RealSeries | np.ndarray) -> 
     rx = scipy.stats.rankdata(xv, method="average")
     ry = scipy.stats.rankdata(yv, method="average")
     return DependencyScore(_pearson(rx, ry), Measure.RANK, len(xv))
+
+
+def _perm_values_corr(
+    xv: np.ndarray, yv: np.ndarray, perm_idx: np.ndarray, ranked: bool
+) -> np.ndarray:
+    """|Pearson r| (optionally on mid-ranks) per permutation row."""
+    if ranked:
+        xv = scipy.stats.rankdata(xv, method="average")
+        yv = scipy.stats.rankdata(yv, method="average")
+    xc, yc, norms = _centered(xv, yv)
+    return np.abs(np.clip((xc[perm_idx] @ yc) / norms, -1.0, 1.0))
+
+
+# The fewest samples each measure scores; MI scores any column.
+LEAST_SAMPLES = {Measure.MIC: 4, Measure.LINEAR: 2, Measure.RANK: 2}
+
+
+def permuted_scores(kind: Measure, x, y, perm_idx: np.ndarray) -> np.ndarray:
+    """``kind``'s score, correlations absolute, of x shuffled by each row of
+    ``perm_idx`` against y, on the columns ``detection.score_dependency``
+    reads; row 0, the identity, is the observed value.  A column that score
+    flags as degenerate (None, too short, constant) scores 0 in every row."""
+    reps, n = perm_idx.shape
+    if x is None or y is None or n < LEAST_SAMPLES.get(kind, 0):
+        return np.zeros(reps)
+    if kind is Measure.MI:
+        return _perm_values_mi(x, y, perm_idx)
+    if kind is Measure.MIC:
+        return _perm_values_mic(x, y, perm_idx)
+    try:
+        return _perm_values_corr(x, y, perm_idx, ranked=kind is Measure.RANK)
+    except DegenerateSeriesError:
+        return np.zeros(reps)

@@ -8,6 +8,7 @@ import pytest
 
 from influence_scope import run_scenario, scenario_from_dict
 from influence_scope.cli import main
+from influence_scope.detection import MAX_PERMUTATIONS
 from influence_scope.logio import log_to_json
 
 from conftest import coupled_log, independent_log
@@ -475,6 +476,19 @@ REAL_KIND = ["schemas", 0, "parts", 0, "kind"]
          "permutations: expected an integer"),
         ("strategy", lambda d: put(d, ["seed"], "3"), "seed: expected an integer"),
         ("strategy", lambda d: put(d, ["alpha"], "0.1"), "alpha: expected a number"),
+        ("strategy", lambda d: put(d, ["own_part_bins"], 1), "own_part_bins: must be >= 2"),
+        ("strategy", lambda d: put(d, ["min_partition_size"], 3),
+         "min_partition_size: must be >= 4"),
+        ("strategy", lambda d: put(d, ["alpha"], 1.0), "alpha: must lie in (0, 1)"),
+        ("strategy", lambda d: put(d, ["permutations"], 19),
+         f"permutations: must lie in [20, {MAX_PERMUTATIONS}], got 19"),
+        ("strategy", lambda d: put(d, ["permutations"], 2**62), "permutations: must lie in"),
+        ("strategy", lambda d: put(d, ["permutations"], 10**400), "permutations: must lie in"),
+        ("strategy", lambda d: put(d, ["permutations"], MAX_PERMUTATIONS + 1),
+         f"permutations: must lie in [20, {MAX_PERMUTATIONS}], got {MAX_PERMUTATIONS + 1}"),
+        ("strategy", lambda d: put(d, ["lag_set"], []), "lag_set: must be non-empty"),
+        ("strategy", lambda d: put(d, ["lag_set"], [0, -1]), "lag_set: must be non-empty"),
+        ("strategy", lambda d: put(d, ["seed"], -1), "seed: must be >= 0"),
         ("descriptor", lambda d: [d], "expected an object"),
         ("descriptor", lambda d: put(d, ["part_kinds"], 3), "part_kinds"),
         ("descriptor", lambda d: put(d, ["temporality"], {"delayed": "false", "max_lag": 0}),

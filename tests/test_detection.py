@@ -30,10 +30,13 @@ from influence_scope import (
     scenario_from_dict,
 )
 from influence_scope import detection
-from influence_scope.detection import _perm_values_mi, _perm_values_mic
 from influence_scope.logio import matrix_from_json, matrix_to_json
-from influence_scope.measures import MicSearchParams, quantile_bins
+from influence_scope.measures import (
+    LEAST_SAMPLES, MicSearchParams, _perm_values_mi, _perm_values_mic, permuted_scores,
+    quantile_bins,
+)
 from influence_scope.model import ConfigSelector
+from influence_scope.series import CategorySeries
 
 from conftest import coupled_log, independent_log
 
@@ -582,7 +585,7 @@ def per_grid_perm_mic(xv, yv, perm_idx):
     for nx, ny in MicSearchParams().admissible_pairs(len(xv)):
         xs, _ = quantile_bins(xv, nx)
         ys, _ = quantile_bins(yv, ny)
-        mi = _perm_values_mi(xs.values, xs.n_categories, ys.values, ys.n_categories, perm_idx)
+        mi = _perm_values_mi(xs, ys, perm_idx)
         best = np.maximum(best, mi / math.log2(min(nx, ny)))
     return np.minimum(best, 1.0)
 
@@ -609,24 +612,71 @@ def test_perm_mic_matches_per_grid_tables(n, kind):
         yv[: n // 2] += xv[: n // 2]  # some dependence, so the maxima differ
     perm_idx = np.array([np.arange(n)] + [rng.permutation(n) for _ in range(20)])
     for x, y in ((xv, yv), (yv, xv)):
-        got = _perm_values_mic([(x, y, perm_idx)])[:, 0]
+        got = _perm_values_mic(x, y, perm_idx)
         assert got.tolist() == per_grid_perm_mic(x, y, perm_idx).tolist()
 
 
 def test_perm_mic_of_several_partitions_matches_per_grid_tables():
-    # tables of one shape from several partitions are scored in one stack
+    # the partitions of one candidate, tied and continuous, each scored alone
     rng = np.random.default_rng(7)
-    samples = []
     for n in (5, 31, 120, 121, 400, 1200):
         xv = rng.integers(0, 6, size=n).astype(float) if n % 2 else rng.normal(size=n)
         yv = rng.normal(size=n)
         yv[: n // 3] += xv[: n // 3]
         perm_idx = np.array([np.arange(n)] + [rng.permutation(n) for _ in range(30)])
-        samples.append((xv, yv, perm_idx))
-    got = _perm_values_mic(samples)
-    assert got.shape == (31, len(samples))
-    for j, (xv, yv, perm_idx) in enumerate(samples):
-        assert got[:, j].tolist() == per_grid_perm_mic(xv, yv, perm_idx).tolist()
+        got = _perm_values_mic(xv, yv, perm_idx)
+        assert got.shape == (31,)
+        assert got.tolist() == per_grid_perm_mic(xv, yv, perm_idx).tolist()
+
+
+def measured(kind, codes):
+    """Integer codes as ``score_dependency`` reads them for ``kind``."""
+    if kind is Measure.MI:
+        return CategorySeries(codes, 4)
+    return codes.astype(np.float64)
+
+
+def shuffles(n, rng, reps=20):
+    return np.array([np.arange(n)] + [rng.permutation(n) for _ in range(reps)])
+
+
+@pytest.mark.parametrize("kind", list(Measure))
+def test_permuted_scores_zero_where_score_dependency_is_degenerate(kind):
+    strategy = DetectionStrategy(measure_kind=kind)
+    rng = np.random.default_rng(3)
+    column = lambda n: measured(kind, rng.integers(0, 4, size=n))
+    constant = measured(kind, np.full(40, 2))
+    cases = [(None, column(40)), (column(40), None), (constant, column(40)),
+             (column(40), constant)]
+    if kind in LEAST_SAMPLES:
+        n = LEAST_SAMPLES[kind] - 1
+        cases.append((column(n), column(n)))
+    for x, y in cases:
+        n = len(x if x is not None else y)
+        score = detection.score_dependency(x, y, n, strategy)
+        assert score.value == 0.0
+        assert score.degenerate or kind is Measure.MI  # constant categories: MI 0
+        assert permuted_scores(kind, x, y, shuffles(n, rng)).tolist() == [0.0] * 21
+    # row 0 is the identity, so it carries the observed value
+    for n in (60, 300):
+        codes = rng.integers(0, 4, size=n)
+        x, y = measured(kind, codes), measured(kind, (codes + rng.integers(0, 2, size=n)) % 4)
+        observed = detection.score_dependency(x, y, n, strategy)
+        assert not observed.degenerate and observed.value > 0.1
+        assert abs(permuted_scores(kind, x, y, shuffles(n, rng))[0] - observed.value) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 300, 8000])
+def test_permuted_draws_the_stream_of_successive_permutations(n):
+    # _permuted draws a partition's shuffles in one rng.permuted call; the
+    # golden digests pin that stream to successive rng.permutation calls
+    reps = 99
+    one, each = np.random.default_rng(n), np.random.default_rng(n)
+    rows = np.tile(np.arange(n), (reps, 1))
+    one.permuted(rows, axis=1, out=rows)
+    expected = np.array([each.permutation(n) for _ in range(reps)])
+    assert np.array_equal(rows, expected)
+    assert one.bit_generator.state == each.bit_generator.state
 
 
 # --- tie order of the candidate search ----------------------------------------------
