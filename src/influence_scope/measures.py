@@ -19,7 +19,6 @@ from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.stats
 
 from .errors import DegenerateSeriesError, InternalConsistencyError
 from .series import CategorySeries, RealSeries, Series, as_float_values
@@ -159,7 +158,9 @@ def _perm_values_mi(x: CategorySeries, y: CategorySeries, perm_idx: np.ndarray) 
     """MI in bits for each row of permutation indices applied to x."""
     r, n = perm_idx.shape
     xc, kx, yc, ky = x.values, x.n_categories, y.values, y.n_categories
-    codes = xc[perm_idx] * ky + yc[None, :]
+    codes = xc[perm_idx]  # a fresh array, so the cell index is built in place
+    codes *= ky
+    codes += yc
     codes += (np.arange(r) * (kx * ky))[:, None]
     counts = np.bincount(codes.ravel(), minlength=r * kx * ky).reshape(r, kx, ky)
     return _mi_bits_of_tables(counts, n)
@@ -281,16 +282,25 @@ class _RankBins:
         return starts, ends, np.bincount(which, minlength=len(ks))
 
 
+def _mid_ranks(values: np.ndarray) -> np.ndarray:
+    """Each value's 1-based rank, tied values given the mean of their ranks
+    (Spearman's mid-ranks, exact half-integers), from :class:`_RankBins`'s
+    one stable sort."""
+    ranks = _RankBins(values)
+    return 0.5 * (ranks.run_bounds[ranks.run_of] + ranks.run_bounds[ranks.run_of + 1] + 1)
+
+
 def _prefix_counts(
     seq: np.ndarray, k: int, starts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Prefix counts of code sequences at the bin starts of the other axis.
 
-    Row ``r`` of ``seq`` holds one sequence of codes (``k`` values) in the
-    other axis's rank order.  Counts per elementary segment (between
-    adjacent ``starts``) summed into an int32 (rows, k, segments + 1)
-    prefix table; ``at[p]`` is the prefix column of the counts before sorted
-    position ``p``, for ``p`` a start or ``n``.  The table of a bin
+    Row ``r`` of the C-ordered int64 ``seq`` holds one sequence of codes
+    (``k`` values) in the other axis's rank order; ``seq`` is scratch and is
+    overwritten with the flat cell index.  Counts per elementary segment
+    (between adjacent ``starts``) summed into an int32 (rows, k, segments +
+    1) prefix table; ``at[p]`` is the prefix column of the counts before
+    sorted position ``p``, for ``p`` a start or ``n``.  The table of a bin
     ``[s, e)`` is then ``prefix[..., at[e]] - prefix[..., at[s]]``.
     """
     reps, n = seq.shape
@@ -299,7 +309,8 @@ def _prefix_counts(
     bound[n] = True
     at = np.cumsum(bound) - 1
     e = int(at[n])
-    flat = seq * e
+    flat = seq
+    flat *= e
     flat += at[:n]  # each position's segment
     flat += (np.arange(reps) * (k * e))[:, None]
     counts = np.bincount(flat.ravel(), minlength=reps * k * e).reshape(reps, k, e)
@@ -539,14 +550,23 @@ def mic(
 
 
 def _centered(xv: np.ndarray, yv: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Both columns less their means, and the product of their norms."""
+    """Both columns less their means, and the product of their norms.
+
+    Constancy is tested on the values, not the norms: the float mean of a
+    repeated value can be off by an ulp, which leaves a nonzero residue."""
+    if _is_constant(xv) or _is_constant(yv):
+        raise DegenerateSeriesError("constant series has no defined correlation")
     xc = xv - xv.mean()
     yc = yv - yv.mean()
-    sx = math.sqrt(float(xc @ xc))
-    sy = math.sqrt(float(yc @ yc))
-    if sx == 0.0 or sy == 0.0:
-        raise DegenerateSeriesError("constant series has no defined correlation")
-    return xc, yc, sx * sy
+    norms = math.sqrt(float(xc @ xc)) * math.sqrt(float(yc @ yc))
+    if norms == 0.0:  # spreads so small their squares underflow
+        raise DegenerateSeriesError("series too close to constant for a correlation")
+    return xc, yc, norms
+
+
+def _check_indices(idx: np.ndarray, n: int) -> None:
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise InternalConsistencyError(f"permutation index outside [0, {n})")
 
 
 def _perm_values_mic(xv: np.ndarray, yv: np.ndarray, perm_idx: np.ndarray) -> np.ndarray:
@@ -567,11 +587,17 @@ def _perm_values_mic(xv: np.ndarray, yv: np.ndarray, perm_idx: np.ndarray) -> np
         return best
     n = len(xv)
     x_ranks, y_ranks = _RankBins(xv), _RankBins(yv)
-    inverse = np.empty_like(perm_idx)
-    np.put_along_axis(inverse, perm_idx, np.arange(n)[None, :], axis=1)
     # C-ordered (a fancy index on axis 1 is not), so each row is contiguous
     by_y_rank = np.take(perm_idx, y_ranks.order, axis=1)  # x sample at each y rank
+    _check_indices(by_y_rank, n)  # before put_along_axis, which wraps -1
+    inverse = np.empty_like(perm_idx)
+    np.put_along_axis(inverse, perm_idx, np.arange(n)[None, :], axis=1)
     by_x_rank = np.take(inverse, x_ranks.order, axis=1)  # y sample at each permuted-x rank
+    _check_indices(by_x_rank, n)
+    # one gather target for every small side: np.take with out= copies
+    # through a fresh buffer under mode="raise", so the gather clips, and
+    # the bounds were checked above; _prefix_counts then overwrites it
+    work = np.empty(perm_idx.shape, dtype=np.int64)
     pairs = MicSearchParams().admissible_pairs(n)
     xlogx = _xlogx(n)
     # per small side: its tables, its grids' column ranges and normalized
@@ -592,7 +618,8 @@ def _perm_values_mic(xv: np.ndarray, yv: np.ndarray, perm_idx: np.ndarray) -> np
             others = np.array([o for s, o in grids if s == small])  # consecutive
             lo, hi = offsets[others[0] - 2], offsets[others[-1] - 1]
             codes, k, _, _ = ranks.bins(small)
-            prefix, at = _prefix_counts(codes[seq_idx], k, starts[lo:hi])
+            np.take(codes, seq_idx, out=work, mode="clip")
+            prefix, at = _prefix_counts(work, k, starts[lo:hi])
             # C-ordered (a fancy index on axis 2 is not)
             tables = np.take(prefix, at[ends[lo:hi]], axis=2)
             tables -= np.take(prefix, at[starts[lo:hi]], axis=2)
@@ -641,9 +668,7 @@ def rank_correlation(x: RealSeries | np.ndarray, y: RealSeries | np.ndarray) -> 
         raise ValueError("series lengths differ")
     if len(xv) < 2:
         raise ValueError("correlation requires at least 2 samples")
-    rx = scipy.stats.rankdata(xv, method="average")
-    ry = scipy.stats.rankdata(yv, method="average")
-    return DependencyScore(_pearson(rx, ry), Measure.RANK, len(xv))
+    return DependencyScore(_pearson(_mid_ranks(xv), _mid_ranks(yv)), Measure.RANK, len(xv))
 
 
 def _perm_values_corr(
@@ -651,8 +676,7 @@ def _perm_values_corr(
 ) -> np.ndarray:
     """|Pearson r| (optionally on mid-ranks) per permutation row."""
     if ranked:
-        xv = scipy.stats.rankdata(xv, method="average")
-        yv = scipy.stats.rankdata(yv, method="average")
+        xv, yv = _mid_ranks(xv), _mid_ranks(yv)
     xc, yc, norms = _centered(xv, yv)
     return np.abs(np.clip((xc[perm_idx] @ yc) / norms, -1.0, 1.0))
 

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -729,3 +732,18 @@ def test_detect_partitions_smaller_than_own_part_bins_score_as_degenerate(tmp_pa
     for entry in json.loads(out.read_text())["entries"]:
         partitions = entry["best_conditioned"]["per_partition"]
         assert partitions and all(p["score"]["degenerate"] for p in partitions)
+
+
+# --- start-up ---------------------------------------------------------------------
+
+
+def test_cli_starts_without_scipy():
+    # every command pays its interpreter's imports; scipy alone took most of
+    # them, so a measure that needs it imports it where it is used
+    root = Path(__file__).resolve().parent.parent
+    probe = "import sys, influence_scope.cli; print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "[]"

@@ -30,6 +30,7 @@ from influence_scope import (
     scenario_from_dict,
 )
 from influence_scope import detection
+from influence_scope.errors import InternalConsistencyError
 from influence_scope.logio import matrix_from_json, matrix_to_json
 from influence_scope.measures import (
     LEAST_SAMPLES, MicSearchParams, _perm_values_mi, _perm_values_mic, permuted_scores,
@@ -627,6 +628,29 @@ def test_perm_mic_of_several_partitions_matches_per_grid_tables():
         got = _perm_values_mic(xv, yv, perm_idx)
         assert got.shape == (31,)
         assert got.tolist() == per_grid_perm_mic(xv, yv, perm_idx).tolist()
+
+
+@pytest.mark.parametrize("bad", [-1, 40, 10**6])
+def test_perm_mic_refuses_an_index_outside_the_column(bad):
+    # the kernel gathers with mode="clip", so an out-of-range index would
+    # otherwise score silently
+    rng = np.random.default_rng(5)
+    xv, yv = rng.normal(size=40), rng.normal(size=40)
+    perm_idx = shuffles(40, rng, reps=5)
+    perm_idx[3, 17] = bad
+    with pytest.raises(InternalConsistencyError):
+        _perm_values_mic(xv, yv, perm_idx)
+
+
+def test_perm_mic_leaves_its_inputs_unchanged():
+    rng = np.random.default_rng(6)
+    xv, yv = rng.integers(0, 5, size=300).astype(float), rng.normal(size=300)
+    perm_idx = shuffles(300, rng)
+    before = [a.copy() for a in (xv, yv, perm_idx)]
+    first = _perm_values_mic(xv, yv, perm_idx)
+    for a, b in zip((xv, yv, perm_idx), before):
+        assert np.array_equal(a, b)
+    assert _perm_values_mic(xv, yv, perm_idx).tolist() == first.tolist()
 
 
 def measured(kind, codes):

@@ -25,13 +25,16 @@ from influence_scope import (
 from influence_scope.measures import (
     _ESTIMATE_WINDOW,
     BinLayout,
+    Measure,
     _codes_from_cut_positions,
     _grid_mi_estimates,
     _mi_bits_from_counts,
     _mi_estimates,
+    _mid_ranks,
     _partition_mi_best,
     _RankBins,
     _xlogx,
+    permuted_scores,
 )
 
 
@@ -449,6 +452,52 @@ def test_linear_correlation_even_function_cancels():
 def test_linear_correlation_constant_degenerate():
     with pytest.raises(DegenerateSeriesError):
         linear_correlation(np.full(10, 1.0), np.arange(10, dtype=float))
+
+
+# (value, n) pairs whose float mean of n copies is off from the value by an ulp
+ULP_OFF_CONSTANTS = [(0.1, 3), (0.1, 7), (0.1, 25), (0.7, 6), (0.3, 10), (2.2, 13)]
+
+
+@pytest.mark.parametrize("value, n", ULP_OFF_CONSTANTS)
+def test_constant_column_is_degenerate_whatever_its_mean(value, n):
+    constant = np.full(n, value)
+    assert constant.mean() != value  # so centering leaves a nonzero residue
+    other = np.arange(n, dtype=float)
+    perm_idx = np.array([np.arange(n)] + [np.roll(np.arange(n), s) for s in range(1, 6)])
+    for x, y in ((constant, other), (other, constant)):
+        for score in (linear_correlation, rank_correlation):
+            with pytest.raises(DegenerateSeriesError):
+                score(x, y)
+        for kind in (Measure.LINEAR, Measure.RANK):
+            assert permuted_scores(kind, x, y, perm_idx).tolist() == [0.0] * 6
+
+
+def test_mid_ranks_by_hand():
+    assert _mid_ranks(np.array([3.0, 1.0, 2.0])).tolist() == [3.0, 1.0, 2.0]
+    assert _mid_ranks(np.array([2.0, 1.0, 2.0, 2.0, 0.5])).tolist() == [4.0, 2.0, 4.0, 4.0, 1.0]
+    assert _mid_ranks(np.array([1.0, 1.0, 2.0, 2.0])).tolist() == [1.5, 1.5, 3.5, 3.5]
+    assert _mid_ranks(np.full(6, 7.5)).tolist() == [3.5] * 6
+    assert _mid_ranks(np.full(5, 7.5)).tolist() == [3.0] * 5
+    assert _mid_ranks(np.array([42.0])).tolist() == [1.0]
+    # -0.0 and 0.0 compare equal, so they tie
+    assert _mid_ranks(np.array([0.0, -0.0, -1.0, 1.0])).tolist() == [2.5, 2.5, 1.0, 4.0]
+    assert _mid_ranks(np.arange(10.0)[::-1]).tolist() == list(np.arange(10.0, 0.0, -1.0))
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 40, 333, 8000])
+def test_mid_ranks_match_rankdata(n):
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(n)
+    for draw in (
+        rng.integers(0, 3, size=n).astype(float),  # heavy ties
+        rng.integers(0, max(n // 4, 1), size=n) * 0.1,
+        rng.normal(size=n),
+        np.where(rng.random(n) < 0.5, -1e300, 1e300) * rng.integers(1, 3, size=n),
+        np.where(rng.random(n) < 0.5, -0.0, 0.0),
+    ):
+        expected = stats.rankdata(draw, method="average")
+        got = _mid_ranks(draw)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
 def test_rank_correlation_monotone():
