@@ -13,14 +13,24 @@ built once; each entry adds its remote column.  The better of the best raw
 and the best conditioned candidate is the headline, and a seeded
 permutation test of that candidate, shuffling the remote column within
 each of its partitions, gives its p-value.
+
+:func:`influence_matrix` draws each entry's shuffles on one helper thread
+while the caller's thread searches the next entry and scores the one
+before.  Each entry's RNG stream is private to it and drawn partition by
+partition in order, into identity index arrays the caller allocated and
+filled, so the bytes out do not depend on thread timing.  A partition's rows are drawn in one
+``Generator.permuted`` call, which holds no interpreter lock; drawing row
+by row would take the lock for every row and starve behind the caller's
+Python-bound scoring.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from reprlib import repr as brief
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -49,8 +59,12 @@ PartRef = tuple[str, str]  # (agent_id, part name)
 
 
 MAX_PERMUTATIONS = 10_000
-"""Caps the (permutations + 1) x N int64 permutation indices of one
-partition at 20 times the most the package asks for, the recommender's 500."""
+"""20 times the most the package asks for, the recommender's 500.  It caps
+the permutation test's indices: two arrays of (permutations + 1) x N int64
+are alive at once, the entry being scored and the entry being drawn.  At
+the cap that is 2 x 10 001 x 8 bytes, about 160 kB per sample (1.28 GB at
+N = 8000); MIC's kernel adds four work arrays of one partition's size,
+while MI builds its cell index in the drawn indices."""
 
 
 @dataclass(frozen=True)
@@ -404,31 +418,51 @@ def joint_influence(
 # --- the permutation test -------------------------------------------------
 
 
-def _permuted(
-    c: _Candidate, strategy: DetectionStrategy, rng: np.random.Generator
-) -> Optional[np.ndarray]:
-    """The candidate's kernel score under ``strategy.permutations`` shuffles
-    of the remote column, row 0 the identity; None when no partition is scored.
-
-    Each scored partition draws its shuffles in turn and is shuffled within
-    itself, on the columns the observed scorer read; the raw candidate's one
-    partition is scored whatever its size, an own part's only from
-    ``min_partition_size`` samples.  Partition scores aggregate as the
-    sample-count-weighted mean.
-    """
+def _partition_tests(
+    c: _Candidate, strategy: DetectionStrategy, buffer: np.ndarray
+) -> list[tuple[object, object, np.ndarray]]:
+    """(remote, performance, shuffle block) of each partition the
+    candidate's permutation test scores, on the columns the observed scorer
+    read: the raw candidate's one partition whatever its size, an own
+    part's from ``min_partition_size`` samples.  The blocks are C-ordered
+    (permutations + 1, count) views of ``buffer``, back to back, with every
+    row the identity."""
     least = 0 if c.own_part is None else strategy.min_partition_size
-    scored = [(len(idx), x, y) for (_, idx), x, y in zip(c.partitions, c.remote, c.perf)
-              if len(idx) >= least]
-    if not scored:
-        return None
-    weights = np.array([n_p for n_p, _, _ in scored], dtype=np.float64)
-    stats = np.empty((strategy.permutations + 1, len(scored)))
-    for j, (n_p, x, y) in enumerate(scored):
-        # row 0 the identity; the rest as successive rng.permutation(n_p) calls
-        perm_idx = np.tile(np.arange(n_p), (strategy.permutations + 1, 1))
-        rng.permuted(perm_idx[1:], axis=1, out=perm_idx[1:])
-        stats[:, j] = permuted_scores(strategy.measure_kind, x, y, perm_idx)
-    return stats @ weights / weights.sum()
+    reps = strategy.permutations + 1
+    tests, start = [], 0
+    for (_, idx), x, y in zip(c.partitions, c.remote, c.perf):
+        if len(idx) >= least:
+            rows = buffer[start : start + reps * len(idx)].reshape(reps, len(idx))
+            rows[:] = np.arange(len(idx))
+            tests.append((x, y, rows))
+            start += reps * len(idx)
+    return tests
+
+
+def _draw_permutations(blocks: Sequence[np.ndarray], rng: np.random.Generator) -> None:
+    """Shuffle rows 1 onward of each identity block in turn, as successive
+    ``rng.permutation`` calls would, with one ``permuted`` call per block.
+    Runs on the helper thread, so it calls numpy only and allocates nothing
+    large."""
+    for rows in blocks:
+        rng.permuted(rows[1:], axis=1, out=rows[1:])
+
+
+def _p_value(
+    tests: Sequence[tuple[object, object, np.ndarray]], strategy: DetectionStrategy
+) -> float:
+    """The share of shuffles, the identity counted, whose kernel score is at
+    least the observed one, partition scores aggregated as the
+    sample-count-weighted mean; 1 when no partition is scored.  The kernels
+    may overwrite the blocks."""
+    if not tests:
+        return 1.0
+    weights = np.array([rows.shape[1] for _, _, rows in tests], dtype=np.float64)
+    stats = np.empty((strategy.permutations + 1, len(tests)))
+    for j, (x, y, rows) in enumerate(tests):
+        stats[:, j] = permuted_scores(strategy.measure_kind, x, y, rows)
+    stats = stats @ weights / weights.sum()
+    return (1 + int(np.sum(stats[1:] >= stats[0]))) / (strategy.permutations + 1)
 
 
 # --- the full matrix -------------------------------------------------------
@@ -440,15 +474,15 @@ def _entry_rng(seed: int, ti: int, ri: int, pi: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, ti, ri, pi]))
 
 
-def _compute_entry(
+def _search(
     family: Sequence[_Candidate],
     remote_part: PartRef,
     own_parts: Sequence[PartRef],
     strategy: DetectionStrategy,
-    rng: np.random.Generator,
-) -> InfluenceEntry:
-    """The entry's best raw and best conditioned candidate; the better of the
-    two is the headline, and its permutation p-value the entry's."""
+) -> tuple[_Candidate, dict]:
+    """The entry's observed search: its best raw and best conditioned
+    candidate.  Gives the better of the two, whose permutation test is the
+    entry's, and the entry's fields but its p-value."""
     raws = [c for c in family if c.own_part is None]
     winner, raw = _best(raws, lambda c: _raw_score(c, strategy), lambda s: s.value)
     headline, best_lag = raw.value, raw.lag or 0
@@ -464,18 +498,34 @@ def _compute_entry(
         if _aggregate_key(best_cond) > raw.value:
             winner, best_lag = cond, best_cond.lag
             headline = float(best_cond.aggregate)  # type: ignore[arg-type]
-    stats = _permuted(winner, strategy, rng)
-    p_value = 1.0 if stats is None else (
-        (1 + int(np.sum(stats[1:] >= stats[0]))) / (strategy.permutations + 1))
-    return InfluenceEntry(
+    return winner, dict(
         raw=raw,
         best_conditioned=best_cond,
         best_lag=best_lag,
         headline=headline,
-        p_value=p_value,
-        influenced=p_value < strategy.alpha,
         insufficient_data=raw.degenerate and (best_cond is None or best_cond.insufficient_data),
     )
+
+
+def _families(
+    log: SampleLog, strategy: DetectionStrategy, conditioning: bool,
+    wanted: Optional[set[str]],
+) -> Iterator[tuple[tuple[str, str, str], list[_Candidate], list[PartRef], np.random.Generator]]:
+    """Each entry's key, candidate family, target own parts and RNG stream,
+    in matrix order."""
+    for ti, target_schema in enumerate(log.schemas):
+        target = target_schema.agent_id
+        if wanted is not None and target not in wanted:
+            continue
+        own_parts = [(target, own.name) for own in target_schema.parts] if conditioning else []
+        side = _target_side(log, target, [None, *own_parts], strategy)
+        for ri, remote_schema in enumerate(log.schemas):
+            if remote_schema.agent_id == target:
+                continue
+            for pi, part in enumerate(remote_schema.parts):
+                remote = (remote_schema.agent_id, part.name)
+                yield ((target, *remote), _with_remote(side, log, (remote,), strategy),
+                       own_parts, _entry_rng(strategy.seed, ti, ri, pi))
 
 
 def influence_matrix(
@@ -491,6 +541,8 @@ def influence_matrix(
     to demonstrate influences that only the conditioned path can see).
     ``targets`` limits the rows computed; each entry derives its own RNG
     stream, so a row's values do not depend on which other rows are computed.
+    One helper thread, started and joined inside the call, draws the
+    permutations of each entry while this thread scores the entry before.
     """
     issues = validate_log(log)
     if issues:
@@ -499,20 +551,30 @@ def influence_matrix(
         raise ValueError("need at least 2 agents")
     wanted = set(targets) if targets is not None else None
 
+    # one entry's blocks fill at most (permutations + 1) x N; the helper
+    # draws into one buffer while the other's entry is scored
+    buffers = [np.empty((strategy.permutations + 1) * len(log.t), dtype=np.int64)
+               for _ in range(2)]
     entries: dict[tuple[str, str, str], InfluenceEntry] = {}
-    for ti, target_schema in enumerate(log.schemas):
-        target = target_schema.agent_id
-        if wanted is not None and target not in wanted:
-            continue
-        own_parts = [(target, own.name) for own in target_schema.parts] if conditioning else []
-        side = _target_side(log, target, [None, *own_parts], strategy)
-        for ri, remote_schema in enumerate(log.schemas):
-            if remote_schema.agent_id == target:
-                continue
-            for pi, part in enumerate(remote_schema.parts):
-                remote = (remote_schema.agent_id, part.name)
-                entries[(target, *remote)] = _compute_entry(
-                    _with_remote(side, log, (remote,), strategy), remote, own_parts,
-                    strategy, _entry_rng(strategy.seed, ti, ri, pi),
-                )
+    pending = None  # the entry whose draws are in flight
+
+    def finish(key, fields, tests, drawn) -> None:
+        drawn.result()
+        p_value = _p_value(tests, strategy)
+        entries[key] = InfluenceEntry(
+            **fields, p_value=p_value, influenced=p_value < strategy.alpha
+        )
+
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="permutation-draws") as helper:
+        for k, (key, family, own_parts, rng) in enumerate(
+            _families(log, strategy, conditioning, wanted)
+        ):
+            winner, fields = _search(family, key[1:], own_parts, strategy)
+            tests = _partition_tests(winner, strategy, buffers[k % 2])
+            drawn = helper.submit(_draw_permutations, [rows for _, _, rows in tests], rng)
+            if pending is not None:
+                finish(*pending)
+            pending = (key, fields, tests, drawn)
+        if pending is not None:
+            finish(*pending)
     return InfluenceMatrix(alpha=strategy.alpha, entries=entries)

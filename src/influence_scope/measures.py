@@ -155,10 +155,15 @@ def discrete_mutual_information(
 
 
 def _perm_values_mi(x: CategorySeries, y: CategorySeries, perm_idx: np.ndarray) -> np.ndarray:
-    """MI in bits for each row of permutation indices applied to x."""
+    """MI in bits for each row of permutation indices applied to x; the
+    indices are scratch and are overwritten with the flat cell index."""
     r, n = perm_idx.shape
     xc, kx, yc, ky = x.values, x.n_categories, y.values, y.n_categories
-    codes = xc[perm_idx]  # a fresh array, so the cell index is built in place
+    # np.take with out= copies through a fresh buffer under mode="raise",
+    # so the gather clips after one bounds check; each index is read
+    # before its slot is written, so the gather may overwrite them
+    _check_indices(perm_idx, len(xc))
+    codes = np.take(xc, perm_idx, out=perm_idx, mode="clip")
     codes *= ky
     codes += yc
     codes += (np.arange(r) * (kx * ky))[:, None]
@@ -689,7 +694,9 @@ def permuted_scores(kind: Measure, x, y, perm_idx: np.ndarray) -> np.ndarray:
     """``kind``'s score, correlations absolute, of x shuffled by each row of
     ``perm_idx`` against y, on the columns ``detection.score_dependency``
     reads; row 0, the identity, is the observed value.  A column that score
-    flags as degenerate (None, too short, constant) scores 0 in every row."""
+    flags as degenerate (None, too short, constant) scores 0 in every row.
+    ``perm_idx``, C-ordered int64, is scratch: a kernel may overwrite it
+    (MI builds its cell index in it)."""
     reps, n = perm_idx.shape
     if x is None or y is None or n < LEAST_SAMPLES.get(kind, 0):
         return np.zeros(reps)

@@ -4,6 +4,10 @@ its significance layer."""
 import hashlib
 import json
 import math
+import os
+import sys
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -586,7 +590,7 @@ def per_grid_perm_mic(xv, yv, perm_idx):
     for nx, ny in MicSearchParams().admissible_pairs(len(xv)):
         xs, _ = quantile_bins(xv, nx)
         ys, _ = quantile_bins(yv, ny)
-        mi = _perm_values_mi(xs, ys, perm_idx)
+        mi = _perm_values_mi(xs, ys, perm_idx.copy())  # scratch to the kernel
         best = np.maximum(best, mi / math.log2(min(nx, ny)))
     return np.minimum(best, 1.0)
 
@@ -701,6 +705,127 @@ def test_permuted_draws_the_stream_of_successive_permutations(n):
     expected = np.array([each.permutation(n) for _ in range(reps)])
     assert np.array_equal(rows, expected)
     assert one.bit_generator.state == each.bit_generator.state
+
+
+# --- the permutation test on its helper thread ----------------------------------------
+
+
+def serial_permuted(c, strategy, rng):
+    """The permutation test on the caller's thread, each partition's shuffles
+    drawn into a fresh array just before they are scored: the reference
+    that drawing on a helper thread must reproduce."""
+    least = 0 if c.own_part is None else strategy.min_partition_size
+    scored = [(len(idx), x, y) for (_, idx), x, y in zip(c.partitions, c.remote, c.perf)
+              if len(idx) >= least]
+    if not scored:
+        return None
+    weights = np.array([n_p for n_p, _, _ in scored], dtype=np.float64)
+    stats = np.empty((strategy.permutations + 1, len(scored)))
+    for j, (n_p, x, y) in enumerate(scored):
+        # row 0 the identity; the rest as successive rng.permutation(n_p) calls
+        perm_idx = np.tile(np.arange(n_p), (strategy.permutations + 1, 1))
+        rng.permuted(perm_idx[1:], axis=1, out=perm_idx[1:])
+        stats[:, j] = permuted_scores(strategy.measure_kind, x, y, perm_idx)
+    return stats @ weights / weights.sum()
+
+
+def serial_p_values(log, strategy):
+    """Each entry's p-value, and the number of partitions its winner's
+    test scores (0 for a raw winner)."""
+    out = {}
+    for key, family, own_parts, rng in detection._families(log, strategy, True, None):
+        winner, _ = detection._search(family, key[1:], own_parts, strategy)
+        stats = serial_permuted(winner, strategy, rng)
+        p_value = 1.0 if stats is None else (
+            (1 + int(np.sum(stats[1:] >= stats[0]))) / (strategy.permutations + 1))
+        scored = 0 if winner.own_part is None else sum(
+            len(idx) >= strategy.min_partition_size for _, idx in winner.partitions)
+        out[key] = (p_value, scored)
+    return out
+
+
+@pytest.mark.parametrize("measure", list(Measure), ids=lambda m: m.value)
+def test_matrix_p_values_match_the_serial_permutation_test(measure):
+    strategy = DetectionStrategy(measure_kind=measure, lag_set=(0, 1, 2), permutations=20)
+    scored = []
+    for log in (three_agent_log(240), tie_log()):
+        reference = serial_p_values(log, strategy)
+        scored += [count for _, count in reference.values()]
+        entries = influence_matrix(log, strategy).entries
+        assert {key: e.p_value for key, e in entries.items()} == {
+            key: p for key, (p, _) in reference.items()
+        }
+    assert 0 in scored and max(scored) >= 2  # raw winners, and several partitions
+
+
+def test_concurrent_matrices_match_the_serial_permutation_test():
+    # more callers than cores, each with its own helper thread, and a short
+    # switch interval: any buffer a draw shared or overwrote early would
+    # change a p-value
+    strategy = DetectionStrategy(lag_set=(0, 1, 2), permutations=20)
+    logs = [three_agent_log(240, seed) for seed in range(6, 6 + (os.cpu_count() or 1) + 2)]
+    expected = [{key: p for key, (p, _) in serial_p_values(log, strategy).items()}
+                for log in logs]
+    got = [None] * len(logs)
+
+    def run(i):
+        got[i] = {key: e.p_value for key, e in influence_matrix(logs[i], strategy).entries.items()}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=run, args=(i,)) for i in range(len(logs))]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert got == expected
+
+
+def active_threads_after(count, timeout=10.0):
+    """The thread count once it falls to ``count``, or when ``timeout`` ends."""
+    deadline = time.monotonic() + timeout
+    while threading.active_count() > count and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return threading.active_count()
+
+
+def test_draws_run_on_one_helper_thread_that_ends_with_the_matrix(monkeypatch):
+    drawers = []
+    draw = detection._draw_permutations
+
+    def recorded(blocks, rng):
+        drawers.append(threading.current_thread())
+        draw(blocks, rng)
+
+    monkeypatch.setattr(detection, "_draw_permutations", recorded)
+    before = threading.active_count()
+    matrix = influence_matrix(three_agent_log(120), FAST)
+    assert active_threads_after(before) == before
+    assert len(drawers) == len(matrix.entries)
+    assert len(set(drawers)) == 1 and drawers[0] is not threading.current_thread()
+    assert not drawers[0].is_alive()
+
+
+@pytest.mark.parametrize("failing_call", [1, 4])
+def test_a_failed_draw_leaves_the_matrix_and_no_thread(monkeypatch, failing_call):
+    calls = []
+    draw = detection._draw_permutations
+
+    def failing(blocks, rng):
+        calls.append(None)
+        if len(calls) == failing_call:
+            raise RuntimeError("draw failed")
+        draw(blocks, rng)
+
+    monkeypatch.setattr(detection, "_draw_permutations", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="draw failed"):
+        influence_matrix(three_agent_log(120), FAST)
+    assert active_threads_after(before) == before
 
 
 # --- tie order of the candidate search ----------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from influence_scope import (
     quantile_bins,
     rank_correlation,
 )
+from influence_scope.errors import InternalConsistencyError
 from influence_scope.measures import (
     _ESTIMATE_WINDOW,
     BinLayout,
@@ -29,9 +31,11 @@ from influence_scope.measures import (
     _codes_from_cut_positions,
     _grid_mi_estimates,
     _mi_bits_from_counts,
+    _mi_bits_of_tables,
     _mi_estimates,
     _mid_ranks,
     _partition_mi_best,
+    _perm_values_mi,
     _RankBins,
     _xlogx,
     permuted_scores,
@@ -436,6 +440,62 @@ def test_mi_bits_int32_table_matches_int64():
 
 
 # --- correlations -----------------------------------------------------------------
+
+
+# --- MI permutation kernel ----------------------------------------------------
+
+
+def gathered_perm_mi(x, y, perm_idx):
+    """Permutation MI with the codes gathered into a fresh array, leaving
+    ``perm_idx`` as it was."""
+    r, n = perm_idx.shape
+    kx, ky = x.n_categories, y.n_categories
+    flat = x.values[perm_idx] * ky + y.values + (np.arange(r) * (kx * ky))[:, None]
+    counts = np.bincount(flat.ravel(), minlength=r * kx * ky).reshape(r, kx, ky)
+    return _mi_bits_of_tables(counts, n)
+
+
+def mi_shuffles(n, rng, reps=30):
+    return np.array([np.arange(n)] + [rng.permutation(n) for _ in range(reps)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 300, 8000])
+def test_perm_mi_in_place_matches_a_fresh_gather(n):
+    rng = np.random.default_rng(n)
+    x, y = cat(rng.integers(0, 3, size=n), 3), cat(rng.integers(0, 4, size=n), 4)
+    y = cat(np.where(rng.random(n) < 0.3, x.values, y.values), 4)  # some dependence
+    perm_idx = mi_shuffles(n, rng)
+    expected = gathered_perm_mi(x, y, perm_idx)
+    assert _perm_values_mi(x, y, perm_idx.copy()).tolist() == expected.tolist()
+    assert permuted_scores(Measure.MI, x, y, perm_idx.copy()).tolist() == expected.tolist()
+
+
+def test_perm_mi_allocates_no_index_sized_array():
+    # the gather and the cell index both live in perm_idx
+    rng = np.random.default_rng(1)
+    n = 8000
+    x, y = cat(rng.integers(0, 3, size=n), 3), cat(rng.integers(0, 3, size=n), 3)
+    perm_idx = mi_shuffles(n, rng, reps=99)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _perm_values_mi(x, y, perm_idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < perm_idx.nbytes // 50
+
+
+@pytest.mark.parametrize("bad", [-1, 40, 10**6])
+def test_perm_mi_refuses_an_index_outside_the_column(bad):
+    # the kernel gathers with mode="clip", so an out-of-range index would
+    # otherwise score silently
+    rng = np.random.default_rng(5)
+    x, y = cat(rng.integers(0, 3, size=40), 3), cat(rng.integers(0, 3, size=40), 3)
+    perm_idx = mi_shuffles(40, rng, reps=5)
+    perm_idx[3, 17] = bad
+    with pytest.raises(InternalConsistencyError):
+        _perm_values_mi(x, y, perm_idx)
 
 
 def test_linear_correlation_affine():
