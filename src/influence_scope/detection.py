@@ -16,9 +16,11 @@ each of its partitions, gives its p-value.
 
 :func:`influence_matrix` draws each entry's shuffles on one helper thread
 while the caller's thread searches the next entry and scores the one
-before.  Each entry's RNG stream is private to it and drawn partition by
-partition in order, into identity index arrays the caller allocated and
-filled, so the bytes out do not depend on thread timing.  A partition's rows are drawn in one
+before, once an entry can draw at least ``HELPER_LEAST_INDICES`` indices;
+smaller calls draw on the caller's thread.  Each entry's RNG stream is
+private to it and drawn partition by partition in order, into identity
+index arrays the caller allocated and filled, so the bytes out do not
+depend on the thread or its timing.  A partition's rows are drawn in one
 ``Generator.permuted`` call, which holds no interpreter lock; drawing row
 by row would take the lock for every row and starve behind the caller's
 Python-bound scoring.
@@ -27,7 +29,7 @@ Python-bound scoring.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from reprlib import repr as brief
 from typing import Iterator, Optional, Sequence
@@ -65,6 +67,16 @@ are alive at once, the entry being scored and the entry being drawn.  At
 the cap that is 2 x 10 001 x 8 bytes, about 160 kB per sample (1.28 GB at
 N = 8000); MIC's kernel adds four work arrays of one partition's size,
 while MI builds its cell index in the drawn indices."""
+
+HELPER_LEAST_INDICES = 1 << 19
+"""The fewest indices one entry can draw, (permutations + 1) x N, for which
+:func:`influence_matrix` draws on a helper thread.  ``permuted`` draws
+about 65-75 M indices a second, so a smaller entry's draws take less than
+the interpreter's 5 ms switch interval, the longest the helper may wait to
+retake the lock behind the caller.  The overlap saves a few milliseconds
+per entry at most, while every handoff of the lock waits for the other
+CPU: when another process holds it, a camera-trio ``detect`` (99
+permutations of 1500 samples) ran slower and its times spread wider."""
 
 
 @dataclass(frozen=True)
@@ -442,8 +454,8 @@ def _partition_tests(
 def _draw_permutations(blocks: Sequence[np.ndarray], rng: np.random.Generator) -> None:
     """Shuffle rows 1 onward of each identity block in turn, as successive
     ``rng.permutation`` calls would, with one ``permuted`` call per block.
-    Runs on the helper thread, so it calls numpy only and allocates nothing
-    large."""
+    May run on the helper thread, so it calls numpy only and allocates
+    nothing large."""
     for rows in blocks:
         rng.permuted(rows[1:], axis=1, out=rows[1:])
 
@@ -466,6 +478,23 @@ def _p_value(
 
 
 # --- the full matrix -------------------------------------------------------
+
+
+class _OnCaller:
+    """The helper's stand-in for calls too small to hand over: each
+    submitted draw runs at once on the caller's thread."""
+
+    def __enter__(self) -> "_OnCaller":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        return None
+
+    def submit(self, fn, *args) -> Future:
+        fn(*args)
+        done: Future = Future()
+        done.set_result(None)
+        return done
 
 
 def _entry_rng(seed: int, ti: int, ri: int, pi: int) -> np.random.Generator:
@@ -541,8 +570,9 @@ def influence_matrix(
     to demonstrate influences that only the conditioned path can see).
     ``targets`` limits the rows computed; each entry derives its own RNG
     stream, so a row's values do not depend on which other rows are computed.
-    One helper thread, started and joined inside the call, draws the
-    permutations of each entry while this thread scores the entry before.
+    From ``HELPER_LEAST_INDICES`` indices per entry on, one helper thread,
+    started and joined inside the call, draws the permutations of each
+    entry while this thread scores the entry before.
     """
     issues = validate_log(log)
     if issues:
@@ -551,8 +581,8 @@ def influence_matrix(
         raise ValueError("need at least 2 agents")
     wanted = set(targets) if targets is not None else None
 
-    # one entry's blocks fill at most (permutations + 1) x N; the helper
-    # draws into one buffer while the other's entry is scored
+    # one entry's blocks fill at most (permutations + 1) x N; an entry is
+    # drawn into one buffer while the entry before, in the other, is scored
     buffers = [np.empty((strategy.permutations + 1) * len(log.t), dtype=np.int64)
                for _ in range(2)]
     entries: dict[tuple[str, str, str], InfluenceEntry] = {}
@@ -565,7 +595,11 @@ def influence_matrix(
             **fields, p_value=p_value, influenced=p_value < strategy.alpha
         )
 
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="permutation-draws") as helper:
+    if (strategy.permutations + 1) * len(log.t) >= HELPER_LEAST_INDICES:
+        helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="permutation-draws")
+    else:
+        helper = _OnCaller()
+    with helper:
         for k, (key, family, own_parts, rng) in enumerate(
             _families(log, strategy, conditioning, wanted)
         ):

@@ -744,8 +744,14 @@ def serial_p_values(log, strategy):
     return out
 
 
+# the fewest indices per entry for the helper thread: every call on it, or none
+ON_HELPER, ON_CALLER = 0, 1 << 62
+
+
+@pytest.mark.parametrize("least", [ON_HELPER, ON_CALLER], ids=["helper", "caller"])
 @pytest.mark.parametrize("measure", list(Measure), ids=lambda m: m.value)
-def test_matrix_p_values_match_the_serial_permutation_test(measure):
+def test_matrix_p_values_match_the_serial_permutation_test(monkeypatch, measure, least):
+    monkeypatch.setattr(detection, "HELPER_LEAST_INDICES", least)
     strategy = DetectionStrategy(measure_kind=measure, lag_set=(0, 1, 2), permutations=20)
     scored = []
     for log in (three_agent_log(240), tie_log()):
@@ -758,10 +764,11 @@ def test_matrix_p_values_match_the_serial_permutation_test(measure):
     assert 0 in scored and max(scored) >= 2  # raw winners, and several partitions
 
 
-def test_concurrent_matrices_match_the_serial_permutation_test():
+def test_concurrent_matrices_match_the_serial_permutation_test(monkeypatch):
     # more callers than cores, each with its own helper thread, and a short
     # switch interval: any buffer a draw shared or overwrote early would
     # change a p-value
+    monkeypatch.setattr(detection, "HELPER_LEAST_INDICES", ON_HELPER)
     strategy = DetectionStrategy(lag_set=(0, 1, 2), permutations=20)
     logs = [three_agent_log(240, seed) for seed in range(6, 6 + (os.cpu_count() or 1) + 2)]
     expected = [{key: p for key, (p, _) in serial_p_values(log, strategy).items()}
@@ -794,6 +801,7 @@ def active_threads_after(count, timeout=10.0):
 
 
 def test_draws_run_on_one_helper_thread_that_ends_with_the_matrix(monkeypatch):
+    monkeypatch.setattr(detection, "HELPER_LEAST_INDICES", ON_HELPER)
     drawers = []
     draw = detection._draw_permutations
 
@@ -810,8 +818,30 @@ def test_draws_run_on_one_helper_thread_that_ends_with_the_matrix(monkeypatch):
     assert not drawers[0].is_alive()
 
 
+def test_small_calls_draw_on_the_callers_thread(monkeypatch):
+    drawers = []
+    draw = detection._draw_permutations
+
+    def recorded(blocks, rng):
+        drawers.append(threading.current_thread())
+        draw(blocks, rng)
+
+    monkeypatch.setattr(detection, "_draw_permutations", recorded)
+    log = three_agent_log(120)
+    # one index short of the helper, and the least that gets it
+    for least, on_helper in ((100 * len(log.t) + 1, False), (100 * len(log.t), True)):
+        monkeypatch.setattr(detection, "HELPER_LEAST_INDICES", least)
+        drawers.clear()
+        matrix = influence_matrix(log, FAST)
+        assert len(drawers) == len(matrix.entries)
+        assert (drawers[0] is not threading.current_thread()) == on_helper
+        assert len(set(drawers)) == 1
+
+
+@pytest.mark.parametrize("least", [ON_HELPER, ON_CALLER], ids=["helper", "caller"])
 @pytest.mark.parametrize("failing_call", [1, 4])
-def test_a_failed_draw_leaves_the_matrix_and_no_thread(monkeypatch, failing_call):
+def test_a_failed_draw_leaves_the_matrix_and_no_thread(monkeypatch, failing_call, least):
+    monkeypatch.setattr(detection, "HELPER_LEAST_INDICES", least)
     calls = []
     draw = detection._draw_permutations
 
