@@ -14,25 +14,27 @@ and the best conditioned candidate is the headline, and a seeded
 permutation test of that candidate, shuffling the remote column within
 each of its partitions, gives its p-value.
 
-:func:`influence_matrix` draws each entry's shuffles on one helper thread
-while the caller's thread searches the next entry and scores the one
-before, once an entry can draw at least ``HELPER_LEAST_INDICES`` indices;
-smaller calls draw on the caller's thread.  Each entry's RNG stream is
-private to it and drawn partition by partition in order, into identity
-index arrays the caller allocated and filled, so the bytes out do not
-depend on the thread or its timing.  A partition's rows are drawn in one
-``Generator.permuted`` call, which holds no interpreter lock; drawing row
-by row would take the lock for every row and starve behind the caller's
-Python-bound scoring.
+:func:`influence_matrix` builds every row's target side in the calling
+process, then forks one child per further usable CPU (W processes in all,
+at most one per entry).  Worker w scores the entries k = w (mod W) in
+matrix order, each in full, and a child pickles its entries back over a
+pipe; the caller scores every entry itself where it cannot fork, or while
+another thread runs.  Each entry's RNG stream is private to it and keyed
+on structural indices, and is drawn partition by partition in order, so
+the bytes out do not depend on W or on the process an entry ran in.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import Future, ThreadPoolExecutor
+import os
+import pickle
+import signal
+import threading
+import warnings
 from dataclasses import dataclass, replace
 from reprlib import repr as brief
-from typing import Iterator, Optional, Sequence
+from typing import BinaryIO, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -62,21 +64,11 @@ PartRef = tuple[str, str]  # (agent_id, part name)
 
 MAX_PERMUTATIONS = 10_000
 """20 times the most the package asks for, the recommender's 500.  It caps
-the permutation test's indices: two arrays of (permutations + 1) x N int64
-are alive at once, the entry being scored and the entry being drawn.  At
-the cap that is 2 x 10 001 x 8 bytes, about 160 kB per sample (1.28 GB at
-N = 8000); MIC's kernel adds four work arrays of one partition's size,
-while MI builds its cell index in the drawn indices."""
-
-HELPER_LEAST_INDICES = 1 << 19
-"""The fewest indices one entry can draw, (permutations + 1) x N, for which
-:func:`influence_matrix` draws on a helper thread.  ``permuted`` draws
-about 65-75 M indices a second, so a smaller entry's draws take less than
-the interpreter's 5 ms switch interval, the longest the helper may wait to
-retake the lock behind the caller.  The overlap saves a few milliseconds
-per entry at most, while every handoff of the lock waits for the other
-CPU: when another process holds it, a camera-trio ``detect`` (99
-permutations of 1500 samples) ran slower and its times spread wider."""
+the permutation test's indices: each of the W processes that score a matrix
+holds one (permutations + 1) x N int64 buffer, the entry being scored.  At
+the cap that is 10 001 x 8 bytes, about 80 kB per sample and process
+(640 MB at N = 8000); MIC's kernel adds four work arrays of one partition's
+size, while MI builds its cell index in the drawn indices."""
 
 
 @dataclass(frozen=True)
@@ -453,9 +445,7 @@ def _partition_tests(
 
 def _draw_permutations(blocks: Sequence[np.ndarray], rng: np.random.Generator) -> None:
     """Shuffle rows 1 onward of each identity block in turn, as successive
-    ``rng.permutation`` calls would, with one ``permuted`` call per block.
-    May run on the helper thread, so it calls numpy only and allocates
-    nothing large."""
+    ``rng.permutation`` calls would, with one ``permuted`` call per block."""
     for rows in blocks:
         rng.permuted(rows[1:], axis=1, out=rows[1:])
 
@@ -480,21 +470,9 @@ def _p_value(
 # --- the full matrix -------------------------------------------------------
 
 
-class _OnCaller:
-    """The helper's stand-in for calls too small to hand over: each
-    submitted draw runs at once on the caller's thread."""
-
-    def __enter__(self) -> "_OnCaller":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        return None
-
-    def submit(self, fn, *args) -> Future:
-        fn(*args)
-        done: Future = Future()
-        done.set_result(None)
-        return done
+# the Generator named as a string: reading np.random here would import it
+# with the package, on every command's start-up
+_Task = tuple[tuple[str, str, str], list[_Candidate], list[PartRef], "np.random.Generator"]
 
 
 def _entry_rng(seed: int, ti: int, ri: int, pi: int) -> np.random.Generator:
@@ -536,12 +514,14 @@ def _search(
     )
 
 
-def _families(
+def _tasks(
     log: SampleLog, strategy: DetectionStrategy, conditioning: bool,
     wanted: Optional[set[str]],
-) -> Iterator[tuple[tuple[str, str, str], list[_Candidate], list[PartRef], np.random.Generator]]:
-    """Each entry's key, candidate family, target own parts and RNG stream,
-    in matrix order."""
+) -> list[_Task]:
+    """Each entry's key, its row's target side, the target's own parts and
+    the entry's RNG stream, in matrix order.  Every row's side is built
+    here, once, before any entry is scored."""
+    tasks = []
     for ti, target_schema in enumerate(log.schemas):
         target = target_schema.agent_id
         if wanted is not None and target not in wanted:
@@ -552,9 +532,135 @@ def _families(
             if remote_schema.agent_id == target:
                 continue
             for pi, part in enumerate(remote_schema.parts):
-                remote = (remote_schema.agent_id, part.name)
-                yield ((target, *remote), _with_remote(side, log, (remote,), strategy),
-                       own_parts, _entry_rng(strategy.seed, ti, ri, pi))
+                key = (target, remote_schema.agent_id, part.name)
+                tasks.append((key, side, own_parts, _entry_rng(strategy.seed, ti, ri, pi)))
+    return tasks
+
+
+def _score_entry(
+    log: SampleLog, strategy: DetectionStrategy, task: _Task, buffer: np.ndarray
+) -> InfluenceEntry:
+    """One entry: its candidate family, observed search and permutation
+    test, the shuffles drawn into ``buffer``."""
+    key, side, own_parts, rng = task
+    family = _with_remote(side, log, (key[1:],), strategy)
+    winner, fields = _search(family, key[1:], own_parts, strategy)
+    tests = _partition_tests(winner, strategy, buffer)
+    _draw_permutations([rows for _, _, rows in tests], rng)
+    p_value = _p_value(tests, strategy)
+    return InfluenceEntry(**fields, p_value=p_value, influenced=p_value < strategy.alpha)
+
+
+def _score_share(
+    log: SampleLog, strategy: DetectionStrategy, tasks: Sequence[_Task], share: Iterable[int]
+) -> tuple[dict[int, InfluenceEntry], Optional[tuple[int, Exception]]]:
+    """The entries at the indices ``share``, scored in order up to the
+    first that raises, by index; and that index and error, or None."""
+    buffer = np.empty((strategy.permutations + 1) * len(log.t), dtype=np.int64)
+    done = {}
+    for k in share:
+        try:
+            done[k] = _score_entry(log, strategy, tasks[k], buffer)
+        except Exception as exc:  # the caller raises the lowest failing index's
+            return done, (k, exc)
+    return done, None
+
+
+def _cpu_count() -> int:
+    return len(os.sched_getaffinity(0))
+
+
+def _worker_count(entries: int) -> int:
+    """How many processes score the matrix, this one included: one per
+    usable CPU up to one per entry, and only this one where it cannot fork
+    safely, or while another thread runs that a child would lose."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return 1 if threading.active_count() > 1 else min(_cpu_count(), entries)
+
+
+def _fork_share(
+    log: SampleLog, strategy: DetectionStrategy, tasks: Sequence[_Task], share: Iterable[int]
+) -> Optional[tuple[int, BinaryIO]]:
+    """Fork a child that scores ``share`` and pickles what
+    :func:`_score_share` gives back over a pipe; the child's pid and the
+    pipe's read end, or None when ``fork`` fails."""
+    read_end, write_end = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12 warns on fork while the process has more than one
+            # OS thread.  No other Python thread runs here (see
+            # _worker_count); the rest are BLAS's own pool, which is
+            # fork-aware and starts again in the child.
+            warnings.filterwarnings(
+                "ignore", r"This process .* is multi-threaded, use of fork\(\)",
+                DeprecationWarning,
+            )
+            pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:  # the child never returns into the caller's frames
+        status = 1
+        try:
+            os.close(read_end)
+            done, failure = _score_share(log, strategy, tasks, share)
+            if failure is not None:
+                k, exc = failure
+                try:
+                    pickle.loads(pickle.dumps(exc))
+                except Exception:
+                    failure = (k, RuntimeError(repr(exc)))
+            with open(write_end, "wb") as pipe:
+                pickle.dump((done, failure), pipe, protocol=pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, open(read_end, "rb")
+
+
+def _scored(
+    log: SampleLog, strategy: DetectionStrategy, tasks: Sequence[_Task]
+) -> list[InfluenceEntry]:
+    """Every task's entry, in order.  Worker w of W scores the entries k with
+    k = w (mod W): this process is worker 0 and forks the others, and takes
+    on the share of any it could not fork.  The error of the lowest failing
+    index is raised, as a serial loop would raise it."""
+    workers = _worker_count(len(tasks))
+    children: list[tuple[int, BinaryIO]] = []
+    try:
+        for w in range(1, workers):
+            child = _fork_share(log, strategy, tasks, range(w, len(tasks), workers))
+            if child is None:
+                break
+            children.append(child)
+        forked = 1 + len(children)
+        mine = (k for k in range(len(tasks)) if not 0 < k % workers < forked)
+        done, failure = _score_share(log, strategy, tasks, mine)
+        failures = [failure] if failure else []
+        while children:
+            pid, pipe = children[0]
+            data = pipe.read()
+            pipe.close()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0:
+                raise RuntimeError(f"worker process {pid} ended with code {code} "
+                                   "before sending its entries")
+            child_done, child_failure = pickle.loads(data)
+            done.update(child_done)
+            failures += [child_failure] if child_failure else []
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return [done[k] for k in range(len(tasks))]
 
 
 def influence_matrix(
@@ -570,45 +676,16 @@ def influence_matrix(
     to demonstrate influences that only the conditioned path can see).
     ``targets`` limits the rows computed; each entry derives its own RNG
     stream, so a row's values do not depend on which other rows are computed.
-    From ``HELPER_LEAST_INDICES`` indices per entry on, one helper thread,
-    started and joined inside the call, draws the permutations of each
-    entry while this thread scores the entry before.
+    Entries are scored in up to one process per usable CPU, forked and
+    reaped inside the call; the bytes out do not depend on how many.
     """
     issues = validate_log(log)
     if issues:
         raise ValueError(f"log failed validation: {issues[:3]}")
     if len(log.schemas) < 2:
         raise ValueError("need at least 2 agents")
-    wanted = set(targets) if targets is not None else None
-
-    # one entry's blocks fill at most (permutations + 1) x N; an entry is
-    # drawn into one buffer while the entry before, in the other, is scored
-    buffers = [np.empty((strategy.permutations + 1) * len(log.t), dtype=np.int64)
-               for _ in range(2)]
-    entries: dict[tuple[str, str, str], InfluenceEntry] = {}
-    pending = None  # the entry whose draws are in flight
-
-    def finish(key, fields, tests, drawn) -> None:
-        drawn.result()
-        p_value = _p_value(tests, strategy)
-        entries[key] = InfluenceEntry(
-            **fields, p_value=p_value, influenced=p_value < strategy.alpha
-        )
-
-    if (strategy.permutations + 1) * len(log.t) >= HELPER_LEAST_INDICES:
-        helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="permutation-draws")
-    else:
-        helper = _OnCaller()
-    with helper:
-        for k, (key, family, own_parts, rng) in enumerate(
-            _families(log, strategy, conditioning, wanted)
-        ):
-            winner, fields = _search(family, key[1:], own_parts, strategy)
-            tests = _partition_tests(winner, strategy, buffers[k % 2])
-            drawn = helper.submit(_draw_permutations, [rows for _, _, rows in tests], rng)
-            if pending is not None:
-                finish(*pending)
-            pending = (key, fields, tests, drawn)
-        if pending is not None:
-            finish(*pending)
-    return InfluenceMatrix(alpha=strategy.alpha, entries=entries)
+    tasks = _tasks(log, strategy, conditioning, set(targets) if targets is not None else None)
+    entries = _scored(log, strategy, tasks)
+    return InfluenceMatrix(
+        alpha=strategy.alpha, entries={task[0]: entry for task, entry in zip(tasks, entries)}
+    )

@@ -26,6 +26,10 @@ class InputError(ValueError):
         self.path = path
         self.message = message
 
+    def __reduce__(self):
+        # rebuilt from its fields, so it comes back whole from a worker process
+        return type(self), (self.path, self.message)
+
 
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string", float: "a number",
                bool: "true or false"}

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import signal
 import sys
 import threading
 import time
@@ -34,7 +35,7 @@ from influence_scope import (
     scenario_from_dict,
 )
 from influence_scope import detection
-from influence_scope.errors import InternalConsistencyError
+from influence_scope.errors import InputError, InternalConsistencyError
 from influence_scope.logio import matrix_from_json, matrix_to_json
 from influence_scope.measures import (
     LEAST_SAMPLES, MicSearchParams, _perm_values_mi, _perm_values_mic, permuted_scores,
@@ -707,13 +708,13 @@ def test_permuted_draws_the_stream_of_successive_permutations(n):
     assert one.bit_generator.state == each.bit_generator.state
 
 
-# --- the permutation test on its helper thread ----------------------------------------
+# --- the permutation test in worker processes -----------------------------------------
 
 
 def serial_permuted(c, strategy, rng):
-    """The permutation test on the caller's thread, each partition's shuffles
-    drawn into a fresh array just before they are scored: the reference
-    that drawing on a helper thread must reproduce."""
+    """The permutation test in one loop, each partition's shuffles drawn
+    into a fresh array just before they are scored: the reference that
+    scoring entries in worker processes must reproduce."""
     least = 0 if c.own_part is None else strategy.min_partition_size
     scored = [(len(idx), x, y) for (_, idx), x, y in zip(c.partitions, c.remote, c.perf)
               if len(idx) >= least]
@@ -733,7 +734,8 @@ def serial_p_values(log, strategy):
     """Each entry's p-value, and the number of partitions its winner's
     test scores (0 for a raw winner)."""
     out = {}
-    for key, family, own_parts, rng in detection._families(log, strategy, True, None):
+    for key, side, own_parts, rng in detection._tasks(log, strategy, True, None):
+        family = detection._with_remote(side, log, (key[1:],), strategy)
         winner, _ = detection._search(family, key[1:], own_parts, strategy)
         stats = serial_permuted(winner, strategy, rng)
         p_value = 1.0 if stats is None else (
@@ -744,31 +746,64 @@ def serial_p_values(log, strategy):
     return out
 
 
-# the fewest indices per entry for the helper thread: every call on it, or none
-ON_HELPER, ON_CALLER = 0, 1 << 62
+def use_workers(monkeypatch, count):
+    """W processes per matrix, the caller included, whatever the CPUs."""
+    monkeypatch.setattr(detection, "_cpu_count", lambda: count)
 
 
-@pytest.mark.parametrize("least", [ON_HELPER, ON_CALLER], ids=["helper", "caller"])
+def patched_fork(monkeypatch, outcomes):
+    """``os.fork`` that forks or raises ``OSError`` as ``outcomes`` says,
+    call by call; the list it returns grows by one per call."""
+    calls = []
+    fork = os.fork
+
+    def patched():
+        calls.append(None)
+        if outcomes[len(calls) - 1] == "fail":
+            raise OSError("fork refused")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", patched)
+    return calls
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("measure", list(Measure), ids=lambda m: m.value)
-def test_matrix_p_values_match_the_serial_permutation_test(monkeypatch, measure, least):
-    monkeypatch.setattr(detection, "HELPER_LEAST_INDICES", least)
+def test_matrix_p_values_match_the_serial_permutation_test(monkeypatch, measure):
+    # W = 2 and 3 fork on any host, and row subsets move each entry's worker
     strategy = DetectionStrategy(measure_kind=measure, lag_set=(0, 1, 2), permutations=20)
+    forks = patched_fork(monkeypatch, ["fork"] * 2)
     scored = []
     for log in (three_agent_log(240), tie_log()):
         reference = serial_p_values(log, strategy)
         scored += [count for _, count in reference.values()]
-        entries = influence_matrix(log, strategy).entries
-        assert {key: e.p_value for key, e in entries.items()} == {
-            key: p for key, (p, _) in reference.items()
-        }
+        for targets in (None, ["B"], ["C", "A"]):
+            expected = {key: p for key, (p, _) in reference.items()
+                        if targets is None or key[0] in targets}
+            texts = set()
+            for workers in (1, 2, 3):
+                use_workers(monkeypatch, workers)
+                forks.clear()
+                matrix = influence_matrix(log, strategy, targets=targets)
+                assert len(forks) == workers - 1
+                assert_no_child_left()
+                assert list(matrix.entries) == list(expected)
+                assert {key: e.p_value for key, e in matrix.entries.items()} == expected
+                texts.add(matrix_to_json(matrix))
+            assert len(texts) == 1
     assert 0 in scored and max(scored) >= 2  # raw winners, and several partitions
 
 
 def test_concurrent_matrices_match_the_serial_permutation_test(monkeypatch):
-    # more callers than cores, each with its own helper thread, and a short
-    # switch interval: any buffer a draw shared or overwrote early would
-    # change a p-value
-    monkeypatch.setattr(detection, "HELPER_LEAST_INDICES", ON_HELPER)
+    # more callers than cores and a short switch interval: while other
+    # threads run, each caller scores its entries alone and forks nothing,
+    # and any state the callers shared would change a p-value
+    use_workers(monkeypatch, 3)
+    forks = patched_fork(monkeypatch, ["fail"] * 100)
     strategy = DetectionStrategy(lag_set=(0, 1, 2), permutations=20)
     logs = [three_agent_log(240, seed) for seed in range(6, 6 + (os.cpu_count() or 1) + 2)]
     expected = [{key: p for key, (p, _) in serial_p_values(log, strategy).items()}
@@ -790,72 +825,179 @@ def test_concurrent_matrices_match_the_serial_permutation_test(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in callers)
     assert got == expected
+    assert forks == []
 
 
-def active_threads_after(count, timeout=10.0):
-    """The thread count once it falls to ``count``, or when ``timeout`` ends."""
-    deadline = time.monotonic() + timeout
-    while threading.active_count() > count and time.monotonic() < deadline:
-        time.sleep(0.01)
-    return threading.active_count()
+def test_worker_w_scores_every_wth_entry_in_matrix_order(monkeypatch, tmp_path):
+    use_workers(monkeypatch, 3)
+    journal = tmp_path / "scored"
+    score = detection._score_entry
+
+    def recorded(log, strategy, task, buffer):
+        with open(journal, "a") as out:
+            out.write(f"{os.getpid()} {' '.join(task[0])}\n")
+        return score(log, strategy, task, buffer)
+
+    monkeypatch.setattr(detection, "_score_entry", recorded)
+    keys = list(influence_matrix(three_agent_log(120), FAST).entries)
+    assert_no_child_left()
+    by_process = {}
+    for line in journal.read_text().splitlines():
+        pid, *key = line.split()
+        by_process.setdefault(int(pid), []).append(tuple(key))
+    assert by_process.pop(os.getpid()) == keys[0::3]
+    assert sorted(by_process.values()) == sorted([keys[1::3], keys[2::3]])
 
 
-def test_draws_run_on_one_helper_thread_that_ends_with_the_matrix(monkeypatch):
-    monkeypatch.setattr(detection, "HELPER_LEAST_INDICES", ON_HELPER)
-    drawers = []
-    draw = detection._draw_permutations
-
-    def recorded(blocks, rng):
-        drawers.append(threading.current_thread())
-        draw(blocks, rng)
-
-    monkeypatch.setattr(detection, "_draw_permutations", recorded)
-    before = threading.active_count()
-    matrix = influence_matrix(three_agent_log(120), FAST)
-    assert active_threads_after(before) == before
-    assert len(drawers) == len(matrix.entries)
-    assert len(set(drawers)) == 1 and drawers[0] is not threading.current_thread()
-    assert not drawers[0].is_alive()
-
-
-def test_small_calls_draw_on_the_callers_thread(monkeypatch):
-    drawers = []
-    draw = detection._draw_permutations
-
-    def recorded(blocks, rng):
-        drawers.append(threading.current_thread())
-        draw(blocks, rng)
-
-    monkeypatch.setattr(detection, "_draw_permutations", recorded)
+@pytest.mark.parametrize("case", ["one-cpu", "no-fork", "no-affinity", "another-thread",
+                                  "fork-fails", "second-fork-fails"])
+def test_the_caller_scores_alone_where_it_cannot_fork(monkeypatch, case):
     log = three_agent_log(120)
-    # one index short of the helper, and the least that gets it
-    for least, on_helper in ((100 * len(log.t) + 1, False), (100 * len(log.t), True)):
-        monkeypatch.setattr(detection, "HELPER_LEAST_INDICES", least)
-        drawers.clear()
-        matrix = influence_matrix(log, FAST)
-        assert len(drawers) == len(matrix.entries)
-        assert (drawers[0] is not threading.current_thread()) == on_helper
-        assert len(set(drawers)) == 1
+    use_workers(monkeypatch, 1)
+    expected = matrix_to_json(influence_matrix(log, FAST))
+    use_workers(monkeypatch, 1 if case == "one-cpu" else 3)
+    outcomes = {"fork-fails": ["fail"], "second-fork-fails": ["fork", "fail"]}
+    forks = patched_fork(monkeypatch, outcomes.get(case, []))
+    if case == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    if case == "no-affinity":
+        monkeypatch.delattr(os, "sched_getaffinity")
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    if case == "another-thread":
+        other.start()
+    try:
+        assert matrix_to_json(influence_matrix(log, FAST)) == expected
+    finally:
+        release.set()
+    if case == "another-thread":
+        other.join(timeout=10)
+        assert not other.is_alive()
+    assert len(forks) == len(outcomes.get(case, []))
+    assert_no_child_left()
 
 
-@pytest.mark.parametrize("least", [ON_HELPER, ON_CALLER], ids=["helper", "caller"])
-@pytest.mark.parametrize("failing_call", [1, 4])
-def test_a_failed_draw_leaves_the_matrix_and_no_thread(monkeypatch, failing_call, least):
-    monkeypatch.setattr(detection, "HELPER_LEAST_INDICES", least)
-    calls = []
-    draw = detection._draw_permutations
+FAILURES = {
+    # for W = 2 and 3, a child fails first and the caller later, or the
+    # caller first (on its first entry) and a child later
+    "child-first": {5: InputError("entries[5]", "bad value"), 6: ValueError("entry 6")},
+    "caller-first": {0: InternalConsistencyError("entry 0"), 1: ValueError("entry 1")},
+}
 
-    def failing(blocks, rng):
-        calls.append(None)
-        if len(calls) == failing_call:
-            raise RuntimeError("draw failed")
-        draw(blocks, rng)
 
-    monkeypatch.setattr(detection, "_draw_permutations", failing)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match="draw failed"):
+def failing_entries(monkeypatch, log, failures):
+    """``_score_entry`` raising ``failures[k]`` at the entry of index k in
+    matrix order, in whichever process scores it."""
+    keys = [task[0] for task in detection._tasks(log, FAST, True, None)]
+    score = detection._score_entry
+
+    def failing(log, strategy, task, buffer):
+        k = keys.index(task[0])
+        if k in failures:
+            raise failures[k]
+        return score(log, strategy, task, buffer)
+
+    monkeypatch.setattr(detection, "_score_entry", failing)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("case", list(FAILURES))
+def test_a_failed_entry_raises_the_serial_loops_error_and_leaves_no_child(
+    monkeypatch, case, workers
+):
+    use_workers(monkeypatch, workers)
+    log = three_agent_log(120)
+    failures = FAILURES[case]
+    failing_entries(monkeypatch, log, failures)
+    first = failures[min(failures)]
+    with pytest.raises(type(first)) as raised:
+        influence_matrix(log, FAST)
+    assert type(raised.value) is type(first)
+    assert str(raised.value) == str(first)
+    if isinstance(first, InputError):  # the CLI reads its path to exit 2
+        assert (raised.value.path, raised.value.message) == (first.path, first.message)
+    assert_no_child_left()
+
+
+class Unpicklable(Exception):
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+class Unloadable(Exception):
+    """Pickles, but its one argument cannot rebuild it."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+@pytest.mark.parametrize("error", [Unpicklable("entry 7"), Unloadable("entry 7", "B")],
+                         ids=["unpicklable", "unloadable"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_error_that_will_not_pickle_comes_back_as_a_runtime_error(
+    monkeypatch, workers, error
+):
+    # entry 7 is a child's for W = 2
+    use_workers(monkeypatch, workers)
+    log = three_agent_log(120)
+    failing_entries(monkeypatch, log, {7: error})
+    with pytest.raises(Exception) as raised:
+        influence_matrix(log, FAST)
+    if workers == 1:
+        assert raised.value is error
+    else:
+        assert type(raised.value) is RuntimeError
+        assert str(raised.value) == repr(error)
+    assert_no_child_left()
+
+
+def test_a_child_that_dies_fails_the_call(monkeypatch):
+    use_workers(monkeypatch, 2)
+    caller, score = os.getpid(), detection._score_entry
+
+    def dying(log, strategy, task, buffer):
+        if os.getpid() != caller:
+            os._exit(3)
+        return score(log, strategy, task, buffer)
+
+    monkeypatch.setattr(detection, "_score_entry", dying)
+    with pytest.raises(RuntimeError, match="ended with code 3"):
         influence_matrix(three_agent_log(120), FAST)
-    assert active_threads_after(before) == before
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("when", ["scoring", "waiting"])
+def test_an_interrupted_caller_kills_and_reaps_every_child(monkeypatch, when):
+    # the children would run for a minute; the caller is interrupted on its
+    # first entry, or by a timer while it waits for their pipes
+    use_workers(monkeypatch, 3)
+    caller, score = os.getpid(), detection._score_entry
+
+    def slow_children(log, strategy, task, buffer):
+        if os.getpid() != caller:
+            time.sleep(60)
+            os._exit(0)
+        if when == "scoring":
+            raise KeyboardInterrupt
+        return score(log, strategy, task, buffer)
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(detection, "_score_entry", slow_children)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.monotonic()
+    try:
+        if when == "waiting":
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+        with pytest.raises(KeyboardInterrupt):
+            influence_matrix(three_agent_log(120), FAST)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
 
 
 # --- tie order of the candidate search ----------------------------------------------
