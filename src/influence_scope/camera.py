@@ -9,9 +9,17 @@ targets are latched as detected and never score again.
 
 Per-step order of effects: spawn new targets, compute footprints, score
 cameras on currently undetected targets, latch observations, emit the
-step's log values.  ``step`` carries every target with a detected mask;
-``run_scenario`` keeps only the live backlog.  Both score through one
-footprint test and one exact credit, an integer over lcm(1..#cameras).
+step's log values.  ``step`` carries every target with a detected mask and
+tests each camera against each target once per step; it and
+``exact_camera_credits`` are the reference.  ``run_scenario`` keeps only
+the live backlog and scores a block of steps at once: each camera tests
+the block's steps against only the targets within its own reach (its
+base's largest footprint offset plus radius, with a margin no rounding
+crosses), each arrival from the step it enters in, a chunk of targets at a
+time.  A target is credited in the step of its first hit by any camera, to
+the m cameras that hit it then.  All three use the same float operations
+for the footprint test, and the same exact credit, an integer over
+lcm(1..#cameras), so the logs are equal.
 """
 
 from __future__ import annotations
@@ -44,7 +52,8 @@ ScenarioError = InputError
 
 log = logging.getLogger("influence_scope")
 
-_BLOCK = 32  # steps whose draws run_scenario makes ahead; bounds the memory they hold
+_BLOCK = 32  # steps whose draws run_scenario makes ahead and scores at once
+_CHUNK = 2048  # targets a camera tests against one block at once; bounds the work arrays
 
 # Largest magnitude a scenario may give a length (scene size, camera pose,
 # detection radius).  A footprint's radius reaches about 3e32 times the camera
@@ -153,30 +162,19 @@ def _disc(pose: CameraPose, base_half_angle: float, pan: float, tilt: float, zoo
 
 
 def _reaches(discs, detection_radius: float) -> np.ndarray:
-    """The (3, C, 1) columns center x, center y and squared reach (radius
-    plus detection radius) of each camera's (cx, cy, radius) disc."""
+    """The (3, rows, 1) columns center x, center y and squared reach (radius
+    plus detection radius) of each (cx, cy, radius) disc."""
     rows = [(cx, cy, (radius + detection_radius) ** 2) for cx, cy, radius in discs]
     return np.array(rows, dtype=float).reshape(-1, 3).T[:, :, None]
 
 
-class _HitTest:
-    """The footprint test of every camera against every target, written into
-    buffers kept across calls that grow with the target count: a fresh
-    (C, n) temporary for a backlog of thousands exceeds the allocator's
-    mmap threshold and would be page-faulted again on every step."""
-
-    hit: Optional[np.ndarray] = None  # with dx and dy, allocated by the first call
-
-    def __call__(self, x: np.ndarray, y: np.ndarray, reaches: np.ndarray) -> np.ndarray:
-        """The (C, n) mask of the targets (x, y) within each camera's reach."""
-        n = len(x)
-        if self.hit is None or n > self.hit.shape[1]:
-            grown = (len(reaches[0]), 2 * n)
-            self.dx, self.dy, self.hit = np.empty(grown), np.empty(grown), np.empty(grown, bool)
-        dx, dy, hit = self.dx[:, :n], self.dy[:, :n], self.hit[:, :n]
-        np.square(np.subtract(x, reaches[0], dx), dx)
-        np.square(np.subtract(y, reaches[1], dy), dy)
-        return np.less_equal(np.add(dx, dy, dx), reaches[2], hit)
+def _dist2(x, y, cx, cy, dx: Optional[np.ndarray] = None, dy: Optional[np.ndarray] = None):
+    """The squared distances (x - cx)**2 + (y - cy)**2, broadcast, by the float
+    operations of every footprint test; written into ``dx`` (``dy`` a second
+    buffer of the same shape) when given."""
+    dx = np.subtract(x, cx, dx)
+    dy = np.subtract(y, cy, dy)
+    return np.add(np.square(dx, dx), np.square(dy, dy), dx)
 
 
 def _credits(hit: np.ndarray) -> tuple[list[int], int, np.ndarray]:
@@ -201,8 +199,8 @@ def exact_camera_credits(
 ) -> list[Fraction]:
     """Exact per-camera credit: sum of 1/m over newly observed targets."""
     live = ~target_detected
-    reaches = _reaches([(fp.cx, fp.cy, fp.radius) for fp in footprints], detection_radius)
-    numerators, lcm, _ = _credits(_HitTest()(target_xy[live, 0], target_xy[live, 1], reaches))
+    cx, cy, reach2 = _reaches([(fp.cx, fp.cy, fp.radius) for fp in footprints], detection_radius)
+    numerators, lcm, _ = _credits(_dist2(target_xy[live, 0], target_xy[live, 1], cx, cy) <= reach2)
     return [Fraction(k, lcm) for k in numerators]
 
 
@@ -218,10 +216,11 @@ def _check_configs(cameras: Sequence[CameraSpec], configs: Sequence[PtzConfig]) 
         cam.validate_ptz(cfg)
 
 
-def _arrivals(scene: Union[SceneState, ScenarioSpec], rng: np.random.Generator) -> np.ndarray:
-    """The step's (n, 2) new targets: a Poisson count, uniform over the
-    scene, the same doubles as ``rng.uniform`` with bounds 0 and the size."""
-    return rng.random((int(rng.poisson(scene.arrival_rate)), 2)) * (scene.width, scene.height)
+def _arrivals(arrival_rate: float, rng: np.random.Generator) -> np.ndarray:
+    """The step's (n, 2) new targets in the unit square, a Poisson count;
+    times the scene's (width, height) they are the doubles ``rng.uniform``
+    gives with bounds 0 and the size."""
+    return rng.random((int(rng.poisson(arrival_rate)), 2))
 
 
 def step(
@@ -229,13 +228,14 @@ def step(
 ) -> tuple[SceneState, list[float], SampleRecord]:
     """Advance one time step; returns (next state, per-camera perf, record)."""
     _check_configs(state.cameras, configs)
-    new_xy = _arrivals(state, rng)
+    new_xy = _arrivals(state.arrival_rate, rng) * (state.width, state.height)
     xy = np.vstack([state.target_xy, new_xy]) if len(state.target_xy) else new_xy
     detected = np.concatenate([state.target_detected, np.zeros(len(new_xy), dtype=bool)])
     live = np.flatnonzero(~detected)
-    reaches = _reaches([_disc(cam.pose, cam.base_half_angle, cfg.pan, cfg.tilt, cfg.zoom)
-                        for cam, cfg in zip(state.cameras, configs)], state.detection_radius)
-    numerators, lcm, seen = _credits(_HitTest()(xy[live, 0], xy[live, 1], reaches))
+    discs = [_disc(cam.pose, cam.base_half_angle, cfg.pan, cfg.tilt, cfg.zoom)
+             for cam, cfg in zip(state.cameras, configs)]
+    cx, cy, reach2 = _reaches(discs, state.detection_radius)
+    numerators, lcm, seen = _credits(_dist2(xy[live, 0], xy[live, 1], cx, cy) <= reach2)
     perfs = [k / lcm for k in numerators]  # correctly rounded, as float(Fraction(k, lcm))
     detected[live[seen]] = True
     next_state = replace(state, target_xy=xy, target_detected=detected, t=state.t + 1)
@@ -329,6 +329,68 @@ def camera_schemas(spec: ScenarioSpec) -> tuple[AgentSchema, ...]:
     return tuple(schemas)
 
 
+def _first_hits(cams, ptz: list, x: np.ndarray, y: np.ndarray, near: np.ndarray,
+                entry: np.ndarray, detection_radius: float, work: np.ndarray) -> np.ndarray:
+    """Each camera's first hit of each target in a block of steps: the (C, n)
+    step indices, the block's length where a camera hits a target in none.
+
+    Camera c's pan, tilt and zoom in step s are ``ptz[s][3c:3c + 3]``.  The
+    targets ``x``, ``y`` end with the block's arrivals, the i-th of them
+    entering in step ``entry[i]`` and tested from that step on.  Camera c
+    tests only the targets ``near[c]``, a chunk of them at a time in the
+    buffers ``work``."""
+    nb, n0 = len(ptz), len(x) - len(entry)
+    steps = np.arange(nb)[:, None]
+    hit_at = np.full(near.shape, nb, np.int8)  # nb <= _BLOCK < 128
+    # numpy's buffered loops copy a broadcast operand whose rows are shorter
+    # than the ufunc buffer (8192 elements by default); a (steps, targets)
+    # chunk's rows are a few thousand long, and run 3-4 times faster in
+    # buffers no longer than they are
+    buffer = np.setbufsize(256)
+    try:
+        for c, cam in enumerate(cams):
+            cx, cy, reach2 = _reaches([_disc(cam.pose, cam.base_half_angle, *p[3 * c:3 * c + 3])
+                                       for p in ptz], detection_radius)
+            tested = np.flatnonzero(near[c])
+            arrived = np.searchsorted(tested, n0)  # tested[arrived:] entered in this block
+            for a in range(0, len(tested), _CHUNK):
+                part = tested[a:a + _CHUNK]
+                dx, dy = work[:, :nb * len(part)].reshape(2, nb, -1)
+                # the hits overwrite dy, which the sum has already read
+                hit = np.less_equal(_dist2(x[part], y[part], cx, cy, dx, dy), reach2,
+                                    work[1].view(bool)[:dx.size].reshape(nb, -1))
+                j = max(arrived - a, 0)
+                if j < len(part):
+                    hit[:, j:] &= steps >= entry[part[j:] - n0]
+                seen = np.flatnonzero(hit.any(0))
+                hit_at[c, part[seen]] = hit[:, seen].argmax(0)
+    finally:
+        np.setbufsize(buffer)
+    return hit_at
+
+
+def _block_credits(hit_at: np.ndarray, nb: int, lcm: int) -> tuple[list[list[int]], np.ndarray]:
+    """Exact credit of each camera in each step of a block, from
+    :func:`_first_hits`: a target counts in the step any camera first hits
+    it, and each of the m cameras that hit it then earns 1/m.  Returns per
+    step the numerators over L = ``lcm`` = lcm(1..#cameras), and each
+    target's first hit, the block's length for none.
+
+    The numerators are summed in int64 while no sum can reach 2**63, and as
+    Python ints beyond."""
+    found = hit_at.min(0)
+    got = np.flatnonzero(found < nb)
+    at = found[got]
+    observed = hit_at.take(got, axis=1) == at  # the cameras that share each credited target
+    # count each camera's shares by step and observer count m, then weigh each by L/m
+    shares = [0] + [lcm // m for m in range(1, len(hit_at) + 1)]
+    observer, target = np.divmod(np.flatnonzero(observed), len(got))
+    keys = (observer * nb + at[target]) * len(shares) + observed.sum(0)[target]
+    kind = np.int64 if lcm * len(got) < 2**63 else object
+    tally = np.bincount(keys, minlength=len(hit_at) * nb * len(shares)).astype(kind)
+    return (tally.reshape(len(hit_at), nb, -1) @ np.array(shares, kind)).T.tolist(), found
+
+
 def run_scenario(
     spec: ScenarioSpec,
     steps: Optional[int] = None,
@@ -358,40 +420,57 @@ def run_scenario(
     # The backlog x, y holds only undetected targets that can still be seen.
     # A target can never enter camera c's footprint once it is farther from
     # the base than the largest center offset plus the largest radius: a target
-    # beyond every reach is dropped after the footprint test of the step it
-    # enters in, and hit targets are dropped after every step.
+    # beyond every reach is tested only in the step it enters in, and hit
+    # targets are dropped after every block.
     reach = np.array([cam.pose.z * math.tan(cam.tilt_max) + cam.pose.z * math.tan(
         cam.base_half_angle) / math.cos(cam.tilt_max) + spec.detection_radius for cam in cams])
-    bases = np.array([[cam.pose.x for cam in cams], [cam.pose.y for cam in cams], reach**2])
+    bx, by = (np.array([[getattr(cam.pose, axis)] for cam in cams]) for axis in "xy")
+    # Each camera tests only the targets within its own reach, widened by a
+    # relative margin that no rounding of a footprint's center and radius
+    # can cross: a larger set changes no credit.
+    near2 = (reach[:, None] + 1e-9 * (reach[:, None] + abs(bx) + abs(by))) ** 2
+    lcm = math.lcm(*range(1, len(cams) + 1))
+    work = np.empty((2, _BLOCK * _CHUNK))  # a chunk's squared distances, then its hits
     x = y = np.empty(0)
+    near = np.empty((len(cams), 0), bool)  # near[c]: the targets camera c tests
     entered, credited, peak = 0, 0, 0
-    hit_test, reach_test = _HitTest(), _HitTest()
     rows = []  # per step: each camera's pan, tilt and zoom, then each credit
     for first in range(0, steps, _BLOCK):
         # No draw depends on the state: a block of steps is drawn ahead, in the
-        # order the steps make them, and its arrivals meet the reach at once.
+        # order the steps make them, and scored at once.
         draws, arrivals = [], []
         for _ in range(min(_BLOCK, steps - first)):
             draws.append(fixed or rng.random(span.size))
-            arrivals.append(_arrivals(spec, rng))
+            arrivals.append(_arrivals(spec.arrival_rate, rng))
+        counts = [len(a) for a in arrivals]
+        new = np.concatenate(arrivals) * (spec.width, spec.height)
         if first == 0:  # the initial targets enter at step 0
-            arrivals[0] = np.concatenate([np.reshape(spec.initial_targets, (-1, 2)), arrivals[0]])
-        ptz = [fixed] * len(draws) if fixed else (lows + span * np.array(draws)).tolist()
-        new_x, new_y = np.concatenate(arrivals).T
-        reachable = reach_test(new_x, new_y, bases[..., None]).any(axis=0)
-        bounds = np.cumsum([0] + [len(a) for a in arrivals]).tolist()
-        entered += bounds[-1]
-        for p, a, b in zip(ptz, bounds, bounds[1:]):
-            reaches = _reaches([_disc(cam.pose, cam.base_half_angle, *p[3 * c:3 * c + 3])
-                                for c, cam in enumerate(cams)], spec.detection_radius)
-            x, y = np.concatenate([x, new_x[a:b]]), np.concatenate([y, new_y[a:b]])
-            numerators, lcm, seen = _credits(hit_test(x, y, reaches))
-            rows.append(p + [k / lcm for k in numerators])
-            credited += int(np.count_nonzero(seen))
-            keep = ~seen
-            keep[len(x) - (b - a):] &= reachable[a:b]
-            x, y = x[keep], y[keep]
-            peak = max(peak, len(x))
+            new = np.concatenate([np.reshape(spec.initial_targets, (-1, 2)), new])
+            counts[0] += len(spec.initial_targets)
+        nb, n0 = len(draws), len(x)
+        ptz = draws if fixed else (lows + span * np.array(draws)).tolist()
+        entry = np.repeat(np.arange(nb), counts)
+        d2 = _dist2(new[:, 0], new[:, 1], bx, by)
+        # the last step each arrival may be hit in: nb for no bound, or the step
+        # it enters in if it lies beyond every camera's reach
+        last = np.where((d2 <= reach[:, None] ** 2).any(0), nb, entry)
+        x, y = np.concatenate([x, new[:, 0]]), np.concatenate([y, new[:, 1]])
+        near = np.concatenate([near, d2 <= near2], axis=1)
+        hit_at = _first_hits(cams, ptz, x, y, near, entry, spec.detection_radius, work)
+        tail = hit_at[:, n0:]  # the arrivals' first hits
+        tail[tail > last] = nb
+        numerators, found = _block_credits(hit_at, nb, lcm)
+        rows += [p + [k / lcm for k in credit] for p, credit in zip(ptz, numerators)]
+        # the live backlog after each step: arrivals less first hits and the unreachable
+        keep = found == nb
+        gone = np.bincount(found, minlength=nb + 1)[:nb]
+        gone += np.bincount(last[(last < nb) & keep[n0:]], minlength=nb)
+        live = n0 + np.cumsum(counts - gone)
+        entered, credited = entered + len(new), credited + len(found) - int(keep.sum())
+        peak = max(peak, int(live.max()))
+        keep[n0:] &= last == nb
+        kept = np.flatnonzero(keep)
+        x, y, near = x.take(kept), y.take(kept), near.take(kept, axis=1)
     # every target that entered was credited, dropped as unreachable, or is live
     log.debug(
         "simulated %d steps: %d targets entered, %d dropped as unreachable, live backlog"

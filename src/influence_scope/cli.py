@@ -16,9 +16,10 @@ from pathlib import Path
 
 from .camera import run_scenario, scenario_from_dict
 from .detection import Measure, influence_matrix
-from .logio import (
+from .logio import (  # log_to_csv, log_to_json: unused here; perfbench's trace wraps them
     descriptor_from_dict,
     log_from_json,
+    log_texts,
     log_to_csv,
     log_to_json,
     matrix_from_json,
@@ -73,8 +74,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     spec = _load(args.scenario, "scenario", lambda text: scenario_from_dict(json.loads(text)))
     sample_log = _guarded("scenario", lambda: run_scenario(spec, steps=args.steps, seed=args.seed))
     out = Path(args.out)
-    _save(out, log_to_json(sample_log), "log")
-    _save(out.with_suffix(".csv"), log_to_csv(sample_log), "log")
+    texts = log_texts(sample_log)  # the floats are formatted once for both files
+    _save(out, next(texts), "log")
+    _save(out.with_suffix(".csv"), next(texts), "log")
 
     _, _, performances = sample_log.value_columns()
     total = [sum(step) for step in zip(*performances.values())]

@@ -30,7 +30,7 @@ from dataclasses import MISSING, fields, is_dataclass
 from enum import Enum
 from functools import cache
 from reprlib import repr as brief
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import Iterator, Union, get_args, get_origin, get_type_hints
 
 from .detection import DetectionStrategy, InfluenceEntry, InfluenceMatrix
 from .errors import InputError, expect, finite, integer, need
@@ -193,22 +193,52 @@ def _object(items: dict[str, str], indent: str) -> str:
     return "{\n" + ",\n".join(lines) + f"\n{indent}}}" if lines else "{}"
 
 
+def _float_texts(log: SampleLog, listed: bool = False) -> tuple[list[int], dict, dict]:
+    """The columns of :meth:`SampleLog.value_columns` with the floats of each
+    real part and each performance as their ``repr``, which is how json and
+    the csv module write the finite values of a valid log: iterators for
+    one writer, or lists if ``listed``, for two."""
+    def texts(column):
+        strings = map(float.__repr__, column)
+        return list(strings) if listed else strings
+
+    t, parts, performances = log.value_columns()
+    for (agent, name), column in parts.items():
+        if isinstance(log.agent(agent).part(name).kind, RealInterval):
+            parts[agent, name] = texts(column)
+    return t, parts, {agent: texts(column) for agent, column in performances.items()}
+
+
 def log_to_json(log: SampleLog) -> str:
     """The bytes :func:`_canonical_json` gives a valid log, written from its
     columns: each column is formatted once and the records fill one row
     template."""
     _check_names(log)
-    t, parts, performances = log.value_columns()
+    return _json_text(log, *_float_texts(log))
+
+
+def log_texts(log: SampleLog) -> Iterator[str]:
+    """The texts of :func:`log_to_json`, then :func:`log_to_csv`, from one
+    formatting of the float columns, each built when it is asked for: a
+    caller that writes the first before asking for the second never holds
+    both."""
+    _check_names(log)
+    columns = _float_texts(log, listed=True)
+    yield _json_text(log, *columns)
+    yield _csv_text(log, *columns)
+
+
+def _json_text(log: SampleLog, t, parts, performances) -> str:
+    """:func:`log_to_json` of the columns of :func:`_float_texts`."""
     config = {}
     for (agent, name), column in parts.items():
         kind = log.agent(agent).part(name).kind
-        if isinstance(kind, RealInterval):  # finite, so json writes them by repr
-            encode = float.__repr__
-        else:
-            encode = {label: json.dumps(label) for label in kind.categories}.__getitem__
-        config[f"{agent}.{name}"] = map(encode, column)
+        if not isinstance(kind, RealInterval):
+            encode = {label: json.dumps(label) for label in kind.categories}
+            column = map(encode.__getitem__, column)
+        config[f"{agent}.{name}"] = column
     config = dict(sorted(config.items()))
-    performance = {a: map(float.__repr__, column) for a, column in sorted(performances.items())}
+    performance = dict(sorted(performances.items()))
     # names match [A-Za-z0-9_]+, so the template holds no other % than its fields
     fields = {"config": _object(dict.fromkeys(config, "%s"), " " * 6),
               "performance": _object(dict.fromkeys(performance, "%s"), " " * 6), "t": "%s"}
@@ -234,7 +264,12 @@ def _header(schemas) -> list[str]:
 
 def log_to_csv(log: SampleLog) -> str:
     _check_names(log)
-    t, parts, performances = log.value_columns()
+    return _csv_text(log, *log.value_columns())
+
+
+def _csv_text(log: SampleLog, t, parts, performances) -> str:
+    """:func:`log_to_csv` of the log's columns, its floats as they are or as
+    the strings of :func:`_float_texts`."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")  # writes floats by repr
     writer.writerow(_header(log.schemas))

@@ -29,6 +29,7 @@ from influence_scope import (
     system_performance,
     validate_log,
 )
+from influence_scope import camera
 from influence_scope.camera import ScenarioError, exact_camera_credits
 from influence_scope.logio import log_to_csv, log_to_json
 
@@ -338,21 +339,60 @@ def boundary_spec(arrival_rate: float = 1.0) -> ScenarioSpec:
 BOUNDARY_FIXED = FixedPtz((PtzConfig(0.0, 0.0, 1.0), PtzConfig(0.0, 0.0, 1.0)))
 
 
+def crowd_spec() -> ScenarioSpec:
+    """45 cameras whose footprints overlap around (10, 10): credits are
+    counted over L = lcm(1..45), above 2**63, so they are Python ints."""
+    bases = [(8 + i % 9 * 0.5, 9 + i // 9 * 0.5) for i in range(45)]
+    cams = tuple(CameraSpec(f"c{i}", CameraPose(x, y, 10), 0.6, 0.2, 1.5)
+                 for i, (x, y) in enumerate(bases))
+    return ScenarioSpec(width=20, height=20, arrival_rate=20.0, detection_radius=0.5,
+                        cameras=cams, initial_targets=((10.0, 10.0),))
+
+
+REACH_CIRCLE_FIXED = FixedPtz((PtzConfig(0.3, 0.4, 1.0), PtzConfig(2.0, 0.6, 1.0)))
+
+
+def reach_circle_spec() -> ScenarioSpec:
+    """Two cameras held at tilt_max and zoom 1 by REACH_CIRCLE_FIXED, where
+    each footprint touches its camera's reach circle from inside; the
+    initial targets lie on those circles around the touching points, where
+    rounding decides the footprint test either way."""
+    cams = (
+        CameraSpec("a", CameraPose(10, 10, 8), 0.5, 0.4, 1.5),
+        CameraSpec("b", CameraPose(20, 12, 9), 0.5, 0.6, 1.5),
+    )
+    targets = []
+    for cam, cfg in zip(cams, REACH_CIRCLE_FIXED.configs):
+        z = cam.pose.z
+        reach = (z * math.tan(cam.tilt_max)
+                 + z * math.tan(cam.base_half_angle) / math.cos(cam.tilt_max) + 0.7)
+        targets += [(cam.pose.x + reach * math.cos(cfg.pan + k * 1e-9),
+                     cam.pose.y + reach * math.sin(cfg.pan + k * 1e-9)) for k in range(-20, 21)]
+    return ScenarioSpec(width=30, height=25, arrival_rate=1.0, detection_radius=0.7,
+                        cameras=cams, initial_targets=tuple(targets))
+
+
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize(
-    "spec, policy, steps",
+    "spec, policy, steps, chunk",
     [
-        (overlap_pair_spec(), UniformRandomPtz(), 400),
-        (reach_spec(), REACH_FIXED, 300),
-        (reach_spec(), UniformRandomPtz(), 300),
-        (one_camera_spec(), UniformRandomPtz(), 300),
-        (five_overlap_spec(), UniformRandomPtz(), 200),
-        (boundary_spec(), BOUNDARY_FIXED, 200),
+        (overlap_pair_spec(), UniformRandomPtz(), 400, None),
+        (reach_spec(), REACH_FIXED, 300, None),
+        (reach_spec(), UniformRandomPtz(), 300, None),
+        (one_camera_spec(), UniformRandomPtz(), 300, None),
+        (five_overlap_spec(), UniformRandomPtz(), 200, None),
+        (boundary_spec(), BOUNDARY_FIXED, 200, None),
+        # a camera's targets span many chunks, arrivals among them
+        (overlap_pair_spec(), UniformRandomPtz(), 300, 5),
+        (crowd_spec(), UniformRandomPtz(), 3, None),
+        (reach_circle_spec(), REACH_CIRCLE_FIXED, 40, None),
     ],
     ids=["overlap-pair", "reach-fixed", "reach-uniform", "one-camera", "five-overlap",
-         "boundary-fixed"],
+         "boundary-fixed", "small-chunks", "forty-five-cameras", "reach-circle"],
 )
-def test_run_scenario_matches_public_step(spec, policy, steps, seed):
+def test_run_scenario_matches_public_step(monkeypatch, spec, policy, steps, chunk, seed):
+    if chunk:  # the targets a camera tests at once; not failing where no such constant exists
+        monkeypatch.setattr(camera, "_CHUNK", chunk, raising=False)
     log = run_scenario(spec, steps=steps, seed=seed, policy=policy)
     assert log.records == reference_records(spec, steps, seed, policy)
 
@@ -400,6 +440,20 @@ def test_camera_trio_backlog_summary_is_pinned(caplog):
         "simulated 1500 steps: 90800 targets entered, 30716 dropped as unreachable, "
         "live backlog 8276 at the end, 8281 at peak"
     ]
+
+
+def test_readme_camera_trio_run_is_pinned(caplog):
+    # the README's simulate run; its backlog peaks at 2.2 times the 1500-step
+    # golden's, so it holds the deepest backlog of any pinned run
+    spec = scenario_from_dict(json.loads((SCENARIOS / "camera-trio.json").read_text()))
+    with caplog.at_level(logging.DEBUG, logger="influence_scope"):
+        log = run_scenario(spec, steps=5000, seed=0)
+    assert [r.getMessage() for r in caplog.records if r.name == "influence_scope"] == [
+        "simulated 5000 steps: 299793 targets entered, 101898 dropped as unreachable, "
+        "live backlog 18143 at the end, 18533 at peak"
+    ]
+    digest = hashlib.sha256(log_to_json(log).encode()).hexdigest()
+    assert digest == "5df976a8f4f7e9780490e0f18c04301b4b2fe3b18d764383cf831ca74b2bcbee"
 
 
 def test_arrival_rate_scales_mean_performance():

@@ -12,7 +12,7 @@ import pytest
 from influence_scope import run_scenario, scenario_from_dict
 from influence_scope.cli import main
 from influence_scope.detection import MAX_PERMUTATIONS
-from influence_scope.logio import log_to_json
+from influence_scope.logio import log_to_csv, log_to_json
 
 from conftest import coupled_log, independent_log
 
@@ -56,6 +56,17 @@ def test_simulate_summary_pinned_on_camera_trio(tmp_path, capsys):
         f"wrote 300 records to {out}",
         "mean system performance: 29.55",
     ]
+
+
+def test_simulate_writes_the_bytes_of_both_writers(tmp_path):
+    # simulate formats the floats once for both files
+    out = tmp_path / "trio.json"
+    argv = ["simulate", str(SCENARIOS / "camera-trio.json"), "--steps", "300", "--seed", "1"]
+    assert main([*argv, "--out", str(out)]) == 0
+    spec = scenario_from_dict(json.loads((SCENARIOS / "camera-trio.json").read_text()))
+    log = run_scenario(spec, steps=300, seed=1)
+    assert out.read_text(encoding="utf-8") == log_to_json(log)
+    assert out.with_suffix(".csv").read_text(encoding="utf-8") == log_to_csv(log)
 
 
 def test_simulate_malformed_json_is_input_error(tmp_path):

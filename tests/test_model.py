@@ -29,7 +29,7 @@ from influence_scope import (
 from influence_scope.errors import InputError
 from influence_scope.model import Issue
 from influence_scope.logio import (
-    log_from_csv, log_from_dict, log_from_json, log_to_csv, log_to_json
+    log_from_csv, log_from_dict, log_from_json, log_texts, log_to_csv, log_to_json
 )
 
 from conftest import coupled_log, independent_log
@@ -405,6 +405,13 @@ def test_writers_match_the_reference_encoders(make, n):
     assert log_to_csv(log) == buf.getvalue()
     assert log_from_csv(buf.getvalue(), log.schemas) == log
     assert log_to_csv(log_from_csv(buf.getvalue(), log.schemas)) == buf.getvalue()
+
+
+@pytest.mark.parametrize("make", [unsorted_log, partless_log], ids=["unsorted", "partless"])
+@pytest.mark.parametrize("n", [0, 1, 7], ids=["empty", "one", "seven"])
+def test_log_texts_are_the_two_writers(make, n):
+    log = make(n)
+    assert list(log_texts(log)) == [log_to_json(log), log_to_csv(log)]
 
 
 def test_csv_round_trip_is_byte_identical():
