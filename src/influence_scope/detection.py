@@ -49,6 +49,7 @@ from .measures import (
     rank_correlation,
     permuted_scores,
     quantile_bins,
+    shuffled_column,
 )
 from .model import (
     ConfigSelector,
@@ -64,11 +65,11 @@ PartRef = tuple[str, str]  # (agent_id, part name)
 
 MAX_PERMUTATIONS = 10_000
 """20 times the most the package asks for, the recommender's 500.  It caps
-the permutation test's indices: each of the W processes that score a matrix
+the permutation test's shuffles: each of the W processes that score a matrix
 holds one (permutations + 1) x N int64 buffer, the entry being scored.  At
 the cap that is 10 001 x 8 bytes, about 80 kB per sample and process
 (640 MB at N = 8000); MIC's kernel adds four work arrays of one partition's
-size, while MI builds its cell index in the drawn indices."""
+size, while MI builds its cell index in the shuffled codes."""
 
 
 @dataclass(frozen=True)
@@ -430,22 +431,24 @@ def _partition_tests(
     read: the raw candidate's one partition whatever its size, an own
     part's from ``min_partition_size`` samples.  The blocks are C-ordered
     (permutations + 1, count) views of ``buffer``, back to back, with every
-    row the identity."""
+    row the column the measure's kernel scores (``shuffled_column``)."""
     least = 0 if c.own_part is None else strategy.min_partition_size
     reps = strategy.permutations + 1
     tests, start = [], 0
     for (_, idx), x, y in zip(c.partitions, c.remote, c.perf):
         if len(idx) >= least:
             rows = buffer[start : start + reps * len(idx)].reshape(reps, len(idx))
-            rows[:] = np.arange(len(idx))
+            rows[:] = shuffled_column(strategy.measure_kind, x, y, len(idx))
             tests.append((x, y, rows))
             start += reps * len(idx)
     return tests
 
 
 def _draw_permutations(blocks: Sequence[np.ndarray], rng: np.random.Generator) -> None:
-    """Shuffle rows 1 onward of each identity block in turn, as successive
-    ``rng.permutation`` calls would, with one ``permuted`` call per block."""
+    """Shuffle rows 1 onward of each block in turn, with one ``permuted``
+    call per block.  Its swaps do not depend on what the rows hold, so row
+    r is the block's column gathered at the r-th of successive
+    ``rng.permutation`` calls."""
     for rows in blocks:
         rng.permuted(rows[1:], axis=1, out=rows[1:])
 

@@ -39,7 +39,7 @@ from influence_scope.errors import InputError, InternalConsistencyError
 from influence_scope.logio import matrix_from_json, matrix_to_json
 from influence_scope.measures import (
     LEAST_SAMPLES, MicSearchParams, _perm_values_mi, _perm_values_mic, permuted_scores,
-    quantile_bins,
+    quantile_bins, shuffled_column,
 )
 from influence_scope.model import ConfigSelector
 from influence_scope.series import CategorySeries
@@ -472,6 +472,17 @@ def test_golden_matrix_mic():
     )
 
 
+def test_golden_matrix_mi_tied_reals():
+    # MI bins every partition's performance and real remote column, so the
+    # tie runs of one-decimal values straddle the nominal bin starts
+    assert matrix_digest(rounded_real_log()) == (
+        "bd23bdccd9c94bcc0747a6dbc980d606973726bba60db27d330fba6fa6044ccf"
+    )
+    assert matrix_digest(rounded_real_log(), GOLDEN_LAGS) == (
+        "ed23def2499df2538bc8a0bb84d004d8dbe9591dbd4097847792693f90f8770b"
+    )
+
+
 @pytest.mark.parametrize("measure", list(Measure), ids=lambda m: m.value)
 def test_matrix_reads_back_as_written(measure):
     # every field detect writes decodes to the same entry, MIC's bin layouts too
@@ -591,7 +602,7 @@ def per_grid_perm_mic(xv, yv, perm_idx):
     for nx, ny in MicSearchParams().admissible_pairs(len(xv)):
         xs, _ = quantile_bins(xv, nx)
         ys, _ = quantile_bins(yv, ny)
-        mi = _perm_values_mi(xs, ys, perm_idx.copy())  # scratch to the kernel
+        mi = _perm_values_mi(xs, ys, shuffled(Measure.MI, xs, ys, perm_idx))
         best = np.maximum(best, mi / math.log2(min(nx, ny)))
     return np.minimum(best, 1.0)
 
@@ -669,6 +680,12 @@ def shuffles(n, rng, reps=20):
     return np.array([np.arange(n)] + [rng.permutation(n) for _ in range(reps)])
 
 
+def shuffled(kind, x, y, perm_idx):
+    """The block ``permuted_scores`` reads: the measure's column gathered at
+    each row of index permutations."""
+    return shuffled_column(kind, x, y, perm_idx.shape[1])[perm_idx]
+
+
 @pytest.mark.parametrize("kind", list(Measure))
 def test_permuted_scores_zero_where_score_dependency_is_degenerate(kind):
     strategy = DetectionStrategy(measure_kind=kind)
@@ -685,14 +702,16 @@ def test_permuted_scores_zero_where_score_dependency_is_degenerate(kind):
         score = detection.score_dependency(x, y, n, strategy)
         assert score.value == 0.0
         assert score.degenerate or kind is Measure.MI  # constant categories: MI 0
-        assert permuted_scores(kind, x, y, shuffles(n, rng)).tolist() == [0.0] * 21
+        block = shuffled(kind, x, y, shuffles(n, rng))
+        assert permuted_scores(kind, x, y, block).tolist() == [0.0] * 21
     # row 0 is the identity, so it carries the observed value
     for n in (60, 300):
         codes = rng.integers(0, 4, size=n)
         x, y = measured(kind, codes), measured(kind, (codes + rng.integers(0, 2, size=n)) % 4)
         observed = detection.score_dependency(x, y, n, strategy)
         assert not observed.degenerate and observed.value > 0.1
-        assert abs(permuted_scores(kind, x, y, shuffles(n, rng))[0] - observed.value) <= 1e-12
+        block = shuffled(kind, x, y, shuffles(n, rng))
+        assert abs(permuted_scores(kind, x, y, block)[0] - observed.value) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 300, 8000])
@@ -708,13 +727,26 @@ def test_permuted_draws_the_stream_of_successive_permutations(n):
     assert one.bit_generator.state == each.bit_generator.state
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 300, 8000])
+def test_permuted_swaps_do_not_depend_on_the_rows(n):
+    # a block of a tied column shuffled in place holds the column gathered at
+    # the shuffles of the sample index: what the permutation test relies on
+    reps = 99
+    column = np.random.default_rng(0).integers(0, 3, size=n) * 3
+    rows, index = np.tile(column, (reps, 1)), np.tile(np.arange(n), (reps, 1))
+    np.random.default_rng(n).permuted(rows, axis=1, out=rows)
+    np.random.default_rng(n).permuted(index, axis=1, out=index)
+    assert np.array_equal(rows, column[index])
+
+
 # --- the permutation test in worker processes -----------------------------------------
 
 
 def serial_permuted(c, strategy, rng):
-    """The permutation test in one loop, each partition's shuffles drawn
-    into a fresh array just before they are scored: the reference that
-    scoring entries in worker processes must reproduce."""
+    """The permutation test in one loop, each partition's index shuffles
+    drawn into a fresh array just before the measure's column is gathered
+    at them and scored: the reference that shuffling the column in place,
+    in worker processes, must reproduce."""
     least = 0 if c.own_part is None else strategy.min_partition_size
     scored = [(len(idx), x, y) for (_, idx), x, y in zip(c.partitions, c.remote, c.perf)
               if len(idx) >= least]
@@ -726,7 +758,8 @@ def serial_permuted(c, strategy, rng):
         # row 0 the identity; the rest as successive rng.permutation(n_p) calls
         perm_idx = np.tile(np.arange(n_p), (strategy.permutations + 1, 1))
         rng.permuted(perm_idx[1:], axis=1, out=perm_idx[1:])
-        stats[:, j] = permuted_scores(strategy.measure_kind, x, y, perm_idx)
+        block = shuffled(strategy.measure_kind, x, y, perm_idx)
+        stats[:, j] = permuted_scores(strategy.measure_kind, x, y, block)
     return stats @ weights / weights.sum()
 
 

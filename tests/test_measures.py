@@ -39,6 +39,7 @@ from influence_scope.measures import (
     _RankBins,
     _xlogx,
     permuted_scores,
+    shuffled_column,
 )
 
 
@@ -209,6 +210,50 @@ def test_rank_bins_follow_quantile_contract(values):
     assert counts.tolist() == [ranks.bins(k)[1] for k in ks]
     assert starts.tolist() == [s for k in ks for s in ranks.bins(k)[3].tolist()]
     assert ends.tolist() == [e for k in ks for e in ranks.bins(k)[3][1:].tolist() + [len(values)]]
+
+
+@st.composite
+def tied_columns(draw):
+    """1 to 300 values from a set of at most 6, zeros of both signs and
+    infinities among them."""
+    pool = draw(st.lists(st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0]),
+                         min_size=1, max_size=6))
+    return np.array(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=300)))
+
+
+@settings(max_examples=300)
+@given(tied_columns(), st.integers(min_value=2, max_value=8))
+def test_quantile_bins_selects_the_bins_of_the_sort(values, n_bins):
+    # the selection gives _RankBins' codes, bin count and cut bits, the sign
+    # of a zero cut too: the stable sort reports its run's earliest sample
+    if len(values) < n_bins:
+        with pytest.raises(ValueError, match="at least n_bins"):
+            quantile_bins(values, n_bins)
+        return
+    if np.all(values == values[0]):
+        with pytest.raises(DegenerateSeriesError):
+            quantile_bins(values, n_bins)
+        return
+    codes, k, cuts, _ = _RankBins(values).bins(n_bins)
+    binned, q_cuts = quantile_bins(values, n_bins)
+    assert binned.values.tolist() == codes.tolist()
+    assert binned.n_categories == k
+    assert np.array(q_cuts, dtype=float).tobytes() == np.array(cuts, dtype=float).tobytes()
+
+
+def test_quantile_bins_zero_cut_has_the_earliest_zeros_sign():
+    for zeros in ([0.0, -0.0], [-0.0, 0.0]):
+        _, cuts = quantile_bins(np.array([*zeros, -1.0, -1.0, -1.0, 1.0]), 2)
+        assert cuts == (0.0,)
+        assert math.copysign(1.0, cuts[0]) == math.copysign(1.0, zeros[0])
+
+
+def test_quantile_bins_refuses_nan_and_bins_infinities():
+    # NaN has no rank (a sort would put each NaN last, a tie run of its own)
+    with pytest.raises(ValueError, match="NaN"):
+        quantile_bins(np.array([1.0, np.nan, 2.0, 3.0]), 2)
+    binned, cuts = quantile_bins(np.array([np.inf, 1.0, -np.inf, np.inf]), 2)
+    assert (binned.values.tolist(), cuts) == ([1, 0, 0, 1], (np.inf,))
 
 
 # --- MIC -------------------------------------------------------------------------
@@ -459,6 +504,12 @@ def mi_shuffles(n, rng, reps=30):
     return np.array([np.arange(n)] + [rng.permutation(n) for _ in range(reps)])
 
 
+def mi_block(x, y, perm_idx):
+    """The kernel's block: the column ``shuffled_column`` gives, gathered at
+    each row of ``perm_idx``."""
+    return shuffled_column(Measure.MI, x, y, len(x))[perm_idx]
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 300, 8000])
 def test_perm_mi_in_place_matches_a_fresh_gather(n):
     rng = np.random.default_rng(n)
@@ -466,36 +517,39 @@ def test_perm_mi_in_place_matches_a_fresh_gather(n):
     y = cat(np.where(rng.random(n) < 0.3, x.values, y.values), 4)  # some dependence
     perm_idx = mi_shuffles(n, rng)
     expected = gathered_perm_mi(x, y, perm_idx)
-    assert _perm_values_mi(x, y, perm_idx.copy()).tolist() == expected.tolist()
-    assert permuted_scores(Measure.MI, x, y, perm_idx.copy()).tolist() == expected.tolist()
+    block = mi_block(x, y, perm_idx)
+    assert _perm_values_mi(x, y, block.copy()).tolist() == expected.tolist()
+    assert permuted_scores(Measure.MI, x, y, block.copy()).tolist() == expected.tolist()
 
 
 def test_perm_mi_allocates_no_index_sized_array():
-    # the gather and the cell index both live in perm_idx
+    # the cell index lives in the block of shuffled codes
     rng = np.random.default_rng(1)
     n = 8000
     x, y = cat(rng.integers(0, 3, size=n), 3), cat(rng.integers(0, 3, size=n), 3)
     perm_idx = mi_shuffles(n, rng, reps=99)
+    block = mi_block(x, y, perm_idx)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        _perm_values_mi(x, y, perm_idx)
+        _perm_values_mi(x, y, block)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak - base < perm_idx.nbytes // 50
 
 
-@pytest.mark.parametrize("bad", [-1, 40, 10**6])
-def test_perm_mi_refuses_an_index_outside_the_column(bad):
-    # the kernel gathers with mode="clip", so an out-of-range index would
-    # otherwise score silently
+@pytest.mark.parametrize("row, bad", [(0, -3), (3, -3), (3, 9), (5, 9), (3, 10**6)])
+def test_perm_mi_refuses_a_code_outside_the_table(row, bad):
+    # a code outside [0, kx * ky) = [0, 9) puts its cell outside its row's
+    # table whatever y's code in [0, 3): below the first table, in another
+    # row's table, or past the last, which would otherwise score silently
     rng = np.random.default_rng(5)
     x, y = cat(rng.integers(0, 3, size=40), 3), cat(rng.integers(0, 3, size=40), 3)
-    perm_idx = mi_shuffles(40, rng, reps=5)
-    perm_idx[3, 17] = bad
+    block = mi_block(x, y, mi_shuffles(40, rng, reps=5))
+    block[row, 17] = bad
     with pytest.raises(InternalConsistencyError):
-        _perm_values_mi(x, y, perm_idx)
+        _perm_values_mi(x, y, block)
 
 
 def test_linear_correlation_affine():
