@@ -12,8 +12,6 @@ from .measures import (
     BinLayout,
     DependencyScore,
     Measure,
-    MicSearchMode,
-    MicSearchParams,
     discrete_mutual_information,
     entropy,
     linear_correlation,

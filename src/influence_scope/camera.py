@@ -66,6 +66,13 @@ MAX_LENGTH = 1e100
 # stays near 16 MB; a rate of 1e12 would ask for terabytes.
 MAX_ARRIVAL_RATE = 1e6
 
+# Most steps a run may simulate.  The run holds about 250 bytes per camera
+# and step (the row list, then the log's columns), and ``simulate``'s JSON
+# and CSV texts about 1 kB more, so a three-camera scenario at the cap peaks
+# near 4 GB; one detection buffer at the default 200 permutations holds
+# 1.6 GB more.
+MAX_STEPS = 1_000_000
+
 
 def _within(path: str, value, least, limit: float = math.inf, strict: bool = False) -> None:
     """Refuse ``value`` at ``path`` when its magnitude is above ``limit``, or
@@ -281,7 +288,7 @@ class ScenarioSpec:
         _within("scene.height", self.height, 0, MAX_LENGTH, strict=True)
         _within("arrival_rate", self.arrival_rate, 0, MAX_ARRIVAL_RATE)
         _within("detection_radius", self.detection_radius, 0, MAX_LENGTH)
-        _within("steps", self.steps, 1)
+        _within("steps", self.steps, 1, MAX_STEPS)
         _within("seed", self.seed, 0)
         if len(self.cameras) == 0:
             raise ValueError("at least one camera required")
@@ -405,8 +412,7 @@ def run_scenario(
     steps = spec.steps if steps is None else steps
     policy = spec.policy if policy is None else policy
     seed = spec.seed if seed is None else seed
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    _within("steps", steps, 1, MAX_STEPS)
     rng = np.random.default_rng(seed)
     cams = spec.cameras
     fixed = None  # a fixed policy's pan, tilt and zoom of every camera, checked once

@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .camera import run_scenario, scenario_from_dict
+from .camera import MAX_STEPS, run_scenario, scenario_from_dict
 from .detection import Measure, influence_matrix
 from .logio import (  # log_to_csv, log_to_json: unused here; perfbench's trace wraps them
     descriptor_from_dict,
@@ -147,10 +147,12 @@ def build_parser() -> argparse.ArgumentParser:
     def lags(text: str) -> list[int]:  # argparse names the type in its errors
         return [int(lag) for lag in text.split(",")]
 
-    def at_least(low: int):
+    def at_least(low: int, most: float = float("inf")):
         def integer(text: str) -> int:
             if int(text) < low:
                 raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+            if int(text) > most:
+                raise argparse.ArgumentTypeError(f"must be <= {most}, got {text}")
             return int(text)
         return integer
 
@@ -169,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run a camera scenario and write a sample log")
     p_sim.add_argument("scenario", help="scenario JSON file")
-    p_sim.add_argument("--steps", type=at_least(1), default=None)
+    p_sim.add_argument("--steps", type=at_least(1, MAX_STEPS), default=None)
     p_sim.add_argument("--seed", type=at_least(0), default=None)
     p_sim.add_argument("--out", required=True, type=output,
                        help="output log path (JSON; CSV written alongside)")

@@ -99,6 +99,7 @@ class DetectionStrategy:
              f"must lie in [20, {MAX_PERMUTATIONS}]"),
             ("lag_set", len(self.lag_set) > 0 and min(self.lag_set) >= 0,
              "must be non-empty with lags >= 0"),
+            ("lag_set", len(set(self.lag_set)) == len(self.lag_set), "must not repeat a lag"),
             ("seed", self.seed >= 0, "must be >= 0"),
         ):
             if not ok:
@@ -687,6 +688,9 @@ def influence_matrix(
         raise ValueError(f"log failed validation: {issues[:3]}")
     if len(log.schemas) < 2:
         raise ValueError("need at least 2 agents")
+    late = [lag for lag in strategy.lag_set if lag >= len(log.t)]
+    if late:
+        raise InputError("lag_set", f"lag {late[0]} >= record count {len(log.t)}")
     tasks = _tasks(log, strategy, conditioning, set(targets) if targets is not None else None)
     entries = _scored(log, strategy, tasks)
     return InfluenceMatrix(

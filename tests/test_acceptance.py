@@ -15,8 +15,6 @@ from influence_scope import (
     CategorySeries,
     DetectionStrategy,
     Measure,
-    MicSearchMode,
-    MicSearchParams,
     conditioned_influence,
     discrete_mutual_information,
     influence_matrix,
@@ -35,6 +33,7 @@ from influence_scope.camera import (
 from influence_scope.cli import main
 
 from conftest import coupled_log, independent_log
+from mic_oracle import MicSearchMode, mic_search
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -93,12 +92,12 @@ def test_acceptance_2_mic_calibration(capsys):
     rng = np.random.default_rng(5)
     x = rng.permutation(200).astype(float)
     identity_ok = all(
-        abs(mic(x, x, MicSearchParams(search_mode=mode)).value - 1.0) <= 1e-9
-        for mode in (MicSearchMode.EQUIPARTITION, MicSearchMode.AXIS_OPTIMIZED)
+        abs(score.value - 1.0) <= 1e-9
+        for score in (mic(x, x), mic_search(x, x, MicSearchMode.AXIS_OPTIMIZED))
     )
     small = np.arange(12, dtype=float)
     identity_ok &= (
-        abs(mic(small, small, MicSearchParams(search_mode=MicSearchMode.EXHAUSTIVE)).value - 1.0)
+        abs(mic_search(small, small, MicSearchMode.EXHAUSTIVE).value - 1.0)
         <= 1e-9
     )
     constant_ok = mic(np.full(50, 2.0), rng.uniform(size=50)).value == 0.0
@@ -183,9 +182,9 @@ def test_acceptance_3_oracles(capsys):
         y = rng.uniform(size=n)
         if rng.uniform() < 0.3:
             y = np.round(y, 1)  # inject ties
-        equi = mic(x, y, MicSearchParams(search_mode=MicSearchMode.EQUIPARTITION)).value
-        axis = mic(x, y, MicSearchParams(search_mode=MicSearchMode.AXIS_OPTIMIZED)).value
-        full = mic(x, y, MicSearchParams(search_mode=MicSearchMode.EXHAUSTIVE)).value
+        equi = mic(x, y).value
+        axis = mic_search(x, y, MicSearchMode.AXIS_OPTIMIZED).value
+        full = mic_search(x, y, MicSearchMode.EXHAUSTIVE).value
         if not (equi <= axis + 1e-12 and axis <= full + 1e-12):
             dominance_ok = False
     elapsed = time.perf_counter() - t0

@@ -566,6 +566,20 @@ def test_scenario_malformed_field_reports_path(field, value, path):
     assert err.value.path == path
 
 
+def test_steps_beyond_the_cap_are_refused_before_any_step(monkeypatch):
+    data = json.loads((SCENARIOS / "overlap-pair.json").read_text())
+    data["steps"] = camera.MAX_STEPS
+    spec = scenario_from_dict(data)
+    data["steps"] = 10**18
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(data)
+    assert err.value.path == "steps"
+    monkeypatch.setattr(camera, "_arrivals", lambda *args: pytest.fail("a step was drawn"))
+    with pytest.raises(ScenarioError) as err:
+        run_scenario(spec, steps=camera.MAX_STEPS + 1)
+    assert err.value.path == "steps"
+
+
 def test_scenario_rejects_bad_camera_geometry():
     with pytest.raises(ValueError):
         CameraSpec("x", CameraPose(0, 0, 10), base_half_angle=2.0, tilt_max=0.5, zoom_max=2.0)

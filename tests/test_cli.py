@@ -197,6 +197,18 @@ def test_detect_lag_beyond_log_is_input_error(tmp_path, capsys):
     assert "lag 500" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lags, message", [
+    ("0,40", "lag_set: lag 40 >= record count 30"),
+    ("0,0", "lag_set: must not repeat a lag"),
+])
+def test_detect_bad_lag_set_exits_2_at_its_field(tmp_path, capsys, lags, message):
+    log_path = write_log(tmp_path, coupled_log(30))
+    code = main(["detect", str(log_path), "--lags", lags, "--out", str(tmp_path / "m.json")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 @pytest.fixture(scope="module")
 def five_step_log(tmp_path_factory):
     out = tmp_path_factory.mktemp("short") / "run.json"
@@ -524,6 +536,7 @@ REAL_KIND = ["schemas", 0, "parts", 0, "kind"]
         ("scenario", lambda d: put(d, ["scene", "width"], 0), "scene.width: must be > 0"),
         ("scenario", lambda d: put(d, ["steps"], 0), "steps: must be >= 1"),
         ("scenario", lambda d: put(d, ["steps"], 5.0), "steps: expected an integer"),
+        ("scenario", lambda d: put(d, ["steps"], 10**18), "steps: magnitude above 1e+06"),
         ("scenario", lambda d: put(d, ["scene", "depth"], 10), "scene.depth: not a scene field"),
         ("scenario", lambda d: put(d, ["width"], 10), "width: not a scenario field"),
         ("scenario", lambda d: put(d, ["policy"], "fixed"), "policy: unknown policy 'fixed'"),
@@ -585,7 +598,8 @@ def test_malformed_input_exits_2_with_field_path(tmp_path, capsys, command, edit
 @pytest.mark.parametrize(
     "option, value, expected",
     [("--seed", "-1", "must be >= 0"), ("--steps", "0", "must be >= 1"),
-     ("--seed", "2.5", "invalid integer value"), ("--steps", "x", "invalid integer value")],
+     ("--seed", "2.5", "invalid integer value"), ("--steps", "x", "invalid integer value"),
+     ("--steps", "1000001", "must be <= 1000000")],
 )
 def test_simulate_bad_option_exits_2_naming_it(tmp_path, capsys, option, value, expected):
     # refused before the scenario is read, never blamed on it

@@ -38,7 +38,7 @@ from influence_scope import detection
 from influence_scope.errors import InputError, InternalConsistencyError
 from influence_scope.logio import matrix_from_json, matrix_to_json
 from influence_scope.measures import (
-    LEAST_SAMPLES, MicSearchParams, _perm_values_mi, _perm_values_mic, permuted_scores,
+    LEAST_SAMPLES, _perm_values_mi, _perm_values_mic, admissible_pairs, permuted_scores,
     quantile_bins, shuffled_column,
 )
 from influence_scope.model import ConfigSelector
@@ -60,6 +60,21 @@ def single_part_schema(agent_id, cats=("c1", "c2")):
 def test_strategy_rejects_few_permutations():
     with pytest.raises(ValueError):
         DetectionStrategy(permutations=19)
+
+
+def test_strategy_rejects_a_repeated_lag():
+    with pytest.raises(InputError, match="lag_set: must not repeat a lag"):
+        DetectionStrategy(lag_set=(0, 1, 0))
+
+
+def test_matrix_refuses_a_lag_beyond_the_log_before_building_any_row(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a target side was built")
+
+    monkeypatch.setattr(detection, "_target_side", unreachable)
+    with pytest.raises(InputError, match="lag_set: lag 30 >= record count 30") as raised:
+        influence_matrix(coupled_log(30), DetectionStrategy(lag_set=(0, 30, 40)))
+    assert raised.value.path == "lag_set"
 
 
 # --- raw influence ----------------------------------------------------------
@@ -599,7 +614,7 @@ def per_grid_perm_mic(xv, yv, perm_idx):
     best = np.zeros(perm_idx.shape[0])
     if len(np.unique(xv)) < 2 or len(np.unique(yv)) < 2:
         return best
-    for nx, ny in MicSearchParams().admissible_pairs(len(xv)):
+    for nx, ny in admissible_pairs(len(xv)):
         xs, _ = quantile_bins(xv, nx)
         ys, _ = quantile_bins(yv, ny)
         mi = _perm_values_mi(xs, ys, shuffled(Measure.MI, xs, ys, perm_idx))

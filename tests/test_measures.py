@@ -13,8 +13,6 @@ from hypothesis.extra.numpy import arrays
 from influence_scope import (
     CategorySeries,
     DegenerateSeriesError,
-    MicSearchMode,
-    MicSearchParams,
     RealSeries,
     discrete_mutual_information,
     entropy,
@@ -28,18 +26,24 @@ from influence_scope.measures import (
     _ESTIMATE_WINDOW,
     BinLayout,
     Measure,
-    _codes_from_cut_positions,
     _grid_mi_estimates,
     _mi_bits_from_counts,
     _mi_bits_of_tables,
     _mi_estimates,
     _mid_ranks,
-    _partition_mi_best,
     _perm_values_mi,
     _RankBins,
     _xlogx,
+    admissible_pairs,
     permuted_scores,
     shuffled_column,
+)
+
+from mic_oracle import (
+    MicSearchMode,
+    _codes_from_cut_positions,
+    _partition_mi_best,
+    mic_search,
 )
 
 
@@ -262,14 +266,13 @@ def test_quantile_bins_refuses_nan_and_bins_infinities():
 def test_mic_identity_line_is_one():
     rng = np.random.default_rng(5)
     x = rng.permutation(200).astype(float)
-    for mode in (MicSearchMode.EQUIPARTITION, MicSearchMode.AXIS_OPTIMIZED):
-        score = mic(x, x, MicSearchParams(search_mode=mode))
+    for score in (mic(x, x), mic_search(x, x, MicSearchMode.AXIS_OPTIMIZED)):
         assert score.value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_mic_identity_line_exhaustive_small():
     x = np.arange(12, dtype=float)
-    score = mic(x, x, MicSearchParams(search_mode=MicSearchMode.EXHAUSTIVE))
+    score = mic_search(x, x, MicSearchMode.EXHAUSTIVE)
     assert score.value == pytest.approx(1.0, abs=1e-9)
 
 
@@ -298,7 +301,7 @@ def test_mic_null_median_regression():
 def test_mic_exhaustive_refuses_large_inputs():
     x = np.arange(13, dtype=float)
     with pytest.raises(ValueError):
-        mic(x, x, MicSearchParams(search_mode=MicSearchMode.EXHAUSTIVE))
+        mic_search(x, x, MicSearchMode.EXHAUSTIVE)
 
 
 def test_mic_records_winning_layout():
@@ -307,6 +310,23 @@ def test_mic_records_winning_layout():
     score = mic(x, x)
     assert score.bin_layout is not None
     assert score.bin_layout.n_x >= 2 and score.bin_layout.n_y >= 2
+
+
+@given(st.integers(min_value=4, max_value=50_000))
+@settings(max_examples=200, deadline=None)
+def test_admissible_pairs_bound_order_and_cache(n):
+    pairs = admissible_pairs(n)
+    limit = max(n**0.6, 4 * (1 + 1e-9))
+    assert pairs and all(nx >= 2 and ny >= 2 and nx * ny < limit for nx, ny in pairs)
+    if n <= 2000:
+        # every grid a side of which is below the bound, in pair order
+        sides = range(2, math.ceil(limit) + 1)
+        assert pairs == tuple((nx, ny) for nx in sides for ny in sides if nx * ny < limit)
+    # one cached value per n, which no caller can change
+    assert admissible_pairs(n) is pairs
+    assert isinstance(pairs, tuple) and all(type(pair) is tuple for pair in pairs)
+    with pytest.raises(TypeError):
+        pairs[0] = (3, 3)
 
 
 small_real = arrays(
@@ -322,8 +342,9 @@ def test_mic_mode_dominance(x, y):
     n = min(len(x), len(y))
     x, y = x[:n], y[:n]
     scores = {
-        mode: mic(x, y, MicSearchParams(search_mode=mode)).value
-        for mode in MicSearchMode
+        MicSearchMode.EQUIPARTITION: mic(x, y).value,
+        MicSearchMode.AXIS_OPTIMIZED: mic_search(x, y, MicSearchMode.AXIS_OPTIMIZED).value,
+        MicSearchMode.EXHAUSTIVE: mic_search(x, y, MicSearchMode.EXHAUSTIVE).value,
     }
     slack = 1e-12
     assert scores[MicSearchMode.EQUIPARTITION] <= scores[MicSearchMode.AXIS_OPTIMIZED] + slack
@@ -360,7 +381,7 @@ def per_grid_mic(x, y, mode):
     if len(np.unique(x)) < 2 or len(np.unique(y)) < 2:
         return 0.0, None
     best, layout = 0.0, None
-    pairs = MicSearchParams().admissible_pairs(n)
+    pairs = admissible_pairs(n)
     for nx, ny in pairs:
         xs, xcuts = quantile_bins(x, nx)
         ys, ycuts = quantile_bins(y, ny)
@@ -423,7 +444,7 @@ def test_mic_matches_per_grid_tables(n, kind):
     modes += [MicSearchMode.EXHAUSTIVE] if n <= 9 else []
     for x, y in ((xv, yv), (yv, xv)):
         for mode in modes:
-            score = mic(x, y, MicSearchParams(search_mode=mode))
+            score = mic_search(x, y, mode)
             assert (score.value, score.bin_layout) == per_grid_mic(x, y, mode)
 
 
@@ -454,7 +475,7 @@ def test_grid_estimates_lie_well_inside_the_window(n, kind):
         yv[: n // 2] += xv[: n // 2]
     tolerance = _ESTIMATE_WINDOW / 1000
     xlogx = _xlogx(n)
-    px, py = np.array(MicSearchParams().admissible_pairs(n)).T
+    px, py = np.array(admissible_pairs(n)).T
     y_ranks = _RankBins(yv)
     for x in (xv, xv[rng.permutation(n)]):
         x_ranks = _RankBins(x)
