@@ -47,9 +47,6 @@ TWO_PI = 2.0 * math.pi
 # A camera's configuration parts, as its log schema declares them.
 _PARTS = ("pan", "tilt", "zoom")
 
-# A scenario that fails validation raises the package's one input error.
-ScenarioError = InputError
-
 log = logging.getLogger("influence_scope")
 
 _BLOCK = 32  # steps whose draws run_scenario makes ahead and scores at once
@@ -399,26 +396,22 @@ def _block_credits(hit_at: np.ndarray, nb: int, lcm: int) -> tuple[list[list[int
 
 
 def run_scenario(
-    spec: ScenarioSpec,
-    steps: Optional[int] = None,
-    policy: Optional[Policy] = None,
-    seed: Optional[int] = None,
+    spec: ScenarioSpec, steps: Optional[int] = None, seed: Optional[int] = None
 ) -> SampleLog:
-    """Run the simulator and return a schema-complete sample log.
+    """Run the simulator on the scenario's policy and return a
+    schema-complete sample log.
 
-    ``steps``, ``policy`` and ``seed`` default to the scenario's own
-    values.  The run is a pure function of its arguments.
+    ``steps`` and ``seed`` default to the scenario's own values.  The run
+    is a pure function of its arguments.
     """
     steps = spec.steps if steps is None else steps
-    policy = spec.policy if policy is None else policy
     seed = spec.seed if seed is None else seed
     _within("steps", steps, 1, MAX_STEPS)
     rng = np.random.default_rng(seed)
     cams = spec.cameras
-    fixed = None  # a fixed policy's pan, tilt and zoom of every camera, checked once
-    if isinstance(policy, FixedPtz):
-        _check_configs(cams, policy.configs)
-        fixed = [v for cfg in policy.configs for v in (cfg.pan, cfg.tilt, cfg.zoom)]
+    fixed = None  # a fixed policy's pan, tilt and zoom of every camera, checked by the spec
+    if isinstance(spec.policy, FixedPtz):
+        fixed = [v for cfg in spec.policy.configs for v in (cfg.pan, cfg.tilt, cfg.zoom)]
     # The uniform policy draws the doubles of rng.uniform(lows, highs); low +
     # span * u with u < 1 never leaves [low, high], so no draw needs a check.
     lows = np.tile([0.0, 0.0, 1.0], len(cams))

@@ -687,7 +687,9 @@ def influence_matrix(
     if issues:
         raise ValueError(f"log failed validation: {issues[:3]}")
     if len(log.schemas) < 2:
-        raise ValueError("need at least 2 agents")
+        raise InputError("schemas", f"need at least 2 agents, got {len(log.schemas)}")
+    if not len(log.t):
+        raise InputError("records", "need at least 1 record, got 0")
     late = [lag for lag in strategy.lag_set if lag >= len(log.t)]
     if late:
         raise InputError("lag_set", f"lag {late[0]} >= record count {len(log.t)}")

@@ -3,11 +3,10 @@
 JSON is the primary interchange format for logs (it embeds the agent
 schemas) and for matrices.  Logs additionally serialize to a flat CSV with
 header ``t,<agent>.<part>,...,<agent>.perf,...`` so they stay inspectable
-with standard tools; reading CSV back requires the schemas.  Log records
-are written from the log's columns: the JSON writer formats each column
-once and fills one row template, giving the bytes of the canonical
-``json.dumps(sort_keys=True, indent=2)``, and the CSV writer hands the
-zipped columns to ``csv.writer``.
+with standard tools.  Log records are written from the log's columns: the
+JSON writer formats each column once and fills one row template, giving
+the bytes of the canonical ``json.dumps(sort_keys=True, indent=2)``, and
+the CSV writer hands the zipped columns to ``csv.writer``.
 
 One encoder writes matrices, strategies, recommendations, schemas and
 system descriptors from their dataclass fields; one strict decoder reads
@@ -275,47 +274,6 @@ def _csv_text(log: SampleLog, t, parts, performances) -> str:
     writer.writerow(_header(log.schemas))
     writer.writerows(zip(t, *parts.values(), *performances.values()))
     return buf.getvalue()
-
-
-def log_from_csv(text: str, schemas: tuple[AgentSchema, ...]) -> SampleLog:
-    """Build a log from the CSV :func:`log_to_csv` writes.  A header cell
-    that is wrong, missing or extra raises :class:`InputError` at
-    ``header[j]``.  A row with a missing or extra cell, and a cell that does
-    not read as its column's type (an integer ``t``, a number for a real
-    part or a performance), raise :class:`InputError` at
-    ``rows[i].<column>``, or ``rows[i][j]`` for an extra cell, counting data
-    rows from 0 after the header."""
-    reader = csv.reader(io.StringIO(text))
-    header, expected = next(reader, []), _header(schemas)
-    for j, (found, name) in enumerate(zip(header, expected)):
-        if found != name:
-            raise InputError(f"header[{j}]", f"expected {brief(name)}, found {brief(found)}")
-    j = min(len(header), len(expected))
-    if len(header) < len(expected):
-        raise InputError(f"header[{j}]", f"missing cell, expected {brief(expected[j])}")
-    if len(header) > len(expected):
-        raise InputError(f"header[{j}]", f"extra cell {brief(header[j])}")
-    rows = list(reader)
-    for i, row in enumerate(rows):
-        if len(row) < len(header):
-            raise InputError(f"rows[{i}].{header[len(row)]}", "missing cell")
-        if len(row) > len(header):
-            raise InputError(f"rows[{i}][{len(header)}]", f"extra cell {brief(row[len(header)])}")
-    reads = [int] + [str if isinstance(p.kind, (Nominal, Ordinal)) else float
-                     for s in schemas for p in s.parts] + [float] * len(schemas)
-    columns = []
-    for name, read, cells in zip(header, reads, zip(*rows) if rows else [()] * len(header)):
-        column = []
-        try:
-            for cell in cells:
-                column.append(read(cell))
-        except ValueError:
-            kind = "an integer" if read is int else "a number"
-            message = f"expected {kind}, got {brief(cells[len(column)])}"
-            raise InputError(f"rows[{len(column)}].{name}", message) from None
-        columns.append(column)
-    t, *columns = columns
-    return SampleLog.from_columns(schemas, t, columns)
 
 
 # --- strategies ---------------------------------------------------------------

@@ -6,6 +6,7 @@ import json
 import logging
 import math
 import re
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,7 +31,8 @@ from influence_scope import (
     validate_log,
 )
 from influence_scope import camera
-from influence_scope.camera import ScenarioError, exact_camera_credits
+from influence_scope.camera import exact_camera_credits
+from influence_scope.errors import InputError
 from influence_scope.logio import log_to_csv, log_to_json
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -229,7 +231,7 @@ def test_run_scenario_logs_validate():
 def test_fixed_policy_repeats_configs():
     spec = overlap_pair_spec()
     fixed = FixedPtz(tuple(PtzConfig(0.1, 0.2, 1.5) for _ in spec.cameras))
-    log = run_scenario(spec, steps=10, seed=0, policy=fixed)
+    log = run_scenario(replace(spec, policy=fixed), steps=10, seed=0)
     pans = {r.config[(spec.cameras[0].camera_id, "pan")] for r in log.records}
     assert pans == {0.1}
 
@@ -393,7 +395,7 @@ def reach_circle_spec() -> ScenarioSpec:
 def test_run_scenario_matches_public_step(monkeypatch, spec, policy, steps, chunk, seed):
     if chunk:  # the targets a camera tests at once; not failing where no such constant exists
         monkeypatch.setattr(camera, "_CHUNK", chunk, raising=False)
-    log = run_scenario(spec, steps=steps, seed=seed, policy=policy)
+    log = run_scenario(replace(spec, policy=policy), steps=steps, seed=seed)
     assert log.records == reference_records(spec, steps, seed, policy)
 
 
@@ -404,7 +406,8 @@ def test_five_observers_split_a_target_in_fifths():
 
 
 def test_target_on_the_footprint_edge_is_observed():
-    log = run_scenario(boundary_spec(arrival_rate=0.0), steps=2, seed=0, policy=BOUNDARY_FIXED)
+    spec = replace(boundary_spec(arrival_rate=0.0), policy=BOUNDARY_FIXED)
+    log = run_scenario(spec, steps=2, seed=0)
     assert [r.performance for r in log.records] == [{"a": 1.0, "b": 1.0}, {"a": 0.0, "b": 0.0}]
 
 
@@ -413,16 +416,17 @@ def test_run_scenario_refuses_a_fixed_tilt_as_step_does():
     bad = FixedPtz((PtzConfig(0.3, 0.2, 1.2), PtzConfig(3.0, 0.5, 1.0)))
     with pytest.raises(ValueError) as by_step:
         step(initial_state(spec), list(bad.configs), np.random.default_rng(0))
-    with pytest.raises(ValueError) as by_run:
-        run_scenario(spec, steps=5, seed=0, policy=bad)
-    assert str(by_run.value) == str(by_step.value) == "tilt 0.5 outside [0, 0.4]"
+    with pytest.raises(InputError) as by_spec:
+        replace(spec, policy=bad)
+    assert by_spec.value.path == "policy.fixed[1].tilt"
+    assert by_spec.value.message == str(by_step.value) == "tilt 0.5 outside [0, 0.4]"
 
 
 def test_run_scenario_logs_backlog_summary(caplog):
-    spec = reach_spec()
-    quiet = log_to_json(run_scenario(spec, steps=50, seed=0, policy=REACH_FIXED))
+    spec = replace(reach_spec(), policy=REACH_FIXED)
+    quiet = log_to_json(run_scenario(spec, steps=50, seed=0))
     with caplog.at_level(logging.DEBUG, logger="influence_scope"):
-        traced = log_to_json(run_scenario(spec, steps=50, seed=0, policy=REACH_FIXED))
+        traced = log_to_json(run_scenario(spec, steps=50, seed=0))
     assert traced == quiet
     [line] = [r.getMessage() for r in caplog.records if r.name == "influence_scope"]
     assert line.startswith("simulated 50 steps: ")
@@ -491,7 +495,7 @@ def test_scenario_from_dict_round_trips_shipped_file():
 def test_scenario_error_reports_field_path():
     data = json.loads((SCENARIOS / "overlap-pair.json").read_text())
     del data["cameras"][1]["pose"]
-    with pytest.raises(ScenarioError) as err:
+    with pytest.raises(InputError) as err:
         scenario_from_dict(data)
     assert "cameras[1]" in str(err.value)
 
@@ -501,7 +505,7 @@ def test_scenario_fixed_policy_missing_field_reports_path(key):
     data = json.loads((SCENARIOS / "overlap-pair.json").read_text())
     data["policy"] = {"fixed": [{"pan": 0.1, "tilt": 0.2, "zoom": 1.5} for _ in range(3)]}
     del data["policy"]["fixed"][1][key]
-    with pytest.raises(ScenarioError) as err:
+    with pytest.raises(InputError) as err:
         scenario_from_dict(data)
     assert err.value.path == f"policy.fixed[1].{key}"
 
@@ -509,7 +513,7 @@ def test_scenario_fixed_policy_missing_field_reports_path(key):
 def test_scenario_fixed_policy_entry_must_be_object():
     data = json.loads((SCENARIOS / "overlap-pair.json").read_text())
     data["policy"] = {"fixed": [{"pan": 0.1, "tilt": 0.2, "zoom": 1.5}, [0.1, 0.2, 1.5]]}
-    with pytest.raises(ScenarioError) as err:
+    with pytest.raises(InputError) as err:
         scenario_from_dict(data)
     assert err.value.path == "policy.fixed[1]"
 
@@ -518,7 +522,7 @@ def test_scenario_fixed_policy_entry_must_be_object():
 def test_scenario_initial_target_must_be_number_pair(point):
     data = json.loads((SCENARIOS / "overlap-pair.json").read_text())
     data["initial_targets"] = [[10.0, 10.0], point]
-    with pytest.raises(ScenarioError) as err:
+    with pytest.raises(InputError) as err:
         scenario_from_dict(data)
     # a pair of the wrong length or type is refused whole, a bad number at its index
     assert err.value.path == ("initial_targets[1][1]" if point == [1.0, None]
@@ -541,7 +545,7 @@ def test_scenario_fixed_policy_is_checked_against_the_cameras(fixed, path, messa
     # refused as the scenario is read, at the config's path
     data = json.loads((SCENARIOS / "overlap-pair.json").read_text())
     data["policy"] = {"fixed": fixed}
-    with pytest.raises(ScenarioError) as err:
+    with pytest.raises(InputError) as err:
         scenario_from_dict(data)
     assert (err.value.path, err.value.message) == (path, message)
 
@@ -561,7 +565,7 @@ def test_scenario_malformed_field_reports_path(field, value, path):
         data["cameras"][0]["id"] = value
     else:
         data[field] = value
-    with pytest.raises(ScenarioError) as err:
+    with pytest.raises(InputError) as err:
         scenario_from_dict(data)
     assert err.value.path == path
 
@@ -571,11 +575,11 @@ def test_steps_beyond_the_cap_are_refused_before_any_step(monkeypatch):
     data["steps"] = camera.MAX_STEPS
     spec = scenario_from_dict(data)
     data["steps"] = 10**18
-    with pytest.raises(ScenarioError) as err:
+    with pytest.raises(InputError) as err:
         scenario_from_dict(data)
     assert err.value.path == "steps"
     monkeypatch.setattr(camera, "_arrivals", lambda *args: pytest.fail("a step was drawn"))
-    with pytest.raises(ScenarioError) as err:
+    with pytest.raises(InputError) as err:
         run_scenario(spec, steps=camera.MAX_STEPS + 1)
     assert err.value.path == "steps"
 

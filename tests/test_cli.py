@@ -209,6 +209,38 @@ def test_detect_bad_lag_set_exits_2_at_its_field(tmp_path, capsys, lags, message
     assert not (tmp_path / "m.json").exists()
 
 
+def one_agent(data):
+    """The log JSON ``data`` cut down to its first agent."""
+    agent = data["schemas"][0]["agent_id"]
+    data["schemas"] = data["schemas"][:1]
+    for record in data["records"]:
+        record["config"] = {k: v for k, v in record["config"].items()
+                            if k.startswith(agent + ".")}
+        record["performance"] = {agent: record["performance"][agent]}
+    return data
+
+
+def no_records(data):
+    data["records"] = []
+    return data
+
+
+@pytest.mark.parametrize("cut, message", [
+    (one_agent, "schemas: need at least 2 agents, got 1"),
+    (no_records, "records: need at least 1 record, got 0"),
+], ids=["one-agent", "empty"])
+def test_detect_log_the_matrix_cannot_score_exits_2_at_its_field(tmp_path, capsys, cut, message):
+    spec = scenario_from_dict(json.loads((SCENARIOS / "camera-trio.json").read_text()))
+    data = cut(json.loads(log_to_json(run_scenario(spec, steps=30, seed=0))))
+    log_path = tmp_path / "cut.json"
+    log_path.write_text(json.dumps(data))
+    code = main(["detect", str(log_path), "--out", str(tmp_path / "m.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err and "lag_set" not in err
+    assert not (tmp_path / "m.json").exists()
+
+
 @pytest.fixture(scope="module")
 def five_step_log(tmp_path_factory):
     out = tmp_path_factory.mktemp("short") / "run.json"

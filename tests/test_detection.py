@@ -297,8 +297,9 @@ def test_matrix_requires_two_agents():
             for r in log.records
         ),
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError) as raised:
         influence_matrix(solo, FAST)
+    assert (raised.value.path, raised.value.message) == ("schemas", "need at least 2 agents, got 1")
 
 
 # --- joint influence --------------------------------------------------------------

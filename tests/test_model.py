@@ -28,9 +28,7 @@ from influence_scope import (
 )
 from influence_scope.errors import InputError
 from influence_scope.model import Issue
-from influence_scope.logio import (
-    log_from_csv, log_from_dict, log_from_json, log_texts, log_to_csv, log_to_json
-)
+from influence_scope.logio import log_from_dict, log_from_json, log_texts, log_to_csv, log_to_json
 
 from conftest import coupled_log, independent_log
 
@@ -403,8 +401,6 @@ def test_writers_match_the_reference_encoders(make, n):
                      *(f"{s.agent_id}.perf" for s in log.schemas)])
     writer.writerows([r.t, *r.config.values(), *r.performance.values()] for r in log.records)
     assert log_to_csv(log) == buf.getvalue()
-    assert log_from_csv(buf.getvalue(), log.schemas) == log
-    assert log_to_csv(log_from_csv(buf.getvalue(), log.schemas)) == buf.getvalue()
 
 
 @pytest.mark.parametrize("make", [unsorted_log, partless_log], ids=["unsorted", "partless"])
@@ -412,12 +408,6 @@ def test_writers_match_the_reference_encoders(make, n):
 def test_log_texts_are_the_two_writers(make, n):
     log = make(n)
     assert list(log_texts(log)) == [log_to_json(log), log_to_csv(log)]
-
-
-def test_csv_round_trip_is_byte_identical():
-    log = camera_like_log(20)
-    text = log_to_csv(log)
-    assert log_to_csv(log_from_csv(text, log.schemas)) == text
 
 
 def test_csv_header_layout():
@@ -438,7 +428,7 @@ def test_serialization_rejects_hostile_names():
         log_to_json(log)
 
 
-# --- one log, three readers ---------------------------------------------------------
+# --- one log, two readers ---------------------------------------------------------
 
 
 def every_kind_log(n=8):
@@ -489,11 +479,10 @@ def assert_same_log(log, other):
 def test_records_json_and_csv_read_to_the_same_columns(make):
     log = make(12)
     from_json = log_from_json(log_to_json(log))
-    from_csv = log_from_csv(log_to_csv(log), log.schemas)
-    for other in (from_json, from_csv):
-        assert_same_log(log, other)
-        assert other == log
-        assert other.records == log.records
+    assert_same_log(log, from_json)
+    assert from_json == log
+    assert from_json.records == log.records
+    assert log_to_csv(from_json) == log_to_csv(log)
 
 
 def test_records_and_json_give_the_same_seven_findings():
@@ -506,68 +495,59 @@ def test_records_and_json_give_the_same_seven_findings():
     assert_same_log(broken, log_from_dict(doc))
 
 
-def test_records_json_and_csv_give_the_same_findings():
-    # every finding a CSV row can hold: it has no cell for an undeclared part
+def test_records_and_json_give_the_same_five_findings():
     config = {("cam", "pan"): 7.0, ("cam", "mode"): "zoomed"}
     nan = float("nan")
     broken = with_record(camera_like_log(), 2, t=-2, config=config, performance={"cam": nan})
     doc = json.loads(log_to_json(camera_like_log()))
     doc["records"][2] = {"t": -2, "config": {"cam.pan": 7.0, "cam.mode": "zoomed"},
                          "performance": {"cam": nan}}
-    lines = log_to_csv(camera_like_log()).splitlines(keepends=True)
-    assert lines[0] == "t,cam.pan,cam.mode,cam.perf\n"
-    lines[3] = "-2,7.0,zoomed,nan\n"
     assert len(validate_log(broken)) == 5
     assert_same_log(broken, log_from_dict(doc))
-    assert_same_log(broken, log_from_csv("".join(lines), broken.schemas))
+
+
+def set_field(key, value):
+    return lambda record: record.__setitem__(key, value)
+
+
+def set_performance(agent, value):
+    return lambda record: record["performance"].__setitem__(agent, value)
 
 
 @pytest.mark.parametrize(
-    "make, row, path, message",
+    "edit, path, message",
     [
-        (coupled_log, "2,c2,c1,0.7294965609839984", "rows[2].B.perf", "missing cell"),
-        (coupled_log, "2,c2,c1,0.7294965609839984,fast", "rows[2].B.perf",
+        (lambda r: r.pop("t"), "records[2].t", "missing field"),
+        (lambda r: r.pop("config"), "records[2].config", "missing field"),
+        (lambda r: r.pop("performance"), "records[2].performance", "missing field"),
+        (set_field("config", [1]), "records[2].config", "expected an object, got [1]"),
+        (set_field("performance", [0.5]), "records[2].performance",
+         "expected an object, got [0.5]"),
+        (set_field("t", True), "records[2].t", "expected an integer, got True"),
+        (set_field("t", 2.0), "records[2].t", "expected an integer, got 2.0"),
+        (set_performance("B", "fast"), "records[2].performance.B",
          "expected a number, got 'fast'"),
-        (coupled_log, "2,c2,c1,0.7294965609839984,0.5,0.5", "rows[2][5]", "extra cell '0.5'"),
-        (coupled_log, "2.0,c2,c1,0.7294965609839984,0.5", "rows[2].t",
-         "expected an integer, got '2.0'"),
-        (camera_like_log, "2,wide,zoomed,0.5", "rows[2].cam.pan",
-         "expected a number, got 'wide'"),
+        (set_performance("B", None), "records[2].performance.B", "expected a number, got None"),
+        (lambda r: r.clear() or r.__setitem__("row", [2]), "records[2].config", "missing field"),
     ],
-    ids=["short", "non-numeric", "long", "non-integer-t", "shifted"],
+    ids=["no-t", "no-config", "no-performance", "config-list", "performance-list",
+         "boolean-t", "non-integer-t", "non-numeric", "null-performance", "foreign-record"],
 )
-def test_csv_refuses_a_malformed_row_at_its_cell(make, row, path, message):
-    log = make(5)
-    lines = log_to_csv(log).splitlines()
-    lines[3] = row
+def test_json_refuses_a_malformed_record_at_its_field(edit, path, message):
+    doc = json.loads(log_to_json(coupled_log(5)))
+    edit(doc["records"][2])
     with pytest.raises(InputError) as err:
-        log_from_csv("\n".join(lines) + "\n", log.schemas)
+        log_from_dict(doc)
     assert (err.value.path, err.value.message) == (path, message)
 
 
-def test_csv_without_a_header_is_refused():
+def test_json_refuses_a_record_that_is_not_an_object():
+    doc = json.loads(log_to_json(coupled_log(5)))
+    doc["records"][2] = [2, "c2", "c1", 0.73, 0.5]
     with pytest.raises(InputError) as err:
-        log_from_csv("", coupled_log(5).schemas)
-    assert (err.value.path, err.value.message) == ("header[0]", "missing cell, expected 't'")
-
-
-@pytest.mark.parametrize(
-    "header, path, message",
-    [
-        ("t,A.cfg,B.cfg,A.perf,B.prf", "header[4]", "expected 'B.perf', found 'B.prf'"),
-        ("t,A.cfg,B.cfg,A.perf", "header[4]", "missing cell, expected 'B.perf'"),
-        ("t,A.cfg,B.cfg,A.perf,B.perf,C.perf", "header[5]", "extra cell 'C.perf'"),
-    ],
-    ids=["renamed", "short", "long"],
-)
-def test_csv_refuses_a_wrong_header_at_its_cell(header, path, message):
-    log = coupled_log(5)
-    lines = log_to_csv(log).splitlines()
-    assert lines[0] == "t,A.cfg,B.cfg,A.perf,B.perf"
-    lines[0] = header
-    with pytest.raises(InputError) as err:
-        log_from_csv("\n".join(lines) + "\n", log.schemas)
-    assert (err.value.path, err.value.message) == (path, message)
+        log_from_dict(doc)
+    assert (err.value.path, err.value.message) == (
+        "records[2]", "expected an object, got [2, 'c2', 'c1', 0.73, 0.5]")
 
 
 @pytest.mark.parametrize("write", [log_to_json, log_to_csv], ids=["json", "csv"])
