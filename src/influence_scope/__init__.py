@@ -46,17 +46,11 @@ from .camera import (
     CameraPose,
     CameraSpec,
     FixedPtz,
-    Footprint,
     PtzConfig,
     ScenarioSpec,
-    SceneState,
     UniformRandomPtz,
-    fov_footprint,
-    initial_state,
     run_scenario,
     scenario_from_dict,
-    step,
-    system_performance,
 )
 from .taxonomy import (
     SystemDescriptor,

@@ -9,39 +9,31 @@ targets are latched as detected and never score again.
 
 Per-step order of effects: spawn new targets, compute footprints, score
 cameras on currently undetected targets, latch observations, emit the
-step's log values.  ``step`` carries every target with a detected mask and
-tests each camera against each target once per step; it and
-``exact_camera_credits`` are the reference.  ``run_scenario`` keeps only
-the live backlog and scores a block of steps at once: each camera tests
-the block's steps against only the targets within its own reach (its
-base's largest footprint offset plus radius, with a margin no rounding
-crosses), each arrival from the step it enters in, a chunk of targets at a
-time.  A target is credited in the step of its first hit by any camera, to
-the m cameras that hit it then.  All three use the same float operations
-for the footprint test, and the same exact credit, an integer over
-lcm(1..#cameras), so the logs are equal.
+step's log values.  ``run_scenario`` keeps only the live backlog and scores
+a block of steps at once: each camera tests the block's steps against only
+the targets within its own reach (its base's largest footprint offset plus
+radius, with a margin no rounding crosses), each arrival from the step it
+enters in, a chunk of targets at a time.  A target is credited in the step
+of its first hit by any camera, to the m cameras that hit it then.  Each
+credit is exact, an integer over lcm(1..#cameras), until one division
+gives the logged float.  The tests check this scorer bit for bit against
+a per-step world that carries every target (``tests/camera_oracle.py``)
+and uses this module's footprint test and arrival draw.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass
 from reprlib import repr as brief
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .errors import InputError, expect, finite, need
 from .logio import _from_data
-from .model import (
-    AgentSchema,
-    ConfigPartSchema,
-    RealInterval,
-    SampleLog,
-    SampleRecord,
-)
+from .model import AgentSchema, ConfigPartSchema, RealInterval, SampleLog
 
 TWO_PI = 2.0 * math.pi
 # A camera's configuration parts, as its log schema declares them.
@@ -109,57 +101,29 @@ class CameraSpec:
     def __post_init__(self) -> None:
         if not self.camera_id:
             raise InputError("id", "empty camera id")
-        if not 0.0 < self.base_half_angle < math.pi / 2:
-            raise ValueError("base_half_angle must lie in (0, pi/2)")
-        if not 0.0 <= self.tilt_max < math.pi / 2:
-            raise ValueError("tilt_max must lie in [0, pi/2)")
-        if self.zoom_max < 1.0:
-            raise ValueError("zoom_max must be >= 1")
+        for name, ok, rule in (
+            ("base_half_angle", 0.0 < self.base_half_angle < math.pi / 2, "must lie in (0, pi/2)"),
+            ("tilt_max", 0.0 <= self.tilt_max < math.pi / 2, "must lie in [0, pi/2)"),
+            ("zoom_max", self.zoom_max >= 1.0, "must be >= 1"),
+        ):
+            if not ok:
+                raise InputError(name, f"{rule}, got {brief(getattr(self, name))}")
 
     def validate_ptz(self, ptz: PtzConfig) -> None:
-        """Refuse a config outside this camera's ranges, in a message that
-        begins with the name of the part."""
+        """Refuse a config outside this camera's ranges at the part's name."""
         if not 0.0 <= ptz.pan < TWO_PI:
-            raise ValueError(f"pan {ptz.pan} outside [0, 2*pi)")
+            raise InputError("pan", f"pan {ptz.pan} outside [0, 2*pi)")
         if not 0.0 <= ptz.tilt <= self.tilt_max:
-            raise ValueError(f"tilt {ptz.tilt} outside [0, {self.tilt_max}]")
+            raise InputError("tilt", f"tilt {ptz.tilt} outside [0, {self.tilt_max}]")
         if not 1.0 <= ptz.zoom <= self.zoom_max:
-            raise ValueError(f"zoom {ptz.zoom} outside [1, {self.zoom_max}]")
-
-
-@dataclass(frozen=True)
-class Footprint:
-    """Disc of ground points a camera observes (clipped by the scene rect
-    at evaluation time; stored targets always lie inside the rect)."""
-
-    cx: float
-    cy: float
-    radius: float
-
-
-@dataclass(frozen=True)
-class SceneState:
-    width: float
-    height: float
-    arrival_rate: float
-    detection_radius: float
-    cameras: tuple[CameraSpec, ...]
-    target_xy: np.ndarray       # (n, 2)
-    target_detected: np.ndarray  # (n,) bool
-    t: int = 0
-
-
-def fov_footprint(pose: CameraPose, ptz: PtzConfig, base_half_angle: float) -> Footprint:
-    """Project the view cone onto the ground plane as a disc.
-
-    The center moves away from the camera's ground position as tilt grows;
-    the radius shrinks with zoom and grows with tilt.
-    """
-    return Footprint(*_disc(pose, base_half_angle, ptz.pan, ptz.tilt, ptz.zoom))
+            raise InputError("zoom", f"zoom {ptz.zoom} outside [1, {self.zoom_max}]")
 
 
 def _disc(pose: CameraPose, base_half_angle: float, pan: float, tilt: float, zoom: float):
-    """The footprint's center x, y and radius (see :func:`fov_footprint`)."""
+    """The footprint's center x, y and radius: the view cone projected onto
+    the ground plane as a disc.  The center moves away from the camera's
+    ground position as tilt grows; the radius shrinks with zoom and grows
+    with tilt."""
     offset = pose.z * math.tan(tilt)
     return (pose.x + offset * math.cos(pan), pose.y + offset * math.sin(pan),
             pose.z * math.tan(base_half_angle / zoom) / math.cos(tilt))
@@ -181,72 +145,11 @@ def _dist2(x, y, cx, cy, dx: Optional[np.ndarray] = None, dy: Optional[np.ndarra
     return np.add(np.square(dx, dx), np.square(dy, dy), dx)
 
 
-def _credits(hit: np.ndarray) -> tuple[list[int], int, np.ndarray]:
-    """Exact credit per camera, the sum of 1/m over the targets it hits, m
-    being each target's observer count: the integer numerators over
-    L = lcm(1..#cameras), L, and the mask of targets some camera hits.
-
-    The numerators are summed in int64 while no sum can reach 2**63, and as
-    Python ints beyond, as from 43 cameras on."""
-    lcm = math.lcm(*range(1, len(hit) + 1))
-    seen = hit.any(axis=0)
-    sub = hit.compress(seen, axis=1)
-    m = sub.sum(axis=0, dtype=np.int64 if lcm * sub.shape[1] < 2**63 else object)
-    return (sub @ (lcm // m)).tolist(), lcm, seen
-
-
-def exact_camera_credits(
-    target_xy: np.ndarray,
-    target_detected: np.ndarray,
-    footprints: Sequence[Footprint],
-    detection_radius: float,
-) -> list[Fraction]:
-    """Exact per-camera credit: sum of 1/m over newly observed targets."""
-    live = ~target_detected
-    cx, cy, reach2 = _reaches([(fp.cx, fp.cy, fp.radius) for fp in footprints], detection_radius)
-    numerators, lcm, _ = _credits(_dist2(target_xy[live, 0], target_xy[live, 1], cx, cy) <= reach2)
-    return [Fraction(k, lcm) for k in numerators]
-
-
-def system_performance(per_camera: Sequence[float]) -> float:
-    """Whole-system performance: the sum over cameras."""
-    return float(math.fsum(per_camera))
-
-
-def _check_configs(cameras: Sequence[CameraSpec], configs: Sequence[PtzConfig]) -> None:
-    if len(configs) != len(cameras):
-        raise ValueError("one PTZ config per camera required")
-    for cam, cfg in zip(cameras, configs):
-        cam.validate_ptz(cfg)
-
-
 def _arrivals(arrival_rate: float, rng: np.random.Generator) -> np.ndarray:
     """The step's (n, 2) new targets in the unit square, a Poisson count;
     times the scene's (width, height) they are the doubles ``rng.uniform``
     gives with bounds 0 and the size."""
     return rng.random((int(rng.poisson(arrival_rate)), 2))
-
-
-def step(
-    state: SceneState, configs: Sequence[PtzConfig], rng: np.random.Generator
-) -> tuple[SceneState, list[float], SampleRecord]:
-    """Advance one time step; returns (next state, per-camera perf, record)."""
-    _check_configs(state.cameras, configs)
-    new_xy = _arrivals(state.arrival_rate, rng) * (state.width, state.height)
-    xy = np.vstack([state.target_xy, new_xy]) if len(state.target_xy) else new_xy
-    detected = np.concatenate([state.target_detected, np.zeros(len(new_xy), dtype=bool)])
-    live = np.flatnonzero(~detected)
-    discs = [_disc(cam.pose, cam.base_half_angle, cfg.pan, cfg.tilt, cfg.zoom)
-             for cam, cfg in zip(state.cameras, configs)]
-    cx, cy, reach2 = _reaches(discs, state.detection_radius)
-    numerators, lcm, seen = _credits(_dist2(xy[live, 0], xy[live, 1], cx, cy) <= reach2)
-    perfs = [k / lcm for k in numerators]  # correctly rounded, as float(Fraction(k, lcm))
-    detected[live[seen]] = True
-    next_state = replace(state, target_xy=xy, target_detected=detected, t=state.t + 1)
-    config = {(cam.camera_id, part): getattr(cfg, part)
-              for cam, cfg in zip(state.cameras, configs) for part in _PARTS}
-    performance = {cam.camera_id: p for cam, p in zip(state.cameras, perfs)}
-    return next_state, perfs, SampleRecord(state.t, config, performance)
 
 
 # --- scenarios and policies ------------------------------------------------
@@ -288,7 +191,7 @@ class ScenarioSpec:
         _within("steps", self.steps, 1, MAX_STEPS)
         _within("seed", self.seed, 0)
         if len(self.cameras) == 0:
-            raise ValueError("at least one camera required")
+            raise InputError("cameras", "at least one camera required")
         ids = [c.camera_id for c in self.cameras]
         for i, camera_id in enumerate(ids):
             if camera_id in ids[:i]:
@@ -304,21 +207,8 @@ class ScenarioSpec:
             for i, (cam, cfg) in enumerate(zip(self.cameras, configs)):
                 try:
                     cam.validate_ptz(cfg)
-                except ValueError as exc:  # its message begins with the part's name
-                    raise InputError(f"policy.fixed[{i}].{str(exc).split()[0]}", str(exc)) from None
-
-
-def initial_state(spec: ScenarioSpec) -> SceneState:
-    xy = np.array(spec.initial_targets, dtype=float).reshape(-1, 2)
-    return SceneState(
-        width=spec.width,
-        height=spec.height,
-        arrival_rate=spec.arrival_rate,
-        detection_radius=spec.detection_radius,
-        cameras=spec.cameras,
-        target_xy=xy,
-        target_detected=np.zeros(len(xy), dtype=bool),
-    )
+                except InputError as exc:
+                    raise InputError(f"policy.fixed[{i}].{exc.path}", exc.message) from None
 
 
 def camera_schemas(spec: ScenarioSpec) -> tuple[AgentSchema, ...]:

@@ -23,15 +23,9 @@ from influence_scope import (
     run_scenario,
     scenario_from_dict,
 )
-from influence_scope.camera import (
-    exact_camera_credits,
-    fov_footprint,
-    initial_state,
-    PtzConfig,
-    step,
-)
 from influence_scope.cli import main
 
+from camera_oracle import replay
 from conftest import coupled_log, independent_log
 from mic_oracle import MicSearchMode, mic_search
 
@@ -199,36 +193,19 @@ def test_acceptance_3_oracles(capsys):
 
 
 def test_acceptance_4_credit_conservation(capsys):
-    """overlap-pair scenario, 5000 steps: every newly observed target's
-    credit fractions sum to exactly 1 and system performance equals the
-    newly-observed count, exactly.  Budget 5 s."""
+    """overlap-pair scenario, 5000 steps of ``run_scenario``: in every step
+    the logged per-camera performances equal, as floats, the oracle's exact
+    credits from the same draws, and those credits sum to the count of newly
+    observed targets, exactly (each such target's fractions sum to 1).
+    Budget 5 s."""
     t0 = time.perf_counter()
     spec = load_scenario("overlap-pair.json")
-    rng = np.random.default_rng(spec.seed)
-    state = initial_state(spec)
-    exact_ok = True
-    for _ in range(5000):
-        configs = [
-            PtzConfig(
-                float(rng.uniform(0.0, 2 * math.pi)),
-                float(rng.uniform(0.0, cam.tilt_max)),
-                float(rng.uniform(1.0, cam.zoom_max)),
-            )
-            for cam in spec.cameras
-        ]
-        before_detected = state.target_detected
-        state, perfs, _ = step(state, configs, rng)
-        newly = int(state.target_detected.sum()) - int(before_detected.sum())
-        footprints = [
-            fov_footprint(cam.pose, cfg, cam.base_half_angle)
-            for cam, cfg in zip(spec.cameras, configs)
-        ]
-        pre_latch = np.concatenate(
-            [before_detected, np.zeros(len(state.target_xy) - len(before_detected), bool)]
-        )
-        credits = exact_camera_credits(
-            state.target_xy, pre_latch, footprints, spec.detection_radius
-        )
+    log = run_scenario(spec, steps=5000)
+    exact_ok, detected = True, 0
+    for record, (state, credits, _) in zip(log.records, replay(spec, 5000, spec.seed), strict=True):
+        perfs = [record.performance[cam.camera_id] for cam in spec.cameras]
+        newly = int(state.target_detected.sum()) - detected
+        detected += newly
         if sum(credits) != Fraction(newly) or [float(c) for c in credits] != perfs:
             exact_ok = False
             break

@@ -1,5 +1,10 @@
-"""Smart-camera simulator: footprint geometry, credit splitting, step
-dynamics and scenario plumbing."""
+"""Smart-camera simulator and scenario plumbing.
+
+The footprint-geometry, credit and step tests check the per-step oracle
+(``camera_oracle``), which runs the simulator's own footprint test and
+arrival draw.  The ``run_scenario`` tests check the shipped simulator:
+against the oracle's records (``test_run_scenario_matches_the_oracle``),
+and by golden digests and pinned backlog counts."""
 
 import hashlib
 import json
@@ -17,23 +22,27 @@ from influence_scope import (
     CameraPose,
     CameraSpec,
     FixedPtz,
-    Footprint,
     PtzConfig,
     ScenarioSpec,
-    SceneState,
     UniformRandomPtz,
-    fov_footprint,
-    initial_state,
     run_scenario,
     scenario_from_dict,
-    step,
-    system_performance,
     validate_log,
 )
 from influence_scope import camera
-from influence_scope.camera import exact_camera_credits
 from influence_scope.errors import InputError
 from influence_scope.logio import log_to_csv, log_to_json
+
+from camera_oracle import (
+    Footprint,
+    SceneState,
+    exact_camera_credits,
+    fov_footprint,
+    initial_state,
+    replay,
+    step,
+    system_performance,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -191,10 +200,10 @@ def test_step_detection_latches():
     state = two_camera_state([(-5.0, 0.0)])
     configs = [PtzConfig(0.0, 0.0, 1.0)] * 2
     rng = np.random.default_rng(0)
-    state, perfs, _ = step(state, configs, rng)
-    assert perfs == [1.0, 0.0]
-    state, perfs, _ = step(state, configs, rng)
-    assert perfs == [0.0, 0.0]
+    state, credits, _ = step(state, configs, rng)
+    assert credits == [1.0, 0.0]
+    state, credits, _ = step(state, configs, rng)
+    assert credits == [0.0, 0.0]
 
 
 def test_step_no_arrivals_stays_silent():
@@ -202,8 +211,8 @@ def test_step_no_arrivals_stays_silent():
     configs = [PtzConfig(0.0, 0.0, 1.0)] * 2
     rng = np.random.default_rng(1)
     for _ in range(5):
-        state, perfs, record = step(state, configs, rng)
-        assert perfs == [0.0, 0.0]
+        state, credits, record = step(state, configs, rng)
+        assert credits == [0.0, 0.0]
         assert record.performance == {"a": 0.0, "b": 0.0}
 
 
@@ -258,29 +267,6 @@ def test_golden_camera_trio_csv_checksum():
     log = run_scenario(spec, steps=1500, seed=1)
     digest = hashlib.sha256(log_to_csv(log).encode()).hexdigest()
     assert digest == "c2af24500ea758a860362a26d9e264a768f66bb7a845dc7729d081b33ccaea8d"
-
-
-def reference_records(spec, steps, seed, policy):
-    """The records of ``steps`` public ``step`` calls on the unpruned state,
-    with the same RNG calls as ``run_scenario``."""
-    rng = np.random.default_rng(seed)
-    state = initial_state(spec)
-    records = []
-    for _ in range(steps):
-        if isinstance(policy, FixedPtz):
-            configs = list(policy.configs)
-        else:
-            configs = [
-                PtzConfig(
-                    float(rng.uniform(0.0, 2 * math.pi)),
-                    float(rng.uniform(0.0, cam.tilt_max)),
-                    float(rng.uniform(1.0, cam.zoom_max)),
-                )
-                for cam in spec.cameras
-            ]
-        state, _, record = step(state, configs, rng)
-        records.append(record)
-    return tuple(records)
 
 
 def reach_spec() -> ScenarioSpec:
@@ -392,11 +378,12 @@ def reach_circle_spec() -> ScenarioSpec:
     ids=["overlap-pair", "reach-fixed", "reach-uniform", "one-camera", "five-overlap",
          "boundary-fixed", "small-chunks", "forty-five-cameras", "reach-circle"],
 )
-def test_run_scenario_matches_public_step(monkeypatch, spec, policy, steps, chunk, seed):
+def test_run_scenario_matches_the_oracle(monkeypatch, spec, policy, steps, chunk, seed):
     if chunk:  # the targets a camera tests at once; not failing where no such constant exists
         monkeypatch.setattr(camera, "_CHUNK", chunk, raising=False)
-    log = run_scenario(replace(spec, policy=policy), steps=steps, seed=seed)
-    assert log.records == reference_records(spec, steps, seed, policy)
+    spec = replace(spec, policy=policy)
+    log = run_scenario(spec, steps=steps, seed=seed)
+    assert log.records == tuple(record for _, _, record in replay(spec, steps, seed))
 
 
 def test_five_observers_split_a_target_in_fifths():
@@ -419,7 +406,7 @@ def test_run_scenario_refuses_a_fixed_tilt_as_step_does():
     with pytest.raises(InputError) as by_spec:
         replace(spec, policy=bad)
     assert by_spec.value.path == "policy.fixed[1].tilt"
-    assert by_spec.value.message == str(by_step.value) == "tilt 0.5 outside [0, 0.4]"
+    assert by_spec.value.message == by_step.value.message == "tilt 0.5 outside [0, 0.4]"
 
 
 def test_run_scenario_logs_backlog_summary(caplog):

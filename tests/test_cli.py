@@ -575,6 +575,13 @@ REAL_KIND = ["schemas", 0, "parts", 0, "kind"]
         ("scenario", lambda d: put(d, ["cameras", 0, "id"], "cam_far"),
          "cameras[2].id: duplicate camera id 'cam_far'"),
         ("scenario", lambda d: put(d, ["seed"], -1), "seed: must be >= 0"),
+        ("scenario", lambda d: put(d, ["cameras", 0, "base_half_angle"], 2.0),
+         "cameras[0].base_half_angle: must lie in (0, pi/2), got 2.0"),
+        ("scenario", lambda d: put(d, ["cameras", 0, "tilt_max"], 1.6),
+         "cameras[0].tilt_max: must lie in [0, pi/2), got 1.6"),
+        ("scenario", lambda d: put(d, ["cameras", 0, "zoom_max"], 0.5),
+         "cameras[0].zoom_max: must be >= 1, got 0.5"),
+        ("scenario", lambda d: put(d, ["cameras"], []), "cameras: at least one camera required"),
         ("matrix", lambda d: put(d, ["entries", 0, "influenced"], DELETE),
          "entries[0].influenced"),
         ("matrix", lambda d: put(d, ["entries"], 5), "entries"),
