@@ -32,7 +32,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import InputError, expect, finite, need
-from .logio import _from_data
+from .logio import _NAME_RE, _from_data
 from .model import AgentSchema, ConfigPartSchema, RealInterval, SampleLog
 
 TWO_PI = 2.0 * math.pi
@@ -56,10 +56,10 @@ MAX_LENGTH = 1e100
 MAX_ARRIVAL_RATE = 1e6
 
 # Most steps a run may simulate.  The run holds about 250 bytes per camera
-# and step (the row list, then the log's columns), and ``simulate``'s JSON
-# and CSV texts about 1 kB more, so a three-camera scenario at the cap peaks
-# near 4 GB; one detection buffer at the default 200 permutations holds
-# 1.6 GB more.
+# and step (the row list, then the log's columns); ``simulate`` writes its
+# log a chunk at a time, and on camera-trio its peak RSS grew 0.8 kB per
+# step from 80k to 160k steps (105 to 169 MB), so near 0.9 GB at the cap;
+# one detection buffer at the default 200 permutations holds 1.6 GB more.
 MAX_STEPS = 1_000_000
 
 
@@ -99,8 +99,8 @@ class CameraSpec:
     zoom_max: float
 
     def __post_init__(self) -> None:
-        if not self.camera_id:
-            raise InputError("id", "empty camera id")
+        if not _NAME_RE.fullmatch(self.camera_id):  # the log's rule for agent ids
+            raise InputError("id", f"camera id {brief(self.camera_id)} not in [A-Za-z0-9_]+")
         for name, ok, rule in (
             ("base_half_angle", 0.0 < self.base_half_angle < math.pi / 2, "must lie in (0, pi/2)"),
             ("tilt_max", 0.0 <= self.tilt_max < math.pi / 2, "must lie in [0, pi/2)"),

@@ -19,7 +19,6 @@ from .detection import Measure, influence_matrix
 from .logio import (  # log_to_csv, log_to_json: unused here; perfbench's trace wraps them
     descriptor_from_dict,
     log_from_json,
-    log_texts,
     log_to_csv,
     log_to_json,
     matrix_from_json,
@@ -29,6 +28,7 @@ from .logio import (  # log_to_csv, log_to_json: unused here; perfbench's trace 
     render_report,
     strategy_from_dict,
     strategy_to_dict,
+    write_log,
 )
 from .model import validate_log
 from .taxonomy import BUILTINS, builtin_descriptor, recommend_strategy
@@ -74,14 +74,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     spec = _load(args.scenario, "scenario", lambda text: scenario_from_dict(json.loads(text)))
     sample_log = _guarded("scenario", lambda: run_scenario(spec, steps=args.steps, seed=args.seed))
     out = Path(args.out)
-    texts = log_texts(sample_log)  # the floats are formatted once for both files
-    _save(out, next(texts), "log")
-    _save(out.with_suffix(".csv"), next(texts), "log")
 
-    _, _, performances = sample_log.value_columns()
-    total = [sum(step) for step in zip(*performances.values())]
-    print(f"wrote {len(total)} records to {out}")
-    print(f"mean system performance: {sum(total) / len(total):.6g}")
+    def write() -> None:
+        with (open(out, "w", encoding="utf-8") as json_file,
+              open(out.with_suffix(".csv"), "w", encoding="utf-8") as csv_file):
+            write_log(sample_log, json_file, csv_file)
+    _guarded("log", write)
+
+    # one sum across all chunks: Python 3.12's sum compensates within one call
+    total = sum(sum(step) for _, _, performances in sample_log.value_chunks()
+                for step in zip(*performances.values()))
+    print(f"wrote {len(sample_log.t)} records to {out}")
+    print(f"mean system performance: {total / len(sample_log.t):.6g}")
     return EXIT_OK
 
 

@@ -40,7 +40,6 @@ import numpy as np
 
 from .errors import DegenerateSeriesError, InputError
 from .measures import (
-    LEAST_SAMPLES,
     DependencyScore,
     Measure,
     discrete_mutual_information,
@@ -49,6 +48,7 @@ from .measures import (
     rank_correlation,
     permuted_scores,
     quantile_bins,
+    _scores_zero,
     shuffled_column,
 )
 from .model import (
@@ -179,7 +179,7 @@ def score_dependency(x, y, n: int, strategy: DetectionStrategy) -> DependencySco
     set.
     """
     degenerate = DependencyScore(0.0, strategy.measure_kind, n, degenerate=True)
-    if x is None or y is None or n < LEAST_SAMPLES.get(strategy.measure_kind, 0):
+    if _scores_zero(strategy.measure_kind, x, y, n):
         return degenerate
     try:
         if strategy.measure_kind is Measure.MI:

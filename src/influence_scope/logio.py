@@ -3,10 +3,11 @@
 JSON is the primary interchange format for logs (it embeds the agent
 schemas) and for matrices.  Logs additionally serialize to a flat CSV with
 header ``t,<agent>.<part>,...,<agent>.perf,...`` so they stay inspectable
-with standard tools.  Log records are written from the log's columns: the
-JSON writer formats each column once and fills one row template, giving
-the bytes of the canonical ``json.dumps(sort_keys=True, indent=2)``, and
-the CSV writer hands the zipped columns to ``csv.writer``.
+with standard tools.  One writer, :func:`write_log`, writes both files a
+chunk of steps at a time, each chunk's floats formatted once: the JSON
+records fill one row template, giving the bytes of the canonical
+``json.dumps(sort_keys=True, indent=2)``, and ``csv.writer`` writes the
+CSV rows.
 
 One encoder writes matrices, strategies, recommendations, schemas and
 system descriptors from their dataclass fields; one strict decoder reads
@@ -29,7 +30,7 @@ from dataclasses import MISSING, fields, is_dataclass
 from enum import Enum
 from functools import cache
 from reprlib import repr as brief
-from typing import Iterator, Union, get_args, get_origin, get_type_hints
+from typing import Optional, TextIO, Union, get_args, get_origin, get_type_hints
 
 from .detection import DetectionStrategy, InfluenceEntry, InfluenceMatrix
 from .errors import InputError, expect, finite, integer, need
@@ -38,7 +39,7 @@ from .taxonomy import (
     InfiniteRealPart, NominalPart, OrdinalPart, StrategyRecommendation, SystemDescriptor
 )
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
+_NAME_RE = re.compile(r"[A-Za-z0-9_]+")  # the rule for agent ids and part names, by fullmatch
 
 # The (key, tag) of each part kind: ``_data`` writes the tag, and
 # ``_from_data`` reads it to tell the members of a ``Union`` apart.
@@ -145,10 +146,10 @@ def _canonical_json(data) -> str:
 
 def _check_names(log: SampleLog) -> None:
     for schema in log.schemas:
-        if not _NAME_RE.match(schema.agent_id):
+        if not _NAME_RE.fullmatch(schema.agent_id):
             raise ValueError(f"agent id {schema.agent_id!r} not in [A-Za-z0-9_]+")
         for part in schema.parts:
-            if not _NAME_RE.match(part.name):
+            if not _NAME_RE.fullmatch(part.name):
                 raise ValueError(f"part name {part.name!r} not in [A-Za-z0-9_]+")
 
 
@@ -192,88 +193,69 @@ def _object(items: dict[str, str], indent: str) -> str:
     return "{\n" + ",\n".join(lines) + f"\n{indent}}}" if lines else "{}"
 
 
-def _float_texts(log: SampleLog, listed: bool = False) -> tuple[list[int], dict, dict]:
-    """The columns of :meth:`SampleLog.value_columns` with the floats of each
-    real part and each performance as their ``repr``, which is how json and
-    the csv module write the finite values of a valid log: iterators for
-    one writer, or lists if ``listed``, for two."""
-    def texts(column):
-        strings = map(float.__repr__, column)
-        return list(strings) if listed else strings
-
-    t, parts, performances = log.value_columns()
-    for (agent, name), column in parts.items():
-        if isinstance(log.agent(agent).part(name).kind, RealInterval):
-            parts[agent, name] = texts(column)
-    return t, parts, {agent: texts(column) for agent, column in performances.items()}
+def write_log(log: SampleLog, json_file: Optional[TextIO] = None,
+              csv_file: Optional[TextIO] = None) -> None:
+    """Write a valid log as JSON to ``json_file`` and as CSV to ``csv_file``
+    (either None to skip it) a chunk of steps (:meth:`SampleLog.value_chunks`)
+    at a time, each chunk's reals and performances formatted once by
+    ``repr``, as json and the csv module write them.  The JSON has the bytes
+    of :func:`_canonical_json`: a head, one row template filled per record,
+    and a tail with the schemas."""
+    _check_names(log)
+    chunks = log.value_chunks()  # refuses a log with findings before any write
+    kinds = {f"{s.agent_id}.{p.name}": p.kind for s in log.schemas for p in s.parts}
+    encode = {name: {label: json.dumps(label) for label in kind.categories}.__getitem__
+              for name, kind in kinds.items() if not isinstance(kind, RealInterval)}
+    # names match [A-Za-z0-9_]+, so the template holds no other % than its
+    # fields, and no name in the CSV header needs quoting
+    fields = {"config": _object(dict.fromkeys(kinds, "%s"), " " * 6), "t": "%s",
+              "performance": _object({s.agent_id: "%s" for s in log.schemas}, " " * 6)}
+    row = "    " + _object(fields, "    ")
+    if json_file is not None:
+        json_file.write('{\n  "records": [')
+    if csv_file is not None:
+        header = ["t", *kinds, *(f"{s.agent_id}.perf" for s in log.schemas)]
+        csv_file.write(",".join(header) + "\n")
+    separator = "\n"
+    for t, parts, performances in chunks:
+        parts = {name: column if name in encode else list(map(float.__repr__, column))
+                 for name, column in zip(kinds, parts.values())}
+        performances = {agent: list(map(float.__repr__, column))
+                        for agent, column in performances.items()}
+        if json_file is not None:
+            rows = zip(*(map(encode[name], parts[name]) if name in encode else parts[name]
+                         for name in sorted(parts)),
+                       *(performances[agent] for agent in sorted(performances)), t)
+            json_file.write(separator + ",\n".join(map(row.__mod__, rows)))
+            separator = ",\n"
+        if csv_file is not None:
+            buf = io.StringIO()  # csv.writer makes one write per row
+            csv.writer(buf, lineterminator="\n").writerows(
+                zip(t, *parts.values(), *performances.values()))
+            csv_file.write(buf.getvalue())
+    if json_file is not None:
+        # JSON strings hold no raw newline, so every line break is the layout's
+        schemas = _canonical_json(_data(log.schemas))[:-1].replace("\n", "\n  ")
+        end = "\n  ]" if len(log.t) else "]"
+        json_file.write(f'{end},\n  "schemas": {schemas}\n}}\n')
 
 
 def log_to_json(log: SampleLog) -> str:
-    """The bytes :func:`_canonical_json` gives a valid log, written from its
-    columns: each column is formatted once and the records fill one row
-    template."""
-    _check_names(log)
-    return _json_text(log, *_float_texts(log))
+    """The JSON text of :func:`write_log`."""
+    text = io.StringIO()
+    write_log(log, json_file=text)
+    return text.getvalue()
 
 
-def log_texts(log: SampleLog) -> Iterator[str]:
-    """The texts of :func:`log_to_json`, then :func:`log_to_csv`, from one
-    formatting of the float columns, each built when it is asked for: a
-    caller that writes the first before asking for the second never holds
-    both."""
-    _check_names(log)
-    columns = _float_texts(log, listed=True)
-    yield _json_text(log, *columns)
-    yield _csv_text(log, *columns)
-
-
-def _json_text(log: SampleLog, t, parts, performances) -> str:
-    """:func:`log_to_json` of the columns of :func:`_float_texts`."""
-    config = {}
-    for (agent, name), column in parts.items():
-        kind = log.agent(agent).part(name).kind
-        if not isinstance(kind, RealInterval):
-            encode = {label: json.dumps(label) for label in kind.categories}
-            column = map(encode.__getitem__, column)
-        config[f"{agent}.{name}"] = column
-    config = dict(sorted(config.items()))
-    performance = dict(sorted(performances.items()))
-    # names match [A-Za-z0-9_]+, so the template holds no other % than its fields
-    fields = {"config": _object(dict.fromkeys(config, "%s"), " " * 6),
-              "performance": _object(dict.fromkeys(performance, "%s"), " " * 6), "t": "%s"}
-    row = "    " + _object(fields, "    ")
-    rows = map(row.__mod__, zip(*config.values(), *performance.values(), map(int.__repr__, t)))
-    records = "[\n" + ",\n".join(rows) + "\n  ]" if t else "[]"
-    # JSON strings hold no raw newline, so every line break is the layout's
-    schemas = _canonical_json(_data(log.schemas))[:-1].replace("\n", "\n  ")
-    return _object({"records": records, "schemas": schemas}, "") + "\n"
+def log_to_csv(log: SampleLog) -> str:
+    """The CSV text of :func:`write_log`."""
+    text = io.StringIO()
+    write_log(log, csv_file=text)
+    return text.getvalue()
 
 
 def log_from_json(text: str) -> SampleLog:
     return log_from_dict(json.loads(text))
-
-
-# --- sample logs: CSV ---------------------------------------------------------
-
-
-def _header(schemas) -> list[str]:
-    return ["t", *(f"{s.agent_id}.{p.name}" for s in schemas for p in s.parts),
-            *(f"{s.agent_id}.perf" for s in schemas)]
-
-
-def log_to_csv(log: SampleLog) -> str:
-    _check_names(log)
-    return _csv_text(log, *log.value_columns())
-
-
-def _csv_text(log: SampleLog, t, parts, performances) -> str:
-    """:func:`log_to_csv` of the log's columns, its floats as they are or as
-    the strings of :func:`_float_texts`."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")  # writes floats by repr
-    writer.writerow(_header(log.schemas))
-    writer.writerows(zip(t, *parts.values(), *performances.values()))
-    return buf.getvalue()
 
 
 # --- strategies ---------------------------------------------------------------

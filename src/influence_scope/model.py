@@ -8,9 +8,10 @@ The columns are the log: a time column, one typed column per declared part
 (int64 category codes or float64 reals) and one float64 performance column
 per agent.  They are decoded once, with every validation finding, from one
 value list per column that the readers and the simulator fill directly, so
-validation returns stored findings and extracting a column is a slice.  A
-per-step :class:`SampleRecord` is only a constructor input and a
-read-only view of a valid log.
+validation returns stored findings and extracting a column is a slice.
+Python values come back out ``CHUNK`` steps at a time, so no reader of
+them holds a whole log's worth.  A per-step :class:`SampleRecord` is only
+a constructor input and a read-only view of a valid log.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 import sys
 from dataclasses import dataclass
 from reprlib import repr as brief
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -123,6 +124,10 @@ class Issue:
 
 NO_VALUE = object()  # the value of a part or performance that a step does not give
 
+# Steps per chunk of :meth:`SampleLog.value_chunks`, the most that a log
+# writer holds as Python values and text at once.
+CHUNK = 4096
+
 
 class SampleLog:
     """Schemas, a time column, one typed column per declared part and per
@@ -130,11 +135,12 @@ class SampleLog:
 
     ``SampleLog(schemas, records)`` moves records into columns, and
     :meth:`from_columns` takes the value lists a reader or the simulator
-    filled; :meth:`value_columns` gives the columns back as Python values,
-    which :attr:`records` and the writers read.  Building a log never fails
-    on bad values: every finding is kept for :func:`validate_log`.  A bad
-    value has no column code, so a log with findings gives no value
-    columns, records, series or files.
+    filled; :meth:`value_chunks` gives the columns back as Python values,
+    a chunk of steps at a time, which :attr:`records`, the log writer and
+    ``simulate``'s summary read.  Building a log never fails on bad values:
+    every finding is kept for :func:`validate_log`.  A bad value has no
+    column code, so a log with findings gives no value chunks, records,
+    series or files.
     """
 
     __slots__ = ("schemas", "t", "columns", "issues")
@@ -173,30 +179,33 @@ class SampleLog:
         if self.issues:
             raise ValueError(f"log failed validation: {list(self.issues[:3])}")
 
-    def value_columns(self) -> tuple[list[int], dict[PartKey, list], dict[str, list]]:
+    def value_chunks(self) -> Iterator[tuple[list[int], dict[PartKey, list], dict[str, list]]]:
         """The columns of a valid log as Python values, as records hold
-        them: the time steps, each part's values (category labels or
-        floats) keyed by (agent, part), and each agent's performances
-        keyed by agent id, in schema order."""
+        them, ``CHUNK`` steps at a time: per chunk the time steps, each
+        part's values (category labels or floats) keyed by (agent, part),
+        and each agent's performances keyed by agent id, in schema order.
+        A log with findings raises here, before any chunk is given."""
         self.check_valid()
-        parts = {}
-        for schema in self.schemas:
-            for part in schema.parts:
-                column = self.columns[ConfigSelector(schema.agent_id, part.name)]
-                if not isinstance(part.kind, RealInterval):
-                    column = np.array(part.kind.categories, dtype=object)[column]
-                parts[schema.agent_id, part.name] = column.tolist()
-        performances = {s.agent_id: self.columns[PerformanceSelector(s.agent_id)].tolist()
-                        for s in self.schemas}
-        return self.t.tolist(), parts, performances
+        kinds = {(s.agent_id, p.name): p.kind for s in self.schemas for p in s.parts}
+        labels = {key: np.array(kind.categories, dtype=object) for key, kind in kinds.items()
+                  if not isinstance(kind, RealInterval)}
+
+        def chunk(cut: slice) -> tuple[list[int], dict[PartKey, list], dict[str, list]]:
+            parts = {}
+            for key in kinds:
+                column = self.columns[ConfigSelector(*key)][cut]
+                parts[key] = (labels[key][column] if key in labels else column).tolist()
+            return self.t[cut].tolist(), parts, {
+                s.agent_id: self.columns[PerformanceSelector(s.agent_id)][cut].tolist()
+                for s in self.schemas}
+        return (chunk(slice(i, i + CHUNK)) for i in range(0, len(self.t), CHUNK))
 
     @property
     def records(self) -> tuple[SampleRecord, ...]:
         """The steps of a valid log as records."""
-        t, parts, performances = self.value_columns()
-        k = len(parts)
-        return tuple(SampleRecord(step, dict(zip(parts, v)), dict(zip(performances, v[k:])))
-                     for step, *v in zip(t, *parts.values(), *performances.values()))
+        return tuple(SampleRecord(step, dict(zip(parts, v)), dict(zip(perfs, v[len(parts):])))
+                     for t, parts, perfs in self.value_chunks()
+                     for step, *v in zip(t, *parts.values(), *perfs.values()))
 
 
 def transpose(schemas, configs, performances, key=lambda *key: key) -> tuple:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from influence_scope import run_scenario, scenario_from_dict
+from influence_scope import model, run_scenario, scenario_from_dict
 from influence_scope.cli import main
 from influence_scope.detection import MAX_PERMUTATIONS
 from influence_scope.logio import log_to_csv, log_to_json
@@ -48,14 +48,16 @@ def test_simulate_writes_log_and_csv(tmp_path, capsys):
     assert (tmp_path / "run.csv").exists()
 
 
-def test_simulate_summary_pinned_on_camera_trio(tmp_path, capsys):
+def test_simulate_summary_pinned_on_camera_trio(tmp_path, capsys, monkeypatch):
     out = tmp_path / "trio.json"
     argv = ["simulate", str(SCENARIOS / "camera-trio.json"), "--steps", "300", "--seed", "1"]
-    assert main([*argv, "--out", str(out)]) == 0
-    assert capsys.readouterr().out.splitlines() == [
-        f"wrote 300 records to {out}",
-        "mean system performance: 29.55",
-    ]
+    for chunk in (model.CHUNK, 7):  # one chunk, then 43 of them
+        monkeypatch.setattr(model, "CHUNK", chunk)
+        assert main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"wrote 300 records to {out}",
+            "mean system performance: 29.55",
+        ]
 
 
 def test_simulate_writes_the_bytes_of_both_writers(tmp_path):
@@ -575,6 +577,8 @@ REAL_KIND = ["schemas", 0, "parts", 0, "kind"]
         ("scenario", lambda d: put(d, ["cameras", 0, "id"], "cam_far"),
          "cameras[2].id: duplicate camera id 'cam_far'"),
         ("scenario", lambda d: put(d, ["seed"], -1), "seed: must be >= 0"),
+        ("scenario", lambda d: put(d, ["cameras", 0, "id"], "cam 1"),
+         "cameras[0].id: camera id 'cam 1' not in [A-Za-z0-9_]+"),
         ("scenario", lambda d: put(d, ["cameras", 0, "base_half_angle"], 2.0),
          "cameras[0].base_half_angle: must lie in (0, pi/2), got 2.0"),
         ("scenario", lambda d: put(d, ["cameras", 0, "tilt_max"], 1.6),

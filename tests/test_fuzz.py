@@ -18,7 +18,8 @@ from test_cli import DESCRIPTOR, MATRIX, SCENARIOS
 
 DELETE = object()
 # Infinity and the 400-digit integer are written as json.dumps writes them.
-VALUES = [None, True, False, 0, -1, 2.5, "", "x", [], {}, float("inf"), 10**400, [1, 2], DELETE]
+VALUES = [None, True, False, 0, -1, 2.5, "", "x", "x y", [], {}, float("inf"), 10**400, [1, 2],
+          DELETE]
 LOG = json.loads(log_to_json(coupled_log(40)))
 STRATEGY = {"measure": "mi", "lag_set": [0, 1], "own_part_bins": 3, "min_partition_size": 25,
             "joint_pairs": False, "alpha": 0.05, "permutations": 20, "seed": 0}

@@ -5,7 +5,9 @@ import csv
 import hashlib
 import io
 import json
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,13 +26,18 @@ from influence_scope import (
     SampleRecord,
     discrete_mutual_information,
     extract_series,
+    run_scenario,
+    scenario_from_dict,
     validate_log,
 )
 from influence_scope.errors import InputError
 from influence_scope.model import Issue
-from influence_scope.logio import log_from_dict, log_from_json, log_texts, log_to_csv, log_to_json
+from influence_scope import model
+from influence_scope.logio import log_from_dict, log_from_json, log_to_csv, log_to_json, write_log
 
 from conftest import coupled_log, independent_log
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def camera_like_log(n=5):
@@ -385,29 +392,64 @@ def partless_log(n):
 
 @pytest.mark.parametrize("make", [unsorted_log, partless_log], ids=["unsorted", "partless"])
 @pytest.mark.parametrize("n", [0, 1, 7], ids=["empty", "one", "seven"])
-def test_writers_match_the_reference_encoders(make, n):
+def test_writers_match_the_reference_encoders(make, n, monkeypatch):
     log = make(n)
-    text = log_to_json(log)
-    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
-    records = [{"t": r.t, "config": {f"{a}.{p}": v for (a, p), v in r.config.items()},
-                "performance": r.performance} for r in log.records]
-    assert json.loads(text)["records"] == records
-    assert log_from_json(text) == log
-    assert log_to_json(log_from_json(text)) == text
+    # one chunk, then chunk boundaries between records: the JSON separators
+    # and the CSV rows must not change across them
+    for chunk in (model.CHUNK, 1, 3):
+        monkeypatch.setattr(model, "CHUNK", chunk)
+        text = log_to_json(log)
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+        records = [{"t": r.t, "config": {f"{a}.{p}": v for (a, p), v in r.config.items()},
+                    "performance": r.performance} for r in log.records]
+        assert json.loads(text)["records"] == records
+        assert log_from_json(text) == log
+        assert log_to_json(log_from_json(text)) == text
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", *(f"{s.agent_id}.{p.name}" for s in log.schemas for p in s.parts),
-                     *(f"{s.agent_id}.perf" for s in log.schemas)])
-    writer.writerows([r.t, *r.config.values(), *r.performance.values()] for r in log.records)
-    assert log_to_csv(log) == buf.getvalue()
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["t", *(f"{s.agent_id}.{p.name}" for s in log.schemas for p in s.parts),
+                         *(f"{s.agent_id}.perf" for s in log.schemas)])
+        writer.writerows([r.t, *r.config.values(), *r.performance.values()] for r in log.records)
+        assert log_to_csv(log) == buf.getvalue()
 
 
 @pytest.mark.parametrize("make", [unsorted_log, partless_log], ids=["unsorted", "partless"])
 @pytest.mark.parametrize("n", [0, 1, 7], ids=["empty", "one", "seven"])
-def test_log_texts_are_the_two_writers(make, n):
+def test_write_log_into_two_buffers_gives_the_two_writers(make, n, monkeypatch):
     log = make(n)
-    assert list(log_texts(log)) == [log_to_json(log), log_to_csv(log)]
+    monkeypatch.setattr(model, "CHUNK", 3)
+    json_file, csv_file = io.StringIO(), io.StringIO()
+    write_log(log, json_file, csv_file)
+    assert [json_file.getvalue(), csv_file.getvalue()] == [log_to_json(log), log_to_csv(log)]
+
+
+class _Sink:
+    """A text file that keeps nothing it is given."""
+
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize("chunks", [2, 8])
+def test_write_log_peak_is_bounded_per_chunk(chunks, monkeypatch):
+    # Stated before measuring: per step of a chunk the writer holds 13
+    # Python numbers (about 32 B each), 12 float texts (about 75 B each),
+    # one JSON row (about 0.5 kB) in a list and again in the chunk's text,
+    # and a CSV row (about 0.2 kB) twice, near 2.8 kB in all, so 4 kB per
+    # step of one chunk, plus 64 kB for the template and the schemas,
+    # bounds the peak above the log at any number of chunks.
+    size = 500
+    monkeypatch.setattr(model, "CHUNK", size)
+    spec = scenario_from_dict(json.loads((SCENARIOS / "camera-trio.json").read_text()))
+    log = run_scenario(spec, steps=chunks * size, seed=0)
+    tracemalloc.start()
+    try:
+        write_log(log, _Sink(), _Sink())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4096 * size + 65536
 
 
 def test_csv_header_layout():
@@ -417,15 +459,16 @@ def test_csv_header_layout():
 
 
 def test_serialization_rejects_hostile_names():
-    schema = AgentSchema("bad agent", (ConfigPartSchema("p", Nominal(("a", "b"))),))
-    log = SampleLog(
-        schemas=(schema,),
-        records=(
-            SampleRecord(0, {("bad agent", "p"): "a"}, {"bad agent": 0.0}),
-        ),
-    )
-    with pytest.raises(ValueError):
-        log_to_json(log)
+    for agent in ("bad agent", "agent\n"):  # the whole name must match, a last newline too
+        schema = AgentSchema(agent, (ConfigPartSchema("p", Nominal(("a", "b"))),))
+        log = SampleLog(
+            schemas=(schema,),
+            records=(
+                SampleRecord(0, {(agent, "p"): "a"}, {agent: 0.0}),
+            ),
+        )
+        with pytest.raises(ValueError):
+            log_to_json(log)
 
 
 # --- one log, two readers ---------------------------------------------------------
