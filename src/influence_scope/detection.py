@@ -46,6 +46,7 @@ from .measures import (
     mic,
     linear_correlation,
     rank_correlation,
+    permuted_estimates,
     permuted_scores,
     quantile_bins,
     _scores_zero,
@@ -68,8 +69,10 @@ MAX_PERMUTATIONS = 10_000
 the permutation test's shuffles: each of the W processes that score a matrix
 holds one (permutations + 1) x N int64 buffer, the entry being scored.  At
 the cap that is 10 001 x 8 bytes, about 80 kB per sample and process
-(640 MB at N = 8000); MIC's kernel adds four work arrays of one partition's
-size, while MI builds its cell index in the shuffled codes."""
+(640 MB at N = 8000).  MIC's kernel peaks at about 7 such blocks of one
+partition more (44 MB over a 6.4 MB block at N = 8000, 100 rows, a
+tie-heavy column; 6 blocks at N = 400 and 3000), one group of segment
+tables at a time, while MI builds its cell index in the shuffled codes."""
 
 
 @dataclass(frozen=True)
@@ -460,15 +463,32 @@ def _p_value(
     """The share of shuffles, the identity counted, whose kernel score is at
     least the observed one, partition scores aggregated as the
     sample-count-weighted mean; 1 when no partition is scored.  The kernels
-    may overwrite the blocks."""
+    may overwrite the blocks.
+
+    The rows are first scored with ``permuted_estimates``.  A weighted
+    estimate more than twice the estimates' error from row 0's is on the
+    same side of row 0's exact score as its own exact score, so only the
+    rows within that margin, row 0 among them, are scored exactly; MI's and
+    the correlations' scores are exact, and none is scored again."""
     if not tests:
         return 1.0
+    kind = strategy.measure_kind
     weights = np.array([rows.shape[1] for _, _, rows in tests], dtype=np.float64)
     stats = np.empty((strategy.permutations + 1, len(tests)))
+    error = 0.0
     for j, (x, y, rows) in enumerate(tests):
-        stats[:, j] = permuted_scores(strategy.measure_kind, x, y, rows)
-    stats = stats @ weights / weights.sum()
-    return (1 + int(np.sum(stats[1:] >= stats[0]))) / (strategy.permutations + 1)
+        stats[:, j], off = permuted_estimates(kind, x, y, rows)
+        error = max(error, off)
+    means = stats @ weights / weights.sum()
+    if error:
+        unsure = np.flatnonzero(np.abs(means - means[0]) <= 2 * error)
+        if len(unsure) > 1:
+            for j, (x, y, rows) in enumerate(tests):
+                stats[unsure, j] = permuted_scores(kind, x, y, rows[unsure])
+            # the product over every row, as when all are exact, so an
+            # exact row's mean has the bits it would have there
+            means = stats @ weights / weights.sum()
+    return (1 + int(np.sum(means[1:] >= means[0]))) / (strategy.permutations + 1)
 
 
 # --- the full matrix -------------------------------------------------------

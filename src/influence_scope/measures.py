@@ -4,7 +4,8 @@ Implements plug-in mutual information and entropy for categorical data,
 equal-frequency binning of real data, the maximal information coefficient
 (normalized MI maximized over admissible binning grids), and Pearson and
 Spearman correlations; :func:`permuted_scores` scores each on shuffles of
-the column :func:`shuffled_column` gives.
+the column :func:`shuffled_column` gives, and :func:`permuted_estimates`
+estimates MIC's within a stated error.
 
 All mutual-information values are reported in bits (base-2 logarithms).
 The MIC normalizer is a ratio of logarithms and therefore base-invariant;
@@ -322,6 +323,15 @@ def _mid_ranks(values: np.ndarray) -> np.ndarray:
     return 0.5 * (ranks.run_bounds[ranks.run_of] + ranks.run_bounds[ranks.run_of + 1] + 1)
 
 
+def _segment_at(n: int, starts: np.ndarray) -> np.ndarray:
+    """The segment of each sorted position 0..n-1 of a column cut at the
+    sorted positions ``starts`` (0 among them), and the segment count at n."""
+    bound = np.zeros(n + 1, dtype=bool)
+    bound[starts] = True
+    bound[n] = True
+    return np.cumsum(bound) - 1
+
+
 def _prefix_counts(
     seq: np.ndarray, k: int, starts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -336,10 +346,7 @@ def _prefix_counts(
     ``[s, e)`` is then ``prefix[..., at[e]] - prefix[..., at[s]]``.
     """
     reps, n = seq.shape
-    bound = np.zeros(n + 1, dtype=bool)
-    bound[starts] = True
-    bound[n] = True
-    at = np.cumsum(bound) - 1
+    at = _segment_at(n, starts)
     e = int(at[n])
     flat = seq
     flat *= e
@@ -358,8 +365,11 @@ def _is_constant(values: np.ndarray) -> bool:
 # Bound on the float error of a grid's estimated normalized MI, far above
 # what is seen: against _mi_bits_from_counts on the same tables, random,
 # tied and identity columns (observed and permuted, both orientations, every
-# admissible grid, N from 31 to 50 000) give at most 3.4e-15.  A grid
-# further below the largest estimate cannot win.
+# admissible grid, N from 31 to 50 000) give at most 3.4e-15, and the
+# permutation kernel's estimates against _mi_bits_of_tables at most 1.5e-14
+# (zero-heavy columns too).  A grid further below the largest estimate
+# cannot win, and a permutation test's weighted estimates more than twice
+# this apart order their rows as the exact scores do.
 _ESTIMATE_WINDOW = 1e-9
 
 
@@ -488,78 +498,165 @@ def _check_indices(idx: np.ndarray, n: int) -> None:
         raise InternalConsistencyError(f"permutation index outside [0, {n})")
 
 
+# A group of small sides shares one segment table while its cells per
+# replicate, (segments + 1) x (partner segments + 1), stay within this many
+# per sample.  Counting and summing a larger table costs more than the
+# passes over the (rows, N) block it saves: against a budget of 4, a budget
+# of 2 took 163 against 186 ms at N = 8000, and about the same at N = 400,
+# 100 rows, y half zeros (2 vCPU, numpy 2.4.6).
+_TABLE_CELLS_PER_SAMPLE = 2
+
+
+def _perm_mic_groups(xv: np.ndarray, yv: np.ndarray, perm_idx: np.ndarray):
+    """Every admissible grid's count table in every permutation row, a
+    group of small sides at a time, with each table's estimated MI.
+
+    Every bin is a contiguous rank interval, and every admissible grid has
+    a side of at most sqrt(B) bins, the small side; each orientation puts
+    it on one axis (x's, then y's, the diagonal in the first).  A group of
+    consecutive small sides is counted with one ``bincount`` keyed by
+    (row, small segment, partner segment), where the segments lie between
+    the bin starts of the group's small binnings on the small axis, and of
+    all their partner binnings on the other; the 2-D prefix sum of those
+    counts gives every cell of every grid from four corner gathers.
+    A permutation keeps both margins, so each table's MI is estimated from
+    one gather of ``c * log2(c)`` (:func:`_xlogx`) and one sum per grid,
+    less a per-grid margin constant: n * MI = sum_cells L(c) - sum_rows
+    L(r) - sum_cols L(s) + L(n).
+
+    Yields, per group: each grid's (n_x, n_y), its occupied (kx, ky), the
+    (cells, rows) int32 counts, with grid g's (kx, ky) table in C order at
+    cells ``bounds[g]:bounds[g + 1]``, ``bounds``, and the (rows, grids)
+    estimates in bits.  One group's tables are alive at a time if the
+    caller drops each group's before asking for the next.
+    """
+    reps, n = perm_idx.shape
+    _check_indices(perm_idx, n)  # before any gather: clip would hide it
+    x_ranks, y_ranks = _RankBins(xv), _RankBins(yv)
+    pairs = np.array(admissible_pairs(n))
+    xlogx = _xlogx(n)
+    work = np.empty((reps, n), dtype=np.int64)  # each group's table keys
+    for small_ranks, partner_ranks, x_small in ((x_ranks, y_ranks, True), (y_ranks, x_ranks, False)):
+        # (small, partner) of each grid, each small side's partners in
+        # increasing order, and the small column's sample at each partner
+        # rank: C-ordered, a fancy index on axis 1 is not
+        if x_small:
+            grids = pairs[pairs[:, 0] <= pairs[:, 1]]
+            seq = np.take(perm_idx, y_ranks.order, axis=1)
+        else:
+            grids = pairs[pairs[:, 1] < pairs[:, 0]][:, ::-1]
+            if not len(grids):
+                continue
+            inverse = np.empty_like(perm_idx)
+            np.put_along_axis(inverse, perm_idx, np.arange(n)[None, :], axis=1)
+            seq = np.take(inverse, x_ranks.order, axis=1)
+            del inverse
+            _check_indices(seq, n)  # a row that repeats an index leaves gaps
+        sides = np.unique(grids[:, 0])
+        s_starts, s_ends, s_counts = small_ranks.bin_edges(sides)
+        s_off = np.concatenate(([0], np.cumsum(s_counts)))
+        p_starts, p_ends, p_counts = partner_ranks.bin_edges(range(2, grids[:, 1].max() + 1))
+        p_off = np.concatenate(([0], np.cumsum(p_counts)))
+        # per grid: its small side's index, partner binning's index (bin
+        # count - 2) and margin constant
+        side_of = np.searchsorted(sides, grids[:, 0])
+        part_of = grids[:, 1] - 2
+        margins = (np.add.reduceat(xlogx[s_ends - s_starts], s_off[:-1])[side_of]
+                   + np.add.reduceat(xlogx[p_ends - p_starts], p_off[:-1])[part_of]
+                   - xlogx[n])
+        sample_start = small_ranks.run_starts[small_ranks.run_of]  # rank of each sample's tie run
+        first = 0
+        while first < len(sides):
+            # the group's partner binnings are its first side's: a larger
+            # side has fewer
+            parts = part_of[side_of == first]
+            partner_cuts = np.unique(p_starts[p_off[parts[0]] : p_off[parts[-1] + 1]])
+            small_cuts, last = s_starts[s_off[first] : s_off[first + 1]], first + 1
+            while last < len(sides):
+                joined = np.union1d(small_cuts, s_starts[s_off[last] : s_off[last + 1]])
+                if (len(joined) + 1) * (len(partner_cuts) + 1) > _TABLE_CELLS_PER_SAMPLE * n:
+                    break
+                small_cuts, last = joined, last + 1
+            small_at, partner_at = _segment_at(n, small_cuts), _segment_at(n, partner_cuts)
+            width = len(partner_cuts) + 1
+            # table[i, j, r]: row r's samples in small segments < i and
+            # partner segments < j; rows innermost, so both prefix passes
+            # and every gather move a cell's counts of all rows at once
+            np.take((small_at[sample_start] + 1) * (width * reps), seq, out=work, mode="clip")
+            work += (partner_at[:n] + 1) * reps
+            work += np.arange(reps)[:, None]
+            counts = np.bincount(work.ravel(), minlength=(len(small_cuts) + 1) * width * reps)
+            table = np.cumsum(counts.reshape(-1, width, reps), axis=1, dtype=np.int32)
+            del counts
+            for segment in range(2, len(table)):
+                table[segment] += table[segment - 1]
+            # each cell's small and partner bin, grid by grid, small-major
+            # when x is small so every table is C-ordered (kx, ky)
+            mine = (side_of >= first) & (side_of < last)
+            ks, ko = s_counts[side_of[mine]], p_counts[part_of[mine]]
+            bounds = np.concatenate(([0], np.cumsum(ks * ko)))
+            grid = np.repeat(np.arange(len(ks)), ks * ko)
+            at = np.arange(bounds[-1]) - bounds[grid]
+            if x_small:
+                i, j = np.divmod(at, ko[grid])
+            else:
+                j, i = np.divmod(at, ks[grid])
+            small = s_off[side_of[mine]][grid] + i
+            partner = p_off[part_of[mine]][grid] + j
+            lo, hi = small_at[s_starts[small]] * width, small_at[s_ends[small]] * width
+            left, right = partner_at[p_starts[partner]], partner_at[p_ends[partner]]
+            table = table.reshape(-1, reps)
+            cells = np.take(table, hi + right, axis=0)
+            cells -= np.take(table, lo + right, axis=0)
+            cells -= np.take(table, hi + left, axis=0)
+            cells += np.take(table, lo + left, axis=0)
+            del table
+            mi = np.add.reduceat(xlogx[cells], bounds[:-1], axis=0)
+            mi -= margins[mine][:, None]
+            mi /= n
+            shapes = np.stack((ks, ko) if x_small else (ko, ks), axis=1)
+            yield grids[mine] if x_small else grids[mine][:, ::-1], shapes, cells, bounds, mi.T
+            del cells, mi
+            first = last
+
+
 def _perm_values_mic(xv: np.ndarray, yv: np.ndarray, perm_idx: np.ndarray) -> np.ndarray:
     """Equipartition MIC of each permutation row, maximizing over grids.
 
-    Every bin is a contiguous rank interval and every admissible grid has a
-    side of at most sqrt(B) bins.  Per orientation, one ``bin_edges`` call
-    gives the bins of every partner binning; for each small side, one
-    prefix-count table of its codes along the other axis's rank order gives
-    the tables of all its grids, replicates stacked.  A permutation keeps
-    both margins, so every table is estimated by ``_mi_estimates``; per
-    replicate, only the grids within ``_ESTIMATE_WINDOW`` of its largest
-    estimate are scored with ``_mi_bits_of_tables``, each on a C-ordered
-    (rows, kx, ky) table.
+    The tables come from :func:`_perm_mic_groups`, one group of small sides
+    at a time.  Per row, a grid within ``_ESTIMATE_WINDOW`` of the largest
+    estimate so far is scored with ``_mi_bits_of_tables`` on its C-ordered
+    (rows, kx, ky) table; the row's largest estimate over all grids is at
+    least that, so every grid that can win is scored, and the value is the
+    exact maximum.
     """
+    reps, n = perm_idx.shape
+    best = np.zeros(reps)
+    if _is_constant(xv) or _is_constant(yv):
+        return best
+    top = np.full(reps, -np.inf)
+    for grids, shapes, cells, bounds, mi in _perm_mic_groups(xv, yv, perm_idx):
+        norms = [math.log2(min(nx, ny)) for nx, ny in grids.tolist()]
+        estimates = mi / norms
+        top = np.maximum(top, estimates.max(axis=1))
+        finalists = estimates >= (top - _ESTIMATE_WINDOW)[:, None]
+        for g in np.flatnonzero(finalists.any(axis=0)):
+            rows = np.flatnonzero(finalists[:, g])
+            table = cells[bounds[g] : bounds[g + 1], rows].T.reshape(len(rows), *shapes[g])
+            best[rows] = np.maximum(best[rows], _mi_bits_of_tables(table, n) / norms[g])
+        del cells  # before the next group is counted
+    return np.minimum(best, 1.0)
+
+
+def _perm_estimates_mic(xv: np.ndarray, yv: np.ndarray, perm_idx: np.ndarray) -> np.ndarray:
+    """:func:`_perm_values_mic` of the same arguments, estimated: each row's
+    largest grid estimate, within ``_ESTIMATE_WINDOW`` of the exact value."""
     best = np.zeros(perm_idx.shape[0])
     if _is_constant(xv) or _is_constant(yv):
         return best
-    n = len(xv)
-    x_ranks, y_ranks = _RankBins(xv), _RankBins(yv)
-    # C-ordered (a fancy index on axis 1 is not), so each row is contiguous
-    by_y_rank = np.take(perm_idx, y_ranks.order, axis=1)  # x sample at each y rank
-    _check_indices(by_y_rank, n)  # before put_along_axis, which wraps -1
-    inverse = np.empty_like(perm_idx)
-    np.put_along_axis(inverse, perm_idx, np.arange(n)[None, :], axis=1)
-    by_x_rank = np.take(inverse, x_ranks.order, axis=1)  # y sample at each permuted-x rank
-    _check_indices(by_x_rank, n)
-    # one gather target for every small side: np.take with out= copies
-    # through a fresh buffer under mode="raise", so the gather clips, and
-    # the bounds were checked above; _prefix_counts then overwrites it
-    work = np.empty(perm_idx.shape, dtype=np.int64)
-    pairs = admissible_pairs(n)
-    xlogx = _xlogx(n)
-    # per small side: its tables, its grids' column ranges and normalized
-    # estimates, and whether x is its partner (tables transposed)
-    sides = []
-    for ranks, seq_idx, other_ranks, grids, transpose in (
-        (x_ranks, by_y_rank, y_ranks, [(a, b) for a, b in pairs if a <= b], False),
-        (y_ranks, by_x_rank, x_ranks, [(b, a) for a, b in pairs if b < a], True),
-    ):
-        if not grids:
-            continue
-        # every partner bin count from 2 up; binning o's bins are at
-        # offsets[o - 2]:offsets[o - 1]
-        partners = range(2, max(o for _, o in grids) + 1)
-        starts, ends, bin_counts = other_ranks.bin_edges(partners)
-        offsets = np.concatenate(([0], np.cumsum(bin_counts)))
-        for small in sorted({s for s, _ in grids}):
-            others = np.array([o for s, o in grids if s == small])  # consecutive
-            lo, hi = offsets[others[0] - 2], offsets[others[-1] - 1]
-            codes, k, _, _ = ranks.bins(small)
-            np.take(codes, seq_idx, out=work, mode="clip")
-            prefix, at = _prefix_counts(work, k, starts[lo:hi])
-            # C-ordered (a fancy index on axis 2 is not)
-            tables = np.take(prefix, at[ends[lo:hi]], axis=2)
-            tables -= np.take(prefix, at[starts[lo:hi]], axis=2)
-            bounds = offsets[np.append(others - 2, others[-1] - 1)] - lo
-            norms = [math.log2(min(small, o)) for o in others]
-            estimates = _mi_estimates(
-                tables, np.bincount(codes, minlength=k), (ends - starts)[lo:hi],
-                bounds[:-1], xlogx,
-            ) / norms
-            sides.append((tables, bounds, norms, estimates, transpose))
-    top = np.max([e.max(axis=1) for *_, e, _ in sides], axis=0) - _ESTIMATE_WINDOW
-    for tables, bounds, norms, estimates, transpose in sides:
-        finalists = estimates >= top[:, None]
-        for g in np.flatnonzero(finalists.any(axis=0)):
-            rows = np.flatnonzero(finalists[:, g])
-            table = tables[rows, :, bounds[g] : bounds[g + 1]]
-            if transpose:
-                table = table.transpose(0, 2, 1)
-            # C-ordered, so each table sums in the order it would alone
-            mi = _mi_bits_of_tables(np.ascontiguousarray(table), n) / norms[g]
-            best[rows] = np.maximum(best[rows], mi)
+    for grids, _, cells, _, mi in _perm_mic_groups(xv, yv, perm_idx):
+        del cells  # before the next group is counted
+        best = np.maximum(best, (mi / np.log2(grids.min(axis=1))).max(axis=1))
     return np.minimum(best, 1.0)
 
 
@@ -625,7 +722,9 @@ def permuted_scores(kind: Measure, x, y, block: np.ndarray) -> np.ndarray:
     in its own order, is the observed value.  A column that score flags as
     degenerate (None, too short, constant) scores 0 in every row.
     ``block``, C-ordered int64, is scratch: a kernel may overwrite it (MI
-    builds its cell index in it)."""
+    builds its cell index in it).  Every score is exact; a permutation test
+    that needs only each row's order against row 0 reads
+    :func:`permuted_estimates` first."""
     reps, n = block.shape
     if _scores_zero(kind, x, y, n):
         return np.zeros(reps)
@@ -637,3 +736,15 @@ def permuted_scores(kind: Measure, x, y, block: np.ndarray) -> np.ndarray:
         return _perm_values_corr(x, y, block, ranked=kind is Measure.RANK)
     except DegenerateSeriesError:
         return np.zeros(reps)
+
+
+def permuted_estimates(kind: Measure, x, y, block: np.ndarray) -> tuple[np.ndarray, float]:
+    """:func:`permuted_scores` of the same arguments, or estimates of it,
+    and the most any row's estimate can be off.  MIC's rows are its
+    kernel's largest grid estimates, within ``_ESTIMATE_WINDOW`` of the
+    exact values, without the exact re-score of each row's finalists; the
+    other measures' are exact, off by 0.  MIC's kernel leaves ``block`` as
+    it was, so its exact scores can still be taken from it."""
+    if kind is Measure.MIC and not _scores_zero(kind, x, y, block.shape[1]):
+        return _perm_estimates_mic(x, y, block), _ESTIMATE_WINDOW
+    return permuted_scores(kind, x, y, block), 0.0

@@ -9,6 +9,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -38,8 +39,8 @@ from influence_scope import detection
 from influence_scope.errors import InputError, InternalConsistencyError
 from influence_scope.logio import matrix_from_json, matrix_to_json
 from influence_scope.measures import (
-    LEAST_SAMPLES, _perm_values_mi, _perm_values_mic, admissible_pairs, permuted_scores,
-    quantile_bins, shuffled_column,
+    LEAST_SAMPLES, _perm_mic_groups, _perm_values_mi, _perm_values_mic, admissible_pairs,
+    permuted_scores, quantile_bins, shuffled_column,
 )
 from influence_scope.model import ConfigSelector
 from influence_scope.series import CategorySeries
@@ -623,30 +624,75 @@ def per_grid_perm_mic(xv, yv, perm_idx):
     return np.minimum(best, 1.0)
 
 
-@pytest.mark.parametrize("n", [4, 5, 9, 31, 120, 300, 1200])
-@pytest.mark.parametrize("kind", ["ties", "continuous", "mixed", "constant", "identity"])
-def test_perm_mic_matches_per_grid_tables(n, kind):
-    # identity: the observed row ties exactly 1.0 on many grids (53 at
-    # N = 1200), where a wrong choice of grids to score exactly would show
-    rng = np.random.default_rng(n)
+def mic_columns(n, kind, rng):
+    """Two columns of ``n`` samples.  zeros: y is exactly 0.0 in at least
+    half its samples and continuous elsewhere, the shape of a camera's
+    performance, which is 0 while it tracks nothing."""
     ties = lambda: rng.integers(0, 4, size=n).astype(float)
     continuous = lambda: rng.normal(size=n)
     if kind == "identity":
         xv = rng.permutation(n).astype(float)
-        yv = xv.copy()
-    else:
-        xv, yv = {
-            "ties": (ties(), ties()),
-            "continuous": (continuous(), continuous()),
-            "mixed": (ties(), continuous()),
-            "constant": (np.full(n, 2.0), continuous()),
-        }[kind]
-    if kind not in ("constant", "identity"):
+        return xv, xv.copy()
+    if kind == "zeros":
+        xv = continuous()
+        yv = xv + continuous()
+        yv[rng.permutation(n)[: (n + 1) // 2]] = 0.0
+        return xv, yv
+    xv, yv = {
+        "ties": (ties(), ties()),
+        "continuous": (continuous(), continuous()),
+        "mixed": (ties(), continuous()),
+        "constant": (np.full(n, 2.0), continuous()),
+    }[kind]
+    if kind != "constant":
         yv[: n // 2] += xv[: n // 2]  # some dependence, so the maxima differ
+    return xv, yv
+
+
+@pytest.mark.parametrize("n", [4, 5, 9, 31, 120, 300, 1200, 3000])
+@pytest.mark.parametrize(
+    "kind", ["ties", "continuous", "mixed", "constant", "identity", "zeros"])
+def test_perm_mic_matches_per_grid_tables(n, kind):
+    # identity: the observed row ties exactly 1.0 on many grids (53 at
+    # N = 1200), where a wrong choice of grids to score exactly would show
+    rng = np.random.default_rng(n)
+    xv, yv = mic_columns(n, kind, rng)
     perm_idx = np.array([np.arange(n)] + [rng.permutation(n) for _ in range(20)])
     for x, y in ((xv, yv), (yv, xv)):
         got = _perm_values_mic(x, y, perm_idx)
         assert got.tolist() == per_grid_perm_mic(x, y, perm_idx).tolist()
+
+
+@pytest.mark.parametrize("kind", ["zeros", "continuous"])
+def test_perm_mic_of_several_groups_matches_per_grid_tables(kind):
+    # at N = 8000 each orientation's small sides need several segment
+    # tables, so cells are read from tables of differing partner segments
+    n = 8000
+    rng = np.random.default_rng(n)
+    xv, yv = mic_columns(n, kind, rng)
+    perm_idx = np.array([np.arange(n)] + [rng.permutation(n) for _ in range(5)])
+    groups = [(pairs[0, 0] <= pairs[0, 1]) for pairs, *_ in _perm_mic_groups(xv, yv, perm_idx)]
+    assert groups.count(True) >= 2 and groups.count(False) >= 2
+    got = _perm_values_mic(xv, yv, perm_idx)
+    assert got.tolist() == per_grid_perm_mic(xv, yv, perm_idx).tolist()
+
+
+def test_perm_mic_memory_stays_within_ten_index_blocks():
+    # one group's segment table and cells are alive at a time; one table
+    # per orientation would peak near 33 blocks here
+    n = 8000
+    rng = np.random.default_rng(8)
+    xv, yv = rng.normal(size=n), rng.integers(0, 4, size=n).astype(float)
+    yv[: n // 2] += xv[: n // 2]
+    perm_idx = np.array([np.arange(n)] + [rng.permutation(n) for _ in range(99)])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _perm_values_mic(xv, yv, perm_idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 10 * perm_idx.nbytes
 
 
 def test_perm_mic_of_several_partitions_matches_per_grid_tables():
@@ -845,6 +891,57 @@ def test_matrix_p_values_match_the_serial_permutation_test(monkeypatch, measure)
                 texts.add(matrix_to_json(matrix))
             assert len(texts) == 1
     assert 0 in scored and max(scored) >= 2  # raw winners, and several partitions
+
+
+def exact_p_value(tests, strategy):
+    """(1 + #{s_r >= s_0}) / (R + 1) from every row's exact kernel score."""
+    weights = np.array([rows.shape[1] for _, _, rows in tests], dtype=np.float64)
+    stats = np.column_stack([permuted_scores(strategy.measure_kind, x, y, rows.copy())
+                             for x, y, rows in tests])
+    means = stats @ weights / weights.sum()
+    return (1 + int(np.sum(means[1:] >= means[0]))) / (strategy.permutations + 1)
+
+
+def repeat_row_zero(tests, share, rng):
+    """Rows 1 .. share * R of each block repeat row 0; the rest are shuffles."""
+    for _, _, rows in tests:
+        repeats = round(share * (len(rows) - 1))
+        rows[1 : 1 + repeats] = rows[0]
+        rows[1 + repeats :] = rows[0][np.argsort(rng.random(rows[1 + repeats :].shape), axis=1)]
+
+
+@pytest.mark.parametrize("share", [1.0, 0.5])
+def test_mic_p_value_from_estimates_equals_the_exact_one(monkeypatch, share):
+    # a row that repeats row 0 ties it exactly, inside any margin, so only
+    # an exact score can count it; with every row repeated p must be 1
+    strategy = DetectionStrategy(measure_kind=Measure.MIC, permutations=40)
+    rng = np.random.default_rng(12)
+    rescored = []
+    scores = detection.permuted_scores
+    monkeypatch.setattr(detection, "permuted_scores",
+                        lambda kind, x, y, rows: rescored.append(len(rows)) or scores(kind, x, y, rows))
+    synthetic = []
+    for n, kind in ((30, "ties"), (120, "zeros"), (400, "continuous")):
+        xv, yv = mic_columns(n, kind, rng)
+        synthetic.append((xv, yv, np.tile(np.arange(n), (strategy.permutations + 1, 1))))
+    log = tie_log()
+    buffer = np.empty((strategy.permutations + 1) * len(log.records) * 2, dtype=np.int64)
+    entries = [synthetic]
+    for key, side, own_parts, _ in detection._tasks(log, strategy, True, None):
+        family = detection._with_remote(side, log, (key[1:],), strategy)
+        winner, _ = detection._search(family, key[1:], own_parts, strategy)
+        entries.append(detection._partition_tests(winner, strategy, buffer.copy()))
+    for tests in entries:
+        repeat_row_zero(tests, share, rng)
+        expected = exact_p_value(tests, strategy)
+        rescored.clear()
+        assert detection._p_value(tests, strategy) == expected
+        if share == 1.0:
+            assert expected == 1.0
+        # row 0 and every repeat, in each partition
+        assert len(rescored) == len(tests)
+        assert min(rescored) >= 1 + round(share * strategy.permutations)
+    assert len(entries) > 2 and max(len(tests) for tests in entries) >= 2
 
 
 def test_concurrent_matrices_match_the_serial_permutation_test(monkeypatch):

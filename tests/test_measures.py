@@ -31,6 +31,7 @@ from influence_scope.measures import (
     _mi_bits_of_tables,
     _mi_estimates,
     _mid_ranks,
+    _perm_mic_groups,
     _perm_values_mi,
     _RankBins,
     _xlogx,
@@ -495,6 +496,23 @@ def test_grid_estimates_lie_well_inside_the_window(n, kind):
                 _mi_estimates(table.T[None], cols, rows, first, xlogx)[0, 0],
             ]
             assert np.abs(np.array(estimates) - exact).max() <= tolerance, (nx, ny)
+    # the permutation kernel's tables, every row and grid, against each
+    # grid's tables counted alone, and its estimates against their exact MI
+    x_ranks = _RankBins(xv)
+    perm_idx = np.array([np.arange(n)] + [rng.permutation(n) for _ in range(5)])
+    reps = len(perm_idx)
+    seen = []
+    for grids, shapes, cells, bounds, mi in _perm_mic_groups(xv, yv, perm_idx):
+        for g, (nx, ny) in enumerate(grids.tolist()):
+            xc, kx, _, _ = x_ranks.bins(nx)
+            yc, ky, _, _ = y_ranks.bins(ny)
+            flat = xc[perm_idx] * ky + yc + (np.arange(reps) * (kx * ky))[:, None]
+            tables = np.bincount(flat.ravel(), minlength=reps * kx * ky).reshape(reps, kx, ky)
+            got = cells[bounds[g] : bounds[g + 1]].T.reshape(reps, *shapes[g])
+            assert np.array_equal(got, tables), (nx, ny)
+            assert np.abs(mi[:, g] - _mi_bits_of_tables(tables, n)).max() <= tolerance, (nx, ny)
+            seen.append((nx, ny))
+    assert sorted(seen) == sorted(admissible_pairs(n))
 
 
 def test_mi_bits_int32_table_matches_int64():
