@@ -46,7 +46,6 @@ from .measures import (
     mic,
     linear_correlation,
     rank_correlation,
-    permuted_estimates,
     permuted_scores,
     quantile_bins,
     _scores_zero,
@@ -460,34 +459,36 @@ def _draw_permutations(blocks: Sequence[np.ndarray], rng: np.random.Generator) -
 def _p_value(
     tests: Sequence[tuple[object, object, np.ndarray]], strategy: DetectionStrategy
 ) -> float:
-    """The share of shuffles, the identity counted, whose kernel score is at
-    least the observed one, partition scores aggregated as the
-    sample-count-weighted mean; 1 when no partition is scored.  The kernels
-    may overwrite the blocks.
+    """The share of shuffles, the identity counted, whose score is at least
+    the observed one, partition scores aggregated as the sample-count-weighted
+    mean; 1 when no partition is scored.  The kernels may overwrite the
+    blocks.
 
-    The rows are first scored with ``permuted_estimates``.  A weighted
-    estimate more than twice the estimates' error from row 0's is on the
-    same side of row 0's exact score as its own exact score, so only the
-    rows within that margin, row 0 among them, are scored exactly; MI's and
-    the correlations' scores are exact, and none is scored again."""
+    The rows are first scored with ``permuted_scores``, exact but for MIC's
+    estimates.  A weighted estimate more than twice the estimates' error
+    from row 0's is on the same side of row 0's exact score as its own
+    exact score, so only the rows within that margin, row 0 among them, are
+    scored exactly: a replicate's exact score is ``mic`` of the remote
+    column gathered at its row, the observed scorer, so row 0's is the
+    partition's observed score bit for bit."""
     if not tests:
         return 1.0
-    kind = strategy.measure_kind
     weights = np.array([rows.shape[1] for _, _, rows in tests], dtype=np.float64)
     stats = np.empty((strategy.permutations + 1, len(tests)))
-    error = 0.0
+    errors = np.empty(len(tests))
     for j, (x, y, rows) in enumerate(tests):
-        stats[:, j], off = permuted_estimates(kind, x, y, rows)
-        error = max(error, off)
+        stats[:, j], errors[j] = permuted_scores(strategy.measure_kind, x, y, rows)
     means = stats @ weights / weights.sum()
-    if error:
-        unsure = np.flatnonzero(np.abs(means - means[0]) <= 2 * error)
-        if len(unsure) > 1:
-            for j, (x, y, rows) in enumerate(tests):
-                stats[unsure, j] = permuted_scores(kind, x, y, rows[unsure])
-            # the product over every row, as when all are exact, so an
-            # exact row's mean has the bits it would have there
-            means = stats @ weights / weights.sum()
+    error = errors.max()
+    unsure = np.flatnonzero(np.abs(means - means[0]) <= 2 * error)
+    if error and len(unsure) > 1:
+        # only MIC's estimates have an error, and only they are re-scored
+        for j in np.flatnonzero(errors):
+            x, y, rows = tests[j]
+            stats[unsure, j] = [mic(x[row], y).value for row in rows[unsure]]
+        # the product over every row, as when all are exact, so an
+        # exact row's mean has the bits it would have there
+        means = stats @ weights / weights.sum()
     return (1 + int(np.sum(means[1:] >= means[0]))) / (strategy.permutations + 1)
 
 
@@ -698,8 +699,9 @@ def influence_matrix(
 
     ``conditioning=False`` restricts every entry to its raw score (useful
     to demonstrate influences that only the conditioned path can see).
-    ``targets`` limits the rows computed; each entry derives its own RNG
-    stream, so a row's values do not depend on which other rows are computed.
+    ``targets``, a sequence of agent ids of the log (not one string),
+    limits the rows computed; each entry derives its own RNG stream, so a
+    row's values do not depend on which other rows are computed.
     Entries are scored in up to one process per usable CPU, forked and
     reaped inside the call; the bytes out do not depend on how many.
     """
@@ -708,6 +710,12 @@ def influence_matrix(
         raise ValueError(f"log failed validation: {issues[:3]}")
     if len(log.schemas) < 2:
         raise InputError("schemas", f"need at least 2 agents, got {len(log.schemas)}")
+    if isinstance(targets, str):
+        raise InputError("targets", f"must be a sequence of agent ids, not the string {targets!r}")
+    agents = {schema.agent_id for schema in log.schemas}
+    for target in () if targets is None else targets:
+        if target not in agents:
+            raise InputError("targets", f"no agent {target!r} in the log")
     if not len(log.t):
         raise InputError("records", "need at least 1 record, got 0")
     late = [lag for lag in strategy.lag_set if lag >= len(log.t)]

@@ -4,8 +4,9 @@ Implements plug-in mutual information and entropy for categorical data,
 equal-frequency binning of real data, the maximal information coefficient
 (normalized MI maximized over admissible binning grids), and Pearson and
 Spearman correlations; :func:`permuted_scores` scores each on shuffles of
-the column :func:`shuffled_column` gives, and :func:`permuted_estimates`
-estimates MIC's within a stated error.
+the column :func:`shuffled_column` gives, exactly but for MIC, whose
+estimates it gives with their error: :func:`mic` is the one exact MIC
+scorer, of the observed column and of any shuffle of it.
 
 All mutual-information values are reported in bits (base-2 logarithms).
 The MIC normalizer is a ratio of logarithms and therefore base-invariant;
@@ -366,10 +367,10 @@ def _is_constant(values: np.ndarray) -> bool:
 # what is seen: against _mi_bits_from_counts on the same tables, random,
 # tied and identity columns (observed and permuted, both orientations, every
 # admissible grid, N from 31 to 50 000) give at most 3.4e-15, and the
-# permutation kernel's estimates against _mi_bits_of_tables at most 1.5e-14
-# (zero-heavy columns too).  A grid further below the largest estimate
-# cannot win, and a permutation test's weighted estimates more than twice
-# this apart order their rows as the exact scores do.
+# permutation kernel's estimates against the exact MI of each grid's table
+# at most 1.5e-14 (zero-heavy columns too).  A grid further below the
+# largest estimate cannot win, and a permutation test's weighted estimates
+# more than twice this apart order their rows as the exact scores do.
 _ESTIMATE_WINDOW = 1e-9
 
 
@@ -508,8 +509,8 @@ _TABLE_CELLS_PER_SAMPLE = 2
 
 
 def _perm_mic_groups(xv: np.ndarray, yv: np.ndarray, perm_idx: np.ndarray):
-    """Every admissible grid's count table in every permutation row, a
-    group of small sides at a time, with each table's estimated MI.
+    """Every admissible grid's MI in every permutation row, estimated a
+    group of small sides at a time.
 
     Every bin is a contiguous rank interval, and every admissible grid has
     a side of at most sqrt(B) bins, the small side; each orientation puts
@@ -524,11 +525,9 @@ def _perm_mic_groups(xv: np.ndarray, yv: np.ndarray, perm_idx: np.ndarray):
     less a per-grid margin constant: n * MI = sum_cells L(c) - sum_rows
     L(r) - sum_cols L(s) + L(n).
 
-    Yields, per group: each grid's (n_x, n_y), its occupied (kx, ky), the
-    (cells, rows) int32 counts, with grid g's (kx, ky) table in C order at
-    cells ``bounds[g]:bounds[g + 1]``, ``bounds``, and the (rows, grids)
-    estimates in bits.  One group's tables are alive at a time if the
-    caller drops each group's before asking for the next.
+    Yields, per group: each grid's (n_x, n_y) and the (rows, grids)
+    estimates in bits.  One group's tables are alive at a time; none of
+    the arguments is written to.
     """
     reps, n = perm_idx.shape
     _check_indices(perm_idx, n)  # before any gather: clip would hide it
@@ -590,17 +589,12 @@ def _perm_mic_groups(xv: np.ndarray, yv: np.ndarray, perm_idx: np.ndarray):
             del counts
             for segment in range(2, len(table)):
                 table[segment] += table[segment - 1]
-            # each cell's small and partner bin, grid by grid, small-major
-            # when x is small so every table is C-ordered (kx, ky)
+            # each cell's small and partner bin, grid by grid
             mine = (side_of >= first) & (side_of < last)
             ks, ko = s_counts[side_of[mine]], p_counts[part_of[mine]]
-            bounds = np.concatenate(([0], np.cumsum(ks * ko)))
+            firsts = np.cumsum(ks * ko) - ks * ko
             grid = np.repeat(np.arange(len(ks)), ks * ko)
-            at = np.arange(bounds[-1]) - bounds[grid]
-            if x_small:
-                i, j = np.divmod(at, ko[grid])
-            else:
-                j, i = np.divmod(at, ks[grid])
+            i, j = np.divmod(np.arange(len(grid)) - firsts[grid], ko[grid])
             small = s_off[side_of[mine]][grid] + i
             partner = p_off[part_of[mine]][grid] + j
             lo, hi = small_at[s_starts[small]] * width, small_at[s_ends[small]] * width
@@ -611,51 +605,21 @@ def _perm_mic_groups(xv: np.ndarray, yv: np.ndarray, perm_idx: np.ndarray):
             cells -= np.take(table, hi + left, axis=0)
             cells += np.take(table, lo + left, axis=0)
             del table
-            mi = np.add.reduceat(xlogx[cells], bounds[:-1], axis=0)
+            mi = np.add.reduceat(xlogx[cells], firsts, axis=0)
+            del cells  # before the next group is counted
             mi -= margins[mine][:, None]
             mi /= n
-            shapes = np.stack((ks, ko) if x_small else (ko, ks), axis=1)
-            yield grids[mine] if x_small else grids[mine][:, ::-1], shapes, cells, bounds, mi.T
-            del cells, mi
+            yield grids[mine] if x_small else grids[mine][:, ::-1], mi.T
             first = last
 
 
-def _perm_values_mic(xv: np.ndarray, yv: np.ndarray, perm_idx: np.ndarray) -> np.ndarray:
-    """Equipartition MIC of each permutation row, maximizing over grids.
-
-    The tables come from :func:`_perm_mic_groups`, one group of small sides
-    at a time.  Per row, a grid within ``_ESTIMATE_WINDOW`` of the largest
-    estimate so far is scored with ``_mi_bits_of_tables`` on its C-ordered
-    (rows, kx, ky) table; the row's largest estimate over all grids is at
-    least that, so every grid that can win is scored, and the value is the
-    exact maximum.
-    """
-    reps, n = perm_idx.shape
-    best = np.zeros(reps)
-    if _is_constant(xv) or _is_constant(yv):
-        return best
-    top = np.full(reps, -np.inf)
-    for grids, shapes, cells, bounds, mi in _perm_mic_groups(xv, yv, perm_idx):
-        norms = [math.log2(min(nx, ny)) for nx, ny in grids.tolist()]
-        estimates = mi / norms
-        top = np.maximum(top, estimates.max(axis=1))
-        finalists = estimates >= (top - _ESTIMATE_WINDOW)[:, None]
-        for g in np.flatnonzero(finalists.any(axis=0)):
-            rows = np.flatnonzero(finalists[:, g])
-            table = cells[bounds[g] : bounds[g + 1], rows].T.reshape(len(rows), *shapes[g])
-            best[rows] = np.maximum(best[rows], _mi_bits_of_tables(table, n) / norms[g])
-        del cells  # before the next group is counted
-    return np.minimum(best, 1.0)
-
-
 def _perm_estimates_mic(xv: np.ndarray, yv: np.ndarray, perm_idx: np.ndarray) -> np.ndarray:
-    """:func:`_perm_values_mic` of the same arguments, estimated: each row's
-    largest grid estimate, within ``_ESTIMATE_WINDOW`` of the exact value."""
+    """Equipartition MIC of x gathered at each permutation row against y,
+    estimated: each row's largest grid estimate from
+    :func:`_perm_mic_groups`, within ``_ESTIMATE_WINDOW`` of :func:`mic` of
+    the gathered column.  Neither column may be constant."""
     best = np.zeros(perm_idx.shape[0])
-    if _is_constant(xv) or _is_constant(yv):
-        return best
-    for grids, _, cells, _, mi in _perm_mic_groups(xv, yv, perm_idx):
-        del cells  # before the next group is counted
+    for grids, mi in _perm_mic_groups(xv, yv, perm_idx):
         best = np.maximum(best, (mi / np.log2(grids.min(axis=1))).max(axis=1))
     return np.minimum(best, 1.0)
 
@@ -715,36 +679,29 @@ def shuffled_column(kind: Measure, x, y, n: int) -> np.ndarray:
     return np.arange(n)
 
 
-def permuted_scores(kind: Measure, x, y, block: np.ndarray) -> np.ndarray:
+def permuted_scores(kind: Measure, x, y, block: np.ndarray) -> tuple[np.ndarray, float]:
     """``kind``'s score, correlations absolute, of x shuffled against y, on
-    the columns ``detection.score_dependency`` reads: each row of ``block``
-    is :func:`shuffled_column` of the same arguments shuffled, and row 0,
-    in its own order, is the observed value.  A column that score flags as
-    degenerate (None, too short, constant) scores 0 in every row.
-    ``block``, C-ordered int64, is scratch: a kernel may overwrite it (MI
-    builds its cell index in it).  Every score is exact; a permutation test
-    that needs only each row's order against row 0 reads
-    :func:`permuted_estimates` first."""
+    the columns ``detection.score_dependency`` reads, and the most any of
+    them can be off: each row of ``block`` is :func:`shuffled_column` of the
+    same arguments shuffled, and row 0, in its own order, is the observed
+    value.  A column that score flags as degenerate (None, too short,
+    constant) scores 0 in every row, exactly.  ``block``, C-ordered int64,
+    is scratch: MI builds its cell index in it.
+
+    MI's and the correlations' scores are exact, off by 0.  MIC's are each
+    row's largest grid estimate, off by at most ``_ESTIMATE_WINDOW`` from
+    :func:`mic` of x gathered at the row, which scores a row exactly; its
+    kernel leaves ``block`` as it was, so the rows can still be gathered."""
     reps, n = block.shape
     if _scores_zero(kind, x, y, n):
-        return np.zeros(reps)
+        return np.zeros(reps), 0.0
     if kind is Measure.MI:
-        return _perm_values_mi(x, y, block)
+        return _perm_values_mi(x, y, block), 0.0
     if kind is Measure.MIC:
-        return _perm_values_mic(x, y, block)
-    try:
-        return _perm_values_corr(x, y, block, ranked=kind is Measure.RANK)
-    except DegenerateSeriesError:
-        return np.zeros(reps)
-
-
-def permuted_estimates(kind: Measure, x, y, block: np.ndarray) -> tuple[np.ndarray, float]:
-    """:func:`permuted_scores` of the same arguments, or estimates of it,
-    and the most any row's estimate can be off.  MIC's rows are its
-    kernel's largest grid estimates, within ``_ESTIMATE_WINDOW`` of the
-    exact values, without the exact re-score of each row's finalists; the
-    other measures' are exact, off by 0.  MIC's kernel leaves ``block`` as
-    it was, so its exact scores can still be taken from it."""
-    if kind is Measure.MIC and not _scores_zero(kind, x, y, block.shape[1]):
+        if _is_constant(x) or _is_constant(y):
+            return np.zeros(reps), 0.0
         return _perm_estimates_mic(x, y, block), _ESTIMATE_WINDOW
-    return permuted_scores(kind, x, y, block), 0.0
+    try:
+        return _perm_values_corr(x, y, block, ranked=kind is Measure.RANK), 0.0
+    except DegenerateSeriesError:
+        return np.zeros(reps), 0.0

@@ -39,7 +39,7 @@ from influence_scope import detection
 from influence_scope.errors import InputError, InternalConsistencyError
 from influence_scope.logio import matrix_from_json, matrix_to_json
 from influence_scope.measures import (
-    LEAST_SAMPLES, _perm_mic_groups, _perm_values_mi, _perm_values_mic, admissible_pairs,
+    _ESTIMATE_WINDOW, LEAST_SAMPLES, _perm_mic_groups, _perm_values_mi, admissible_pairs, mic,
     permuted_scores, quantile_bins, shuffled_column,
 )
 from influence_scope.model import ConfigSelector
@@ -301,6 +301,28 @@ def test_matrix_requires_two_agents():
     with pytest.raises(InputError) as raised:
         influence_matrix(solo, FAST)
     assert (raised.value.path, raised.value.message) == ("schemas", "need at least 2 agents, got 1")
+
+
+def test_matrix_refuses_targets_it_has_no_row_for(monkeypatch):
+    # an unknown id used to drop its row silently, and a string was read as
+    # a set of characters: "cam1" asked for agents c, a, m and 1
+    log = coupled_log(200)
+    expected = influence_matrix(log, FAST, targets=("B",))
+    assert [key[0] for key in expected.entries] == ["B"]
+
+    def unreachable(*args):
+        raise AssertionError("a target side was built")
+
+    monkeypatch.setattr(detection, "_target_side", unreachable)
+    for targets, message in (
+        (["Z"], "no agent 'Z' in the log"),
+        (["B", "Z", "Y"], "no agent 'Z' in the log"),
+        ("B", "must be a sequence of agent ids, not the string 'B'"),
+        ("cam1", "must be a sequence of agent ids, not the string 'cam1'"),
+    ):
+        with pytest.raises(InputError) as raised:
+            influence_matrix(log, FAST, targets=targets)
+        assert (raised.value.path, raised.value.message) == ("targets", message)
 
 
 # --- joint influence --------------------------------------------------------------
@@ -624,6 +646,23 @@ def per_grid_perm_mic(xv, yv, perm_idx):
     return np.minimum(best, 1.0)
 
 
+def perm_mic_estimates(xv, yv, perm_idx):
+    """MIC's permuted scores of x gathered at each row of ``perm_idx``,
+    checked as estimates: within a thousandth of the window of ``mic`` of
+    the gathered column and of the MIC of one count table per grid, and
+    exact, off by 0, where a column is constant."""
+    got, error = permuted_scores(Measure.MIC, xv, yv, perm_idx)
+    tolerance = _ESTIMATE_WINDOW / 1000
+    exact = [mic(xv[row], yv).value for row in perm_idx]
+    assert np.abs(got - exact).max() <= tolerance
+    assert np.abs(got - per_grid_perm_mic(xv, yv, perm_idx)).max() <= tolerance
+    constant = len(np.unique(xv)) < 2 or len(np.unique(yv)) < 2
+    assert error == (0.0 if constant else _ESTIMATE_WINDOW)
+    if constant:
+        assert got.tolist() == [0.0] * len(perm_idx)
+    return got
+
+
 def mic_columns(n, kind, rng):
     """Two columns of ``n`` samples.  zeros: y is exactly 0.0 in at least
     half its samples and continuous elsewhere, the shape of a camera's
@@ -654,13 +693,12 @@ def mic_columns(n, kind, rng):
     "kind", ["ties", "continuous", "mixed", "constant", "identity", "zeros"])
 def test_perm_mic_matches_per_grid_tables(n, kind):
     # identity: the observed row ties exactly 1.0 on many grids (53 at
-    # N = 1200), where a wrong choice of grids to score exactly would show
+    # N = 1200), and the largest of their estimates must still read 1
     rng = np.random.default_rng(n)
     xv, yv = mic_columns(n, kind, rng)
     perm_idx = np.array([np.arange(n)] + [rng.permutation(n) for _ in range(20)])
     for x, y in ((xv, yv), (yv, xv)):
-        got = _perm_values_mic(x, y, perm_idx)
-        assert got.tolist() == per_grid_perm_mic(x, y, perm_idx).tolist()
+        perm_mic_estimates(x, y, perm_idx)
 
 
 @pytest.mark.parametrize("kind", ["zeros", "continuous"])
@@ -671,10 +709,9 @@ def test_perm_mic_of_several_groups_matches_per_grid_tables(kind):
     rng = np.random.default_rng(n)
     xv, yv = mic_columns(n, kind, rng)
     perm_idx = np.array([np.arange(n)] + [rng.permutation(n) for _ in range(5)])
-    groups = [(pairs[0, 0] <= pairs[0, 1]) for pairs, *_ in _perm_mic_groups(xv, yv, perm_idx)]
+    groups = [(pairs[0, 0] <= pairs[0, 1]) for pairs, _ in _perm_mic_groups(xv, yv, perm_idx)]
     assert groups.count(True) >= 2 and groups.count(False) >= 2
-    got = _perm_values_mic(xv, yv, perm_idx)
-    assert got.tolist() == per_grid_perm_mic(xv, yv, perm_idx).tolist()
+    perm_mic_estimates(xv, yv, perm_idx)
 
 
 def test_perm_mic_memory_stays_within_ten_index_blocks():
@@ -688,7 +725,7 @@ def test_perm_mic_memory_stays_within_ten_index_blocks():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        _perm_values_mic(xv, yv, perm_idx)
+        permuted_scores(Measure.MIC, xv, yv, perm_idx)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -703,9 +740,7 @@ def test_perm_mic_of_several_partitions_matches_per_grid_tables():
         yv = rng.normal(size=n)
         yv[: n // 3] += xv[: n // 3]
         perm_idx = np.array([np.arange(n)] + [rng.permutation(n) for _ in range(30)])
-        got = _perm_values_mic(xv, yv, perm_idx)
-        assert got.shape == (31,)
-        assert got.tolist() == per_grid_perm_mic(xv, yv, perm_idx).tolist()
+        assert perm_mic_estimates(xv, yv, perm_idx).shape == (31,)
 
 
 @pytest.mark.parametrize("bad", [-1, 40, 10**6])
@@ -717,7 +752,7 @@ def test_perm_mic_refuses_an_index_outside_the_column(bad):
     perm_idx = shuffles(40, rng, reps=5)
     perm_idx[3, 17] = bad
     with pytest.raises(InternalConsistencyError):
-        _perm_values_mic(xv, yv, perm_idx)
+        permuted_scores(Measure.MIC, xv, yv, perm_idx)
 
 
 def test_perm_mic_leaves_its_inputs_unchanged():
@@ -725,10 +760,10 @@ def test_perm_mic_leaves_its_inputs_unchanged():
     xv, yv = rng.integers(0, 5, size=300).astype(float), rng.normal(size=300)
     perm_idx = shuffles(300, rng)
     before = [a.copy() for a in (xv, yv, perm_idx)]
-    first = _perm_values_mic(xv, yv, perm_idx)
+    first = permuted_scores(Measure.MIC, xv, yv, perm_idx)[0]
     for a, b in zip((xv, yv, perm_idx), before):
         assert np.array_equal(a, b)
-    assert _perm_values_mic(xv, yv, perm_idx).tolist() == first.tolist()
+    assert permuted_scores(Measure.MIC, xv, yv, perm_idx)[0].tolist() == first.tolist()
 
 
 def measured(kind, codes):
@@ -765,7 +800,8 @@ def test_permuted_scores_zero_where_score_dependency_is_degenerate(kind):
         assert score.value == 0.0
         assert score.degenerate or kind is Measure.MI  # constant categories: MI 0
         block = shuffled(kind, x, y, shuffles(n, rng))
-        assert permuted_scores(kind, x, y, block).tolist() == [0.0] * 21
+        scores, error = permuted_scores(kind, x, y, block)
+        assert scores.tolist() == [0.0] * 21 and error == 0.0
     # row 0 is the identity, so it carries the observed value
     for n in (60, 300):
         codes = rng.integers(0, 4, size=n)
@@ -773,7 +809,7 @@ def test_permuted_scores_zero_where_score_dependency_is_degenerate(kind):
         observed = detection.score_dependency(x, y, n, strategy)
         assert not observed.degenerate and observed.value > 0.1
         block = shuffled(kind, x, y, shuffles(n, rng))
-        assert abs(permuted_scores(kind, x, y, block)[0] - observed.value) <= 1e-12
+        assert abs(permuted_scores(kind, x, y, block)[0][0] - observed.value) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 300, 8000])
@@ -821,8 +857,17 @@ def serial_permuted(c, strategy, rng):
         perm_idx = np.tile(np.arange(n_p), (strategy.permutations + 1, 1))
         rng.permuted(perm_idx[1:], axis=1, out=perm_idx[1:])
         block = shuffled(strategy.measure_kind, x, y, perm_idx)
-        stats[:, j] = permuted_scores(strategy.measure_kind, x, y, block)
+        stats[:, j] = exact_scores(strategy.measure_kind, x, y, block)
     return stats @ weights / weights.sum()
+
+
+def exact_scores(kind, x, y, block):
+    """Every row's exact score: MIC's, which its kernel estimates, is ``mic``
+    of x gathered at the row; the other kernels' are exact."""
+    scores, error = permuted_scores(kind, x, y, block.copy())
+    if error:
+        scores = np.array([mic(x[row], y).value for row in block])
+    return scores
 
 
 def serial_p_values(log, strategy):
@@ -894,9 +939,9 @@ def test_matrix_p_values_match_the_serial_permutation_test(monkeypatch, measure)
 
 
 def exact_p_value(tests, strategy):
-    """(1 + #{s_r >= s_0}) / (R + 1) from every row's exact kernel score."""
+    """(1 + #{s_r >= s_0}) / (R + 1) from every row's exact score."""
     weights = np.array([rows.shape[1] for _, _, rows in tests], dtype=np.float64)
-    stats = np.column_stack([permuted_scores(strategy.measure_kind, x, y, rows.copy())
+    stats = np.column_stack([exact_scores(strategy.measure_kind, x, y, rows)
                              for x, y, rows in tests])
     means = stats @ weights / weights.sum()
     return (1 + int(np.sum(means[1:] >= means[0]))) / (strategy.permutations + 1)
@@ -916,11 +961,9 @@ def test_mic_p_value_from_estimates_equals_the_exact_one(monkeypatch, share):
     # an exact score can count it; with every row repeated p must be 1
     strategy = DetectionStrategy(measure_kind=Measure.MIC, permutations=40)
     rng = np.random.default_rng(12)
-    rescored = []
-    scores = detection.permuted_scores
-    monkeypatch.setattr(detection, "permuted_scores",
-                        lambda kind, x, y, rows: rescored.append(len(rows)) or scores(kind, x, y, rows))
-    synthetic = []
+    rescored = []  # the sample count of each column detection scores with mic
+    monkeypatch.setattr(detection, "mic", lambda x, y: rescored.append(len(x)) or mic(x, y))
+    synthetic, rescored_entries = [], 0
     for n, kind in ((30, "ties"), (120, "zeros"), (400, "continuous")):
         xv, yv = mic_columns(n, kind, rng)
         synthetic.append((xv, yv, np.tile(np.arange(n), (strategy.permutations + 1, 1))))
@@ -938,10 +981,19 @@ def test_mic_p_value_from_estimates_equals_the_exact_one(monkeypatch, share):
         assert detection._p_value(tests, strategy) == expected
         if share == 1.0:
             assert expected == 1.0
-        # row 0 and every repeat, in each partition
-        assert len(rescored) == len(tests)
-        assert min(rescored) >= 1 + round(share * strategy.permutations)
+        # row 0 and every repeat, the same rows in each partition that MIC
+        # estimates (a degenerate one scores an exact 0 in every row)
+        estimated = [rows.shape[1] for x, y, rows in tests
+                     if permuted_scores(Measure.MIC, x, y, rows.copy())[1]]
+        if not estimated:
+            assert rescored == []
+            continue
+        unsure = len(rescored) // len(estimated)
+        assert rescored == [n for n in estimated for _ in range(unsure)]
+        assert unsure >= 1 + round(share * strategy.permutations)
+        rescored_entries += 1
     assert len(entries) > 2 and max(len(tests) for tests in entries) >= 2
+    assert rescored_entries > 2
 
 
 def test_concurrent_matrices_match_the_serial_permutation_test(monkeypatch):
