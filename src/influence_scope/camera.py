@@ -32,8 +32,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import InputError, expect, finite, need
-from .logio import _NAME_RE, _from_data
-from .model import AgentSchema, ConfigPartSchema, RealInterval, SampleLog
+from .logio import _from_data
+from .model import AgentSchema, ConfigPartSchema, RealInterval, SampleLog, check_name
 
 TWO_PI = 2.0 * math.pi
 # A camera's configuration parts, as its log schema declares them.
@@ -99,8 +99,7 @@ class CameraSpec:
     zoom_max: float
 
     def __post_init__(self) -> None:
-        if not _NAME_RE.fullmatch(self.camera_id):  # the log's rule for agent ids
-            raise InputError("id", f"camera id {brief(self.camera_id)} not in [A-Za-z0-9_]+")
+        check_name("id", "camera id", self.camera_id)  # the log's rule for agent ids
         for name, ok, rule in (
             ("base_half_angle", 0.0 < self.base_half_angle < math.pi / 2, "must lie in (0, pi/2)"),
             ("tilt_max", 0.0 <= self.tilt_max < math.pi / 2, "must lie in [0, pi/2)"),

@@ -159,20 +159,9 @@ class InfluenceMatrix:
 # --- measure application -------------------------------------------------
 
 
-def _categorize(series: Series | np.ndarray, bins: int) -> Optional[CategorySeries]:
-    """Categories as they are, real values in quantile bins, None for
-    constant real values."""
-    if isinstance(series, CategorySeries):
-        return series
-    try:
-        return quantile_bins(series, bins)[0]
-    except DegenerateSeriesError:
-        return None
-
-
 def score_dependency(x, y, n: int, strategy: DetectionStrategy) -> DependencyScore:
     """Apply the strategy's measure to two aligned columns of ``n`` samples
-    as :func:`_slice` gives them.
+    as :func:`_slices` gives them.
 
     Correlation measures report their absolute value so scores aggregate
     and compare on dependency strength; degenerate (constant) columns, a
@@ -214,71 +203,70 @@ class _Candidate:
     remote: tuple = ()
 
 
+def _codes(
+    series: Series, idx: Optional[np.ndarray], strategy: DetectionStrategy
+) -> Optional[CategorySeries]:
+    """``series`` at ``idx``, or all of it for None, as categories: a
+    category column as it is, a real one in ``own_part_bins`` quantile
+    bins, and None for a real one of fewer samples than bins or of one
+    value.  The one binning rule of partitions, composites and MI's
+    columns."""
+    values = series.values if idx is None else series.values[idx]
+    if isinstance(series, CategorySeries):
+        return series if idx is None else CategorySeries(values, series.n_categories)
+    if len(values) < strategy.own_part_bins:
+        return None
+    try:
+        return quantile_bins(values, strategy.own_part_bins)[0]
+    except DegenerateSeriesError:
+        return None
+
+
 def _partition_indices(
     own: Series, strategy: DetectionStrategy
 ) -> tuple[tuple[str, np.ndarray], ...]:
-    """Split sample indices by the own part's value.
-
-    Nominal/ordinal: one partition per occupied category.  Real: quantile
-    bins.  A constant own part, and a real one of fewer samples than
-    ``own_part_bins``, yields a single all-samples partition, so
-    conditioning on it reduces to the unconditioned score.
-    """
-    if isinstance(own, CategorySeries):
-        codes = own.values
-        labels = [str(c) for c in range(own.n_categories)]
-    else:
-        try:
-            binned, _ = quantile_bins(own, strategy.own_part_bins)
-        except ValueError:  # constant, or fewer samples than bins
-            return (("all", np.arange(len(own))),)
-        codes = binned.values
-        labels = [f"bin{i}" for i in range(binned.n_categories)]
+    """Split sample indices by the own part's :func:`_codes`: one partition
+    per occupied category or quantile bin.  An own part with no codes
+    yields a single all-samples partition, so conditioning on it reduces
+    to the unconditioned score."""
+    codes = _codes(own, None, strategy)
+    if codes is None:
+        return (("all", np.arange(len(own))),)
+    label = str if isinstance(own, CategorySeries) else "bin{}".format
     out = []
-    for code, label in enumerate(labels):
-        idx = np.nonzero(codes == code)[0]
+    for code in range(codes.n_categories):
+        idx = np.nonzero(codes.values == code)[0]
         if len(idx) > 0:
-            out.append((label, idx))
+            out.append((label(code), idx))
     return tuple(out)
 
 
 def _composite(
     a: Series, b: Series, strategy: DetectionStrategy
 ) -> Optional[CategorySeries]:
-    """Two columns as one nominal column with a category per value pair,
-    real columns quantile-binned first; None when the pairs outnumber
-    ``n / min_partition_size``."""
-    coded = []
-    for series in (a, b):
-        codes = _categorize(series, strategy.own_part_bins)
-        if codes is None:  # a constant real column is one category
-            codes = CategorySeries(np.zeros(len(series), dtype=np.int64), 1)
-        coded.append(codes)
-    ac, bc = coded
+    """Two columns as one nominal column with a category per pair of their
+    :func:`_codes`, a column with no codes counting as one category; None
+    when the pairs outnumber ``n / min_partition_size``."""
+    ac, bc = (
+        CategorySeries(np.zeros(len(a), dtype=np.int64), 1) if codes is None else codes
+        for codes in (_codes(a, None, strategy), _codes(b, None, strategy))
+    )
     k = ac.n_categories * bc.n_categories
     if k > len(ac) / strategy.min_partition_size:
         return None
     return CategorySeries(ac.values * bc.n_categories + bc.values, k)
 
 
-def _slice(series: Series, idx: np.ndarray, strategy: DetectionStrategy):
-    """``series`` at ``idx`` as the strategy's measure reads it: categories
-    for MI (see :func:`_categorize`), floats for the other measures."""
-    values = series.values[idx]
-    if strategy.measure_kind is not Measure.MI:
-        return np.asarray(values, dtype=np.float64)
-    if isinstance(series, CategorySeries):
-        return CategorySeries(values, series.n_categories)
-    if len(values) < strategy.own_part_bins:  # too few to bin: scored as degenerate
-        return None
-    return _categorize(values, strategy.own_part_bins)
-
-
 def _slices(series: Series, c: _Candidate, strategy: DetectionStrategy) -> tuple:
-    """``series`` in each of the candidate's partitions that a scorer reads:
-    the raw one, and any of at least 4 samples (None for the rest)."""
+    """``series`` in each of the candidate's partitions that a scorer reads,
+    the raw one and any of at least 4 samples (None for the rest), as the
+    strategy's measure reads it: :func:`_codes` for MI, floats for the
+    other measures."""
+    mi = strategy.measure_kind is Measure.MI
     return tuple(
-        _slice(series, idx, strategy) if c.own_part is None or len(idx) >= 4 else None
+        None if c.own_part is not None and len(idx) < 4
+        else _codes(series, idx, strategy) if mi
+        else np.asarray(series.values[idx], dtype=np.float64)
         for _, idx in c.partitions
     )
 
@@ -427,14 +415,18 @@ def joint_influence(
 
 
 def _partition_tests(
-    c: _Candidate, strategy: DetectionStrategy, buffer: np.ndarray
+    c: _Candidate, strategy: DetectionStrategy, rng: np.random.Generator,
+    buffer: np.ndarray,
 ) -> list[tuple[object, object, np.ndarray]]:
     """(remote, performance, shuffle block) of each partition the
     candidate's permutation test scores, on the columns the observed scorer
     read: the raw candidate's one partition whatever its size, an own
     part's from ``min_partition_size`` samples.  The blocks are C-ordered
-    (permutations + 1, count) views of ``buffer``, back to back, with every
-    row the column the measure's kernel scores (``shuffled_column``)."""
+    (permutations + 1, count) views of ``buffer``, back to back, each row
+    the column the measure's kernel scores (``shuffled_column``), and rows
+    1 onward shuffled block by block, one ``rng.permuted`` call each.  Its
+    swaps do not depend on what the rows hold, so row r is the column
+    gathered at the r-th of successive ``rng.permutation`` calls."""
     least = 0 if c.own_part is None else strategy.min_partition_size
     reps = strategy.permutations + 1
     tests, start = [], 0
@@ -442,18 +434,10 @@ def _partition_tests(
         if len(idx) >= least:
             rows = buffer[start : start + reps * len(idx)].reshape(reps, len(idx))
             rows[:] = shuffled_column(strategy.measure_kind, x, y, len(idx))
+            rng.permuted(rows[1:], axis=1, out=rows[1:])
             tests.append((x, y, rows))
             start += reps * len(idx)
     return tests
-
-
-def _draw_permutations(blocks: Sequence[np.ndarray], rng: np.random.Generator) -> None:
-    """Shuffle rows 1 onward of each block in turn, with one ``permuted``
-    call per block.  Its swaps do not depend on what the rows hold, so row
-    r is the block's column gathered at the r-th of successive
-    ``rng.permutation`` calls."""
-    for rows in blocks:
-        rng.permuted(rows[1:], axis=1, out=rows[1:])
 
 
 def _p_value(
@@ -570,8 +554,7 @@ def _score_entry(
     key, side, own_parts, rng = task
     family = _with_remote(side, log, (key[1:],), strategy)
     winner, fields = _search(family, key[1:], own_parts, strategy)
-    tests = _partition_tests(winner, strategy, buffer)
-    _draw_permutations([rows for _, _, rows in tests], rng)
+    tests = _partition_tests(winner, strategy, rng, buffer)
     p_value = _p_value(tests, strategy)
     return InfluenceEntry(**fields, p_value=p_value, influenced=p_value < strategy.alpha)
 

@@ -39,8 +39,6 @@ from .taxonomy import (
     InfiniteRealPart, NominalPart, OrdinalPart, StrategyRecommendation, SystemDescriptor
 )
 
-_NAME_RE = re.compile(r"[A-Za-z0-9_]+")  # the rule for agent ids and part names, by fullmatch
-
 # The (key, tag) of each part kind: ``_data`` writes the tag, and
 # ``_from_data`` reads it to tell the members of a ``Union`` apart.
 _TAGS = {Nominal: ("type", "nominal"), Ordinal: ("type", "ordinal"),
@@ -144,15 +142,6 @@ def _canonical_json(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
-def _check_names(log: SampleLog) -> None:
-    for schema in log.schemas:
-        if not _NAME_RE.fullmatch(schema.agent_id):
-            raise ValueError(f"agent id {schema.agent_id!r} not in [A-Za-z0-9_]+")
-        for part in schema.parts:
-            if not _NAME_RE.fullmatch(part.name):
-                raise ValueError(f"part name {part.name!r} not in [A-Za-z0-9_]+")
-
-
 # --- sample logs: JSON -------------------------------------------------------
 
 
@@ -201,13 +190,12 @@ def write_log(log: SampleLog, json_file: Optional[TextIO] = None,
     ``repr``, as json and the csv module write them.  The JSON has the bytes
     of :func:`_canonical_json`: a head, one row template filled per record,
     and a tail with the schemas."""
-    _check_names(log)
     chunks = log.value_chunks()  # refuses a log with findings before any write
     kinds = {f"{s.agent_id}.{p.name}": p.kind for s in log.schemas for p in s.parts}
     encode = {name: {label: json.dumps(label) for label in kind.categories}.__getitem__
               for name, kind in kinds.items() if not isinstance(kind, RealInterval)}
-    # names match [A-Za-z0-9_]+, so the template holds no other % than its
-    # fields, and no name in the CSV header needs quoting
+    # names match [A-Za-z0-9_]+ (model.check_name), so the template holds no
+    # other % than its fields, and no name in the CSV header needs quoting
     fields = {"config": _object(dict.fromkeys(kinds, "%s"), " " * 6), "t": "%s",
               "performance": _object({s.agent_id: "%s" for s in log.schemas}, " " * 6)}
     row = "    " + _object(fields, "    ")

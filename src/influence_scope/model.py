@@ -17,6 +17,7 @@ a constructor input and a read-only view of a valid log.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass
 from reprlib import repr as brief
@@ -24,7 +25,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import is_number
+from .errors import InputError, is_number
 from .series import CategorySeries, RealSeries, Series
 
 ConfigValue = Union[str, float]
@@ -69,10 +70,26 @@ class RealInterval:
 PartKind = Union[Nominal, Ordinal, RealInterval]
 
 
+_NAME = re.compile(r"[A-Za-z0-9_]+")
+
+
+def check_name(field: str, noun: str, name: str) -> None:
+    """Refuse an agent id or part name outside ``[A-Za-z0-9_]+`` at
+    ``field``: names join as ``agent.part`` into a log's config keys and
+    CSV header, so a dot in one would let two parts share a key."""
+    if not _NAME.fullmatch(name):
+        raise InputError(field, f"{noun} {brief(name)} not in [A-Za-z0-9_]+")
+
+
 @dataclass(frozen=True)
 class ConfigPartSchema:
     name: str
     kind: PartKind
+
+    def __post_init__(self) -> None:
+        check_name("name", "part name", self.name)
+        if self.name == "perf":  # the CSV header's agent.perf is the performance
+            raise InputError("name", "part name 'perf' is taken by the performance column")
 
 
 @dataclass(frozen=True)
@@ -81,6 +98,7 @@ class AgentSchema:
     parts: tuple[ConfigPartSchema, ...]
 
     def __post_init__(self) -> None:
+        check_name("agent_id", "agent id", self.agent_id)
         names = [p.name for p in self.parts]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate part names in agent {self.agent_id!r}")

@@ -1,5 +1,7 @@
 """Shared builders for synthetic sample logs used across the test suite."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from influence_scope import (
     SampleLog,
     SampleRecord,
 )
+from influence_scope.logio import log_to_json
 
 
 def binary_agent(agent_id: str) -> AgentSchema:
@@ -64,6 +67,32 @@ def independent_log(n: int, seed: int = 0) -> SampleLog:
     return SampleLog(
         schemas=(binary_agent("A"), binary_agent("B")), records=records
     )
+
+
+def renamed_log_doc(agents, parts, n=40):
+    """``coupled_log``'s JSON with agent i renamed ``agents[i]`` and its one
+    part ``parts[i]``, the records keyed by the new names."""
+    doc = json.loads(log_to_json(coupled_log(n)))
+    for schema, agent, part in zip(doc["schemas"], agents, parts):
+        schema["agent_id"], schema["parts"][0]["name"] = agent, part
+    for record in doc["records"]:
+        values = list(record["config"].values()), list(record["performance"].values())
+        record["config"] = {f"{a}.{p}": v for a, p, v in zip(agents, parts, values[0])}
+        record["performance"] = dict(zip(agents, values[1]))
+    return doc
+
+
+# Agent "a.b" with part "c" and agent "a" with part "b.c" would both read the
+# config key "a.b.c", and a part "perf" would share its CSV column with the
+# agent's performance.
+SHARED_KEYS = [
+    pytest.param(("a.b", "a"), ("c", "b.c"), "schemas[0].agent_id",
+                 "agent id 'a.b' not in [A-Za-z0-9_]+", id="dotted-agent"),
+    pytest.param(("ab", "a"), ("c", "b.c"), "schemas[1].parts[0].name",
+                 "part name 'b.c' not in [A-Za-z0-9_]+", id="dotted-part"),
+    pytest.param(("A", "B"), ("cfg", "perf"), "schemas[1].parts[0].name",
+                 "part name 'perf' is taken by the performance column", id="perf-part"),
+]
 
 
 @pytest.fixture(scope="session")

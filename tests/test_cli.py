@@ -14,7 +14,7 @@ from influence_scope.cli import main
 from influence_scope.detection import MAX_PERMUTATIONS
 from influence_scope.logio import log_to_csv, log_to_json
 
-from conftest import coupled_log, independent_log
+from conftest import SHARED_KEYS, coupled_log, independent_log, renamed_log_doc
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -150,6 +150,18 @@ def test_detect_non_numeric_performance_is_input_error(tmp_path, capsys, value):
     code = main(["detect", str(log_path), "--out", str(tmp_path / "m.json")])
     assert code == 2
     assert "records[3].performance.cam_a" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("agents, parts, path, message", SHARED_KEYS)
+def test_detect_name_that_could_share_a_key_exits_2_at_its_field(
+    tmp_path, capsys, agents, parts, path, message
+):
+    log_path = tmp_path / "shared.json"
+    log_path.write_text(json.dumps(renamed_log_doc(agents, parts)))
+    code = main(["detect", str(log_path), "--out", str(tmp_path / "m.json")])
+    assert code == 2
+    assert f"{path}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_detect_invalid_strategy_is_input_error(tmp_path):

@@ -175,6 +175,44 @@ def test_conditioning_on_constant_part_equals_raw():
     assert cs.aggregate == pytest.approx(raw.value, abs=1e-12)
 
 
+def real_parts_log(own, seed=4):
+    """B's performance follows A's real part ``x``; A's real part ``z`` is
+    noise, and B's one own part is real and takes the values ``own``."""
+    n = len(own)
+    rng = np.random.default_rng(seed)
+    x, z, noise = rng.uniform(size=n), rng.uniform(size=n), rng.standard_normal(n)
+    unit = RealInterval(0.0, 1.0)
+    schemas = (
+        AgentSchema("A", (ConfigPartSchema("x", unit), ConfigPartSchema("z", unit))),
+        AgentSchema("B", (ConfigPartSchema("own", unit),)),
+    )
+    records = tuple(
+        SampleRecord(
+            t,
+            {("A", "x"): float(x[t]), ("A", "z"): float(z[t]), ("B", "own"): float(own[t])},
+            {"A": 0.0, "B": float(x[t] + 0.1 * noise[t])},
+        )
+        for t in range(n)
+    )
+    return SampleLog(schemas, records)
+
+
+@pytest.mark.parametrize("case", ["constant", "fewer samples than bins"])
+def test_conditioning_on_an_unbinnable_real_part_equals_raw(case):
+    # a real own part with no quantile bins is one partition of all samples
+    if case == "constant":
+        log, strategy = real_parts_log(np.full(300, 0.5)), FAST
+    else:  # a correlation reads the 30 samples that 40 bins cannot split
+        log = real_parts_log(np.linspace(0.0, 1.0, 30))
+        strategy = DetectionStrategy(measure_kind=Measure.LINEAR, own_part_bins=40,
+                                     permutations=99)
+    cs = conditioned_influence(log, "B", ("A", "x"), ("B", "own"), strategy)
+    raw = raw_influence(log, "B", ("A", "x"), strategy)
+    assert [(p.label, p.count) for p in cs.per_partition] == [("all", len(log.t))]
+    assert raw.value > 0.5
+    assert cs.aggregate == pytest.approx(raw.value, abs=1e-12)
+
+
 def test_conditioned_weighted_mean_identity(coupled_10k):
     cs = conditioned_influence(coupled_10k, "B", ("A", "cfg"), ("B", "cfg"), FAST)
     used = [p for p in cs.per_partition if p.count >= FAST.min_partition_size]
@@ -413,6 +451,50 @@ def test_joint_score_null_stays_quiet():
 def test_joint_requires_enabled_strategy():
     with pytest.raises(ValueError):
         joint_influence(xor_log(200), "C", (("A", "cfg"), ("B", "cfg")), FAST)
+
+
+def test_joint_score_of_a_constant_real_part_and_a_nominal_one_is_the_nominal_ones():
+    # the constant real column is one category, so the composite's
+    # categories are the nominal part's
+    rng = np.random.default_rng(15)
+    n = 400
+    mode = rng.integers(0, 2, size=n)
+    cats = ("c1", "c2")
+    schemas = (
+        AgentSchema("A", (ConfigPartSchema("level", RealInterval(0.0, 1.0)),
+                          ConfigPartSchema("mode", Nominal(cats)))),
+        single_part_schema("B"),
+    )
+    records = tuple(
+        SampleRecord(
+            t,
+            {("A", "level"): 0.25, ("A", "mode"): cats[mode[t]], ("B", "cfg"): "c1"},
+            {"A": 0.0, "B": float(mode[t] + 0.5 * rng.standard_normal())},
+        )
+        for t in range(n)
+    )
+    log = SampleLog(schemas, records)
+    single = raw_influence(log, "B", ("A", "mode"), JOINT)
+    pair = joint_influence(log, "B", (("A", "level"), ("A", "mode")), JOINT)
+    assert pair.conditioning_part is None
+    assert pair.per_partition[0].score == replace(single, lag=None)
+    assert single.value > 0.1
+    assert pair.aggregate == pytest.approx(single.value, abs=1e-12)
+
+
+def test_joint_score_of_a_log_shorter_than_own_part_bins_is_insufficient_data():
+    # two samples cannot fill own_part_bins = 3 bins: the composite of two
+    # such real parts is one category, too many for so few samples, as the
+    # matrix scores each of the parts alone as degenerate
+    log = real_parts_log([0.2, 0.7])
+    pair = joint_influence(log, "B", (("A", "x"), ("A", "z")), JOINT)
+    assert (pair.conditioning_part, pair.per_partition, pair.aggregate) == (None, (), None)
+    assert pair.insufficient_data
+    entries = influence_matrix(log, JOINT).entries
+    assert all(e.insufficient_data and e.p_value == 1.0 for e in entries.values())
+    assert matrix_digest(log, JOINT) == (
+        "c40636b42b0f457075d52e23687d87301235270ab178b359add35e3d74fb917e"
+    )
 
 
 # --- golden matrix bytes ------------------------------------------------------------
@@ -970,10 +1052,10 @@ def test_mic_p_value_from_estimates_equals_the_exact_one(monkeypatch, share):
     log = tie_log()
     buffer = np.empty((strategy.permutations + 1) * len(log.records) * 2, dtype=np.int64)
     entries = [synthetic]
-    for key, side, own_parts, _ in detection._tasks(log, strategy, True, None):
+    for key, side, own_parts, entry_rng in detection._tasks(log, strategy, True, None):
         family = detection._with_remote(side, log, (key[1:],), strategy)
         winner, _ = detection._search(family, key[1:], own_parts, strategy)
-        entries.append(detection._partition_tests(winner, strategy, buffer.copy()))
+        entries.append(detection._partition_tests(winner, strategy, entry_rng, buffer.copy()))
     for tests in entries:
         repeat_row_zero(tests, share, rng)
         expected = exact_p_value(tests, strategy)

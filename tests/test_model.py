@@ -35,7 +35,7 @@ from influence_scope.model import Issue
 from influence_scope import model
 from influence_scope.logio import log_from_dict, log_from_json, log_to_csv, log_to_json, write_log
 
-from conftest import coupled_log, independent_log
+from conftest import SHARED_KEYS, coupled_log, independent_log, renamed_log_doc
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -460,15 +460,17 @@ def test_csv_header_layout():
 
 def test_serialization_rejects_hostile_names():
     for agent in ("bad agent", "agent\n"):  # the whole name must match, a last newline too
-        schema = AgentSchema(agent, (ConfigPartSchema("p", Nominal(("a", "b"))),))
-        log = SampleLog(
-            schemas=(schema,),
-            records=(
-                SampleRecord(0, {(agent, "p"): "a"}, {agent: 0.0}),
-            ),
-        )
-        with pytest.raises(ValueError):
-            log_to_json(log)
+        with pytest.raises(InputError) as err:
+            AgentSchema(agent, (ConfigPartSchema("p", Nominal(("a", "b"))),))
+        assert (err.value.path, err.value.message) == (
+            "agent_id", f"agent id {agent!r} not in [A-Za-z0-9_]+")
+
+
+@pytest.mark.parametrize("agents, parts, path, message", SHARED_KEYS)
+def test_json_refuses_a_name_that_could_share_a_key_at_its_field(agents, parts, path, message):
+    with pytest.raises(InputError) as err:
+        log_from_dict(renamed_log_doc(agents, parts))
+    assert (err.value.path, err.value.message) == (path, message)
 
 
 # --- one log, two readers ---------------------------------------------------------
