@@ -194,11 +194,14 @@ class _Candidate:
     """One way to score an entry: the samples at one lag, split into the
     partitions of one own part, or into one partition of all samples when
     ``own_part`` is None (the raw candidate), with each partition's
-    performance and remote column from :func:`_slices`."""
+    performance and remote column from :func:`_slices`.  Its observed and
+    permuted statistics count the partitions of at least ``least`` samples:
+    any for the raw candidate, ``min_partition_size`` for an own part."""
 
     lag: int
     own_part: Optional[PartRef]
     partitions: tuple[tuple[str, np.ndarray], ...]
+    least: int = 0
     perf: tuple = ()
     remote: tuple = ()
 
@@ -287,7 +290,7 @@ def _target_side(
             else:
                 column = extract_series(log, ConfigSelector(*own), lag)
                 partitions = _partition_indices(column, strategy)
-            c = _Candidate(lag, own, partitions)
+            c = _Candidate(lag, own, partitions, 0 if own is None else strategy.min_partition_size)
             side.append(replace(c, perf=_slices(perf, c, strategy)))
     return side
 
@@ -321,17 +324,15 @@ def _raw_score(c: _Candidate, strategy: DetectionStrategy) -> DependencyScore:
 def _conditioned_score(
     c: _Candidate, remote_ref: PartRef, strategy: DetectionStrategy
 ) -> ConditionedScore:
-    """Score each partition, and aggregate those of at least
-    ``min_partition_size`` samples as a sample-count-weighted mean."""
+    """Score each partition, and aggregate those of at least ``c.least``
+    samples as a sample-count-weighted mean."""
     per_partition: list[PartitionScore] = []
-    weighted_sum = 0.0
-    weight = 0
+    weighted_sum, weight = 0.0, 0
     for (label, idx), x, y in zip(c.partitions, c.remote, c.perf):
         count = len(idx)
-        # fewer than 4 samples score as degenerate, the raw partition's too
-        score = score_dependency(x if count >= 4 else None, y, count, strategy)
+        score = score_dependency(x, y, count, strategy)
         per_partition.append(PartitionScore(label, count, score))
-        if count >= strategy.min_partition_size:
+        if count >= c.least:
             weighted_sum += count * score.value
             weight += count
     aggregate = weighted_sum / weight if weight else None
@@ -351,43 +352,77 @@ def _best(candidates, score, key):
     return max(((c, score(c)) for c in candidates), key=lambda pair: key(pair[1]))
 
 
+def _search(
+    family: Sequence[_Candidate], remote_part: PartRef, own_parts: Sequence[PartRef],
+    strategy: DetectionStrategy,
+) -> tuple[_Candidate, dict]:
+    """The one ranking of a family, for the matrix and the raw and
+    conditioned scorers: its best raw and best conditioned candidate.
+    Gives the better of the two, whose permutation test is the entry's, and
+    the entry's fields but its p-value."""
+    raws = [c for c in family if c.own_part is None]
+    winner, raw = _best(raws, lambda c: _raw_score(c, strategy), lambda s: s.value)
+    headline, best_lag = raw.value, raw.lag or 0
+    # own-part-major, so a tie goes to the first own part, then to the first lag
+    conditioned = sorted(
+        (c for c in family if c.own_part), key=lambda c: own_parts.index(c.own_part)
+    )
+    best_cond: Optional[ConditionedScore] = None
+    if conditioned:
+        cond, best_cond = _best(
+            conditioned, lambda c: _conditioned_score(c, remote_part, strategy), _aggregate_key
+        )
+        if _aggregate_key(best_cond) > raw.value:
+            winner, best_lag = cond, best_cond.lag
+            headline = float(best_cond.aggregate)  # type: ignore[arg-type]
+    return winner, dict(
+        raw=raw,
+        best_conditioned=best_cond,
+        best_lag=best_lag,
+        headline=headline,
+        insufficient_data=raw.degenerate and (best_cond is None or best_cond.insufficient_data),
+    )
+
+
+def _family(
+    log: SampleLog, target: str, remote_parts: Sequence[PartRef],
+    own_parts: Sequence[PartRef], strategy: DetectionStrategy,
+) -> list[_Candidate]:
+    """The candidates of one entry outside the matrix: the raw candidate and
+    ``own_parts`` at every lag, lag-major, with the remote column added."""
+    if any(part[0] == target for part in remote_parts):
+        raise ValueError("remote part must belong to a different agent")
+    side = _target_side(log, target, [None, *own_parts], strategy)
+    return _with_remote(side, log, remote_parts, strategy)
+
+
 def raw_influence(
     log: SampleLog, target: str, remote_part: PartRef, strategy: DetectionStrategy
 ) -> DependencyScore:
-    """Unconditioned dependency, maximized over the strategy's lag set."""
-    if remote_part[0] == target:
-        raise ValueError("remote part must belong to a different agent")
-    side = _target_side(log, target, (None,), strategy)
-    family = _with_remote(side, log, (remote_part,), strategy)
-    return _best(family, lambda c: _raw_score(c, strategy), lambda s: s.value)[1]
+    """Unconditioned dependency, maximized over the strategy's lag set: the
+    raw score of the matrix's search on a family of raw candidates only."""
+    family = _family(log, target, (remote_part,), (), strategy)
+    return _search(family, remote_part, (), strategy)[1]["raw"]
 
 
 def conditioned_influence(
-    log: SampleLog,
-    target: str,
-    remote_part: PartRef,
-    own_part: PartRef,
+    log: SampleLog, target: str, remote_part: PartRef, own_part: PartRef,
     strategy: DetectionStrategy,
 ) -> ConditionedScore:
     """Dependency between remote part and target performance, computed
     separately inside each partition of one own configuration part, then
-    aggregated as a sample-count-weighted mean.  The best lag wins.
+    aggregated as a sample-count-weighted mean: the best conditioned score
+    of the matrix's search on a family with that one own part, so the best
+    lag wins and a tie goes to the first lag.
     """
     if own_part[0] != target:
         raise ValueError("conditioning part must belong to the target agent")
-    if remote_part[0] == target:
-        raise ValueError("remote part must belong to a different agent")
-    side = _target_side(log, target, (own_part,), strategy)
-    family = _with_remote(side, log, (remote_part,), strategy)
-    return _best(
-        family, lambda c: _conditioned_score(c, remote_part, strategy), _aggregate_key
-    )[1]
+    family = _family(log, target, (remote_part,), (own_part,), strategy)
+    return _search(family, remote_part, (own_part,), strategy)[1]["best_conditioned"]
 
 
 def joint_influence(
-    log: SampleLog,
-    target: str,
-    remote_parts: tuple[PartRef, PartRef],
+    log: SampleLog, target: str, remote_parts: tuple[PartRef, PartRef],
     strategy: DetectionStrategy,
 ) -> ConditionedScore:
     """Score a pair of remote parts encoded as one composite variable.
@@ -399,13 +434,9 @@ def joint_influence(
     """
     if not strategy.joint_pairs:
         raise ValueError("joint_pairs is disabled in this strategy")
-    for part in remote_parts:
-        if part[0] == target:
-            raise ValueError("remote parts must belong to agents other than the target")
     composite_ref: PartRef = (remote_parts[0][0], f"{remote_parts[0][1]}+{remote_parts[1][1]}")
     own_parts = [(target, own.name) for own in log.agent(target).parts]
-    side = _target_side(log, target, [None, *own_parts], strategy)
-    family = _with_remote(side, log, remote_parts, strategy)
+    family = _family(log, target, remote_parts, own_parts, strategy)
     return _best(
         family, lambda c: _conditioned_score(c, composite_ref, strategy), _aggregate_key
     )[1]
@@ -420,18 +451,17 @@ def _partition_tests(
 ) -> list[tuple[object, object, np.ndarray]]:
     """(remote, performance, shuffle block) of each partition the
     candidate's permutation test scores, on the columns the observed scorer
-    read: the raw candidate's one partition whatever its size, an own
-    part's from ``min_partition_size`` samples.  The blocks are C-ordered
-    (permutations + 1, count) views of ``buffer``, back to back, each row
-    the column the measure's kernel scores (``shuffled_column``), and rows
-    1 onward shuffled block by block, one ``rng.permuted`` call each.  Its
-    swaps do not depend on what the rows hold, so row r is the column
-    gathered at the r-th of successive ``rng.permutation`` calls."""
-    least = 0 if c.own_part is None else strategy.min_partition_size
+    read: those of at least ``c.least`` samples, as its aggregate counts
+    them.  The blocks are C-ordered (permutations + 1, count) views of
+    ``buffer``, back to back, each row the column the measure's kernel
+    scores (``shuffled_column``), and rows 1 onward shuffled block by
+    block, one ``rng.permuted`` call each.  Its swaps do not depend on what
+    the rows hold, so row r is the column gathered at the r-th of
+    successive ``rng.permutation`` calls."""
     reps = strategy.permutations + 1
     tests, start = [], 0
     for (_, idx), x, y in zip(c.partitions, c.remote, c.perf):
-        if len(idx) >= least:
+        if len(idx) >= c.least:
             rows = buffer[start : start + reps * len(idx)].reshape(reps, len(idx))
             rows[:] = shuffled_column(strategy.measure_kind, x, y, len(idx))
             rng.permuted(rows[1:], axis=1, out=rows[1:])
@@ -488,39 +518,6 @@ def _entry_rng(seed: int, ti: int, ri: int, pi: int) -> np.random.Generator:
     # Streams keyed on structural indices, not names, so relabeling agents
     # leaves every p-value unchanged.
     return np.random.default_rng(np.random.SeedSequence([seed, ti, ri, pi]))
-
-
-def _search(
-    family: Sequence[_Candidate],
-    remote_part: PartRef,
-    own_parts: Sequence[PartRef],
-    strategy: DetectionStrategy,
-) -> tuple[_Candidate, dict]:
-    """The entry's observed search: its best raw and best conditioned
-    candidate.  Gives the better of the two, whose permutation test is the
-    entry's, and the entry's fields but its p-value."""
-    raws = [c for c in family if c.own_part is None]
-    winner, raw = _best(raws, lambda c: _raw_score(c, strategy), lambda s: s.value)
-    headline, best_lag = raw.value, raw.lag or 0
-    # own-part-major, so a tie goes to the first own part, then to the first lag
-    conditioned = sorted(
-        (c for c in family if c.own_part), key=lambda c: own_parts.index(c.own_part)
-    )
-    best_cond: Optional[ConditionedScore] = None
-    if conditioned:
-        cond, best_cond = _best(
-            conditioned, lambda c: _conditioned_score(c, remote_part, strategy), _aggregate_key
-        )
-        if _aggregate_key(best_cond) > raw.value:
-            winner, best_lag = cond, best_cond.lag
-            headline = float(best_cond.aggregate)  # type: ignore[arg-type]
-    return winner, dict(
-        raw=raw,
-        best_conditioned=best_cond,
-        best_lag=best_lag,
-        headline=headline,
-        insufficient_data=raw.degenerate and (best_cond is None or best_cond.insufficient_data),
-    )
 
 
 def _tasks(

@@ -34,9 +34,10 @@ PartKey = tuple[str, str]  # (agent_id, part name)
 
 def _check_categories(kind) -> None:
     if len(kind.categories) < 2:
-        raise ValueError(f"{type(kind).__name__.lower()} parts need at least 2 categories")
+        raise InputError("categories",
+                         f"{type(kind).__name__.lower()} parts need at least 2 categories")
     if len(set(kind.categories)) != len(kind.categories):
-        raise ValueError("duplicate category labels")
+        raise InputError("categories", "duplicate category labels")
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ class AgentSchema:
         check_name("agent_id", "agent id", self.agent_id)
         names = [p.name for p in self.parts]
         if len(set(names)) != len(names):
-            raise ValueError(f"duplicate part names in agent {self.agent_id!r}")
+            raise InputError("parts", f"duplicate part names in agent {self.agent_id!r}")
 
     def part(self, name: str) -> ConfigPartSchema:
         for p in self.parts:

@@ -34,22 +34,22 @@ class AgentScale(Enum):
     LARGE = "large"        # more than a few hundred
 
 
+def _check_categories(kind) -> None:
+    if kind.categories < 2:
+        noun = type(kind).__name__.removesuffix("Part").lower()
+        raise InputError("categories", f"{noun} parts need >= 2 categories")
+
+
 @dataclass(frozen=True)
 class NominalPart:
     categories: int
-
-    def __post_init__(self) -> None:
-        if self.categories < 2:
-            raise ValueError("nominal parts need >= 2 categories")
+    __post_init__ = _check_categories
 
 
 @dataclass(frozen=True)
 class OrdinalPart:
     categories: int
-
-    def __post_init__(self) -> None:
-        if self.categories < 2:
-            raise ValueError("ordinal parts need >= 2 categories")
+    __post_init__ = _check_categories
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ class SystemDescriptor:
 
     def __post_init__(self) -> None:
         if len(self.part_kinds) == 0:
-            raise ValueError("at least one configuration part required")
+            raise InputError("part_kinds", "at least one configuration part required")
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,9 @@ class StrategyRecommendation:
 
 
 def recommend_strategy(descriptor: SystemDescriptor) -> StrategyRecommendation:
-    """Deterministic rule table from descriptor to detection settings."""
+    """Deterministic rule table from descriptor to detection settings.  The
+    large, neighbour-only note is advice no setting acts on; no rule reads
+    ``influence_locality``, ``communication.cost`` or ``hardware_heterogeneous``."""
     strategy = DetectionStrategy()
     notes: list[str] = []
 

@@ -523,6 +523,12 @@ REAL_KIND = ["schemas", 0, "parts", 0, "kind"]
          "schemas[0].parts[0].kind.upper: expected a number"),
         ("log", lambda d: put(d, ["schemas", 0, "owner"], "x"),
          "schemas[0].owner: not a schema field"),
+        ("log", lambda d: put(d, ["schemas", 0, "parts", 0, "kind", "categories"], ["c1"]),
+         "schemas[0].parts[0].kind.categories: nominal parts need at least 2 categories"),
+        ("log", lambda d: put(d, ["schemas", 0, "parts", 0, "kind", "categories"], ["c1", "c1"]),
+         "schemas[0].parts[0].kind.categories: duplicate category labels"),
+        ("log", lambda d: put(d, ["schemas", 0, "parts"], d["schemas"][0]["parts"] * 2),
+         "schemas[0].parts: duplicate part names in agent 'A'"),
         ("log", lambda d: put(d, ["records", 3, "t"], 2.7), "records[3].t: expected an integer"),
         ("log", lambda d: put(d, ["records", 3, "t"], "5"), "records[3].t: expected an integer"),
         ("log", lambda d: put(d, ["records", 3, "t"], 3.0), "records[3].t: expected an integer"),
@@ -569,6 +575,12 @@ REAL_KIND = ["schemas", 0, "parts", 0, "kind"]
          "hardware_heterogeneous: expected true or false"),
         ("descriptor", lambda d: put(d, ["part_kinds", 0, "categories"], "2"),
          "part_kinds[0].categories: expected an integer"),
+        ("descriptor", lambda d: put(d, ["part_kinds"], []),
+         "part_kinds: at least one configuration part required"),
+        ("descriptor", lambda d: put(d, ["part_kinds", 0, "categories"], 1),
+         "part_kinds[0].categories: nominal parts need >= 2 categories"),
+        ("descriptor", lambda d: put(d, ["part_kinds", 0], {"kind": "ordinal", "categories": 1}),
+         "part_kinds[0].categories: ordinal parts need >= 2 categories"),
         ("descriptor", lambda d: put(d, ["colour"], "red"), "colour: not a descriptor field"),
         ("descriptor", lambda d: put(d, ["communication", "hops"], 2),
          "communication.hops: not a communication field"),

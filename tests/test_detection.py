@@ -228,6 +228,52 @@ def test_conditioned_insufficient_data_flag():
     assert cs.aggregate is None
 
 
+def sized_log(sizes, seed=3):
+    """B's performance follows A's part ``cfg`` in part; B's own part
+    ``own`` takes its k-th category in ``sizes[k]`` of the records."""
+    rng = np.random.default_rng(seed)
+    own = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    cfg = rng.integers(0, 2, size=len(own))
+    perf = cfg + rng.standard_normal(len(own))
+    cats = ("c0", "c1", "c2")
+    schemas = (single_part_schema("A"),
+               AgentSchema("B", (ConfigPartSchema("own", Nominal(cats[: len(sizes)])),)))
+    records = tuple(
+        SampleRecord(t, {("A", "cfg"): f"c{cfg[t] + 1}", ("B", "own"): cats[own[t]]},
+                     {"A": 0.0, "B": float(perf[t])})
+        for t in range(len(own))
+    )
+    return SampleLog(schemas, records)
+
+
+@pytest.mark.parametrize(
+    "sizes, own, tested",
+    [((24, 25, 26), ("B", "own"), [25, 26]), ((4, 6), None, [10])],
+    ids=["own part", "raw"],
+)
+def test_observed_and_permuted_statistics_count_the_same_partitions(sizes, own, tested):
+    # an own part's partitions count from min_partition_size samples, the
+    # raw candidate's one partition at any size, in the observed aggregate
+    # and in the permutation test alike
+    strategy = DetectionStrategy(min_partition_size=25, permutations=20)
+    log = sized_log(sizes)
+    side = detection._target_side(log, "B", [None, ("B", "own")], strategy)
+    family = detection._with_remote(side, log, (("A", "cfg"),), strategy)
+    c = next(c for c in family if c.own_part == own)
+    cs = detection._conditioned_score(c, ("A", "cfg"), strategy)
+    buffer = np.empty((strategy.permutations + 1) * len(log.t), dtype=np.int64)
+    tests = detection._partition_tests(c, strategy, np.random.default_rng(0), buffer)
+    assert [rows.shape[1] for _, _, rows in tests] == tested
+    counted = [p for p in cs.per_partition if p.count in tested]
+    weighted_sum = 0.0
+    for p in counted:
+        weighted_sum += p.count * p.score.value
+    assert cs.aggregate == weighted_sum / sum(p.count for p in counted)
+    if own is not None:  # the 24-sample partition would move the aggregate
+        everything = sum(p.count * p.score.value for p in cs.per_partition) / sum(sizes)
+        assert everything != pytest.approx(cs.aggregate)
+
+
 # --- influence matrix -----------------------------------------------------------
 
 

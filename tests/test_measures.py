@@ -590,6 +590,45 @@ def test_perm_mi_refuses_a_code_outside_the_table(row, bad):
         _perm_values_mi(x, y, block)
 
 
+def expected_shuffled_mi(a, b):
+    """The mean plug-in MI in bits of two columns with category counts ``a``
+    and ``b`` over all shuffles of one against the other: cell (i, j) holds
+    n_ij samples with the hypergeometric probability of drawing n_ij of
+    a_i from b_j (Vinh, Epps & Bailey, JMLR 2010)."""
+    n = sum(a)
+    lf = [math.lgamma(k + 1) for k in range(n + 1)]  # log k!
+    total = 0.0
+    for ai, bj in itertools.product(a, b):
+        for nij in range(max(1, ai + bj - n), min(ai, bj) + 1):
+            log_p = (lf[ai] + lf[bj] + lf[n - ai] + lf[n - bj] - lf[n] - lf[nij]
+                     - lf[ai - nij] - lf[bj - nij] - lf[n - ai - bj + nij])
+            total += nij / n * math.log2(n * nij / (ai * bj)) * math.exp(log_p)
+    return total
+
+
+@pytest.mark.parametrize("n, kx, ky", [(60, 3, 3), (600, 3, 3), (600, 5, 3)])
+def test_perm_mi_mean_matches_the_exact_expectation(n, kx, ky):
+    # 20 000 shuffles, drawn as detection draws them: the column
+    # shuffled_column gives, permuted row by row.  Their mean must lie
+    # within 4 standard errors of the closed form (a false alarm about once
+    # in 16 000 draws of the seed); the margins are fixed by construction.
+    bound, reps, chunk = 4.0, 20_000, 2_000
+    rng = np.random.default_rng(n + kx)
+    x, y = cat(rng.integers(0, kx, size=n), kx), cat(rng.integers(0, ky, size=n), ky)
+    scores = []
+    for _ in range(reps // chunk):
+        block = np.tile(shuffled_column(Measure.MI, x, y, n), (chunk, 1))
+        rng.permuted(block, axis=1, out=block)
+        chunk_scores, error = permuted_scores(Measure.MI, x, y, block)
+        assert error == 0.0
+        scores.append(chunk_scores)
+    scores = np.concatenate(scores)
+    expected = expected_shuffled_mi(np.bincount(x.values, minlength=kx).tolist(),
+                                    np.bincount(y.values, minlength=ky).tolist())
+    standard_error = scores.std(ddof=1) / math.sqrt(reps)
+    assert abs(scores.mean() - expected) <= bound * standard_error
+
+
 def test_linear_correlation_affine():
     x = np.linspace(-3, 3, 50)
     assert linear_correlation(x, 2 * x + 1).value == pytest.approx(1.0, abs=1e-12)
