@@ -12,14 +12,16 @@ in the raw view show inside the partitions.  A matrix row's target side
 built once; each entry adds its remote column.  The better of the best raw
 and the best conditioned candidate is the headline, and a seeded
 permutation test of that candidate, shuffling the remote column within
-each of its partitions, gives its p-value.
+each of its partitions, gives its p-value.  The entries of a row are
+scored together: each partition of the row's side scores every entry's
+remote column against its one performance slice in one call.
 
 :func:`influence_matrix` builds every row's target side in the calling
 process, then forks one child per further usable CPU (W processes in all,
 at most one per entry).  Worker w scores the entries k = w (mod W) in
-matrix order, each in full, and a child pickles its entries back over a
-pipe; the caller scores every entry itself where it cannot fork, or while
-another thread runs.  Each entry's RNG stream is private to it and keyed
+matrix order, a row's share of them together, and a child pickles its
+entries back over a pipe; the caller scores every entry itself where it
+cannot fork, or while another thread runs.  Each entry's RNG stream is private to it and keyed
 on structural indices, and is drawn partition by partition in order, so
 the bytes out do not depend on W or on the process an entry ran in.
 """
@@ -33,6 +35,7 @@ import signal
 import threading
 import warnings
 from dataclasses import dataclass, replace
+from itertools import groupby
 from reprlib import repr as brief
 from typing import BinaryIO, Iterable, Optional, Sequence
 
@@ -43,7 +46,8 @@ from .measures import (
     DependencyScore,
     Measure,
     discrete_mutual_information,
-    mic,
+    mic,  # not called here: perfbench/layers.py wraps detection.mic by name
+    mic_columns,
     linear_correlation,
     rank_correlation,
     permuted_scores,
@@ -71,7 +75,11 @@ the cap that is 10 001 x 8 bytes, about 80 kB per sample and process
 (640 MB at N = 8000).  MIC's kernel peaks at about 7 such blocks of one
 partition more (44 MB over a 6.4 MB block at N = 8000, 100 rows, a
 tie-heavy column; 6 blocks at N = 400 and 3000), one group of segment
-tables at a time, while MI builds its cell index in the shuffled codes."""
+tables at a time, while MI builds its cell index in the shuffled codes.
+Re-scoring a partition whose rows all tie row 0 holds the gathered
+columns, their sort orders and the kernel's index rows as well: 7.4 to 9.7
+blocks at N = 8000 and 100 rows (tied, continuous and zero-heavy columns),
+which a test holds within 11."""
 
 
 @dataclass(frozen=True)
@@ -159,9 +167,11 @@ class InfluenceMatrix:
 # --- measure application -------------------------------------------------
 
 
-def score_dependency(x, y, n: int, strategy: DetectionStrategy) -> DependencyScore:
-    """Apply the strategy's measure to two aligned columns of ``n`` samples
-    as :func:`_slices` gives them.
+def score_dependency(xs: Sequence, y, n: int, strategy: DetectionStrategy) -> list[DependencyScore]:
+    """Apply the strategy's measure to each column of ``xs`` against one
+    column y, all aligned, of ``n`` samples as :func:`_slices` gives them:
+    MIC's columns in one :func:`mic_columns` call, the other measures'
+    one at a time.
 
     Correlation measures report their absolute value so scores aggregate
     and compare on dependency strength; degenerate (constant) columns, a
@@ -169,18 +179,21 @@ def score_dependency(x, y, n: int, strategy: DetectionStrategy) -> DependencySco
     samples for MIC, 2 for a correlation) score 0 with the degenerate flag
     set.
     """
-    degenerate = DependencyScore(0.0, strategy.measure_kind, n, degenerate=True)
-    if _scores_zero(strategy.measure_kind, x, y, n):
-        return degenerate
+    kind = strategy.measure_kind
+    degenerate = DependencyScore(0.0, kind, n, degenerate=True)
+    scored = [x for x in xs if not _scores_zero(kind, x, y, n)]
+    if kind is Measure.MIC:
+        found = iter(mic_columns(scored, y) if scored else ())
+    else:
+        found = (_score_column(kind, x, y, degenerate) for x in scored)
+    return [degenerate if _scores_zero(kind, x, y, n) else next(found) for x in xs]
+
+
+def _score_column(kind: Measure, x, y, degenerate: DependencyScore) -> DependencyScore:
     try:
-        if strategy.measure_kind is Measure.MI:
+        if kind is Measure.MI:
             return discrete_mutual_information(x, y)
-        if strategy.measure_kind is Measure.MIC:
-            return mic(x, y)
-        if strategy.measure_kind is Measure.LINEAR:
-            base = linear_correlation(x, y)
-        else:
-            base = rank_correlation(x, y)
+        base = (linear_correlation if kind is Measure.LINEAR else rank_correlation)(x, y)
         return replace(base, value=abs(base.value))
     except DegenerateSeriesError:
         return degenerate
@@ -194,9 +207,10 @@ class _Candidate:
     """One way to score an entry: the samples at one lag, split into the
     partitions of one own part, or into one partition of all samples when
     ``own_part`` is None (the raw candidate), with each partition's
-    performance and remote column from :func:`_slices`.  Its observed and
-    permuted statistics count the partitions of at least ``least`` samples:
-    any for the raw candidate, ``min_partition_size`` for an own part."""
+    performance and remote column from :func:`_slices` and the score of
+    one against the other.  Its observed and permuted statistics count the
+    partitions of at least ``least`` samples: any for the raw candidate,
+    ``min_partition_size`` for an own part."""
 
     lag: int
     own_part: Optional[PartRef]
@@ -204,6 +218,7 @@ class _Candidate:
     least: int = 0
     perf: tuple = ()
     remote: tuple = ()
+    scores: tuple[DependencyScore, ...] = ()
 
 
 def _codes(
@@ -296,41 +311,45 @@ def _target_side(
 
 
 def _with_remote(
-    side: Sequence[_Candidate], log: SampleLog, remote_parts: Sequence[PartRef],
+    side: Sequence[_Candidate], log: SampleLog, remotes: Sequence[Sequence[PartRef]],
     strategy: DetectionStrategy,
-) -> list[_Candidate]:
-    """One entry's candidates: the target side with the remote column sliced
-    into its partitions.  Two remote parts are scored as their composite;
-    where it has too many categories, a lag keeps one empty raw candidate."""
-    columns: dict[int, Optional[Series]] = {}
-    family = []
+) -> list[list[_Candidate]]:
+    """The candidates of the entries whose remote parts are ``remotes``, one
+    family each: the target side with each entry's remote column sliced
+    into its partitions and scored.  Each partition of the side is scored
+    with one :func:`score_dependency` call, every entry's column against
+    its one performance slice.  Two remote parts are scored as their
+    composite; where it has too many categories, a lag keeps one empty raw
+    candidate."""
+    columns: list[dict[int, Optional[Series]]] = [{} for _ in remotes]
+    families: list[list[_Candidate]] = [[] for _ in remotes]
     for c in side:
-        if c.lag not in columns:
-            parts = [extract_series(log, ConfigSelector(*p), c.lag) for p in remote_parts]
-            columns[c.lag] = parts[0] if len(parts) == 1 else _composite(*parts, strategy)
-        remote = columns[c.lag]
-        if remote is not None:
-            family.append(replace(c, remote=_slices(remote, c, strategy)))
-        elif c.own_part is None:
-            family.append(_Candidate(c.lag, None, ()))
-    return family
+        for remote_parts, column in zip(remotes, columns):
+            if c.lag not in column:
+                parts = [extract_series(log, ConfigSelector(*p), c.lag) for p in remote_parts]
+                column[c.lag] = parts[0] if len(parts) == 1 else _composite(*parts, strategy)
+        present = [(family, _slices(column[c.lag], c, strategy))
+                   for family, column in zip(families, columns) if column[c.lag] is not None]
+        scores = [
+            score_dependency([remote[p] for _, remote in present], y, len(idx), strategy)
+            for p, ((_, idx), y) in enumerate(zip(c.partitions, c.perf))
+        ]
+        for (family, remote), scored in zip(present, zip(*scores)):
+            family.append(replace(c, remote=remote, scores=scored))
+        if c.own_part is None:
+            for family, column in zip(families, columns):
+                if column[c.lag] is None:
+                    family.append(_Candidate(c.lag, None, ()))
+    return families
 
 
-def _raw_score(c: _Candidate, strategy: DetectionStrategy) -> DependencyScore:
-    n = len(c.partitions[0][1])
-    return replace(score_dependency(c.remote[0], c.perf[0], n, strategy), lag=c.lag)
-
-
-def _conditioned_score(
-    c: _Candidate, remote_ref: PartRef, strategy: DetectionStrategy
-) -> ConditionedScore:
-    """Score each partition, and aggregate those of at least ``c.least``
-    samples as a sample-count-weighted mean."""
+def _conditioned_score(c: _Candidate, remote_ref: PartRef) -> ConditionedScore:
+    """Each partition's score, and the sample-count-weighted mean of those
+    of at least ``c.least`` samples."""
     per_partition: list[PartitionScore] = []
     weighted_sum, weight = 0.0, 0
-    for (label, idx), x, y in zip(c.partitions, c.remote, c.perf):
+    for (label, idx), score in zip(c.partitions, c.scores):
         count = len(idx)
-        score = score_dependency(x, y, count, strategy)
         per_partition.append(PartitionScore(label, count, score))
         if count >= c.least:
             weighted_sum += count * score.value
@@ -356,12 +375,12 @@ def _search(
     family: Sequence[_Candidate], remote_part: PartRef, own_parts: Sequence[PartRef],
     strategy: DetectionStrategy,
 ) -> tuple[_Candidate, dict]:
-    """The one ranking of a family, for the matrix and the raw and
+    """The one ranking of a scored family, for the matrix and the raw and
     conditioned scorers: its best raw and best conditioned candidate.
     Gives the better of the two, whose permutation test is the entry's, and
     the entry's fields but its p-value."""
     raws = [c for c in family if c.own_part is None]
-    winner, raw = _best(raws, lambda c: _raw_score(c, strategy), lambda s: s.value)
+    winner, raw = _best(raws, lambda c: replace(c.scores[0], lag=c.lag), lambda s: s.value)
     headline, best_lag = raw.value, raw.lag or 0
     # own-part-major, so a tie goes to the first own part, then to the first lag
     conditioned = sorted(
@@ -370,7 +389,7 @@ def _search(
     best_cond: Optional[ConditionedScore] = None
     if conditioned:
         cond, best_cond = _best(
-            conditioned, lambda c: _conditioned_score(c, remote_part, strategy), _aggregate_key
+            conditioned, lambda c: _conditioned_score(c, remote_part), _aggregate_key
         )
         if _aggregate_key(best_cond) > raw.value:
             winner, best_lag = cond, best_cond.lag
@@ -389,11 +408,12 @@ def _family(
     own_parts: Sequence[PartRef], strategy: DetectionStrategy,
 ) -> list[_Candidate]:
     """The candidates of one entry outside the matrix: the raw candidate and
-    ``own_parts`` at every lag, lag-major, with the remote column added."""
+    ``own_parts`` at every lag, lag-major, with the remote column added and
+    scored."""
     if any(part[0] == target for part in remote_parts):
         raise ValueError("remote part must belong to a different agent")
     side = _target_side(log, target, [None, *own_parts], strategy)
-    return _with_remote(side, log, remote_parts, strategy)
+    return _with_remote(side, log, [remote_parts], strategy)[0]
 
 
 def raw_influence(
@@ -438,7 +458,7 @@ def joint_influence(
     own_parts = [(target, own.name) for own in log.agent(target).parts]
     family = _family(log, target, remote_parts, own_parts, strategy)
     return _best(
-        family, lambda c: _conditioned_score(c, composite_ref, strategy), _aggregate_key
+        family, lambda c: _conditioned_score(c, composite_ref), _aggregate_key
     )[1]
 
 
@@ -484,7 +504,8 @@ def _p_value(
     exact score, so only the rows within that margin, row 0 among them, are
     scored exactly: a replicate's exact score is ``mic`` of the remote
     column gathered at its row, the observed scorer, so row 0's is the
-    partition's observed score bit for bit."""
+    partition's observed score bit for bit.  A partition's unsure rows are
+    re-scored with one :func:`mic_columns` call."""
     if not tests:
         return 1.0
     weights = np.array([rows.shape[1] for _, _, rows in tests], dtype=np.float64)
@@ -499,7 +520,7 @@ def _p_value(
         # only MIC's estimates have an error, and only they are re-scored
         for j in np.flatnonzero(errors):
             x, y, rows = tests[j]
-            stats[unsure, j] = [mic(x[row], y).value for row in rows[unsure]]
+            stats[unsure, j] = [score.value for score in mic_columns(x[rows[unsure]], y)]
         # the product over every row, as when all are exact, so an
         # exact row's mean has the bits it would have there
         means = stats @ weights / weights.sum()
@@ -544,12 +565,11 @@ def _tasks(
 
 
 def _score_entry(
-    log: SampleLog, strategy: DetectionStrategy, task: _Task, buffer: np.ndarray
+    family: list[_Candidate], strategy: DetectionStrategy, task: _Task, buffer: np.ndarray
 ) -> InfluenceEntry:
-    """One entry: its candidate family, observed search and permutation
-    test, the shuffles drawn into ``buffer``."""
-    key, side, own_parts, rng = task
-    family = _with_remote(side, log, (key[1:],), strategy)
+    """One entry from its scored candidate family: the observed search and
+    the permutation test, the shuffles drawn into ``buffer``."""
+    key, _, own_parts, rng = task
     winner, fields = _search(family, key[1:], own_parts, strategy)
     tests = _partition_tests(winner, strategy, rng, buffer)
     p_value = _p_value(tests, strategy)
@@ -560,14 +580,24 @@ def _score_share(
     log: SampleLog, strategy: DetectionStrategy, tasks: Sequence[_Task], share: Iterable[int]
 ) -> tuple[dict[int, InfluenceEntry], Optional[tuple[int, Exception]]]:
     """The entries at the indices ``share``, scored in order up to the
-    first that raises, by index; and that index and error, or None."""
+    first that raises, by index; and that index and error, or None.
+
+    The share is scored one matrix row at a time: the row's families are
+    built and scored together (:func:`_with_remote`), then each entry is
+    searched and tested in matrix order.  An error in building or scoring
+    the families is the row's, and is given at its lowest index in the
+    share."""
     buffer = np.empty((strategy.permutations + 1) * len(log.t), dtype=np.int64)
-    done = {}
-    for k in share:
-        try:
-            done[k] = _score_entry(log, strategy, tasks[k], buffer)
-        except Exception as exc:  # the caller raises the lowest failing index's
-            return done, (k, exc)
+    done, k = {}, -1
+    try:
+        for _, row in groupby(share, key=lambda i: tasks[i][0][0]):
+            row = list(row)
+            k = row[0]
+            remotes = [(tasks[i][0][1:],) for i in row]
+            for k, family in zip(row, _with_remote(tasks[k][1], log, remotes, strategy)):
+                done[k] = _score_entry(family, strategy, tasks[k], buffer)
+    except Exception as exc:  # the caller raises the lowest failing index's
+        return done, (k, exc)
     return done, None
 
 

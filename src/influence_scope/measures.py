@@ -5,8 +5,11 @@ equal-frequency binning of real data, the maximal information coefficient
 (normalized MI maximized over admissible binning grids), and Pearson and
 Spearman correlations; :func:`permuted_scores` scores each on shuffles of
 the column :func:`shuffled_column` gives, exactly but for MIC, whose
-estimates it gives with their error: :func:`mic` is the one exact MIC
-scorer, of the observed column and of any shuffle of it.
+estimates it gives with their error.  One kernel, :func:`_perm_mic_groups`,
+estimates every MIC grid, of shuffles and of observed columns alike;
+:func:`mic_columns` scores several columns against one exactly, those
+whose tie runs coincide in one kernel call, and :func:`mic` is its
+one-column case.
 
 All mutual-information values are reported in bits (base-2 logarithms).
 The MIC normalizer is a ratio of logarithms and therefore base-invariant;
@@ -201,8 +204,9 @@ def quantile_bins(
     and cuts are those of :class:`_RankBins`'s stable sort.
 
     Raises :class:`DegenerateSeriesError` when fewer than two distinct
-    values exist, and ``ValueError`` for a NaN, which has no rank;
-    infinities bin like any other value.
+    values exist, and ``ValueError`` for a NaN, which has no rank
+    (:func:`as_float_values` refuses it); infinities bin like any other
+    value.
     """
     values = as_float_values(x)
     if n_bins < 2:
@@ -210,8 +214,6 @@ def quantile_bins(
     n = len(values)
     if n < n_bins:
         raise ValueError("need at least n_bins samples")
-    if np.isnan(values).any():
-        raise ValueError("cannot bin NaN")
     if _is_constant(values):
         raise DegenerateSeriesError("fewer than two distinct values")
     # part[:done] holds the done smallest values.  Each position is selected
@@ -300,11 +302,6 @@ class _RankBins:
             self._cache[k] = (labels[0][self.run_of], len(starts), cuts, starts)
         return self._cache[k]
 
-    def codes(self, ks: Sequence[int], order: np.ndarray) -> np.ndarray:
-        """(len(ks), len(order)) codes of the binnings into ``ks[i]`` bins,
-        samples taken in ``order``."""
-        return np.take(self._labels(np.asarray(ks))[0], self.run_of[order], axis=1)
-
     def bin_edges(self, ks: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The bins of the binnings into ``ks[i]`` bins, binning-major: each
         bin's start and end position in sorted order, and each binning's
@@ -333,44 +330,16 @@ def _segment_at(n: int, starts: np.ndarray) -> np.ndarray:
     return np.cumsum(bound) - 1
 
 
-def _prefix_counts(
-    seq: np.ndarray, k: int, starts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Prefix counts of code sequences at the bin starts of the other axis.
-
-    Row ``r`` of the C-ordered int64 ``seq`` holds one sequence of codes
-    (``k`` values) in the other axis's rank order; ``seq`` is scratch and is
-    overwritten with the flat cell index.  Counts per elementary segment
-    (between adjacent ``starts``) summed into an int32 (rows, k, segments +
-    1) prefix table; ``at[p]`` is the prefix column of the counts before
-    sorted position ``p``, for ``p`` a start or ``n``.  The table of a bin
-    ``[s, e)`` is then ``prefix[..., at[e]] - prefix[..., at[s]]``.
-    """
-    reps, n = seq.shape
-    at = _segment_at(n, starts)
-    e = int(at[n])
-    flat = seq
-    flat *= e
-    flat += at[:n]  # each position's segment
-    flat += (np.arange(reps) * (k * e))[:, None]
-    counts = np.bincount(flat.ravel(), minlength=reps * k * e).reshape(reps, k, e)
-    prefix = np.zeros((reps, k, e + 1), dtype=np.int32)
-    np.cumsum(counts, axis=2, dtype=np.int32, out=prefix[:, :, 1:])
-    return prefix, at
-
-
 def _is_constant(values: np.ndarray) -> bool:
     return bool(np.all(values == values[0]))
 
 
 # Bound on the float error of a grid's estimated normalized MI, far above
-# what is seen: against _mi_bits_from_counts on the same tables, random,
-# tied and identity columns (observed and permuted, both orientations, every
-# admissible grid, N from 31 to 50 000) give at most 3.4e-15, and the
-# permutation kernel's estimates against the exact MI of each grid's table
-# at most 1.5e-14 (zero-heavy columns too).  A grid further below the
-# largest estimate cannot win, and a permutation test's weighted estimates
-# more than twice this apart order their rows as the exact scores do.
+# what is seen: the permutation kernel's estimates against the exact MI of
+# each grid's table give at most 1.5e-14 on random, tied, identity and
+# zero-heavy columns.  A grid further below the largest estimate cannot
+# win, and a permutation test's weighted estimates more than twice this
+# apart order their rows as the exact scores do.
 _ESTIMATE_WINDOW = 1e-9
 
 
@@ -378,105 +347,6 @@ def _xlogx(n: int) -> np.ndarray:
     """The lookup ``c * log2(c)`` for c = 0..n, 0 at c = 0."""
     c = np.arange(n + 1, dtype=np.float64)
     return c * np.log2(np.maximum(c, 1.0))
-
-
-def _mi_estimates(
-    tables: np.ndarray, rows: np.ndarray, cols: np.ndarray, firsts: np.ndarray,
-    xlogx: np.ndarray,
-) -> np.ndarray:
-    """Estimated MI in bits of count tables of n = len(xlogx) - 1 samples,
-    laid side by side along the last axis of ``tables`` (..., k, columns):
-    grid g's columns start at ``firsts[g]`` and end where the next grid's
-    start.  ``rows`` are the row sums, (k,) for every grid or (grids, k),
-    and ``cols`` each column's sum.
-
-    With L(c) = c·log2(c) from the lookup ``xlogx``,
-    n·MI = Σ_cells L(c) − Σ_rows L(r) − Σ_cols L(s) + L(n); the margins
-    are one constant per grid, so a table costs one gather and one sum.
-    """
-    n = len(xlogx) - 1
-    per_col = xlogx[tables].sum(axis=-2) - xlogx[cols]
-    per_grid = np.add.reduceat(per_col, firsts, axis=-1)
-    return (per_grid - xlogx[rows].sum(axis=-1) + xlogx[n]) / n
-
-
-def _grid_mi_estimates(
-    x_ranks: _RankBins, y_ranks: _RankBins, px: np.ndarray, py: np.ndarray
-) -> np.ndarray:
-    """MI in bits of each equipartition grid ``(px[i], py[i])``, estimated
-    by :func:`_mi_estimates`.
-
-    Each orientation puts its grids' smaller bin count (the small side) on
-    one axis; every grid with the smaller side there, the diagonal on both,
-    gets its table from one prefix-count table of all small sides' codes in
-    the other axis's rank order.
-    """
-    xlogx = _xlogx(len(x_ranks.order))
-    values = np.empty(len(px))
-    for ranks, partner, small, big in ((x_ranks, y_ranks, px, py), (y_ranks, x_ranks, py, px)):
-        mask = small <= big
-        side_of, partner_of = small[mask] - 2, big[mask] - 2
-        sides, partners = np.arange(2, side_of.max() + 3), np.arange(2, partner_of.max() + 3)
-        seq = ranks.codes(sides, partner.order)
-        starts, ends, bin_counts = partner.bin_edges(partners)
-        prefix, at = _prefix_counts(seq, int(seq.max()) + 1, starts)
-        # the columns of this orientation's grids: (small side, partner bin),
-        # grid by grid in id order
-        wanted = np.zeros((len(sides), len(partners)), dtype=bool)
-        wanted[side_of, partner_of] = True
-        side, col = np.nonzero(np.repeat(wanted, bin_counts, axis=1))
-        cells = prefix[side, :, at[ends[col]]] - prefix[side, :, at[starts[col]]]
-        grid = side * len(partners) + np.repeat(np.arange(len(partners)), bin_counts)[col]
-        firsts = np.flatnonzero(np.diff(grid, prepend=-1))
-        rows = prefix[side[firsts], :, -1]  # each grid's small-side bin counts
-        mi = _mi_estimates(cells.T, rows, (ends - starts)[col], firsts, xlogx)
-        values[mask] = mi[np.searchsorted(grid[firsts], side_of * len(partners) + partner_of)]
-    return values
-
-
-def mic(x: Series | np.ndarray, y: Series | np.ndarray) -> DependencyScore:
-    """Maximal information coefficient over the admissible equipartition
-    grids.
-
-    For every admissible grid (:func:`admissible_pairs`) both columns are
-    binned into equal-frequency bins, the binned mutual information is
-    divided by ``log2(min(n_x, n_y))``, and the maximum ratio is returned,
-    together with the winning bin layout; ties go to the first grid in pair
-    order.  Constant inputs score 0 by convention.
-
-    This is the equipartition approximation of MIC, the one a permutation
-    test can afford.  It reads lower than the MIC of Reshef et al. (Science
-    2011), which also optimizes the cut points along an axis: 0.635 against
-    0.750 on y = sin(6x) + N(0, 0.5^2), x uniform on [0, 1], N = 400
-    (``default_rng(0)``), where the axis-optimized search takes about 10^4
-    times as long.  The axis-optimized and exhaustive searches live in
-    ``tests/mic_oracle.py``, as the oracle that checks this one.
-    """
-    xv = as_float_values(x)
-    yv = as_float_values(y)
-    if len(xv) != len(yv):
-        raise ValueError("series lengths differ")
-    n = len(xv)
-    if n < 4:
-        raise ValueError("MIC requires at least 4 samples")
-    if _is_constant(xv) or _is_constant(yv):
-        return DependencyScore(0.0, Measure.MIC, n, degenerate=True)
-
-    pairs = admissible_pairs(n)
-    x_ranks, y_ranks = _RankBins(xv), _RankBins(yv)
-    # Every grid scored as one float vector; only grids within the window of
-    # its maximum can be the exact winner, so only they are scored exactly.
-    px, py = np.array(pairs).T
-    values = _grid_mi_estimates(x_ranks, y_ranks, px, py) / np.log2(np.minimum(px, py))
-    best_value, best_layout = 0.0, None
-    for i in np.flatnonzero(values >= values.max() - _ESTIMATE_WINDOW):
-        nx, ny = pairs[i]
-        xc, kx, xcuts, _ = x_ranks.bins(nx)
-        yc, ky, ycuts, _ = y_ranks.bins(ny)
-        value = _mi_bits_from_counts(_counts_from_codes(xc, kx, yc, ky)) / math.log2(min(nx, ny))
-        if value > best_value or best_layout is None:
-            best_value, best_layout = value, BinLayout(nx, ny, xcuts, ycuts)
-    return DependencyScore(min(max(best_value, 0.0), 1.0), Measure.MIC, n, bin_layout=best_layout)
 
 
 def _centered(xv: np.ndarray, yv: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -508,7 +378,7 @@ def _check_indices(idx: np.ndarray, n: int) -> None:
 _TABLE_CELLS_PER_SAMPLE = 2
 
 
-def _perm_mic_groups(xv: np.ndarray, yv: np.ndarray, perm_idx: np.ndarray):
+def _perm_mic_groups(x_ranks: _RankBins, y_ranks: _RankBins, perm_idx: np.ndarray):
     """Every admissible grid's MI in every permutation row, estimated a
     group of small sides at a time.
 
@@ -531,7 +401,6 @@ def _perm_mic_groups(xv: np.ndarray, yv: np.ndarray, perm_idx: np.ndarray):
     """
     reps, n = perm_idx.shape
     _check_indices(perm_idx, n)  # before any gather: clip would hide it
-    x_ranks, y_ranks = _RankBins(xv), _RankBins(yv)
     pairs = np.array(admissible_pairs(n))
     xlogx = _xlogx(n)
     work = np.empty((reps, n), dtype=np.int64)  # each group's table keys
@@ -613,15 +482,105 @@ def _perm_mic_groups(xv: np.ndarray, yv: np.ndarray, perm_idx: np.ndarray):
             first = last
 
 
+def _grid_estimates(x_ranks: _RankBins, y_ranks: _RankBins, perm_idx: np.ndarray) -> np.ndarray:
+    """Normalized MI of x gathered at each permutation row against y on
+    every admissible grid, estimated by :func:`_perm_mic_groups`: a (rows,
+    grids) array, grids in pair order."""
+    n = perm_idx.shape[1]
+    pairs = np.array(admissible_pairs(n))
+    keys = pairs[:, 0] * n + pairs[:, 1]  # increasing in pair order
+    estimates = np.empty((len(perm_idx), len(pairs)))
+    for grids, mi in _perm_mic_groups(x_ranks, y_ranks, perm_idx):
+        estimates[:, np.searchsorted(keys, grids[:, 0] * n + grids[:, 1])] = (
+            mi / np.log2(grids.min(axis=1))
+        )
+    return estimates
+
+
 def _perm_estimates_mic(xv: np.ndarray, yv: np.ndarray, perm_idx: np.ndarray) -> np.ndarray:
     """Equipartition MIC of x gathered at each permutation row against y,
-    estimated: each row's largest grid estimate from
-    :func:`_perm_mic_groups`, within ``_ESTIMATE_WINDOW`` of :func:`mic` of
-    the gathered column.  Neither column may be constant."""
-    best = np.zeros(perm_idx.shape[0])
-    for grids, mi in _perm_mic_groups(xv, yv, perm_idx):
-        best = np.maximum(best, (mi / np.log2(grids.min(axis=1))).max(axis=1))
-    return np.minimum(best, 1.0)
+    estimated: each row's largest grid estimate, within ``_ESTIMATE_WINDOW``
+    of :func:`mic` of the gathered column.  Neither column may be
+    constant."""
+    estimates = _grid_estimates(_RankBins(xv), _RankBins(yv), perm_idx)
+    return np.minimum(estimates.max(axis=1), 1.0)
+
+
+def mic_columns(
+    xs: Sequence[Series | np.ndarray], y: Series | np.ndarray
+) -> list[DependencyScore]:
+    """:func:`mic` of each column of ``xs`` against y, value and layout.
+
+    Every grid is estimated first (:func:`_grid_estimates`), and only the
+    grids within ``_ESTIMATE_WINDOW`` of a column's largest estimate can be
+    its exact winner, so only they are scored exactly, from the column's
+    own bins.  Equipartition bins are rank intervals, so a column's
+    estimates depend only on where its tie runs lie in sorted order:
+    columns whose runs coincide (shuffles of one column, or tie-free
+    columns of one length) are the rows of one kernel call, each row the
+    first such column gathered at the samples holding the row's ranks.
+    """
+    yv = as_float_values(y)
+    columns = [as_float_values(x) for x in xs]
+    n = len(yv)
+    if any(len(xv) != n for xv in columns):
+        raise ValueError("series lengths differ")
+    if n < 4:
+        raise ValueError("MIC requires at least 4 samples")
+    scores = [DependencyScore(0.0, Measure.MIC, n, degenerate=True)] * len(columns)
+    if _is_constant(yv):
+        return scores
+    # each column by where its tie runs lie, with its stable sort order
+    groups: dict[bytes, list[tuple[int, np.ndarray]]] = {}
+    for i, xv in enumerate(columns):
+        if not _is_constant(xv):
+            order = np.argsort(xv, kind="stable")
+            ties = xv[order[1:]] == xv[order[:-1]]
+            groups.setdefault(ties.tobytes(), []).append((i, order))
+    pairs = admissible_pairs(n)
+    y_ranks = _RankBins(yv)
+    for members in groups.values():
+        perm_idx = np.empty((len(members), n), dtype=np.int64)
+        for row, (_, order) in zip(perm_idx, members):
+            row[order] = members[0][1]  # the first column's sample of each rank
+        first_ranks = _RankBins(columns[members[0][0]])
+        estimates = _grid_estimates(first_ranks, y_ranks, perm_idx)
+        for (i, order), row, values in zip(members, perm_idx, estimates):
+            best_value, best_layout = 0.0, None
+            for g in np.flatnonzero(values >= values.max() - _ESTIMATE_WINDOW):
+                nx, ny = pairs[g]
+                xc, kx, _, starts = first_ranks.bins(nx)
+                yc, ky, ycuts, _ = y_ranks.bins(ny)
+                table = _counts_from_codes(xc[row], kx, yc, ky)
+                value = _mi_bits_from_counts(table) / math.log2(min(nx, ny))
+                if value > best_value or best_layout is None:
+                    xcuts = tuple(columns[i][order[starts[1:]]].tolist())
+                    best_value, best_layout = value, BinLayout(nx, ny, xcuts, ycuts)
+            scores[i] = DependencyScore(
+                min(max(best_value, 0.0), 1.0), Measure.MIC, n, bin_layout=best_layout
+            )
+    return scores
+
+
+def mic(x: Series | np.ndarray, y: Series | np.ndarray) -> DependencyScore:
+    """Maximal information coefficient over the admissible equipartition
+    grids: :func:`mic_columns` of the one column x.
+
+    For every admissible grid (:func:`admissible_pairs`) both columns are
+    binned into equal-frequency bins, the binned mutual information is
+    divided by ``log2(min(n_x, n_y))``, and the maximum ratio is returned,
+    together with the winning bin layout; ties go to the first grid in pair
+    order.  Constant inputs score 0 by convention.
+
+    This is the equipartition approximation of MIC, the one a permutation
+    test can afford.  It reads lower than the MIC of Reshef et al. (Science
+    2011), which also optimizes the cut points along an axis: 0.635 against
+    0.750 on y = sin(6x) + N(0, 0.5^2), x uniform on [0, 1], N = 400
+    (``default_rng(0)``), where the axis-optimized search takes about 10^4
+    times as long.  The axis-optimized and exhaustive searches live in
+    ``tests/mic_oracle.py``, as the oracle that checks this one.
+    """
+    return mic_columns([x], y)[0]
 
 
 def _pearson(xv: np.ndarray, yv: np.ndarray) -> float:

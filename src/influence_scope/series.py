@@ -63,8 +63,12 @@ def as_float_values(series: Series | np.ndarray) -> np.ndarray:
     """Return the underlying values as a float array.
 
     Category identifiers are used verbatim; for rank-based consumers only
-    their order matters.
+    their order matters.  A NaN raises ``ValueError``: it has no rank, and
+    a series cannot hold one.
     """
     if isinstance(series, (CategorySeries, RealSeries)):
         return np.asarray(series.values, dtype=np.float64)
-    return np.asarray(series, dtype=np.float64)
+    values = np.asarray(series, dtype=np.float64)
+    if np.isnan(values).any():
+        raise ValueError("cannot bin or score NaN")
+    return values

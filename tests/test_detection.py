@@ -39,7 +39,8 @@ from influence_scope import detection
 from influence_scope.errors import InputError, InternalConsistencyError
 from influence_scope.logio import matrix_from_json, matrix_to_json
 from influence_scope.measures import (
-    _ESTIMATE_WINDOW, LEAST_SAMPLES, _perm_mic_groups, _perm_values_mi, admissible_pairs, mic,
+    _ESTIMATE_WINDOW, LEAST_SAMPLES, _perm_mic_groups, _perm_values_mi, _RankBins,
+    admissible_pairs, mic,
     permuted_scores, quantile_bins, shuffled_column,
 )
 from influence_scope.model import ConfigSelector
@@ -258,9 +259,9 @@ def test_observed_and_permuted_statistics_count_the_same_partitions(sizes, own, 
     strategy = DetectionStrategy(min_partition_size=25, permutations=20)
     log = sized_log(sizes)
     side = detection._target_side(log, "B", [None, ("B", "own")], strategy)
-    family = detection._with_remote(side, log, (("A", "cfg"),), strategy)
+    family = detection._with_remote(side, log, [(("A", "cfg"),)], strategy)[0]
     c = next(c for c in family if c.own_part == own)
-    cs = detection._conditioned_score(c, ("A", "cfg"), strategy)
+    cs = detection._conditioned_score(c, ("A", "cfg"))
     buffer = np.empty((strategy.permutations + 1) * len(log.t), dtype=np.int64)
     tests = detection._partition_tests(c, strategy, np.random.default_rng(0), buffer)
     assert [rows.shape[1] for _, _, rows in tests] == tested
@@ -758,6 +759,19 @@ def test_golden_matrix_mic_camera_trio():
     )
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_golden_matrix_mic_camera_trio_at_every_worker_count(monkeypatch, workers):
+    # a worker scores the remote columns of its share of a row together, so
+    # which columns share a MIC call changes with W; the bytes must not
+    spec = scenario_from_dict(json.loads((SCENARIOS / "camera-trio.json").read_text()))
+    log = run_scenario(spec, steps=400, seed=1)
+    strategy = DetectionStrategy(measure_kind=Measure.MIC, permutations=49, seed=1)
+    use_workers(monkeypatch, workers)
+    assert matrix_digest(log, strategy) == (
+        "814c3c48e8cab4b1708c09033d861349e447f493b4d9b47aed8611ede49efb76"
+    )
+
+
 # --- MIC permutation kernel ---------------------------------------------------------
 
 
@@ -837,7 +851,8 @@ def test_perm_mic_of_several_groups_matches_per_grid_tables(kind):
     rng = np.random.default_rng(n)
     xv, yv = mic_columns(n, kind, rng)
     perm_idx = np.array([np.arange(n)] + [rng.permutation(n) for _ in range(5)])
-    groups = [(pairs[0, 0] <= pairs[0, 1]) for pairs, _ in _perm_mic_groups(xv, yv, perm_idx)]
+    groups = [(pairs[0, 0] <= pairs[0, 1])
+              for pairs, _ in _perm_mic_groups(_RankBins(xv), _RankBins(yv), perm_idx)]
     assert groups.count(True) >= 2 and groups.count(False) >= 2
     perm_mic_estimates(xv, yv, perm_idx)
 
@@ -858,6 +873,25 @@ def test_perm_mic_memory_stays_within_ten_index_blocks():
     finally:
         tracemalloc.stop()
     assert peak - base <= 10 * perm_idx.nbytes
+
+
+def test_mic_rescore_of_tied_rows_stays_within_eleven_index_blocks():
+    # every row ties row 0, so _p_value re-scores all 100 with one
+    # mic_columns call: the gathered columns, their sort orders and the
+    # kernel's index rows, 3 blocks, over the kernel's own peak of at most 7
+    n = 8000
+    strategy = DetectionStrategy(measure_kind=Measure.MIC, permutations=99)
+    for kind in ("continuous", "zeros"):
+        xv, yv = mic_columns(n, kind, np.random.default_rng(n))
+        rows = np.tile(np.arange(n), (strategy.permutations + 1, 1))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert detection._p_value([(xv, yv, rows)], strategy) == 1.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 11 * rows.nbytes, kind
 
 
 def test_perm_mic_of_several_partitions_matches_per_grid_tables():
@@ -924,7 +958,7 @@ def test_permuted_scores_zero_where_score_dependency_is_degenerate(kind):
         cases.append((column(n), column(n)))
     for x, y in cases:
         n = len(x if x is not None else y)
-        score = detection.score_dependency(x, y, n, strategy)
+        score = detection.score_dependency([x], y, n, strategy)[0]
         assert score.value == 0.0
         assert score.degenerate or kind is Measure.MI  # constant categories: MI 0
         block = shuffled(kind, x, y, shuffles(n, rng))
@@ -934,7 +968,7 @@ def test_permuted_scores_zero_where_score_dependency_is_degenerate(kind):
     for n in (60, 300):
         codes = rng.integers(0, 4, size=n)
         x, y = measured(kind, codes), measured(kind, (codes + rng.integers(0, 2, size=n)) % 4)
-        observed = detection.score_dependency(x, y, n, strategy)
+        observed = detection.score_dependency([x], y, n, strategy)[0]
         assert not observed.degenerate and observed.value > 0.1
         block = shuffled(kind, x, y, shuffles(n, rng))
         assert abs(permuted_scores(kind, x, y, block)[0][0] - observed.value) <= 1e-12
@@ -1003,7 +1037,7 @@ def serial_p_values(log, strategy):
     test scores (0 for a raw winner)."""
     out = {}
     for key, side, own_parts, rng in detection._tasks(log, strategy, True, None):
-        family = detection._with_remote(side, log, (key[1:],), strategy)
+        family = detection._with_remote(side, log, [(key[1:],)], strategy)[0]
         winner, _ = detection._search(family, key[1:], own_parts, strategy)
         stats = serial_permuted(winner, strategy, rng)
         p_value = 1.0 if stats is None else (
@@ -1089,8 +1123,16 @@ def test_mic_p_value_from_estimates_equals_the_exact_one(monkeypatch, share):
     # an exact score can count it; with every row repeated p must be 1
     strategy = DetectionStrategy(measure_kind=Measure.MIC, permutations=40)
     rng = np.random.default_rng(12)
-    rescored = []  # the sample count of each column detection scores with mic
-    monkeypatch.setattr(detection, "mic", lambda x, y: rescored.append(len(x)) or mic(x, y))
+    # the sample count of each column detection re-scores exactly, and the
+    # column count of each call
+    rescored, calls, score = [], [], detection.mic_columns
+
+    def counted(xs, y):
+        calls.append(len(xs))
+        rescored.extend(len(x) for x in xs)
+        return score(xs, y)
+
+    monkeypatch.setattr(detection, "mic_columns", counted)
     synthetic, rescored_entries = [], 0
     for n, kind in ((30, "ties"), (120, "zeros"), (400, "continuous")):
         xv, yv = mic_columns(n, kind, rng)
@@ -1099,13 +1141,14 @@ def test_mic_p_value_from_estimates_equals_the_exact_one(monkeypatch, share):
     buffer = np.empty((strategy.permutations + 1) * len(log.records) * 2, dtype=np.int64)
     entries = [synthetic]
     for key, side, own_parts, entry_rng in detection._tasks(log, strategy, True, None):
-        family = detection._with_remote(side, log, (key[1:],), strategy)
+        family = detection._with_remote(side, log, [(key[1:],)], strategy)[0]
         winner, _ = detection._search(family, key[1:], own_parts, strategy)
         entries.append(detection._partition_tests(winner, strategy, entry_rng, buffer.copy()))
     for tests in entries:
         repeat_row_zero(tests, share, rng)
         expected = exact_p_value(tests, strategy)
         rescored.clear()
+        calls.clear()
         assert detection._p_value(tests, strategy) == expected
         if share == 1.0:
             assert expected == 1.0
@@ -1119,6 +1162,7 @@ def test_mic_p_value_from_estimates_equals_the_exact_one(monkeypatch, share):
         unsure = len(rescored) // len(estimated)
         assert rescored == [n for n in estimated for _ in range(unsure)]
         assert unsure >= 1 + round(share * strategy.permutations)
+        assert calls == [unsure] * len(estimated)  # one call per partition
         rescored_entries += 1
     assert len(entries) > 2 and max(len(tests) for tests in entries) >= 2
     assert rescored_entries > 2
@@ -1242,6 +1286,24 @@ def test_a_failed_entry_raises_the_serial_loops_error_and_leaves_no_child(
     assert str(raised.value) == str(first)
     if isinstance(first, InputError):  # the CLI reads its path to exit 2
         assert (raised.value.path, raised.value.message) == (first.path, first.message)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_row_that_fails_to_score_raises_its_error(monkeypatch, workers):
+    # a row's families are built and scored together, so their error is the
+    # row's, given at the row's lowest index in each worker's share
+    use_workers(monkeypatch, workers)
+    build = detection._with_remote
+
+    def failing(side, log, remotes, strategy):
+        if side[1].own_part[0] == "B":
+            raise ValueError("row B")
+        return build(side, log, remotes, strategy)
+
+    monkeypatch.setattr(detection, "_with_remote", failing)
+    with pytest.raises(ValueError, match="row B"):
+        influence_matrix(three_agent_log(120), FAST)
     assert_no_child_left()
 
 

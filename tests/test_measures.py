@@ -27,16 +27,14 @@ from influence_scope.measures import (
     BinLayout,
     Measure,
     _counts_from_codes,
-    _grid_mi_estimates,
     _mi_bits_from_counts,
     _mi_bits_of_tables,
-    _mi_estimates,
     _mid_ranks,
     _perm_mic_groups,
     _perm_values_mi,
     _RankBins,
-    _xlogx,
     admissible_pairs,
+    mic_columns,
     permuted_scores,
     shuffled_column,
 )
@@ -463,9 +461,9 @@ def test_mic_exact_ties_go_to_the_first_grid(n, layout):
 @pytest.mark.parametrize("n", [31, 1200, 8000])
 @pytest.mark.parametrize("kind", ["random", "ties", "identity"])
 def test_grid_estimates_lie_well_inside_the_window(n, kind):
-    # every grid's lookup estimate, on the observed and on a permuted row and
-    # in both orientations, is far closer to the exact MI than the window
-    # that selects the grids scored exactly
+    # the permutation kernel's estimates, every row and grid, in both
+    # orientations, against the exact MI of each grid's tables counted
+    # alone: far closer than the window that selects the grids scored exactly
     rng = np.random.default_rng(n)
     if kind == "identity":
         xv = rng.permutation(n).astype(float)
@@ -476,41 +474,71 @@ def test_grid_estimates_lie_well_inside_the_window(n, kind):
         xv, yv = draw(), draw()
         yv[: n // 2] += xv[: n // 2]
     tolerance = _ESTIMATE_WINDOW / 1000
-    xlogx = _xlogx(n)
-    px, py = np.array(admissible_pairs(n)).T
-    y_ranks = _RankBins(yv)
-    for x in (xv, xv[rng.permutation(n)]):
-        x_ranks = _RankBins(x)
-        observed = _grid_mi_estimates(x_ranks, y_ranks, px, py)
-        transposed = _grid_mi_estimates(y_ranks, x_ranks, py, px)
-        for i, (nx, ny) in enumerate(zip(px, py)):
-            xc, kx, _, _ = x_ranks.bins(nx)
-            yc, ky, _, _ = y_ranks.bins(ny)
-            table = np.bincount(xc * ky + yc, minlength=kx * ky).reshape(kx, ky)
-            exact = _mi_bits_from_counts(table)
-            rows, cols = table.sum(axis=1), table.sum(axis=0)
-            first = np.array([0])
-            estimates = [
-                observed[i],
-                transposed[i],
-                _mi_estimates(table[None], rows, cols, first, xlogx)[0, 0],
-                _mi_estimates(table.T[None], cols, rows, first, xlogx)[0, 0],
-            ]
-            assert np.abs(np.array(estimates) - exact).max() <= tolerance, (nx, ny)
-    # the permutation kernel's estimates, every row and grid, against the
-    # exact MI of each grid's tables counted alone
-    x_ranks = _RankBins(xv)
     perm_idx = np.array([np.arange(n)] + [rng.permutation(n) for _ in range(5)])
-    seen = []
-    for grids, mi in _perm_mic_groups(xv, yv, perm_idx):
-        for g, (nx, ny) in enumerate(grids.tolist()):
-            xc, kx, _, _ = x_ranks.bins(nx)
-            yc, ky, _, _ = y_ranks.bins(ny)
-            exact = [_mi_bits_from_counts(_counts_from_codes(xc[row], kx, yc, ky))
-                     for row in perm_idx]
-            assert np.abs(mi[:, g] - exact).max() <= tolerance, (nx, ny)
-            seen.append((nx, ny))
-    assert sorted(seen) == sorted(admissible_pairs(n))
+    for x, y in ((xv, yv), (yv, xv)):
+        x_ranks, y_ranks = _RankBins(x), _RankBins(y)
+        seen = []
+        for grids, mi in _perm_mic_groups(x_ranks, y_ranks, perm_idx):
+            for g, (nx, ny) in enumerate(grids.tolist()):
+                xc, kx, _, _ = x_ranks.bins(nx)
+                yc, ky, _, _ = y_ranks.bins(ny)
+                exact = [_mi_bits_from_counts(_counts_from_codes(xc[row], kx, yc, ky))
+                         for row in perm_idx]
+                assert np.abs(mi[:, g] - exact).max() <= tolerance, (nx, ny)
+                seen.append((nx, ny))
+        assert sorted(seen) == sorted(admissible_pairs(n))
+
+
+@pytest.mark.parametrize("n", [4, 5, 9, 31, 120, 401, 1200])
+def test_mic_columns_equals_mic_of_each_column(n):
+    # one call scores its columns as mic scores each alone, value and layout
+    # to the bit (signed zeros in the cuts too): shuffles of one column share
+    # a kernel call, distinct tie-free columns share one, and a mix of tie
+    # runs makes several
+    rng = np.random.default_rng(n)
+    signed_zeros = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    zero_heavy = np.where(rng.random(n) < 0.5, signed_zeros, rng.normal(size=n))
+    tied = rng.integers(0, 4, size=n).astype(float)
+    continuous = rng.normal(size=n)
+
+    def shuffles(x):
+        return [x] + [x[rng.permutation(n)] for _ in range(5)]
+
+    batches = [
+        shuffles(tied),
+        shuffles(zero_heavy),
+        shuffles(continuous),
+        [rng.normal(size=n) for _ in range(5)],
+        [tied, continuous, np.full(n, 2.0), zero_heavy, tied[::-1], rng.normal(size=n),
+         zero_heavy[rng.permutation(n)]],
+    ]
+    dependent = continuous + rng.normal(size=n)
+    dependent[: n // 2] = tied[: n // 2]
+    for y in (dependent, zero_heavy[::-1], tied, np.full(n, 1.0)):
+        for xs in batches:
+            got, expected = mic_columns(xs, y), [mic(x, y) for x in xs]
+            assert got == expected
+            assert repr(got) == repr(expected)
+            if n <= 401:  # and as the per-grid reference scores them
+                assert [(s.value, s.bin_layout) for s in got] == [
+                    per_grid_mic(x, y, MicSearchMode.EQUIPARTITION) for x in xs]
+
+
+NAN_COLUMN = np.array([0.1, 0.5, np.nan, 0.3, 0.9, 0.7, 0.2, 0.4])
+
+
+@pytest.mark.parametrize(
+    "scorer",
+    [mic, linear_correlation, rank_correlation,
+     lambda x, y: (quantile_bins(x, 2), quantile_bins(y, 2))],
+    ids=["mic", "linear_correlation", "rank_correlation", "quantile_bins"],
+)
+def test_every_scorer_refuses_nan(scorer):
+    # NaN has no rank; a scorer that read one would return 0, nan or a
+    # number that depends on where a sort puts it
+    for x, y in ((NAN_COLUMN, np.arange(8.0)), (np.arange(8.0), NAN_COLUMN)):
+        with pytest.raises(ValueError, match="NaN"):
+            scorer(x, y)
 
 
 def test_mi_bits_int32_table_matches_int64():
