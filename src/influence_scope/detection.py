@@ -7,21 +7,22 @@ permuted.  Each matrix entry searches one candidate family: at every lag,
 a raw candidate over all samples and one candidate per own configuration
 part of the target, partitioned by that part's value (never by the full
 own configuration, so partitions stay large).  Influences that cancel out
-in the raw view show inside the partitions.  A matrix row's target side
-(each lag's partitions and the performance in each, binned for MI) is
-built once; each entry adds its remote column.  The better of the best raw
+in the raw view show inside the partitions.  The better of the best raw
 and the best conditioned candidate is the headline, and a seeded
 permutation test of that candidate, shuffling the remote column within
-each of its partitions, gives its p-value.  The entries of a row are
-scored together: each partition of the row's side scores every entry's
-remote column against its one performance slice in one call.
+each of its partitions, gives its p-value.  One builder,
+:func:`_families`, gives the families of any entries of one row
+together: each lag's partitions and the performance in each (binned for
+MI) are built once, and each partition scores every entry's remote column
+against its one performance slice in one call.
 
-:func:`influence_matrix` builds every row's target side in the calling
-process, then forks one child per further usable CPU (W processes in all,
-at most one per entry).  Worker w scores the entries k = w (mod W) in
-matrix order, a row's share of them together, and a child pickles its
-entries back over a pipe; the caller scores every entry itself where it
-cannot fork, or while another thread runs.  Each entry's RNG stream is private to it and keyed
+:func:`influence_matrix` splits the entries, forks one child per further
+usable CPU (W processes in all, at most one per entry) and merges what
+they give back; it reads no column itself.  Worker w scores the entries
+k = w (mod W) in matrix order, building the families of a row's share of
+them once, together, and a child pickles its entries back over a pipe;
+the caller scores every entry itself where it cannot fork, or while
+another thread runs.  Each entry's RNG stream is private to it and keyed
 on structural indices, and is drawn partition by partition in order, so
 the bytes out do not depend on W or on the process an entry ran in.
 """
@@ -289,57 +290,46 @@ def _slices(series: Series, c: _Candidate, strategy: DetectionStrategy) -> tuple
     )
 
 
-def _target_side(
-    log: SampleLog, target: str, own_parts: Sequence[Optional[PartRef]],
-    strategy: DetectionStrategy,
-) -> list[_Candidate]:
-    """A row's candidates without their remote column, lag-major and in
-    ``own_parts`` order (None: the raw candidate), shared by the row's
-    entries: each lag's columns are extracted, partitioned and sliced once."""
-    side = []
+def _families(
+    log: SampleLog, target: str, own_parts: Sequence[PartRef],
+    remotes: Sequence[Sequence[PartRef]], strategy: DetectionStrategy,
+) -> list[list[_Candidate]]:
+    """The candidate families of the row ``target``'s entries whose remote
+    parts are ``remotes``, one each: at every lag, the raw candidate and one
+    per part of ``own_parts`` in order, with the entry's remote column
+    sliced into its partitions and scored.  Each lag's columns are extracted
+    once, and each candidate's partitions sliced once; each partition scores
+    every entry's column against its one performance slice with one
+    :func:`score_dependency` call.  Two remote parts are scored as their
+    composite; where it has too many categories, a lag keeps one empty raw
+    candidate."""
+    families: list[list[_Candidate]] = [[] for _ in remotes]
     for lag in strategy.lag_set:
         perf = extract_series(log, PerformanceSelector(target), lag)
-        for own in own_parts:
+        columns: list[Optional[Series]] = []
+        for remote_parts in remotes:
+            parts = [extract_series(log, ConfigSelector(*p), lag) for p in remote_parts]
+            columns.append(parts[0] if len(parts) == 1 else _composite(*parts, strategy))
+        for own in (None, *own_parts):
             if own is None:  # partitioned as a constant own part would be
                 partitions = (("0", np.arange(len(perf))),)
             else:
-                column = extract_series(log, ConfigSelector(*own), lag)
-                partitions = _partition_indices(column, strategy)
+                own_column = extract_series(log, ConfigSelector(*own), lag)
+                partitions = _partition_indices(own_column, strategy)
             c = _Candidate(lag, own, partitions, 0 if own is None else strategy.min_partition_size)
-            side.append(replace(c, perf=_slices(perf, c, strategy)))
-    return side
-
-
-def _with_remote(
-    side: Sequence[_Candidate], log: SampleLog, remotes: Sequence[Sequence[PartRef]],
-    strategy: DetectionStrategy,
-) -> list[list[_Candidate]]:
-    """The candidates of the entries whose remote parts are ``remotes``, one
-    family each: the target side with each entry's remote column sliced
-    into its partitions and scored.  Each partition of the side is scored
-    with one :func:`score_dependency` call, every entry's column against
-    its one performance slice.  Two remote parts are scored as their
-    composite; where it has too many categories, a lag keeps one empty raw
-    candidate."""
-    columns: list[dict[int, Optional[Series]]] = [{} for _ in remotes]
-    families: list[list[_Candidate]] = [[] for _ in remotes]
-    for c in side:
-        for remote_parts, column in zip(remotes, columns):
-            if c.lag not in column:
-                parts = [extract_series(log, ConfigSelector(*p), c.lag) for p in remote_parts]
-                column[c.lag] = parts[0] if len(parts) == 1 else _composite(*parts, strategy)
-        present = [(family, _slices(column[c.lag], c, strategy))
-                   for family, column in zip(families, columns) if column[c.lag] is not None]
-        scores = [
-            score_dependency([remote[p] for _, remote in present], y, len(idx), strategy)
-            for p, ((_, idx), y) in enumerate(zip(c.partitions, c.perf))
-        ]
-        for (family, remote), scored in zip(present, zip(*scores)):
-            family.append(replace(c, remote=remote, scores=scored))
-        if c.own_part is None:
-            for family, column in zip(families, columns):
-                if column[c.lag] is None:
-                    family.append(_Candidate(c.lag, None, ()))
+            c = replace(c, perf=_slices(perf, c, strategy))
+            present = [(family, _slices(column, c, strategy))
+                       for family, column in zip(families, columns) if column is not None]
+            scores = [
+                score_dependency([remote[p] for _, remote in present], y, len(idx), strategy)
+                for p, ((_, idx), y) in enumerate(zip(c.partitions, c.perf))
+            ]
+            for (family, remote), scored in zip(present, zip(*scores)):
+                family.append(replace(c, remote=remote, scores=scored))
+            if own is None:
+                for family, column in zip(families, columns):
+                    if column is None:
+                        family.append(_Candidate(lag, None, ()))
     return families
 
 
@@ -372,8 +362,7 @@ def _best(candidates, score, key):
 
 
 def _search(
-    family: Sequence[_Candidate], remote_part: PartRef, own_parts: Sequence[PartRef],
-    strategy: DetectionStrategy,
+    family: Sequence[_Candidate], remote_part: PartRef, own_parts: Sequence[PartRef]
 ) -> tuple[_Candidate, dict]:
     """The one ranking of a scored family, for the matrix and the raw and
     conditioned scorers: its best raw and best conditioned candidate.
@@ -412,8 +401,7 @@ def _family(
     scored."""
     if any(part[0] == target for part in remote_parts):
         raise ValueError("remote part must belong to a different agent")
-    side = _target_side(log, target, [None, *own_parts], strategy)
-    return _with_remote(side, log, [remote_parts], strategy)[0]
+    return _families(log, target, own_parts, [remote_parts], strategy)[0]
 
 
 def raw_influence(
@@ -422,7 +410,7 @@ def raw_influence(
     """Unconditioned dependency, maximized over the strategy's lag set: the
     raw score of the matrix's search on a family of raw candidates only."""
     family = _family(log, target, (remote_part,), (), strategy)
-    return _search(family, remote_part, (), strategy)[1]["raw"]
+    return _search(family, remote_part, ())[1]["raw"]
 
 
 def conditioned_influence(
@@ -438,7 +426,7 @@ def conditioned_influence(
     if own_part[0] != target:
         raise ValueError("conditioning part must belong to the target agent")
     family = _family(log, target, (remote_part,), (own_part,), strategy)
-    return _search(family, remote_part, (own_part,), strategy)[1]["best_conditioned"]
+    return _search(family, remote_part, (own_part,))[1]["best_conditioned"]
 
 
 def joint_influence(
@@ -532,7 +520,7 @@ def _p_value(
 
 # the Generator named as a string: reading np.random here would import it
 # with the package, on every command's start-up
-_Task = tuple[tuple[str, str, str], list[_Candidate], list[PartRef], "np.random.Generator"]
+_Task = tuple[tuple[str, str, str], list[PartRef], "np.random.Generator"]
 
 
 def _entry_rng(seed: int, ti: int, ri: int, pi: int) -> np.random.Generator:
@@ -545,22 +533,21 @@ def _tasks(
     log: SampleLog, strategy: DetectionStrategy, conditioning: bool,
     wanted: Optional[set[str]],
 ) -> list[_Task]:
-    """Each entry's key, its row's target side, the target's own parts and
-    the entry's RNG stream, in matrix order.  Every row's side is built
-    here, once, before any entry is scored."""
+    """Each entry's key, the target's own parts and the entry's RNG stream,
+    in matrix order.  No column is read here: the process that scores an
+    entry builds its family."""
     tasks = []
     for ti, target_schema in enumerate(log.schemas):
         target = target_schema.agent_id
         if wanted is not None and target not in wanted:
             continue
         own_parts = [(target, own.name) for own in target_schema.parts] if conditioning else []
-        side = _target_side(log, target, [None, *own_parts], strategy)
         for ri, remote_schema in enumerate(log.schemas):
             if remote_schema.agent_id == target:
                 continue
             for pi, part in enumerate(remote_schema.parts):
                 key = (target, remote_schema.agent_id, part.name)
-                tasks.append((key, side, own_parts, _entry_rng(strategy.seed, ti, ri, pi)))
+                tasks.append((key, own_parts, _entry_rng(strategy.seed, ti, ri, pi)))
     return tasks
 
 
@@ -569,8 +556,8 @@ def _score_entry(
 ) -> InfluenceEntry:
     """One entry from its scored candidate family: the observed search and
     the permutation test, the shuffles drawn into ``buffer``."""
-    key, _, own_parts, rng = task
-    winner, fields = _search(family, key[1:], own_parts, strategy)
+    key, own_parts, rng = task
+    winner, fields = _search(family, key[1:], own_parts)
     tests = _partition_tests(winner, strategy, rng, buffer)
     p_value = _p_value(tests, strategy)
     return InfluenceEntry(**fields, p_value=p_value, influenced=p_value < strategy.alpha)
@@ -582,19 +569,19 @@ def _score_share(
     """The entries at the indices ``share``, scored in order up to the
     first that raises, by index; and that index and error, or None.
 
-    The share is scored one matrix row at a time: the row's families are
-    built and scored together (:func:`_with_remote`), then each entry is
-    searched and tested in matrix order.  An error in building or scoring
-    the families is the row's, and is given at its lowest index in the
-    share."""
+    The share is scored one matrix row at a time: the families of the
+    row's entries in the share are built and scored together
+    (:func:`_families`), then each entry is searched and tested in matrix
+    order.  An error in building or scoring the families is the row's, and
+    is given at its lowest index in the share."""
     buffer = np.empty((strategy.permutations + 1) * len(log.t), dtype=np.int64)
     done, k = {}, -1
     try:
-        for _, row in groupby(share, key=lambda i: tasks[i][0][0]):
+        for target, row in groupby(share, key=lambda i: tasks[i][0][0]):
             row = list(row)
             k = row[0]
             remotes = [(tasks[i][0][1:],) for i in row]
-            for k, family in zip(row, _with_remote(tasks[k][1], log, remotes, strategy)):
+            for k, family in zip(row, _families(log, target, tasks[k][1], remotes, strategy)):
                 done[k] = _score_entry(family, strategy, tasks[k], buffer)
     except Exception as exc:  # the caller raises the lowest failing index's
         return done, (k, exc)

@@ -25,7 +25,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import InputError, is_number
+from .errors import InputError, expect, finite, is_number
 from .series import CategorySeries, RealSeries, Series
 
 ConfigValue = Union[str, float]
@@ -33,6 +33,8 @@ PartKey = tuple[str, str]  # (agent_id, part name)
 
 
 def _check_categories(kind) -> None:
+    for i, label in enumerate(kind.categories):
+        expect(label, str, f"categories[{i}]")
     if len(kind.categories) < 2:
         raise InputError("categories",
                          f"{type(kind).__name__.lower()} parts need at least 2 categories")
@@ -64,6 +66,8 @@ class RealInterval:
     upper: float
 
     def __post_init__(self) -> None:
+        finite(self.lower, "lower")
+        finite(self.upper, "upper")
         if not (self.lower < self.upper):
             raise ValueError("interval requires lower < upper")
 
@@ -245,13 +249,6 @@ def transpose(schemas, configs, performances, key=lambda *key: key) -> tuple:
     return columns, undeclared, unknown
 
 
-def _category_code(index: dict, value) -> int:
-    try:
-        return index.get(value, -1)
-    except TypeError:  # unhashable, so never a category label
-        return -1
-
-
 def _decode_part(
     kind: Optional[PartKind], values: Sequence
 ) -> tuple[np.ndarray, list[tuple[int, str]]]:
@@ -260,7 +257,8 @@ def _decode_part(
     message)."""
     if isinstance(kind, (Nominal, Ordinal)):
         index = {label: code for code, label in enumerate(kind.categories)}
-        column = np.array([_category_code(index, v) for v in values], dtype=np.int64)
+        column = np.array([index.get(v, -1) if isinstance(v, str) else -1 for v in values],
+                          dtype=np.int64)
         bad = np.flatnonzero(column < 0)
     elif kind is None:
         column = np.array([math.nan if v is NO_VALUE else float(v) for v in values], dtype=float)

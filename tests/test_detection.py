@@ -24,6 +24,7 @@ from influence_scope import (
     Nominal,
     Ordinal,
     RealInterval,
+    RealSeries,
     SampleLog,
     SampleRecord,
     conditioned_influence,
@@ -40,7 +41,7 @@ from influence_scope.errors import InputError, InternalConsistencyError
 from influence_scope.logio import matrix_from_json, matrix_to_json
 from influence_scope.measures import (
     _ESTIMATE_WINDOW, LEAST_SAMPLES, _perm_mic_groups, _perm_values_mi, _RankBins,
-    admissible_pairs, mic,
+    DependencyScore, admissible_pairs, mic,
     permuted_scores, quantile_bins, shuffled_column,
 )
 from influence_scope.model import ConfigSelector
@@ -73,10 +74,35 @@ def test_matrix_refuses_a_lag_beyond_the_log_before_building_any_row(monkeypatch
     def unreachable(*args):
         raise AssertionError("a target side was built")
 
-    monkeypatch.setattr(detection, "_target_side", unreachable)
+    monkeypatch.setattr(detection, "_families", unreachable)
     with pytest.raises(InputError, match="lag_set: lag 30 >= record count 30") as raised:
         influence_matrix(coupled_log(30), DetectionStrategy(lag_set=(0, 30, 40)))
     assert raised.value.path == "lag_set"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: conditioned_influence(coupled_log(100), "B", ("A", "cfg"), ("A", "cfg"), FAST),
+         "conditioning part must belong to the target agent"),
+        (lambda: influence_matrix(
+            SampleLog(coupled_log(5).schemas, coupled_log(5).records[::-1]), FAST),
+         "log failed validation: [Issue(record_index=1, path='t'"),
+    ],
+    ids=["foreign-own-part", "log-with-findings"],
+)
+def test_detection_refuses_a_bad_argument(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value).startswith(message)
+
+
+def test_a_correlation_whose_norms_underflow_scores_a_degenerate_zero():
+    strategy = DetectionStrategy(measure_kind=Measure.LINEAR)
+    x = RealSeries(np.array([0, 1e-170, 0, 1e-170]))
+    y = RealSeries(np.arange(4.0))
+    assert detection.score_dependency([x], y, 4, strategy) == [
+        DependencyScore(0.0, Measure.LINEAR, 4, degenerate=True)]
 
 
 # --- raw influence ----------------------------------------------------------
@@ -258,8 +284,7 @@ def test_observed_and_permuted_statistics_count_the_same_partitions(sizes, own, 
     # and in the permutation test alike
     strategy = DetectionStrategy(min_partition_size=25, permutations=20)
     log = sized_log(sizes)
-    side = detection._target_side(log, "B", [None, ("B", "own")], strategy)
-    family = detection._with_remote(side, log, [(("A", "cfg"),)], strategy)[0]
+    family = detection._families(log, "B", [("B", "own")], [(("A", "cfg"),)], strategy)[0]
     c = next(c for c in family if c.own_part == own)
     cs = detection._conditioned_score(c, ("A", "cfg"))
     buffer = np.empty((strategy.permutations + 1) * len(log.t), dtype=np.int64)
@@ -398,7 +423,7 @@ def test_matrix_refuses_targets_it_has_no_row_for(monkeypatch):
     def unreachable(*args):
         raise AssertionError("a target side was built")
 
-    monkeypatch.setattr(detection, "_target_side", unreachable)
+    monkeypatch.setattr(detection, "_families", unreachable)
     for targets, message in (
         (["Z"], "no agent 'Z' in the log"),
         (["B", "Z", "Y"], "no agent 'Z' in the log"),
@@ -1036,9 +1061,9 @@ def serial_p_values(log, strategy):
     """Each entry's p-value, and the number of partitions its winner's
     test scores (0 for a raw winner)."""
     out = {}
-    for key, side, own_parts, rng in detection._tasks(log, strategy, True, None):
-        family = detection._with_remote(side, log, [(key[1:],)], strategy)[0]
-        winner, _ = detection._search(family, key[1:], own_parts, strategy)
+    for key, own_parts, rng in detection._tasks(log, strategy, True, None):
+        family = detection._families(log, key[0], own_parts, [(key[1:],)], strategy)[0]
+        winner, _ = detection._search(family, key[1:], own_parts)
         stats = serial_permuted(winner, strategy, rng)
         p_value = 1.0 if stats is None else (
             (1 + int(np.sum(stats[1:] >= stats[0]))) / (strategy.permutations + 1))
@@ -1140,9 +1165,9 @@ def test_mic_p_value_from_estimates_equals_the_exact_one(monkeypatch, share):
     log = tie_log()
     buffer = np.empty((strategy.permutations + 1) * len(log.records) * 2, dtype=np.int64)
     entries = [synthetic]
-    for key, side, own_parts, entry_rng in detection._tasks(log, strategy, True, None):
-        family = detection._with_remote(side, log, [(key[1:],)], strategy)[0]
-        winner, _ = detection._search(family, key[1:], own_parts, strategy)
+    for key, own_parts, entry_rng in detection._tasks(log, strategy, True, None):
+        family = detection._families(log, key[0], own_parts, [(key[1:],)], strategy)[0]
+        winner, _ = detection._search(family, key[1:], own_parts)
         entries.append(detection._partition_tests(winner, strategy, entry_rng, buffer.copy()))
     for tests in entries:
         repeat_row_zero(tests, share, rng)
@@ -1217,6 +1242,44 @@ def test_worker_w_scores_every_wth_entry_in_matrix_order(monkeypatch, tmp_path):
         by_process.setdefault(int(pid), []).append(tuple(key))
     assert by_process.pop(os.getpid()) == keys[0::3]
     assert sorted(by_process.values()) == sorted([keys[1::3], keys[2::3]])
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_each_process_builds_each_row_of_its_share_once(monkeypatch, tmp_path, workers):
+    # the process that scores an entry builds its family, with the others
+    # of its row in its share: once per row, in matrix order
+    use_workers(monkeypatch, workers)
+    journal = tmp_path / "built"
+    build = detection._families
+
+    def recorded(log, target, own_parts, remotes, strategy):
+        with open(journal, "a") as out:
+            out.write(f"{os.getpid()} {target}\n")
+        return build(log, target, own_parts, remotes, strategy)
+
+    monkeypatch.setattr(detection, "_families", recorded)
+    keys = list(influence_matrix(three_agent_log(120), FAST).entries)
+    assert_no_child_left()
+    by_process = {}
+    for line in journal.read_text().splitlines():
+        pid, target = line.split()
+        by_process.setdefault(int(pid), []).append(target)
+    rows = [list(dict.fromkeys(key[0] for key in keys[w::workers])) for w in range(workers)]
+    assert rows[0] == ["A", "B", "C"]
+    assert by_process.pop(os.getpid()) == rows[0]
+    assert sorted(by_process.values()) == sorted(rows[1:])
+
+
+def test_the_caller_reads_no_column_before_it_forks(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the caller read a column")
+
+    log = three_agent_log(120)
+    with monkeypatch.context() as patched:
+        for name in ("extract_series", "_slices", "score_dependency"):
+            patched.setattr(detection, name, unreachable)
+        tasks = detection._tasks(log, FAST, True, None)
+    assert [task[0] for task in tasks] == list(influence_matrix(log, FAST).entries)
 
 
 @pytest.mark.parametrize("case", ["one-cpu", "no-fork", "no-affinity", "another-thread",
@@ -1294,14 +1357,14 @@ def test_a_row_that_fails_to_score_raises_its_error(monkeypatch, workers):
     # a row's families are built and scored together, so their error is the
     # row's, given at the row's lowest index in each worker's share
     use_workers(monkeypatch, workers)
-    build = detection._with_remote
+    build = detection._families
 
-    def failing(side, log, remotes, strategy):
-        if side[1].own_part[0] == "B":
+    def failing(log, target, own_parts, remotes, strategy):
+        if target == "B":
             raise ValueError("row B")
-        return build(side, log, remotes, strategy)
+        return build(log, target, own_parts, remotes, strategy)
 
-    monkeypatch.setattr(detection, "_with_remote", failing)
+    monkeypatch.setattr(detection, "_families", failing)
     with pytest.raises(ValueError, match="row B"):
         influence_matrix(three_agent_log(120), FAST)
     assert_no_child_left()

@@ -549,6 +549,41 @@ def test_mi_bits_int32_table_matches_int64():
     assert _mi_bits_from_counts(table.astype(np.int32)) == _mi_bits_from_counts(table)
 
 
+# --- argument checks ----------------------------------------------------------------
+
+
+FOUR = np.array([0.0, 1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: quantile_bins(FOUR, 1), ValueError, "n_bins must be >= 2"),
+        (lambda: mic(FOUR, FOUR[:3]), ValueError, "series lengths differ"),
+        (lambda: mic(FOUR[:3], FOUR[:3]), ValueError, "MIC requires at least 4 samples"),
+        (lambda: mic_columns([FOUR, FOUR[:3]], FOUR), ValueError, "series lengths differ"),
+        (lambda: mic_columns([FOUR[:3]], FOUR[:3]), ValueError,
+         "MIC requires at least 4 samples"),
+        (lambda: linear_correlation(FOUR, FOUR[:3]), ValueError, "series lengths differ"),
+        (lambda: linear_correlation(FOUR[:1], FOUR[:1]), ValueError,
+         "correlation requires at least 2 samples"),
+        (lambda: rank_correlation(FOUR, FOUR[:3]), ValueError, "series lengths differ"),
+        (lambda: rank_correlation(FOUR[:1], FOUR[:1]), ValueError,
+         "correlation requires at least 2 samples"),
+        # distinct values whose spreads' squares underflow to a zero norm
+        (lambda: linear_correlation([0, 1e-170, 0, 1e-170], FOUR), DegenerateSeriesError,
+         "series too close to constant for a correlation"),
+    ],
+    ids=["one-bin", "mic-lengths", "mic-short", "mic-columns-lengths", "mic-columns-short",
+         "linear-lengths", "linear-short", "rank-lengths", "rank-short", "linear-underflow"],
+)
+def test_measures_refuse_a_bad_argument(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+
+
 # --- correlations -----------------------------------------------------------------
 
 

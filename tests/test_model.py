@@ -5,6 +5,8 @@ import csv
 import hashlib
 import io
 import json
+import math
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -89,6 +91,41 @@ def test_agent_schema_rejects_duplicate_parts():
     part = ConfigPartSchema("p", Nominal(("a", "b")))
     with pytest.raises(ValueError):
         AgentSchema("x", (part, part))
+
+
+@pytest.mark.parametrize(
+    "make, part, kind, field, message",
+    [
+        (lambda: Nominal((1, 2)), 1, {"categories": [1, 2]}, "categories[0]",
+         "expected a string, got 1"),
+        (lambda: RealInterval(-math.inf, math.inf), 0, {"lower": -math.inf, "upper": math.inf},
+         "lower", "expected a finite number, got -inf"),
+    ],
+    ids=["non-string-label", "infinite-bound"],
+)
+def test_a_kind_refuses_what_the_log_reader_refuses_with_its_message(
+    make, part, kind, field, message
+):
+    # such a kind built a valid log whose JSON the log reader refused
+    with pytest.raises(InputError) as built:
+        make()
+    assert (built.value.path, built.value.message) == (field, message)
+    doc = json.loads(log_to_json(camera_like_log()))
+    doc["schemas"][0]["parts"][part]["kind"].update(kind)
+    with pytest.raises(InputError) as read:
+        log_from_dict(doc)
+    assert (read.value.path, read.value.message) == (
+        f"schemas[0].parts[{part}].kind.{field}", message)
+
+
+def test_a_category_column_codes_numpy_strings_and_refuses_other_labels():
+    records = [SampleRecord(t, {("cam", "pan"): 1.0, ("cam", "mode"): mode}, {"cam": 0.5})
+               for t, mode in enumerate([np.str_("narrow"), "wide", 1, ("wide",), ["wide"]])]
+    log = SampleLog(camera_like_log().schemas, records)
+    assert log.columns[ConfigSelector("cam", "mode")].tolist() == [1, 0, -1, -1, -1]
+    assert [(i.record_index, i.message) for i in log.issues] == [
+        (2, "unknown category 1"), (3, "unknown category ('wide',)"),
+        (4, "unknown category ['wide']")]
 
 
 # --- validate_log ---------------------------------------------------------------
@@ -261,6 +298,38 @@ def test_extract_rejects_log_with_findings():
     log = with_record(camera_like_log(), 1, performance={"cam": float("nan")})
     with pytest.raises(ValueError):
         extract_series(log, ConfigSelector("cam", "mode"))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: camera_like_log().schemas[0].part("zoom"), KeyError,
+         "agent 'cam' has no part 'zoom'"),
+        (lambda: camera_like_log().agent("dome"), KeyError, "unknown agent 'dome'"),
+        (lambda: extract_series(camera_like_log(), ConfigSelector("cam", "mode"), lag=-1),
+         ValueError, "lag must be >= 0"),
+    ],
+    ids=["unknown-part", "unknown-agent", "negative-lag"],
+)
+def test_model_refuses_a_bad_argument(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: CategorySeries([0, 3], 3), "category identifiers must lie in [0, 3)"),
+        (lambda: CategorySeries([-1, 0], 2), "category identifiers must lie in [0, 2)"),
+        (lambda: CategorySeries([0], 0), "n_categories must be >= 1"),
+        (lambda: RealSeries([]), "RealSeries requires a non-empty 1-D sequence"),
+        (lambda: RealSeries([0.5, math.inf]), "RealSeries entries must be finite"),
+    ],
+    ids=["id-too-large", "negative-id", "no-categories", "empty", "infinite"],
+)
+def test_series_refuses_a_bad_column(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def delayed_copy_log(n=400, seed=1):
