@@ -393,8 +393,8 @@ def _search(
 
 
 def _family(
-    log: SampleLog, target: str, remote_parts: Sequence[PartRef],
-    own_parts: Sequence[PartRef], strategy: DetectionStrategy,
+    log: SampleLog, target: str, own_parts: Sequence[PartRef],
+    remote_parts: Sequence[PartRef], strategy: DetectionStrategy,
 ) -> list[_Candidate]:
     """The candidates of one entry outside the matrix: the raw candidate and
     ``own_parts`` at every lag, lag-major, with the remote column added and
@@ -409,7 +409,7 @@ def raw_influence(
 ) -> DependencyScore:
     """Unconditioned dependency, maximized over the strategy's lag set: the
     raw score of the matrix's search on a family of raw candidates only."""
-    family = _family(log, target, (remote_part,), (), strategy)
+    family = _family(log, target, (), (remote_part,), strategy)
     return _search(family, remote_part, ())[1]["raw"]
 
 
@@ -425,7 +425,7 @@ def conditioned_influence(
     """
     if own_part[0] != target:
         raise ValueError("conditioning part must belong to the target agent")
-    family = _family(log, target, (remote_part,), (own_part,), strategy)
+    family = _family(log, target, (own_part,), (remote_part,), strategy)
     return _search(family, remote_part, (own_part,))[1]["best_conditioned"]
 
 
@@ -444,7 +444,7 @@ def joint_influence(
         raise ValueError("joint_pairs is disabled in this strategy")
     composite_ref: PartRef = (remote_parts[0][0], f"{remote_parts[0][1]}+{remote_parts[1][1]}")
     own_parts = [(target, own.name) for own in log.agent(target).parts]
-    family = _family(log, target, remote_parts, own_parts, strategy)
+    family = _family(log, target, own_parts, remote_parts, strategy)
     return _best(
         family, lambda c: _conditioned_score(c, composite_ref), _aggregate_key
     )[1]

@@ -756,13 +756,15 @@ def test_matrix_rows_do_not_depend_on_the_other_rows():
 @pytest.mark.parametrize("conditioning", [True, False], ids=["conditioned", "raw"])
 def test_each_partition_is_binned_once(monkeypatch, conditioning):
     # the performance is binned once per (target, lag, partition), whatever
-    # the remote parts and the permutation test read of it
+    # the remote parts and the permutation test read of it; one process, so
+    # the list sees every call
     calls = []
 
     def counted(*args):
         calls.append(args)
         return quantile_bins(*args)
 
+    use_workers(monkeypatch, 1)
     monkeypatch.setattr(detection, "quantile_bins", counted)
     log = three_agent_log()
     influence_matrix(log, GOLDEN_LAGS, conditioning=conditioning)
@@ -1268,6 +1270,59 @@ def test_each_process_builds_each_row_of_its_share_once(monkeypatch, tmp_path, w
     assert rows[0] == ["A", "B", "C"]
     assert by_process.pop(os.getpid()) == rows[0]
     assert sorted(by_process.values()) == sorted(rows[1:])
+
+
+@pytest.mark.parametrize("conditioning", [True, False], ids=["conditioned", "raw"])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_each_process_bins_each_partition_of_its_share_once(
+    monkeypatch, tmp_path, workers, conditioning
+):
+    # every process bins each (row, lag, partition) of its share once: the
+    # bins it journals under each row it builds are the one process's bins
+    journal = tmp_path / "bins"
+    build = detection._families
+
+    def recorded_build(log, target, *args):
+        with open(journal, "a") as out:
+            out.write(f"{os.getpid()} row {target}\n")
+        return build(log, target, *args)
+
+    def recorded_bins(values, *args):
+        digest = hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+        with open(journal, "a") as out:
+            out.write(f"{os.getpid()} bins {digest}\n")
+        return quantile_bins(values, *args)
+
+    def bins_by_process(count):
+        journal.unlink(missing_ok=True)
+        use_workers(monkeypatch, count)
+        keys = list(influence_matrix(log, GOLDEN_LAGS, conditioning=conditioning).entries)
+        assert_no_child_left()
+        by_process = {}
+        for line in journal.read_text().splitlines():
+            pid, what, value = line.split()
+            builds = by_process.setdefault(int(pid), [])
+            if what == "row":
+                builds.append((value, []))
+            else:
+                builds[-1][1].append(value)
+        return keys, by_process
+
+    monkeypatch.setattr(detection, "_families", recorded_build)
+    monkeypatch.setattr(detection, "quantile_bins", recorded_bins)
+    log = three_agent_log(120)
+    (alone,) = bins_by_process(1)[1].values()
+    assert [row for row, _ in alone] == ["A", "B", "C"]
+    assert sum(len(bins) for _, bins in alone) == len(GOLDEN_LAGS.lag_set) * sum(
+        1 + sum(len(part.kind.categories) for part in schema.parts) * conditioning
+        for schema in log.schemas
+    )
+    keys, by_process = bins_by_process(workers)
+    shares = [list(dict.fromkeys(key[0] for key in keys[w::workers])) for w in range(workers)]
+    bins = dict(alone)
+    expected = [[(row, bins[row]) for row in share] for share in shares]
+    assert by_process.pop(os.getpid()) == expected[0]
+    assert sorted(by_process.values()) == sorted(expected[1:])
 
 
 def test_the_caller_reads_no_column_before_it_forks(monkeypatch):
