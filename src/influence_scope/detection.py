@@ -16,15 +16,16 @@ together: each lag's partitions and the performance in each (binned for
 MI) are built once, and each partition scores every entry's remote column
 against its one performance slice in one call.
 
-:func:`influence_matrix` splits the entries, forks one child per further
-usable CPU (W processes in all, at most one per entry) and merges what
-they give back; it reads no column itself.  Worker w scores the entries
-k = w (mod W) in matrix order, building the families of a row's share of
-them once, together, and a child pickles its entries back over a pipe;
-the caller scores every entry itself where it cannot fork, or while
-another thread runs.  Each entry's RNG stream is private to it and keyed
-on structural indices, and is drawn partition by partition in order, so
-the bytes out do not depend on W or on the process an entry ran in.
+:func:`influence_matrix` cuts the entries into W contiguous runs in
+matrix order, one per usable CPU (at most one per entry), forks a child
+for every run but the last and merges what they give back; it reads no
+column itself.  A process builds the families of a row's entries in its
+run once, together, so a row is built once per run it meets, and a child
+pickles its entries back over a pipe; the caller scores the last run, and
+every entry itself where it cannot fork, or while another thread runs.
+Each entry's RNG stream is private to it and keyed on structural
+indices, and is drawn partition by partition in order, so the bytes out
+do not depend on W or on the process an entry ran in.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import warnings
 from dataclasses import dataclass, replace
 from itertools import groupby
 from reprlib import repr as brief
-from typing import BinaryIO, Iterable, Optional, Sequence
+from typing import BinaryIO, Optional, Sequence
 
 import numpy as np
 
@@ -564,27 +565,26 @@ def _score_entry(
 
 
 def _score_share(
-    log: SampleLog, strategy: DetectionStrategy, tasks: Sequence[_Task], share: Iterable[int]
-) -> tuple[dict[int, InfluenceEntry], Optional[tuple[int, Exception]]]:
-    """The entries at the indices ``share``, scored in order up to the
-    first that raises, by index; and that index and error, or None.
+    log: SampleLog, strategy: DetectionStrategy, run: Sequence[_Task]
+) -> tuple[list[InfluenceEntry], Optional[Exception]]:
+    """The entries of ``run``, a contiguous run of tasks in matrix order,
+    scored in order up to the first that raises; and that error, or None.
 
-    The share is scored one matrix row at a time: the families of the
-    row's entries in the share are built and scored together
-    (:func:`_families`), then each entry is searched and tested in matrix
-    order.  An error in building or scoring the families is the row's, and
-    is given at its lowest index in the share."""
+    The run is scored one matrix row at a time: the families of the row's
+    entries in the run are built and scored together (:func:`_families`),
+    then each entry is searched and tested in order.  An error in building
+    or scoring the families is the row's, and is raised before any of the
+    row's entries in the run."""
     buffer = np.empty((strategy.permutations + 1) * len(log.t), dtype=np.int64)
-    done, k = {}, -1
+    done: list[InfluenceEntry] = []
     try:
-        for target, row in groupby(share, key=lambda i: tasks[i][0][0]):
+        for target, row in groupby(run, key=lambda task: task[0][0]):
             row = list(row)
-            k = row[0]
-            remotes = [(tasks[i][0][1:],) for i in row]
-            for k, family in zip(row, _families(log, target, tasks[k][1], remotes, strategy)):
-                done[k] = _score_entry(family, strategy, tasks[k], buffer)
-    except Exception as exc:  # the caller raises the lowest failing index's
-        return done, (k, exc)
+            remotes = [(task[0][1:],) for task in row]
+            for task, family in zip(row, _families(log, target, row[0][1], remotes, strategy)):
+                done.append(_score_entry(family, strategy, task, buffer))
+    except Exception as exc:  # the caller raises the first failing run's
+        return done, exc
     return done, None
 
 
@@ -593,18 +593,18 @@ def _cpu_count() -> int:
 
 
 def _worker_count(entries: int) -> int:
-    """How many processes score the matrix, this one included: one per
-    usable CPU up to one per entry, and only this one where it cannot fork
-    safely, or while another thread runs that a child would lose."""
+    """How many processes score the matrix, this one included: one per usable
+    CPU up to one per entry (one for none), and only this one where it cannot
+    fork safely, or while another thread runs that a child would lose."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    return 1 if threading.active_count() > 1 else min(_cpu_count(), entries)
+    return 1 if threading.active_count() > 1 else max(1, min(_cpu_count(), entries))
 
 
 def _fork_share(
-    log: SampleLog, strategy: DetectionStrategy, tasks: Sequence[_Task], share: Iterable[int]
+    log: SampleLog, strategy: DetectionStrategy, run: Sequence[_Task]
 ) -> Optional[tuple[int, BinaryIO]]:
-    """Fork a child that scores ``share`` and pickles what
+    """Fork a child that scores ``run`` and pickles what
     :func:`_score_share` gives back over a pipe; the child's pid and the
     pipe's read end, or None when ``fork`` fails."""
     read_end, write_end = os.pipe()
@@ -627,13 +627,12 @@ def _fork_share(
         status = 1
         try:
             os.close(read_end)
-            done, failure = _score_share(log, strategy, tasks, share)
+            done, failure = _score_share(log, strategy, run)
             if failure is not None:
-                k, exc = failure
                 try:
-                    pickle.loads(pickle.dumps(exc))
+                    pickle.loads(pickle.dumps(failure))
                 except Exception:
-                    failure = (k, RuntimeError(repr(exc)))
+                    failure = RuntimeError(repr(failure))
             with open(write_end, "wb") as pipe:
                 pickle.dump((done, failure), pipe, protocol=pickle.HIGHEST_PROTOCOL)
             status = 0
@@ -646,22 +645,22 @@ def _fork_share(
 def _scored(
     log: SampleLog, strategy: DetectionStrategy, tasks: Sequence[_Task]
 ) -> list[InfluenceEntry]:
-    """Every task's entry, in order.  Worker w of W scores the entries k with
-    k = w (mod W): this process is worker 0 and forks the others, and takes
-    on the share of any it could not fork.  The error of the lowest failing
-    index is raised, as a serial loop would raise it."""
+    """Every task's entry, in order.  The tasks are cut into W contiguous
+    runs in matrix order: this process forks a child for every run but the
+    last, and scores the last itself together with every run it could not
+    fork.  Each run stops at its first failure, so the first failing run's
+    error is the lowest failing index's, as a serial loop would raise it."""
     workers = _worker_count(len(tasks))
+    bounds = [len(tasks) * w // workers for w in range(workers)]
     children: list[tuple[int, BinaryIO]] = []
+    runs = []
     try:
-        for w in range(1, workers):
-            child = _fork_share(log, strategy, tasks, range(w, len(tasks), workers))
+        for start, stop in zip(bounds, bounds[1:]):
+            child = _fork_share(log, strategy, tasks[start:stop])
             if child is None:
                 break
             children.append(child)
-        forked = 1 + len(children)
-        mine = (k for k in range(len(tasks)) if not 0 < k % workers < forked)
-        done, failure = _score_share(log, strategy, tasks, mine)
-        failures = [failure] if failure else []
+        mine = _score_share(log, strategy, tasks[bounds[len(children)]:])
         while children:
             pid, pipe = children[0]
             data = pipe.read()
@@ -672,17 +671,18 @@ def _scored(
             if code != 0:
                 raise RuntimeError(f"worker process {pid} ended with code {code} "
                                    "before sending its entries")
-            child_done, child_failure = pickle.loads(data)
-            done.update(child_done)
-            failures += [child_failure] if child_failure else []
+            runs.append(pickle.loads(data))
     finally:
         for pid, pipe in children:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    return [done[k] for k in range(len(tasks))]
+    entries: list[InfluenceEntry] = []
+    for done, failure in [*runs, mine]:
+        if failure is not None:
+            raise failure
+        entries += done
+    return entries
 
 
 def influence_matrix(

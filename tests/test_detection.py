@@ -424,6 +424,9 @@ def test_matrix_refuses_targets_it_has_no_row_for(monkeypatch):
         raise AssertionError("a target side was built")
 
     monkeypatch.setattr(detection, "_families", unreachable)
+    for workers in (1, 3):  # no entry: one process, and no run to cut
+        use_workers(monkeypatch, workers)
+        assert influence_matrix(log, FAST, targets=[]).entries == {}
     for targets, message in (
         (["Z"], "no agent 'Z' in the log"),
         (["B", "Z", "Y"], "no agent 'Z' in the log"),
@@ -788,8 +791,9 @@ def test_golden_matrix_mic_camera_trio():
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_golden_matrix_mic_camera_trio_at_every_worker_count(monkeypatch, workers):
-    # a worker scores the remote columns of its share of a row together, so
-    # which columns share a MIC call changes with W; the bytes must not
+    # a process scores the remote columns of its run's part of a row
+    # together, so which columns share a MIC call changes with W; the bytes
+    # must not
     spec = scenario_from_dict(json.loads((SCENARIOS / "camera-trio.json").read_text()))
     log = run_scenario(spec, steps=400, seed=1)
     strategy = DetectionStrategy(measure_kind=Measure.MIC, permutations=49, seed=1)
@@ -1225,8 +1229,25 @@ def test_concurrent_matrices_match_the_serial_permutation_test(monkeypatch):
     assert forks == []
 
 
-def test_worker_w_scores_every_wth_entry_in_matrix_order(monkeypatch, tmp_path):
-    use_workers(monkeypatch, 3)
+def run_bounds(entries, workers):
+    """The (start, stop) of each process's run of a matrix of ``entries``,
+    the caller's last."""
+    bounds = [entries * w // workers for w in range(workers + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+@pytest.mark.parametrize("workers, outcomes, runs", [
+    (2, ["fork"], [(0, 9), (9, 18)]),
+    (3, ["fork", "fork"], [(0, 6), (6, 12), (12, 18)]),
+    (3, ["fork", "fail"], [(0, 6), (6, 18)]),
+], ids=["2", "3", "second-fork-fails"])
+def test_each_process_scores_one_contiguous_run_in_matrix_order(
+    monkeypatch, tmp_path, workers, outcomes, runs
+):
+    # the caller scores the last run, and every run from the first it could
+    # not fork
+    use_workers(monkeypatch, workers)
+    forks = patched_fork(monkeypatch, outcomes)
     journal = tmp_path / "scored"
     score = detection._score_entry
 
@@ -1238,18 +1259,21 @@ def test_worker_w_scores_every_wth_entry_in_matrix_order(monkeypatch, tmp_path):
     monkeypatch.setattr(detection, "_score_entry", recorded)
     keys = list(influence_matrix(three_agent_log(120), FAST).entries)
     assert_no_child_left()
+    assert len(forks) == len(outcomes)
     by_process = {}
     for line in journal.read_text().splitlines():
         pid, *key = line.split()
         by_process.setdefault(int(pid), []).append(tuple(key))
-    assert by_process.pop(os.getpid()) == keys[0::3]
-    assert sorted(by_process.values()) == sorted([keys[1::3], keys[2::3]])
+    runs = [keys[start:stop] for start, stop in runs]
+    assert by_process.pop(os.getpid()) == runs[-1]
+    assert sorted(by_process.values()) == sorted(runs[:-1])
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_each_process_builds_each_row_of_its_share_once(monkeypatch, tmp_path, workers):
+@pytest.mark.parametrize("workers, builds", [(1, 3), (2, 4), (3, 3), (4, 6), (7, 8)])
+def test_each_process_builds_each_row_of_its_share_once(monkeypatch, tmp_path, workers, builds):
     # the process that scores an entry builds its family, with the others
-    # of its row in its share: once per row, in matrix order
+    # of its row in its run: once per row and run, in matrix order, so at
+    # most rows + W - 1 builds in all
     use_workers(monkeypatch, workers)
     journal = tmp_path / "built"
     build = detection._families
@@ -1266,10 +1290,11 @@ def test_each_process_builds_each_row_of_its_share_once(monkeypatch, tmp_path, w
     for line in journal.read_text().splitlines():
         pid, target = line.split()
         by_process.setdefault(int(pid), []).append(target)
-    rows = [list(dict.fromkeys(key[0] for key in keys[w::workers])) for w in range(workers)]
-    assert rows[0] == ["A", "B", "C"]
-    assert by_process.pop(os.getpid()) == rows[0]
-    assert sorted(by_process.values()) == sorted(rows[1:])
+    assert sum(map(len, by_process.values())) == builds <= 3 + workers - 1
+    rows = [list(dict.fromkeys(key[0] for key in keys[start:stop]))
+            for start, stop in run_bounds(len(keys), workers)]
+    assert by_process.pop(os.getpid()) == rows[-1]
+    assert sorted(by_process.values()) == sorted(rows[:-1])
 
 
 @pytest.mark.parametrize("conditioning", [True, False], ids=["conditioned", "raw"])
@@ -1318,11 +1343,12 @@ def test_each_process_bins_each_partition_of_its_share_once(
         for schema in log.schemas
     )
     keys, by_process = bins_by_process(workers)
-    shares = [list(dict.fromkeys(key[0] for key in keys[w::workers])) for w in range(workers)]
+    shares = [list(dict.fromkeys(key[0] for key in keys[start:stop]))
+              for start, stop in run_bounds(len(keys), workers)]
     bins = dict(alone)
     expected = [[(row, bins[row]) for row in share] for share in shares]
-    assert by_process.pop(os.getpid()) == expected[0]
-    assert sorted(by_process.values()) == sorted(expected[1:])
+    assert by_process.pop(os.getpid()) == expected[-1]
+    assert sorted(by_process.values()) == sorted(expected[:-1])
 
 
 def test_the_caller_reads_no_column_before_it_forks(monkeypatch):
@@ -1366,10 +1392,12 @@ def test_the_caller_scores_alone_where_it_cannot_fork(monkeypatch, case):
 
 
 FAILURES = {
-    # for W = 2 and 3, a child fails first and the caller later, or the
-    # caller first (on its first entry) and a child later
-    "child-first": {5: InputError("entries[5]", "bad value"), 6: ValueError("entry 6")},
-    "caller-first": {0: InternalConsistencyError("entry 0"), 1: ValueError("entry 1")},
+    # for W = 2 and 3, the first run (a child's) fails at the lower index
+    # and the caller's run at the higher: the child on its first entry and
+    # the caller on its last, or the caller on its first at W = 3 and the
+    # child on its last there
+    "child-first": {0: InputError("entries[0]", "bad value"), 17: ValueError("entry 17")},
+    "caller-first": {5: InternalConsistencyError("entry 5"), 12: ValueError("entry 12")},
 }
 
 
@@ -1410,7 +1438,7 @@ def test_a_failed_entry_raises_the_serial_loops_error_and_leaves_no_child(
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_a_row_that_fails_to_score_raises_its_error(monkeypatch, workers):
     # a row's families are built and scored together, so their error is the
-    # row's, given at the row's lowest index in each worker's share
+    # row's, raised before any of the row's entries in each run
     use_workers(monkeypatch, workers)
     build = detection._families
 
